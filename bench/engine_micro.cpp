@@ -3,10 +3,18 @@
 // Throughput of the structures every experiment leans on: the LRU set (hash
 // vs dense-interned index, split vs fused probe), the page interner, the
 // box runner, the sequential cache simulator, the stack-distance profiler,
-// the green-OPT DP, and the full parallel engine. These keep the harness
+// the green-OPT DP, the schedulers' next_box alone (a p-sweep), and the
+// full parallel engine. These keep the harness
 // honest about simulator cost and catch performance regressions —
 // scripts/bench_perf.sh snapshots them into BENCH_PERF.json.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <functional>
+#include <numeric>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "core/parallel_engine.hpp"
 #include "core/scheduler_factory.hpp"
@@ -245,6 +253,63 @@ void BM_ParallelEngineThreadedStreamed(benchmark::State& state) {
       static_cast<std::int64_t>(sources.total_requests()));
 }
 BENCHMARK(BM_ParallelEngineThreadedStreamed)->Arg(128);
+
+/// The first p processors, all active for the whole run.
+class AllActiveView final : public EngineView {
+ public:
+  explicit AllActiveView(ProcId p) : ids_(p) {
+    std::iota(ids_.begin(), ids_.end(), ProcId{0});
+  }
+  ProcId num_procs() const override { return static_cast<ProcId>(ids_.size()); }
+  ProcId active_count() const override { return num_procs(); }
+  bool is_active(ProcId proc) const override { return proc < num_procs(); }
+  const std::vector<ProcId>& active_ids() const override { return ids_; }
+
+ private:
+  std::vector<ProcId> ids_;
+};
+
+/// Scheduler layer alone: replays a (proc, now) next_box call sequence
+/// recorded once in set-up by the engine's pull order (earliest box end
+/// first, ties by proc) on a fresh scheduler, with no traces and no
+/// simulation. Every processor stays active (k = 8p, s = 8), so the cost
+/// per box shows how next_box scales with p. Items = boxes.
+void BM_SchedulerNextBox(benchmark::State& state, SchedulerKind kind) {
+  const auto p = static_cast<ProcId>(state.range(0));
+  const SchedulerContext ctx{p, 8 * static_cast<Height>(p), 8};
+  const AllActiveView view(p);
+  const std::size_t num_calls = std::max<std::size_t>(1 << 16, 8 * p);
+
+  std::vector<std::pair<ProcId, Time>> calls;
+  calls.reserve(num_calls);
+  {
+    auto scheduler = make_scheduler(kind);
+    scheduler->start(ctx, view);
+    std::priority_queue<std::pair<Time, ProcId>,
+                        std::vector<std::pair<Time, ProcId>>, std::greater<>>
+        pending;
+    for (ProcId i = 0; i < p; ++i) pending.emplace(0, i);
+    while (calls.size() < num_calls) {
+      const auto [now, proc] = pending.top();
+      pending.pop();
+      calls.emplace_back(proc, now);
+      pending.emplace(scheduler->next_box(proc, now, view).end, proc);
+    }
+  }
+
+  for (auto _ : state) {
+    auto scheduler = make_scheduler(kind);
+    scheduler->start(ctx, view);
+    for (const auto& [proc, now] : calls)
+      benchmark::DoNotOptimize(scheduler->next_box(proc, now, view));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(calls.size()));
+}
+BENCHMARK_CAPTURE(BM_SchedulerNextBox, DetPar, SchedulerKind::kDetPar)
+    ->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK_CAPTURE(BM_SchedulerNextBox, RandPar, SchedulerKind::kRandPar)
+    ->Arg(64)->Arg(512)->Arg(4096);
 
 }  // namespace
 

@@ -17,9 +17,9 @@
 #               (--quick) E4 sweep; completes in well under a minute.
 #   --out       Output path (default: BENCH_PERF.json in the repo root).
 #   --selftest  Run the gate logic against synthetic snapshots (an injected
-#               slowdown must fail, a flat profile must pass, and
-#               PPG_PERF_GATE=warn must downgrade the failure); no
-#               benchmarks are built or run.
+#               slowdown must fail, a flat profile must pass, and a
+#               snapshot from another host must only warn); no benchmarks
+#               are built or run.
 #
 # Environment:
 #   PPG_PERF_GATE=warn   Downgrade a gate failure to a warning (escape
@@ -45,17 +45,32 @@ GATE_PCT="${PPG_PERF_GATE_PCT:-15}"
 # gate_compare OLD NEW DROPPED_OUT
 # Compares requests_per_sec maps; prints a line per drop beyond GATE_PCT,
 # writes the dropped benchmark names (one per line) to DROPPED_OUT, and
-# returns nonzero iff any benchmark dropped.
+# returns nonzero iff any benchmark dropped. Snapshots from different hosts
+# (context num_cpus or compiler differ) are not comparable: the mismatch is
+# printed and a drop only warns.
 gate_compare() {
   OLD_JSON="$1" NEW_JSON="$2" DROPPED_OUT="$3" GATE_PCT="${GATE_PCT}" \
   python3 - <<'PY'
 import json, os, sys
 
 with open(os.environ["OLD_JSON"]) as f:
-    old = json.load(f).get("requests_per_sec", {})
+    old_snapshot = json.load(f)
 with open(os.environ["NEW_JSON"]) as f:
-    new = json.load(f).get("requests_per_sec", {})
+    new_snapshot = json.load(f)
+old = old_snapshot.get("requests_per_sec", {})
+new = new_snapshot.get("requests_per_sec", {})
 threshold = float(os.environ["GATE_PCT"]) / 100.0
+
+mismatch = [
+    f"{key} {old_snapshot.get('context', {}).get(key)!r} -> "
+    f"{new_snapshot.get('context', {}).get(key)!r}"
+    for key in ("num_cpus", "compiler")
+    if old_snapshot.get("context", {}).get(key)
+    != new_snapshot.get("context", {}).get(key)
+]
+if mismatch:
+    print("perf gate: host context differs from the committed snapshot ("
+          + "; ".join(mismatch) + "); drops only warn")
 
 dropped = []
 for name in sorted(old):
@@ -72,7 +87,10 @@ with open(os.environ["DROPPED_OUT"], "w") as f:
 if not dropped:
     print(f"perf gate: no >{os.environ['GATE_PCT']}% drops across "
           f"{len(set(old) & set(new))} benchmarks")
-sys.exit(1 if dropped else 0)
+elif mismatch:
+    print(f"WARN: {len(dropped)} drop(s) against a snapshot from another "
+          "host; not failing")
+sys.exit(1 if dropped and not mismatch else 0)
 PY
 }
 
@@ -108,13 +126,43 @@ JSON
     echo "FAIL: perf gate misidentified the dropped benchmark" >&2
     exit 1
   fi
+  # A snapshot from another host (num_cpus or compiler differ) must print
+  # the mismatch and only warn on the same 2x drop; with a matching context
+  # the drop still fails.
+  cat >"${ST_DIR}/old_ctx.json" <<'JSON'
+{"context": {"num_cpus": 1, "compiler": "c++ 12.2.0"},
+ "requests_per_sec": {"BM_Synthetic/8": 1000000}}
+JSON
+  cat >"${ST_DIR}/slow_ctx.json" <<'JSON'
+{"context": {"num_cpus": 4, "compiler": "c++ 12.2.0"},
+ "requests_per_sec": {"BM_Synthetic/8": 500000}}
+JSON
+  cat >"${ST_DIR}/slow_same_ctx.json" <<'JSON'
+{"context": {"num_cpus": 1, "compiler": "c++ 12.2.0"},
+ "requests_per_sec": {"BM_Synthetic/8": 500000}}
+JSON
+  if ! gate_compare "${ST_DIR}/old_ctx.json" "${ST_DIR}/slow_ctx.json" \
+       "${ST_DIR}/dropped" >"${ST_DIR}/ctx.log"; then
+    echo "FAIL: perf gate hard-failed across different hosts" >&2
+    exit 1
+  fi
+  if ! grep -q "num_cpus 1 -> 4" "${ST_DIR}/ctx.log"; then
+    echo "FAIL: perf gate did not report the host context mismatch" >&2
+    exit 1
+  fi
+  if gate_compare "${ST_DIR}/old_ctx.json" "${ST_DIR}/slow_same_ctx.json" \
+     "${ST_DIR}/dropped" >/dev/null; then
+    echo "FAIL: perf gate passed a 2x slowdown on a matching host" >&2
+    exit 1
+  fi
   # A tighter threshold must catch the mild drop the default lets through.
   if GATE_PCT=0.5 gate_compare "${ST_DIR}/old.json" "${ST_DIR}/flat.json" \
      "${ST_DIR}/dropped" >/dev/null; then
     echo "FAIL: PPG_PERF_GATE_PCT not honoured" >&2
     exit 1
   fi
-  echo "perf gate self-test OK (drop detected, flat pass, threshold env)"
+  echo "perf gate self-test OK (drop detected, flat pass, host mismatch" \
+       "warns, threshold env)"
   exit 0
 fi
 
@@ -131,7 +179,8 @@ trap 'rm -f "${MICRO_JSON}" "${SERVICE_JSON}" "${SWEEP_J1}" "${SWEEP_JMAX}"' EXI
 # --- Microbenchmark throughput (requests/sec) ----------------------------
 MIN_TIME=0.5
 [[ "${QUICK}" == "1" ]] && MIN_TIME=0.05
-BENCH_FILTER='BM_(LruSetAccess|DenseLruSetAccess|DenseLruSetFusedAccess|PageIntern|CacheSimLru|BoxRunnerCanonicalBoxes|StackDistances|ParallelEngine)'
+# (BM_SchedulerNextBox counts boxes, not requests, as its items.)
+BENCH_FILTER='BM_(LruSetAccess|DenseLruSetAccess|DenseLruSetFusedAccess|PageIntern|CacheSimLru|BoxRunnerCanonicalBoxes|StackDistances|SchedulerNextBox|ParallelEngine)'
 ./build/bench/engine_micro \
   --benchmark_filter="${BENCH_FILTER}" \
   --benchmark_min_time="${MIN_TIME}" \

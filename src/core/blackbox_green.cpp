@@ -112,11 +112,10 @@ class BlackboxGreen final : public BoxScheduler {
   Impact min_active_impact(const EngineView& view) const {
     Impact best = std::numeric_limits<Impact>::max();
     bool any = false;
-    for (ProcId i = 0; i < view.num_procs(); ++i) {
-      if (!view.is_active(i)) continue;
+    view.for_each_active([&](ProcId i) {
       best = std::min(best, impact_[i]);
       any = true;
-    }
+    });
     return any ? best : 0;
   }
 

@@ -85,19 +85,36 @@ std::uint64_t ValidatingScheduler::peak_concurrent(const BoxAssignment& box,
   live_.erase(std::remove_if(live_.begin(), live_.end(),
                              [now](const LiveBox& b) { return b.end <= now; }),
               live_.end());
-  // Sweep the event points of live boxes inside the new box's window.
-  std::vector<Time> points{box.start};
+  // One pass sums the height live at box.start and collects the window's
+  // later events: +height where a live box starts after box.start, -height
+  // where one ends before box.end. Only a later start can raise the sum,
+  // so without one (the common case: boxes start when requested) the peak
+  // is at box.start; otherwise one sorted sweep finds it. At equal times
+  // ends sort first, as a box ending at t is not live at t.
+  std::uint64_t at_start = 0;
+  bool later_start = false;
+  sweep_.clear();
   for (const LiveBox& b : live_) {
-    if (b.start > box.start && b.start < box.end) points.push_back(b.start);
+    if (b.start >= box.end || b.end <= box.start) continue;
+    const auto height = static_cast<std::int64_t>(b.height);
+    if (b.start <= box.start) {
+      at_start += b.height;
+    } else {
+      later_start = true;
+      sweep_.emplace_back(b.start, height);
+    }
+    if (b.end < box.end) sweep_.emplace_back(b.end, -height);
   }
-  std::uint64_t peak = 0;
-  for (const Time t : points) {
-    std::uint64_t sum = box.height;
-    for (const LiveBox& b : live_)
-      if (b.start <= t && t < b.end) sum += b.height;
-    peak = std::max(peak, sum);
+  std::uint64_t peak = at_start;
+  if (later_start) {
+    std::sort(sweep_.begin(), sweep_.end());
+    auto current = static_cast<std::int64_t>(at_start);
+    for (const auto& [t, delta] : sweep_) {
+      current += delta;
+      peak = std::max(peak, static_cast<std::uint64_t>(current));
+    }
   }
-  return peak;
+  return box.height + peak;
 }
 
 void ValidatingScheduler::report(ViolationKind kind, ProcId proc, Time now,

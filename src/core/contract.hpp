@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scheduler.hpp"
@@ -99,7 +100,8 @@ class ValidatingScheduler final : public BoxScheduler {
   void report(ViolationKind kind, ProcId proc, Time now,
               const BoxAssignment& box, std::uint64_t detail);
   /// Peak concurrent allocated height over [box.start, box.end) including
-  /// `box` itself; prunes boxes ending at or before `now`.
+  /// `box` itself; prunes boxes ending at or before `now`. O(live), plus a
+  /// sort of the window's events when a live box starts after box.start.
   std::uint64_t peak_concurrent(const BoxAssignment& box, Time now);
 
   struct LiveBox {
@@ -116,6 +118,8 @@ class ValidatingScheduler final : public BoxScheduler {
   std::vector<Time> frontier_;        ///< End of last box issued, per proc.
   std::vector<bool> has_box_;         ///< Whether any box was issued, per proc.
   std::vector<LiveBox> live_;         ///< Issued boxes not yet known expired.
+  /// peak_concurrent's (time, height delta) event scratch, reused.
+  std::vector<std::pair<Time, std::int64_t>> sweep_;
   std::uint64_t observed_peak_ = 0;
   std::vector<ContractViolation> violations_;
 };

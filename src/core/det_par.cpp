@@ -1,7 +1,6 @@
 #include "core/det_par.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "green/box.hpp"
@@ -54,38 +53,32 @@ class DetPar final : public BoxScheduler {
       start_phase(now, view);
     }
 
-    const auto idx_it = index_.find(proc);
     // A processor always appears in the phase-start list: phases start
     // before any box is issued, processors never re-activate, and an
     // online arrival forces a re-phase (rephase_) before its first box.
-    PPG_CHECK_MSG(idx_it != index_.end(), "processor missing from phase list");
-    const std::size_t idx = idx_it->second;
+    const auto idx_it =
+        std::lower_bound(phase_ids_.begin(), phase_ids_.end(), proc);
+    PPG_CHECK_MSG(idx_it != phase_ids_.end() && *idx_it == proc,
+                  "processor missing from phase list");
+    const auto idx = static_cast<std::size_t>(idx_it - phase_ids_.begin());
 
-    // Scan strips for (a) a box window containing `now` assigned to this
-    // processor — take the tallest — and (b) the earliest upcoming window.
+    // Per strip: (a) a box window containing `now` assigned to this
+    // processor — take the tallest — and (b) the earliest upcoming window,
+    // both in closed form, so a call costs O(rungs).
     Height current_height = 0;
     Time current_end = 0;
     Time next_start = kTimeInfinity;
-    for (std::uint32_t m = 0; m < strips_.size(); ++m) {
-      const Strip& strip = strips_[m];
+    for (const Strip& strip : strips_) {
       const Time cycle_len = ctx_.miss_cost * static_cast<Time>(strip.height);
       const Time c_now = (now - phase_start_) / cycle_len;
-      // Current cycle: does it assign a slot to idx?
-      if (assigned_in_cycle(strip, m, c_now, idx)) {
-        const Time window_end = phase_start_ + (c_now + 1) * cycle_len;
-        if (strip.height > current_height) {
-          current_height = strip.height;
-          current_end = window_end;
-        }
+      const StripWindow window =
+          strip_window(phase_r0_, strip.slots, strip.offset, c_now, idx);
+      if (window.serves_now && strip.height > current_height) {
+        current_height = strip.height;
+        current_end = phase_start_ + (c_now + 1) * cycle_len;
       }
-      // Earliest future cycle assigning idx.
-      const Time horizon = c_now + ceil_div(phase_r0_, strip.slots) + 2;
-      for (Time c = c_now + 1; c <= horizon; ++c) {
-        if (assigned_in_cycle(strip, m, c, idx)) {
-          next_start = std::min(next_start, phase_start_ + c * cycle_len);
-          break;
-        }
-      }
+      next_start =
+          std::min(next_start, phase_start_ + window.next_cycle * cycle_len);
     }
 
     if (current_height > base_height_)
@@ -108,26 +101,11 @@ class DetPar final : public BoxScheduler {
     std::size_t offset;  // stagger between strips
   };
 
-  bool assigned_in_cycle(const Strip& strip, std::uint32_t strip_idx,
-                         Time cycle, std::size_t idx) const {
-    (void)strip_idx;
-    // Slot q of cycle c serves order[(c*C + q + offset) mod r0]; idx is
-    // served iff ((idx - offset - c*C) mod r0) < C.
-    const std::size_t r0 = phase_r0_;
-    const auto base = static_cast<std::size_t>(
-        (static_cast<Time>(strip.slots) * cycle + strip.offset) %
-        static_cast<Time>(r0));
-    const std::size_t rel = (idx + r0 - base) % r0;
-    return rel < strip.slots;
-  }
-
   void start_phase(Time t0, const EngineView& view) {
     rephase_ = false;
     phase_start_ = t0;
-    index_.clear();
-    std::size_t num_active = 0;
-    view.for_each_active([&](ProcId p) { index_[p] = num_active++; });
-    phase_r0_ = std::max<std::size_t>(1, num_active);
+    phase_ids_ = view.active_ids();
+    phase_r0_ = std::max<std::size_t>(1, phase_ids_.size());
 
     const Height h_max =
         std::max<Height>(1, static_cast<Height>(pow2_floor(ctx_.cache_size)));
@@ -155,10 +133,22 @@ class DetPar final : public BoxScheduler {
   std::size_t phase_r0_ = 1;
   Height base_height_ = 1;
   std::vector<Strip> strips_;
-  std::unordered_map<ProcId, std::size_t> index_;
+  std::vector<ProcId> phase_ids_;  ///< Phase-start active list, ascending.
 };
 
 }  // namespace
+
+StripWindow strip_window(std::size_t r0, std::size_t slots,
+                         std::size_t offset, Time cycle, std::size_t idx) {
+  const auto base = static_cast<std::size_t>(
+      (static_cast<Time>(slots) * cycle + offset) % static_cast<Time>(r0));
+  // rel = (idx - base(cycle)) mod r0; the cycle serves idx iff rel < slots.
+  const std::size_t rel = idx >= base ? idx - base : idx + r0 - base;
+  // base(cycle + 1) = base + slots (mod r0), so d = (rel - slots) mod r0.
+  const std::size_t step = slots < r0 ? slots : slots % r0;
+  const std::size_t d = rel >= step ? rel - step : rel + r0 - step;
+  return StripWindow{rel < slots, cycle + 1 + static_cast<Time>(d / slots)};
+}
 
 std::unique_ptr<BoxScheduler> make_det_par(const DetParConfig& config) {
   return std::make_unique<DetPar>(config);

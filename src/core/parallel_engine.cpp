@@ -49,32 +49,42 @@ class EngineState final : public EngineView {
   ProcId num_procs() const override {
     return static_cast<ProcId>(active_.size());
   }
-  ProcId active_count() const override { return active_count_; }
+  ProcId active_count() const override {
+    return static_cast<ProcId>(active_ids_.size());
+  }
   bool is_active(ProcId proc) const override { return active_[proc]; }
+  const std::vector<ProcId>& active_ids() const override {
+    return active_ids_;
+  }
 
   /// New processor slot; initial-cohort slots are born active, online
   /// arrivals stay inactive until their kArrive event fires.
   ProcId add(bool active) {
-    active_.push_back(active);
-    if (active) ++active_count_;
-    return static_cast<ProcId>(active_.size() - 1);
+    const auto proc = static_cast<ProcId>(active_.size());
+    active_.push_back(false);
+    if (active) activate(proc);
+    return proc;
   }
 
+  /// Arrivals mostly carry the newest id, so the sorted insert is usually
+  /// an append.
   void activate(ProcId proc) {
     PPG_CHECK(!active_[proc]);
     active_[proc] = true;
-    ++active_count_;
+    active_ids_.insert(
+        std::lower_bound(active_ids_.begin(), active_ids_.end(), proc), proc);
   }
 
   void deactivate(ProcId proc) {
     PPG_CHECK(active_[proc]);
     active_[proc] = false;
-    --active_count_;
+    active_ids_.erase(
+        std::lower_bound(active_ids_.begin(), active_ids_.end(), proc));
   }
 
  private:
   std::vector<bool> active_;
-  ProcId active_count_ = 0;
+  std::vector<ProcId> active_ids_;  ///< Ascending.
 };
 
 Error engine_error(ErrorCode code, std::string message, ProcId proc,

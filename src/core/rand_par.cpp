@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <vector>
 
 #include "green/box.hpp"
@@ -63,13 +62,15 @@ class RandPar final : public BoxScheduler {
     }
 
     // Secondary part.
-    const auto rank_it = rank_.find(proc);
-    if (rank_it == rank_.end()) {
+    const auto rank_it =
+        std::lower_bound(chunk_ids_.begin(), chunk_ids_.end(), proc);
+    if (rank_it == chunk_ids_.end() || *rank_it != proc) {
       // Processor was not active at chunk start (can only happen after a
       // restart edge case); park it in a filler box until the chunk ends.
       return BoxAssignment{h_min_, now, chunk_end_};
     }
-    const std::size_t wave = rank_it->second / procs_per_wave_;
+    const auto rank = static_cast<std::size_t>(rank_it - chunk_ids_.begin());
+    const std::size_t wave = rank / procs_per_wave_;
     const Time wave_len = ctx_.miss_cost * static_cast<Time>(j_height_);
     const Time window_start = primary_end_ + static_cast<Time>(wave) * wave_len;
     const Time window_end = window_start + wave_len;
@@ -108,9 +109,8 @@ class RandPar final : public BoxScheduler {
     DiscreteDistribution dist(std::move(weights));
     j_height_ = ladder_.height(static_cast<std::uint32_t>(dist.sample(rng_)));
 
-    rank_.clear();
-    std::size_t num_active = 0;
-    view.for_each_active([&](ProcId p) { rank_[p] = num_active++; });
+    chunk_ids_ = view.active_ids();
+    const std::size_t num_active = chunk_ids_.size();
 
     procs_per_wave_ = std::max<std::size_t>(1, h_max / j_height_);
     const std::size_t num_waves =
@@ -132,7 +132,8 @@ class RandPar final : public BoxScheduler {
   Height j_height_ = 1;
   HeightLadder ladder_;
   std::size_t procs_per_wave_ = 1;
-  std::unordered_map<ProcId, std::size_t> rank_;
+  /// Chunk-start active list, ascending; a processor's rank is its index.
+  std::vector<ProcId> chunk_ids_;
 };
 
 }  // namespace

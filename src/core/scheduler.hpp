@@ -38,14 +38,19 @@ class EngineView {
   virtual ProcId active_count() const = 0;
   virtual bool is_active(ProcId proc) const = 0;
 
-  /// Visits the active processors in ascending id order without
-  /// materializing a list — schedulers call this at every chunk/phase
-  /// start, so it must not allocate.
+  /// The active processor ids in ascending order, size active_count().
+  /// The view keeps this list current as processors arrive and leave, so
+  /// reading it is O(1) and copying it O(active) — never O(processors
+  /// ever admitted) — with no allocation on the view's side. Schedulers
+  /// snapshot it at every chunk/phase start and rank a processor by
+  /// binary search in the snapshot. The reference is invalidated by the
+  /// next activation or deactivation.
+  virtual const std::vector<ProcId>& active_ids() const = 0;
+
+  /// Visits active_ids() in order (ascending id), without allocating.
   template <typename Fn>
   void for_each_active(Fn&& fn) const {
-    const ProcId p = num_procs();
-    for (ProcId i = 0; i < p; ++i)
-      if (is_active(i)) fn(i);
+    for (const ProcId proc : active_ids()) fn(proc);
   }
 };
 

@@ -2,13 +2,16 @@
 // driven directly, and real schedulers pass clean under validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "core/contract.hpp"
 #include "core/parallel_engine.hpp"
 #include "core/scheduler_factory.hpp"
 #include "test_helpers.hpp"
 #include "trace/workload.hpp"
+#include "util/rng.hpp"
 
 namespace ppg {
 namespace {
@@ -177,6 +180,60 @@ TEST(Contract, BudgetSweepIgnoresDisjointIntervals) {
   rig.validator->next_box(0, 0, rig.view);
   rig.validator->next_box(0, 32, rig.view);
   EXPECT_TRUE(rig.validator->violations().empty());
+}
+
+// The sorted-sweep peak against a brute-force recount at every tick of
+// the new box's window, over random clean boxes: stalled future starts,
+// overlapping windows across processors, and boxes ending exactly at a
+// later request time (which no longer count).
+TEST(Contract, PeakConcurrentMatchesBruteForce) {
+  constexpr ProcId kProcs = 6;
+  constexpr Height kCache = 16;
+  ValidatorConfig config = record_only();
+  config.max_augmentation = 1.5;  // budget 24: some boxes overflow
+  const std::uint64_t budget = 24;
+  Rng rng(5);
+  for (int round = 0; round < 20; ++round) {
+    Rig rig(config, kProcs, kCache);
+    std::vector<BoxAssignment> issued;
+    std::vector<Time> frontier(kProcs, 0);
+    std::uint64_t want_peak = 0;
+    std::vector<std::uint64_t> want_overflows;
+    int ends_at_now = 0;
+    Time now = 0;
+    for (int call = 0; call < 150; ++call) {
+      now += rng.next_below(4);
+      const auto proc = static_cast<ProcId>(rng.next_below(kProcs));
+      BoxAssignment box;
+      box.height = static_cast<Height>(rng.next_in(1, kCache));
+      box.start = std::max(now, frontier[proc]) + rng.next_below(6);
+      box.end = box.start + rng.next_in(1, 16);
+      frontier[proc] = box.end;
+      rig.scripted->push(box);
+
+      std::uint64_t peak = 0;
+      for (Time t = box.start; t < box.end; ++t) {
+        std::uint64_t sum = box.height;
+        for (const BoxAssignment& b : issued)
+          if (b.start <= t && t < b.end) sum += b.height;
+        peak = std::max(peak, sum);
+      }
+      for (const BoxAssignment& b : issued) ends_at_now += b.end == now;
+      want_peak = std::max(want_peak, peak);
+      if (peak > budget) want_overflows.push_back(peak);
+      issued.push_back(box);
+
+      rig.validator->next_box(proc, now, rig.view);
+    }
+    EXPECT_EQ(rig.validator->peak_concurrent_observed(), want_peak);
+    std::vector<std::uint64_t> got_overflows;
+    for (const ContractViolation& v : rig.validator->violations()) {
+      ASSERT_EQ(v.kind, ViolationKind::kBudgetOverflow) << v.describe();
+      got_overflows.push_back(v.detail);
+    }
+    EXPECT_EQ(got_overflows, want_overflows) << "round " << round;
+    EXPECT_GT(ends_at_now, 0);
+  }
 }
 
 TEST(Contract, DetectsAssignmentToFinishedProcessor) {

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <map>
+#include <memory>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/det_par.hpp"
@@ -9,6 +14,7 @@
 #include "trace/generators.hpp"
 #include "trace/workload.hpp"
 #include "util/math_util.hpp"
+#include "util/rng.hpp"
 
 namespace ppg {
 namespace {
@@ -139,6 +145,176 @@ TEST(DetPar, PhaseBaseHeightGrowsAsProcessorsFinish) {
   const ParallelRunResult r = run_parallel(mt, *scheduler, c);
   EXPECT_EQ(r.hits + r.misses, mt.total_requests());
   EXPECT_EQ(max_filler_seen, k);  // last survivor gets full-cache boxes
+}
+
+// --- Closed-form strip windows ------------------------------------------
+// The reference is the horizon scan DET-PAR's next_box used before the
+// closed form: try cycles cycle+1 .. cycle + ceil(r0/C) + 2 in order and
+// take the first one whose slots serve idx.
+
+bool reference_serves(std::size_t r0, std::size_t slots, std::size_t offset,
+                      Time cycle, std::size_t idx) {
+  const auto base = static_cast<std::size_t>(
+      (static_cast<Time>(slots) * cycle + offset) % static_cast<Time>(r0));
+  return (idx + r0 - base) % r0 < slots;
+}
+
+std::optional<Time> reference_next_cycle(std::size_t r0, std::size_t slots,
+                                         std::size_t offset, Time cycle,
+                                         std::size_t idx) {
+  const Time horizon = cycle + ceil_div(r0, slots) + 2;
+  for (Time c = cycle + 1; c <= horizon; ++c)
+    if (reference_serves(r0, slots, offset, c, idx)) return c;
+  return std::nullopt;
+}
+
+void expect_matches_reference(std::size_t r0, std::size_t slots,
+                              std::size_t offset, Time cycle,
+                              std::size_t idx) {
+  const std::optional<Time> want =
+      reference_next_cycle(r0, slots, offset, cycle, idx);
+  // The horizon never clipped the answer: some cycle in it always serves.
+  ASSERT_TRUE(want.has_value()) << "r0=" << r0 << " C=" << slots
+                                << " offset=" << offset << " c=" << cycle
+                                << " idx=" << idx;
+  const StripWindow got = strip_window(r0, slots, offset, cycle, idx);
+  ASSERT_EQ(got.next_cycle, *want)
+      << "r0=" << r0 << " C=" << slots << " offset=" << offset
+      << " c=" << cycle << " idx=" << idx;
+  ASSERT_EQ(got.serves_now, reference_serves(r0, slots, offset, cycle, idx))
+      << "r0=" << r0 << " C=" << slots << " offset=" << offset
+      << " c=" << cycle << " idx=" << idx;
+}
+
+TEST(DetParStrip, ClosedFormNextCycleMatchesHorizonScanExhaustively) {
+  // Every small geometry, including r0 = 1 and C >= r0 (up to r0 + 3).
+  for (std::size_t r0 = 1; r0 <= 24; ++r0)
+    for (std::size_t slots = 1; slots <= r0 + 3; ++slots)
+      for (std::size_t offset = 0; offset < 4; ++offset)
+        for (Time cycle = 0; cycle < 6; ++cycle)
+          for (std::size_t idx = 0; idx < r0; ++idx)
+            expect_matches_reference(r0, slots, offset, cycle, idx);
+}
+
+TEST(DetParStrip, ClosedFormNextCycleMatchesHorizonScanRandomized) {
+  Rng rng(12);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::size_t r0 = rng.next_in(1, 5000);
+    // Half the trials draw C log-uniformly so narrow strips (long scans)
+    // and C >= r0 both show up often.
+    const std::size_t slots =
+        rng.next_bool(0.5)
+            ? rng.next_in(1, r0 + 3)
+            : std::min<std::size_t>(
+                  r0 + 3, std::size_t{1} << rng.next_below(14));
+    const std::size_t offset = rng.next_below(1 << 20);
+    const Time cycle = rng.next_below(Time{1} << 40);
+    const std::size_t idx = rng.next_below(r0);
+    expect_matches_reference(r0, slots, offset, cycle, idx);
+  }
+}
+
+// --- Golden box streams --------------------------------------------------
+// Lemma 6's strip layout pinned on tiny instances (p = 8, k = 32, s = 4):
+// every (proc, height, start, end) the engine's on_box hook sees, in grant
+// order. Any change to phase order, strip positions, r0, rungs or window
+// arithmetic shows up here as a diff; on mismatch the actual stream is
+// printed in the same literal form, so a deliberate change can be re-pinned.
+
+struct BoxRecord {
+  ProcId proc;
+  Height height;
+  Time start;
+  Time end;
+
+  bool operator==(const BoxRecord&) const = default;
+};
+
+std::string render(const std::vector<BoxRecord>& boxes) {
+  std::ostringstream out;
+  for (const BoxRecord& b : boxes)
+    out << "{" << b.proc << ", " << b.height << ", " << b.start << ", "
+        << b.end << "},\n";
+  return out.str();
+}
+
+std::function<void(ProcId, const BoxAssignment&)> recorder(
+    std::vector<BoxRecord>& boxes) {
+  return [&boxes](ProcId proc, const BoxAssignment& box) {
+    boxes.push_back(BoxRecord{proc, box.height, box.start, box.end});
+  };
+}
+
+/// Mixed single-use and cyclic processors of staggered lengths, so the
+/// active count halves mid-run and several phases rotate.
+std::shared_ptr<const TraceSource> golden_source(ProcId i) {
+  if (i % 2 == 0) return gen::single_use_source(12 * (i + 1));
+  return gen::cyclic_source(6 + i, 20 * (i + 1));
+}
+
+TEST(DetParGolden, BatchBoxStreamPinsStripLayout) {
+  MultiTraceSource sources;
+  for (ProcId i = 0; i < 8; ++i) sources.add(golden_source(i));
+  std::vector<BoxRecord> got;
+  EngineConfig c = config_for(32, 4);
+  c.on_box = recorder(got);
+  auto scheduler = make_det_par();
+  run_parallel(sources, *scheduler, c);
+
+  const std::vector<BoxRecord> want = {
+      {0, 8, 0, 32}, {1, 16, 0, 64}, {2, 32, 0, 128}, {3, 8, 0, 32},
+      {4, 8, 0, 32}, {5, 8, 0, 32}, {6, 8, 0, 32}, {7, 8, 0, 32},
+      {0, 8, 32, 64}, {3, 8, 32, 64}, {4, 8, 32, 64}, {5, 8, 32, 64},
+      {6, 8, 32, 64}, {7, 8, 32, 64}, {3, 8, 64, 96}, {4, 8, 64, 96},
+      {5, 8, 64, 96}, {6, 8, 64, 96}, {7, 8, 64, 96}, {3, 8, 96, 128},
+      {4, 8, 96, 128}, {5, 8, 96, 128}, {6, 8, 96, 128}, {7, 8, 96, 128},
+      {2, 8, 128, 160}, {3, 32, 128, 256}, {4, 8, 128, 160}, {5, 8, 128, 160},
+      {6, 8, 128, 160}, {7, 8, 128, 160}, {4, 8, 160, 192}, {5, 8, 160, 192},
+      {6, 8, 160, 192}, {7, 8, 160, 192}, {4, 16, 192, 256}, {5, 8, 192, 224},
+      {6, 8, 192, 224}, {7, 8, 192, 224}, {5, 32, 224, 352}, {6, 16, 224, 288},
+      {7, 16, 224, 288}, {6, 16, 288, 352}, {7, 16, 288, 352}, {7, 32, 352, 480},
+  };
+  EXPECT_TRUE(got == want) << "actual stream:\n" << render(got);
+}
+
+TEST(DetParGolden, OnlineArrivalDepartureBoxStream) {
+  std::vector<BoxRecord> got;
+  EngineConfig c = config_for(32, 4);
+  c.on_box = recorder(got);
+  auto scheduler = make_det_par();
+  EngineStepper stepper(*scheduler, c);
+  for (ProcId i = 0; i < 4; ++i) stepper.add_processor(golden_source(i));
+  stepper.start();
+  int steps = 0;
+  bool more = true;
+  while (more) {
+    more = stepper.step();
+    ++steps;
+    if (steps == 2) {
+      // Three arrivals folding into one re-phase...
+      for (ProcId i = 4; i < 7; ++i)
+        stepper.add_processor(golden_source(i), stepper.now() + 3);
+      more = true;
+    }
+    // ...a forced departure, and a straggler arriving alone.
+    if (steps == 6) stepper.depart(1);
+    if (steps == 9) {
+      stepper.add_processor(golden_source(7), stepper.now() + 1);
+      more = true;
+    }
+  }
+  ASSERT_TRUE(stepper.finish().status.ok());
+
+  const std::vector<BoxRecord> want = {
+      {0, 16, 0, 64}, {1, 32, 0, 128}, {2, 16, 0, 64}, {3, 16, 0, 64},
+      {4, 16, 51, 115}, {5, 16, 51, 115}, {6, 16, 51, 115}, {2, 32, 64, 179},
+      {3, 16, 64, 128}, {4, 16, 115, 179}, {5, 16, 115, 179}, {6, 16, 115, 179},
+      {3, 16, 128, 179}, {7, 16, 145, 209}, {4, 32, 179, 273}, {5, 16, 179, 243},
+      {6, 16, 179, 243}, {7, 16, 209, 273}, {5, 16, 243, 273}, {6, 16, 243, 307},
+      {4, 16, 273, 337}, {5, 32, 273, 401}, {7, 16, 273, 337}, {6, 16, 307, 337},
+      {6, 32, 337, 465}, {7, 32, 337, 465},
+  };
+  EXPECT_TRUE(got == want) << "actual stream:\n" << render(got);
 }
 
 TEST(DetPar, SingleProcessorWithinConstantOfDedicatedLru) {

@@ -179,10 +179,14 @@ class ActiveSetOracle {
     for (const auto& [proc, arrival] : arrivals_)
       if (arrival <= stepper.now() && !finished_.contains(proc))
         want.insert(proc);
-    std::set<ProcId> got;
-    stepper.view().for_each_active([&](ProcId proc) { got.insert(proc); });
-    EXPECT_EQ(got, want) << "at t=" << stepper.now();
-    EXPECT_EQ(stepper.active_count(), got.size());
+    std::vector<ProcId> visited;
+    stepper.view().for_each_active(
+        [&](ProcId proc) { visited.push_back(proc); });
+    // Ascending, duplicate-free, and the same list active_ids() exposes.
+    EXPECT_EQ(visited, std::vector<ProcId>(want.begin(), want.end()))
+        << "at t=" << stepper.now();
+    EXPECT_EQ(visited, stepper.view().active_ids());
+    EXPECT_EQ(stepper.active_count(), visited.size());
   }
 
  private:

@@ -1,6 +1,8 @@
 // Shared fixtures and fakes for the test suite.
 #pragma once
 
+#include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "core/scheduler.hpp"
@@ -12,24 +14,29 @@ namespace ppg::test {
 /// schedulers without an engine.
 class FakeView final : public EngineView {
  public:
-  explicit FakeView(ProcId p) : active_(p, true), count_(p) {}
+  explicit FakeView(ProcId p) : active_(p, true), ids_(p) {
+    std::iota(ids_.begin(), ids_.end(), ProcId{0});
+  }
 
   ProcId num_procs() const override {
     return static_cast<ProcId>(active_.size());
   }
-  ProcId active_count() const override { return count_; }
+  ProcId active_count() const override {
+    return static_cast<ProcId>(ids_.size());
+  }
   bool is_active(ProcId proc) const override { return active_[proc]; }
+  const std::vector<ProcId>& active_ids() const override { return ids_; }
 
   void finish(ProcId proc) {
     if (active_[proc]) {
       active_[proc] = false;
-      --count_;
+      ids_.erase(std::lower_bound(ids_.begin(), ids_.end(), proc));
     }
   }
 
  private:
   std::vector<bool> active_;
-  ProcId count_;
+  std::vector<ProcId> ids_;  ///< Ascending.
 };
 
 /// Builds a Trace from an initializer-list of small ints (test shorthand).

@@ -20,6 +20,7 @@
 #include "core/scheduler_factory.hpp"
 #include "green/box_runner.hpp"
 #include "green/green_opt.hpp"
+#include "opt/offline_packer.hpp"
 #include "paging/cache_sim.hpp"
 #include "trace/generators.hpp"
 #include "trace/page_interner.hpp"
@@ -152,6 +153,30 @@ void BM_GreenOptDp(benchmark::State& state) {
       static_cast<std::int64_t>(trace.size()));
 }
 BENCHMARK(BM_GreenOptDp)->Arg(1 << 10)->Arg(1 << 12);
+
+/// The offline packer as the sweeps call it (fixed-height fallback, no
+/// exact DP): candidates for every rung of every processor, selection, and
+/// skyline packing. k = 8p, s = 64, 4000 requests per processor; items =
+/// requests.
+void BM_PackOffline(benchmark::State& state) {
+  const auto p = static_cast<ProcId>(state.range(0));
+  WorkloadParams wp;
+  wp.num_procs = p;
+  wp.cache_size = 8 * p;
+  wp.requests_per_proc = 4000;
+  const MultiTrace mt = make_workload(WorkloadKind::kHeterogeneousMix, wp);
+  OfflinePackConfig pc;
+  pc.cache_size = wp.cache_size;
+  pc.miss_cost = 64;
+  pc.exact_profile_max_requests = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pack_offline(mt, pc).makespan);
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(mt.total_requests()));
+}
+BENCHMARK(BM_PackOffline)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_ParallelEngine(benchmark::State& state) {
   const auto p = static_cast<ProcId>(state.range(0));

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: warnings-as-errors build + full test suite (which
 # includes the PpgLint.Repo and PpgAnalyze.Repo gates), then the
-# static-analysis gate (scripts/static.sh: ppg_lint, ppg_analyze layering /
+# file-backed suites again at ctest -j8 for three rounds (hermetic temp
+# paths), then the static-analysis gate (scripts/static.sh: ppg_lint,
+# ppg_analyze layering /
 # annotation / determinism rules, header self-containedness, clang
 # -Wthread-safety / clang-tidy / cppcheck when available) plus a hard check
 # that both emitted JSON reports are empty, then the robustness tests (fault
@@ -34,6 +36,15 @@ SAN="${1:-address}"
 cmake -B build -S . -DPPG_WERROR=ON >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
+
+# Hermeticity leg: the file-backed suites eight at a time, three rounds,
+# whatever the core count. gtest_discover_tests runs every case as its own
+# process, so two cases sharing a temp file collide here (ppg_lint's
+# temp-path rule keeps fixed names out of tests/; this proves the paths
+# really are per-case).
+(cd build &&
+ ctest --output-on-failure -j8 --repeat until-fail:3 \
+       -R 'TraceSource\.|TraceIo|StreamingEquivalence|Replay|JournalMerge|StreamingReaderCorruption|ParallelSweep|EngineThreads|AtomicFile|SweepJournal|RunInstance')
 
 scripts/static.sh --format-check
 

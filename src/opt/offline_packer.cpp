@@ -4,9 +4,10 @@
 #include <limits>
 #include <map>
 #include <queue>
+#include <utility>
 
-#include "green/box_runner.hpp"
 #include "green/green_opt.hpp"
+#include "trace/stack_distance.hpp"
 #include "util/assert.hpp"
 #include "util/math_util.hpp"
 
@@ -77,43 +78,14 @@ class Skyline {
   std::map<Time, Height> level_;
 };
 
-/// A candidate profile for one processor: legal box sequence plus its cost
-/// coordinates (total impact and total duration).
-struct CandidateProfile {
-  BoxProfile profile;
-  Impact impact = 0;
-  Time duration = 0;
-};
-
-/// All fixed-height canonical-LRU candidates for one trace.
-std::vector<CandidateProfile> fixed_height_candidates(const Trace& trace,
-                                                      Height h_max,
-                                                      Time miss_cost) {
-  std::vector<CandidateProfile> out;
-  for (Height h = 1; h <= h_max; h *= 2) {
-    BoxRunner runner(trace, miss_cost);
-    CandidateProfile cand;
-    while (!runner.finished()) {
-      const Box box = canonical_box(h, miss_cost);
-      const BoxStepResult step = runner.run_box(box.height, box.duration);
-      const Time used = step.finished ? step.busy_time : box.duration;
-      cand.profile.push_back(Box{h, used});
-      cand.impact += static_cast<Impact>(h) * used;
-      cand.duration += used;
-    }
-    out.push_back(std::move(cand));
-  }
-  return out;
-}
-
 /// Picks one candidate per processor minimizing the packing bottleneck
 /// B = max(max_i duration_i, sum_i impact_i / k). A per-processor local
 /// rule cannot do this — whether a hungry processor should hit-serve
 /// depends on how much cache slack the OTHER processors leave. This
-/// relaxation is exactly minimizable: B is feasible as a target T iff every
-/// processor has a candidate with duration <= T and the minimum-impact such
-/// choices satisfy sum/k <= T — both monotone in T — so binary-search T
-/// over the set of candidate durations.
+/// relaxation is exactly minimizable: for a duration cap T, each processor
+/// takes its minimum-impact candidate with duration <= T, and the best B
+/// over all caps is the optimum. Only candidate durations change the
+/// choice, so every distinct duration is tried as T and the best kept.
 std::vector<std::size_t> select_profiles(
     const std::vector<std::vector<CandidateProfile>>& candidates,
     Height cache_size) {
@@ -170,6 +142,40 @@ std::vector<std::size_t> select_profiles(
 }
 
 }  // namespace
+
+std::vector<CandidateProfile> fixed_height_candidates(const Trace& trace,
+                                                      Height h_max,
+                                                      Time miss_cost) {
+  PPG_CHECK(miss_cost >= 1);
+  const std::vector<std::size_t> previous = previous_accesses(trace);
+  const std::size_t n = trace.size();
+  std::vector<CandidateProfile> out;
+  for (Height h = 1; h <= h_max; h *= 2) {
+    const Time duration = canonical_box(h, miss_cost).duration;
+    CandidateProfile cand;
+    std::size_t i = 0;
+    while (i < n) {
+      // One fresh box from b. Its s*h ticks pay for at most h misses, so it
+      // touches at most h distinct pages and LRU never evicts inside it:
+      // request i hits iff its page was already touched in this box.
+      const std::size_t b = i;
+      Time remaining = duration;
+      while (remaining > 0 && i < n) {
+        const bool hit = previous[i] != kNoPrevious && previous[i] >= b;
+        const Time cost = hit ? 1 : miss_cost;
+        if (cost > remaining) break;  // stall to the box boundary
+        remaining -= cost;
+        ++i;
+      }
+      const Time used = i < n ? duration : duration - remaining;
+      cand.profile.push_back(Box{h, used});
+      cand.impact += static_cast<Impact>(h) * used;
+      cand.duration += used;
+    }
+    out.push_back(std::move(cand));
+  }
+  return out;
+}
 
 OfflinePackResult pack_offline(const MultiTraceSource& sources,
                                const OfflinePackConfig& config) {

@@ -14,9 +14,13 @@
 //
 // and every experiment can report how tight its denominator is.
 //
-// Cost: one green-OPT DP per processor (O(n * s * k) each) plus an
-// O(B^2)-ish packing pass over B boxes — intended for analysis-time use,
-// not inner loops.
+// Cost: the fixed-height candidates of an n-request trace take one O(n)
+// pass recording each request's previous-access position
+// (trace/stack_distance) plus one O(n) scan per ladder rung — log2(k) + 1
+// scans, no LRU simulation. The exact minimum-impact profile, when
+// enabled, adds one green-OPT DP per processor (O(n * s * k) each).
+// Packing B boxes is an earliest-fit pass over the skyline, O(B^2) in the
+// worst case — intended for analysis-time use, not inner loops.
 #pragma once
 
 #include <vector>
@@ -51,6 +55,26 @@ struct OfflinePackConfig {
   /// legal schedule, just a looser upper bound). 0 = no cap.
   std::size_t exact_profile_max_requests = 0;
 };
+
+/// A candidate profile for one processor: a legal box sequence plus its
+/// cost coordinates (total impact and total duration).
+struct CandidateProfile {
+  BoxProfile profile;
+  Impact impact = 0;
+  Time duration = 0;
+};
+
+/// The canonical-LRU profile at each fixed height 1, 2, 4, ..., h_max, in
+/// that order: back-to-back fresh canonical boxes (height h, duration s*h)
+/// until the trace completes, the last box charged only its busy time.
+/// Built from one previous-access pass, not an LRU replay per height: a
+/// canonical box affords at most h misses, so LRU never evicts inside it,
+/// and a box starting empty at position b hits request i iff
+/// previous[i] >= b. Each height is then one flat scan. Declared here for
+/// tests; pack_offline uses it for every processor.
+std::vector<CandidateProfile> fixed_height_candidates(const Trace& trace,
+                                                      Height h_max,
+                                                      Time miss_cost);
 
 /// Packs per-processor optimal green profiles; returns the witness
 /// schedule and its (achievable) makespan.

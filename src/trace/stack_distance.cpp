@@ -10,7 +10,7 @@ namespace ppg {
 
 namespace {
 
-/// Fenwick (binary indexed) tree over [0, n) with point update and suffix
+/// Fenwick (binary indexed) tree over [0, n) with point update and prefix
 /// count queries.
 class Fenwick {
  public:
@@ -27,8 +27,6 @@ class Fenwick {
     for (std::size_t i = pos + 1; i > 0; i -= i & (~i + 1)) sum += tree_[i];
     return sum;
   }
-
-  std::uint64_t total() const { return prefix(tree_.size() - 2); }
 
  private:
   std::vector<std::uint64_t> tree_;
@@ -88,26 +86,39 @@ std::uint64_t OnlineStackDistance::access(PageId page) {
   return distance;
 }
 
-std::vector<std::uint64_t> stack_distances(const Trace& trace) {
+std::vector<std::size_t> previous_accesses(const Trace& trace) {
   const std::size_t n = trace.size();
+  std::vector<std::size_t> out(n, kNoPrevious);
+  std::unordered_map<PageId, std::size_t> last_access;
+  last_access.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [it, first] = last_access.try_emplace(trace[i], i);
+    if (!first) {
+      out[i] = it->second;
+      it->second = i;
+    }
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> stack_distances(const Trace& trace) {
+  const std::vector<std::size_t> previous = previous_accesses(trace);
+  const std::size_t n = previous.size();
   std::vector<std::uint64_t> out(n, kInfiniteDistance);
   if (n == 0) return out;
 
+  // A 1 at the latest access of every page seen so far.
   Fenwick live(n);
-  std::unordered_map<PageId, std::size_t> last_access;
-  last_access.reserve(n);
-
+  std::uint64_t distinct = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const PageId page = trace[i];
-    if (auto it = last_access.find(page); it != last_access.end()) {
-      const std::size_t prev = it->second;
-      // Distinct pages accessed strictly between prev and i = live markers
-      // in (prev, i).
-      out[i] = live.total() - live.prefix(prev);
-      live.add(prev, -1);
-      it->second = i;
+    const std::size_t prev = previous[i];
+    if (prev == kNoPrevious) {
+      ++distinct;
     } else {
-      last_access.emplace(page, i);
+      // Distinct pages accessed strictly between prev and i = live markers
+      // in (prev, i); every distinct page seen so far holds exactly one.
+      out[i] = distinct - live.prefix(prev);
+      live.add(prev, -1);
     }
     live.add(i, +1);
   }

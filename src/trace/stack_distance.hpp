@@ -52,8 +52,17 @@ class OnlineStackDistance {
   std::uint64_t next_slot_ = 0;
 };
 
-/// Per-request stack distances; entry i is kInfiniteDistance when request i
-/// is the first access to its page.
+inline constexpr std::size_t kNoPrevious = SIZE_MAX;
+
+/// Per-request position of the previous access to the same page
+/// (kNoPrevious for a first access), from one O(n) hash pass. A cache that
+/// starts empty at position b can hit request i >= b only if
+/// previous[i] >= b: a page last touched before b is not resident.
+std::vector<std::size_t> previous_accesses(const Trace& trace);
+
+/// Per-request stack distances, one Fenwick pass over previous_accesses();
+/// entry i is kInfiniteDistance when request i is the first access to its
+/// page.
 std::vector<std::uint64_t> stack_distances(const Trace& trace);
 
 /// Aggregated profile: counts[d] = number of requests with stack distance

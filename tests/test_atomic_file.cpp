@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "test_helpers.hpp"
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
 
@@ -22,7 +23,7 @@ std::string slurp(const std::string& path) {
 
 class AtomicFile : public ::testing::Test {
  protected:
-  void SetUp() override { path_ = testing::TempDir() + "ppg_atomic_test.bin"; }
+  void SetUp() override { path_ = test::unique_temp_path("atomic_test.bin"); }
   void TearDown() override {
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
@@ -52,7 +53,7 @@ TEST_F(AtomicFile, WriteLeavesNoTempBehind) {
 }
 
 TEST_F(AtomicFile, WriteToMissingDirectoryIsStructured) {
-  const std::string bad = testing::TempDir() + "ppg_no_such_dir/x.bin";
+  const std::string bad = test::unique_temp_path("no_such_dir") + "/x.bin";
   try {
     atomic_write_file(bad, "payload");
     FAIL() << "wrote into a nonexistent directory";
@@ -99,7 +100,7 @@ TEST_F(AtomicFile, MoveTransfersOwnership) {
 
 TEST_F(AtomicFile, OpenInMissingDirectoryIsStructured) {
   try {
-    DurableAppendFile::open(testing::TempDir() + "ppg_no_such_dir/j.jrnl",
+    DurableAppendFile::open(test::unique_temp_path("no_such_dir") + "/j.jrnl",
                             /*truncate=*/true);
     FAIL() << "opened a file in a nonexistent directory";
   } catch (const PpgException& e) {

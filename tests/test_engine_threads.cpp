@@ -17,6 +17,7 @@
 #include "core/global_lru.hpp"
 #include "core/parallel_engine.hpp"
 #include "core/scheduler_factory.hpp"
+#include "test_helpers.hpp"
 #include "trace/workload.hpp"
 #include "util/interrupt.hpp"
 #include "util/thread_pool.hpp"
@@ -216,7 +217,8 @@ TEST(EngineThreads, ReplayDumpByteIdenticalUnderThreads) {
   ec.cache_size = study_params().cache_size;
   ec.miss_cost = 4;
   ec.max_time = 1 << 16;
-  ec.replay_dump_path = ::testing::TempDir() + "ppg_threads_serial.ppgreplay";
+  const std::string serial_path = test::unique_temp_path("serial.ppgreplay");
+  ec.replay_dump_path = serial_path;
   StallingScheduler serial_sched;
   const CheckedRun want = run_parallel_checked(mt, serial_sched, ec);
   ASSERT_EQ(want.status.replay_dump_path, ec.replay_dump_path);
@@ -224,12 +226,12 @@ TEST(EngineThreads, ReplayDumpByteIdenticalUnderThreads) {
   ASSERT_FALSE(want_bytes.empty());
 
   ec.engine_threads = 4;
-  ec.replay_dump_path = ::testing::TempDir() + "ppg_threads_par.ppgreplay";
+  ec.replay_dump_path = test::unique_temp_path("par.ppgreplay");
   StallingScheduler sched;
   const CheckedRun got = run_parallel_checked(mt, sched, ec);
   ASSERT_EQ(got.status.replay_dump_path, ec.replay_dump_path);
   EXPECT_EQ(slurp(ec.replay_dump_path), want_bytes);
-  std::remove((::testing::TempDir() + "ppg_threads_serial.ppgreplay").c_str());
+  std::remove(serial_path.c_str());
   std::remove(ec.replay_dump_path.c_str());
 }
 

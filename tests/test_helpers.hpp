@@ -1,8 +1,12 @@
 // Shared fixtures and fakes for the test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/scheduler.hpp"
@@ -38,6 +42,23 @@ class FakeView final : public EngineView {
   std::vector<bool> active_;
   std::vector<ProcId> ids_;  ///< Ascending.
 };
+
+/// A path under testing::TempDir() unique to the running test case and
+/// process: ppg_<Suite>.<Test>_<pid>_<stem>. gtest_discover_tests runs
+/// every case as its own ctest process, so a fixed file name there is
+/// shared by whichever cases `ctest -j` runs at once. The same stem within
+/// one test yields the same path. ppg_lint's temp-path rule sends every
+/// test's temp file through here.
+inline std::string unique_temp_path(const std::string& stem) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string test = info == nullptr ? std::string("no_test")
+                                     : std::string(info->test_suite_name()) +
+                                           "." + info->name();
+  std::replace(test.begin(), test.end(), '/', '_');  // parameterized names
+  return ::testing::TempDir() + "ppg_" + test + "_" +
+         std::to_string(::getpid()) + "_" + stem;
+}
 
 /// Builds a Trace from an initializer-list of small ints (test shorthand).
 inline Trace make_trace(std::initializer_list<int> pages) {

@@ -17,6 +17,7 @@
 #include "bench_support/journal_merge.hpp"
 #include "bench_support/parallel_sweep.hpp"
 #include "bench_support/sweep_journal.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace ppg {
@@ -46,9 +47,9 @@ bool file_exists(const std::string& path) {
 
 class JournalMerge : public ::testing::Test {
  protected:
-  // A path under TempDir, registered for removal in TearDown.
+  // A per-test temp path, registered for removal in TearDown.
   std::string temp_path(const std::string& name) {
-    const std::string path = testing::TempDir() + "ppg_merge_" + name;
+    const std::string path = test::unique_temp_path("merge_" + name);
     std::remove(path.c_str());
     paths_.push_back(path);
     return path;

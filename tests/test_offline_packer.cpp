@@ -1,13 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/parallel_engine.hpp"
 #include "core/scheduler_factory.hpp"
+#include "green/box_runner.hpp"
 #include "opt/offline_packer.hpp"
 #include "opt/opt_bounds.hpp"
 #include "trace/generators.hpp"
 #include "trace/workload.hpp"
+#include "util/rng.hpp"
 
 namespace ppg {
 namespace {
@@ -121,6 +129,172 @@ TEST(OfflinePacker, ParallelismBeatsSerialization) {
   Time serial = 0;
   for (const PackedBox& pb : r.schedule) serial += pb.box.duration;
   EXPECT_LT(r.makespan, serial * 3 / 4);
+}
+
+// --- Fixed-height candidates vs an LRU replay ------------------------------
+// The oracle is the per-rung BoxRunner loop the previous-access scan
+// replaced: a fresh runner per height, back-to-back canonical boxes, the
+// last box charged its busy time. Every candidate's box list, impact and
+// duration must match it exactly.
+
+std::vector<CandidateProfile> replayed_candidates(const Trace& trace,
+                                                  Height h_max,
+                                                  Time miss_cost) {
+  std::vector<CandidateProfile> out;
+  for (Height h = 1; h <= h_max; h *= 2) {
+    BoxRunner runner(trace, miss_cost);
+    CandidateProfile cand;
+    while (!runner.finished()) {
+      const Box box = canonical_box(h, miss_cost);
+      const BoxStepResult step = runner.run_box(box.height, box.duration);
+      const Time used = step.finished ? step.busy_time : box.duration;
+      cand.profile.push_back(Box{h, used});
+      cand.impact += static_cast<Impact>(h) * used;
+      cand.duration += used;
+    }
+    out.push_back(std::move(cand));
+  }
+  return out;
+}
+
+void expect_candidates_match(const Trace& trace, Height h_max, Time s,
+                             const std::string& label) {
+  const std::vector<CandidateProfile> got =
+      fixed_height_candidates(trace, h_max, s);
+  const std::vector<CandidateProfile> want =
+      replayed_candidates(trace, h_max, s);
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(got[r].impact, want[r].impact) << label << " rung " << r;
+    EXPECT_EQ(got[r].duration, want[r].duration) << label << " rung " << r;
+    EXPECT_TRUE(got[r].profile.boxes() == want[r].profile.boxes())
+        << label << " rung " << r << ": " << got[r].profile.size()
+        << " boxes vs " << want[r].profile.size();
+  }
+}
+
+TEST(FixedHeightCandidates, MatchLruReplayAcrossTraceShapes) {
+  Rng rng(2024);
+  for (const Time s : {Time{1}, Time{2}, Time{64}}) {
+    for (const Height h : {Height{1}, Height{4}, Height{32}, Height{256},
+                           Height{1024}}) {
+      const std::string at = " s=" + std::to_string(s) +
+                             " h=" + std::to_string(h);
+      // Cycles of h - 1, h and h + 1 pages put the working set exactly on
+      // one rung's box capacity.
+      for (const std::uint64_t pages : {std::uint64_t{h}, std::uint64_t{h} + 1,
+                                        std::uint64_t{std::max<Height>(
+                                            1, h - 1)}}) {
+        expect_candidates_match(gen::cyclic(pages, 3 * pages + 500), h, s,
+                                "cyclic " + std::to_string(pages) + at);
+      }
+      expect_candidates_match(gen::zipf(2 * h + 8, 3000, 0.9, rng), h, s,
+                              "zipf" + at);
+      expect_candidates_match(gen::single_use(1200), h, s, "single-use" + at);
+      expect_candidates_match(gen::sawtooth(h / 2 + 1, 2 * h + 3, 150, 12, rng),
+                              h, s, "sawtooth" + at);
+      expect_candidates_match(Trace{}, h, s, "empty" + at);
+    }
+  }
+}
+
+TEST(FixedHeightCandidates, MatchLruReplayOnRandomTraces) {
+  Rng rng(77);
+  for (int round = 0; round < 40; ++round) {
+    const std::uint64_t pages = rng.next_in(1, 300);
+    const auto len = static_cast<std::size_t>(rng.next_below(2500));
+    const Time s = rng.next_in(1, 70);
+    const Height h_max = Height{1} << rng.next_below(11);
+    expect_candidates_match(gen::uniform_random(pages, len, rng), h_max, s,
+                            "round " + std::to_string(round));
+  }
+}
+
+// --- Golden results ------------------------------------------------------
+// Makespan, total impact and an FNV-1a hash of the witness schedule
+// (proc, height, duration, start per packed box, in placement order),
+// pinned on three instances: the fixed-height fallback alone, the exact DP
+// alone, and a mix where short traces get the DP and long ones fall back.
+// Any change to a candidate, the selection or the packing shows up here;
+// on mismatch the actual triple is printed so a deliberate change can be
+// re-pinned.
+
+struct GoldenPack {
+  Time makespan;
+  Impact total_impact;
+  std::uint64_t schedule_hash;
+
+  bool operator==(const GoldenPack&) const = default;
+};
+
+std::uint64_t schedule_hash(const std::vector<PackedBox>& schedule) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const PackedBox& pb : schedule) {
+    mix(pb.proc);
+    mix(pb.box.height);
+    mix(pb.box.duration);
+    mix(pb.start);
+  }
+  return h;
+}
+
+GoldenPack golden_of(const OfflinePackResult& r) {
+  return GoldenPack{r.makespan, r.total_impact, schedule_hash(r.schedule)};
+}
+
+std::string render(const GoldenPack& g) {
+  std::ostringstream out;
+  out << "{" << g.makespan << "u, " << g.total_impact << "u, 0x" << std::hex
+      << g.schedule_hash << "ull}";
+  return out.str();
+}
+
+TEST(OfflinePackerGolden, FixedHeightFallback) {
+  WorkloadParams wp;
+  wp.num_procs = 8;
+  wp.cache_size = 64;
+  wp.requests_per_proc = 1500;
+  wp.seed = 3;
+  const MultiTrace mt = make_workload(WorkloadKind::kHeterogeneousMix, wp);
+  OfflinePackConfig c = config_for(64, 64);
+  c.exact_profile_max_requests = 1;
+  const GoldenPack got = golden_of(pack_offline(mt, c));
+  const GoldenPack want = {59064u, 2200576u, 0x9424e5b60ee709fdull};
+  EXPECT_TRUE(got == want) << "actual: " << render(got);
+}
+
+TEST(OfflinePackerGolden, ExactDp) {
+  Rng rng(11);
+  MultiTrace mt;
+  mt.add(gen::rebase_to_proc(gen::cyclic(9, 300), 0));
+  mt.add(gen::rebase_to_proc(gen::zipf(40, 300, 0.9, rng), 1));
+  mt.add(gen::rebase_to_proc(gen::single_use(200), 2));
+  mt.add(gen::rebase_to_proc(gen::sawtooth(3, 20, 25, 10, rng), 3));
+  const GoldenPack got = golden_of(pack_offline(mt, config_for(16, 4)));
+  const GoldenPack want = {1566u, 18548u, 0x965612e620df512eull};
+  EXPECT_TRUE(got == want) << "actual: " << render(got);
+}
+
+TEST(OfflinePackerGolden, ExactShortTracesFallbackLongOnes) {
+  Rng rng(12);
+  MultiTrace mt;
+  mt.add(gen::rebase_to_proc(gen::cyclic(17, 350), 0));
+  mt.add(gen::rebase_to_proc(gen::cyclic(33, 2400), 1));
+  mt.add(gen::rebase_to_proc(gen::zipf(60, 380, 1.0, rng), 2));
+  mt.add(gen::rebase_to_proc(gen::zipf(200, 3000, 0.8, rng), 3));
+  mt.add(gen::rebase_to_proc(gen::sawtooth(5, 40, 60, 30, rng), 4));
+  mt.add(gen::rebase_to_proc(gen::single_use(1000), 5));
+  OfflinePackConfig c = config_for(32, 8);
+  c.exact_profile_max_requests = 400;
+  const GoldenPack got = golden_of(pack_offline(mt, c));
+  const GoldenPack want = {38331u, 659632u, 0xc3e540fb75659edull};
+  EXPECT_TRUE(got == want) << "actual: " << render(got);
 }
 
 }  // namespace

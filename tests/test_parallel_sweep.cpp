@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench_support/parallel_sweep.hpp"
+#include "test_helpers.hpp"
 #include "trace/workload.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -190,7 +191,7 @@ TEST(ParallelSweep, ShardRequiresJournal) {
 
 TEST(ParallelSweep, ShardedSweepComputesOnlyItsSlice) {
   const std::string path =
-      testing::TempDir() + "ppg_shard_slice_test.ppgjrnl";
+      test::unique_temp_path("shard_slice_test.ppgjrnl");
   std::remove(path.c_str());
   const char* shard_argv[] = {"prog", "--shard", "1/3", "--journal",
                               path.c_str()};
@@ -221,7 +222,7 @@ TEST(ParallelSweep, ShardedSweepComputesOnlyItsSlice) {
 
 TEST(ParallelSweep, ShardEpilogueSkipsRenderingForWorkers) {
   const std::string path =
-      testing::TempDir() + "ppg_shard_epilogue_test.ppgjrnl";
+      test::unique_temp_path("shard_epilogue_test.ppgjrnl");
   std::remove(path.c_str());
   const char* shard_argv[] = {"prog", "--shard", "0/2", "--journal",
                               path.c_str()};

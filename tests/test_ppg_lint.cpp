@@ -77,6 +77,7 @@ const RuleCase kCases[] = {
     {"service-io", "service_io", ".cpp", Realm::kLibrary, true},
     {"service-catch-all", "service_catch_all", ".cpp", Realm::kLibrary, false,
      true},
+    {"temp-path", "temp_path", ".cpp", Realm::kTest},
     {"pragma-once", "pragma_once", ".hpp", Realm::kApp},
     {"using-namespace-header", "using_namespace", ".hpp", Realm::kApp},
 };
@@ -166,6 +167,25 @@ TEST(LintServiceCatchAll, OnlyFiresWhenFileIsMarkedContainment) {
     ADD_FAILURE() << "non-containment file fired [" << finding.rule
                   << "] at line " << finding.line << ": " << finding.message;
   }
+}
+
+// temp-path is scoped to the test realm (only tests write under
+// testing::TempDir()), and the helper that owns the concatenation is its
+// designated exception.
+TEST(LintTempPath, OnlyFiresUnderTests) {
+  for (const Realm realm : {Realm::kLibrary, Realm::kApp}) {
+    for (const Finding& finding : lint_fixture("temp_path_bad.cpp", realm)) {
+      ADD_FAILURE() << "non-test file fired [" << finding.rule << "] at line "
+                    << finding.line << ": " << finding.message;
+    }
+  }
+  ScannedFile helper("tests/test_helpers.hpp",
+                     "#pragma once\n"
+                     "std::string p = ::testing::TempDir() + \"x\";\n");
+  FileInfo info;
+  info.realm = Realm::kTest;
+  info.is_header = true;
+  EXPECT_TRUE(run_rules(helper, info, nullptr).empty());
 }
 
 // --- Scanner unit coverage: the properties the rules rely on. -------------

@@ -9,6 +9,7 @@
 #include "core/parallel_engine.hpp"
 #include "core/replay.hpp"
 #include "core/scheduler_factory.hpp"
+#include "test_helpers.hpp"
 #include "trace/workload.hpp"
 
 namespace ppg {
@@ -65,7 +66,7 @@ TEST(Replay, EngineWritesDumpOnViolationAndReplayReproduces) {
   ec.miss_cost = 4;
   ec.seed = 9;
   ec.scheduler_spec = spec;
-  ec.replay_dump_path = ::testing::TempDir() + "ppg_violation.ppgreplay";
+  ec.replay_dump_path = test::unique_temp_path("violation.ppgreplay");
 
   const CheckedRun run = run_parallel_checked(mt, *scheduler, ec);
   ASSERT_FALSE(run.status.ok());
@@ -98,7 +99,7 @@ TEST(Replay, WatchdogTripWritesDumpAndReplayReproduces) {
   ec.max_time = Time{1} << 20;  // the injected stall is 2^40 ticks
   ec.seed = 9;
   ec.scheduler_spec = spec;
-  ec.replay_dump_path = ::testing::TempDir() + "ppg_watchdog.ppgreplay";
+  ec.replay_dump_path = test::unique_temp_path("watchdog.ppgreplay");
 
   const CheckedRun run = run_parallel_checked(mt, *scheduler, ec);
   ASSERT_FALSE(run.status.ok());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "paging/cache_sim.hpp"
 #include "test_helpers.hpp"
 #include "trace/generators.hpp"
@@ -36,6 +38,7 @@ TEST(StackDistance, RepeatedInterveningPageCountsOnce) {
 
 TEST(StackDistance, EmptyTrace) {
   EXPECT_TRUE(stack_distances(Trace{}).empty());
+  EXPECT_TRUE(previous_accesses(Trace{}).empty());
 }
 
 class StackDistanceMatchesNaive
@@ -51,6 +54,30 @@ TEST_P(StackDistanceMatchesNaive, OnZipfTraces) {
   Rng rng(GetParam() + 100);
   const Trace t = gen::zipf(50, 2000, 1.0, rng);
   EXPECT_EQ(stack_distances(t), stack_distances_naive(t));
+}
+
+/// Position of the last earlier access to each request's page, by a plain
+/// backwards scan (kNoPrevious when there is none).
+std::vector<std::size_t> previous_naive(const Trace& t) {
+  std::vector<std::size_t> out(t.size(), kNoPrevious);
+  for (std::size_t i = 0; i < t.size(); ++i)
+    for (std::size_t j = i; j-- > 0;)
+      if (t[j] == t[i]) {
+        out[i] = j;
+        break;
+      }
+  return out;
+}
+
+TEST_P(StackDistanceMatchesNaive, PreviousAccessesOnRandomZipfSawtooth) {
+  Rng rng(GetParam() + 200);
+  for (const Trace& t : {gen::uniform_random(20, 1500, rng),
+                         gen::zipf(80, 1500, 1.0, rng),
+                         gen::sawtooth(3, 40, 50, 10, rng),
+                         gen::single_use(300)}) {
+    EXPECT_EQ(previous_accesses(t), previous_naive(t));
+    EXPECT_EQ(stack_distances(t), stack_distances_naive(t));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StackDistanceMatchesNaive,

@@ -230,7 +230,7 @@ TEST(ReplayDumpV2, SpecBackedDumpRoundTripsWithoutVectors) {
   dump.has_traces = false;
   dump.reason = Error{};
 
-  const std::string path = testing::TempDir() + "ppg_spec_dump.ppgreplay";
+  const std::string path = test::unique_temp_path("spec_dump.ppgreplay");
   save_replay_dump(path, dump);
   const ReplayDump back = load_replay_dump(path);
   EXPECT_EQ(back.trace_spec, dump.trace_spec);
@@ -300,7 +300,7 @@ TEST(ReplayDumpV2, EngineRecordsSpecInsteadOfVectors) {
   ec.miss_cost = wp.miss_cost;
   ec.scheduler_spec = "RAND-PAR";
   ec.trace_spec = workload_trace_spec(WorkloadKind::kHomogeneousCyclic, wp);
-  ec.replay_dump_path = testing::TempDir() + "ppg_engine_spec.ppgreplay";
+  ec.replay_dump_path = test::unique_temp_path("engine_spec.ppgreplay");
   // Force a watchdog failure so the engine writes a dump.
   ec.max_time = 1;
 

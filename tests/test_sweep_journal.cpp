@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "bench_support/parallel_sweep.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/interrupt.hpp"
 
@@ -33,7 +34,7 @@ void spill(const std::string& path, const std::string& bytes) {
 class SweepJournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "ppg_journal_test.ppgjrnl";
+    path_ = test::unique_temp_path("journal_test.ppgjrnl");
     clear_interrupt();
   }
   void TearDown() override {

@@ -54,7 +54,7 @@ TEST(TraceIo, RejectsTruncatedStream) {
 TEST(TraceIo, FileRoundtrip) {
   MultiTrace mt;
   mt.add(test::make_trace({7, 8, 9}));
-  const std::string path = ::testing::TempDir() + "/ppg_trace_test.bin";
+  const std::string path = test::unique_temp_path("trace_test.bin");
   save_multitrace(path, mt);
   const MultiTrace back = load_multitrace(path);
   ASSERT_EQ(back.num_procs(), 1u);
@@ -114,7 +114,7 @@ TEST(TraceIoText, RejectsMalformedLines) {
 TEST(TraceIoText, FileRoundtrip) {
   MultiTrace mt;
   mt.add(test::make_trace({1, 2, 3}));
-  const std::string path = ::testing::TempDir() + "/ppg_trace_test.txt";
+  const std::string path = test::unique_temp_path("trace_test.txt");
   save_multitrace_text(path, mt);
   const MultiTrace back = load_multitrace_text(path);
   ASSERT_EQ(back.num_procs(), 1u);

@@ -149,7 +149,7 @@ TEST(TraceIoCorruption, TextReaderSkipsCommentsAndBlanks) {
 class StreamingReaderCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "ppg_corrupt_stream.ppgtrace";
+    path_ = test::unique_temp_path("corrupt_stream.ppgtrace");
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

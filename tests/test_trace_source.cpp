@@ -312,7 +312,7 @@ TEST(TraceSource, FileSourceStreamsChunksAndRewinds) {
   mt.add(gen::cyclic(5, 37));   // Deliberately not a multiple of the chunk.
   mt.add(gen::single_use(16));  // Exactly chunk-aligned length.
   mt.add(Trace{});              // Empty trace.
-  const std::string path = testing::TempDir() + "ppg_file_source.ppgtrace";
+  const std::string path = test::unique_temp_path("file_source.ppgtrace");
   save_multitrace(path, mt);
 
   // Tiny chunks force many refills; behaviour must be invisible.

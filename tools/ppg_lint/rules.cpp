@@ -150,6 +150,15 @@ void check_service_catch_all(const ScannedFile& file,
   match_all(file, kCatchStdException, "service-catch-all", msg, out);
 }
 
+void check_temp_path(const ScannedFile& file, std::vector<Finding>& out) {
+  static const std::regex kConcat(R"(\bTempDir\s*\(\s*\)\s*\+)");
+  match_all(file, kConcat, "temp-path",
+            "fixed file name under testing::TempDir(); ctest runs every test "
+            "case as its own process, so `ctest -j` cases sharing the name "
+            "collide — use test::unique_temp_path (tests/test_helpers.hpp)",
+            out);
+}
+
 void check_pragma_once(const ScannedFile& file, std::vector<Finding>& out) {
   static const std::regex kPragma(R"(^\s*#\s*pragma\s+once\s*$)");
   for (std::size_t i = 0; i < file.line_count(); ++i) {
@@ -319,6 +328,10 @@ const std::vector<RuleDesc>& all_rules() {
        "type-erasing handlers drop the structured ppg::Error payload that "
        "quarantine outcomes carry; catch (const PpgException&)",
        {}},
+      {"temp-path",
+       "TempDir() + \"name\" in tests/: fixed temp names collide under "
+       "ctest -j; use test::unique_temp_path",
+       {"tests/test_helpers.hpp"}},
       {"pragma-once", "headers must open with #pragma once", {}},
       {"using-namespace-header", "no `using namespace` in headers", {}},
   };
@@ -362,6 +375,8 @@ std::vector<Finding> run_rules_raw(const ScannedFile& file,
     if (!exempt("raw-getenv")) check_raw_getenv(file, raw);
     if (!exempt("raw-thread")) check_raw_thread(file, raw);
   }
+  if (info.realm == Realm::kTest && !exempt("temp-path"))
+    check_temp_path(file, raw);
   if (info.service && !exempt("service-io")) check_service_io(file, raw);
   if (info.containment && !exempt("service-catch-all"))
     check_service_catch_all(file, raw);

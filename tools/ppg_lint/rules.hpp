@@ -11,6 +11,9 @@
 //   abort-exit              library code never aborts outside PPG_CHECK
 //   io-sink                 library code never prints (stdout/stderr are
 //                           owned by benches, examples, and PPG_CHECK)
+//   temp-path               tests never concatenate a fixed name onto
+//                           testing::TempDir(): per-case ctest processes
+//                           collide under -j (use test::unique_temp_path)
 //   pragma-once             every header opens with #pragma once
 //   using-namespace-header  no `using namespace` in headers
 //   service-io              src/service/ never reads files or stdin; tenant

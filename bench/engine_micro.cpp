@@ -1,7 +1,6 @@
 // E10 — Microbenchmarks of the simulation substrates (google-benchmark).
 //
-// Throughput of the structures every experiment leans on: the LRU set (hash
-// vs dense-interned index, split vs fused probe), the page interner, the
+// Throughput of the structures every experiment leans on: the LRU set, the
 // box runner, the sequential cache simulator, the stack-distance profiler,
 // the green-OPT DP, the schedulers' next_box alone (a p-sweep), and the
 // full parallel engine. These keep the harness
@@ -23,7 +22,6 @@
 #include "opt/offline_packer.hpp"
 #include "paging/cache_sim.hpp"
 #include "trace/generators.hpp"
-#include "trace/page_interner.hpp"
 #include "trace/stack_distance.hpp"
 #include "trace/workload.hpp"
 #include "util/thread_pool.hpp"
@@ -47,52 +45,6 @@ void BM_LruSetAccess(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_LruSetAccess)->Arg(16)->Arg(256)->Arg(4096);
-
-// The dense fast path BoxRunner now runs on: same access stream as
-// BM_LruSetAccess, but interned ids over a flat direct-map index.
-void BM_DenseLruSetAccess(benchmark::State& state) {
-  const auto capacity = static_cast<Height>(state.range(0));
-  Rng rng(1);
-  const InternedTrace trace{gen::zipf(capacity * 4, 1 << 14, 0.9, rng)};
-  DenseLruSet set(capacity, trace.num_distinct());
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(set.access(trace[i]));
-    i = (i + 1) % trace.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_DenseLruSetAccess)->Arg(16)->Arg(256)->Arg(4096);
-
-// The fused probe pair (one index lookup per request) on the dense index —
-// exactly the BoxRunner hot loop, minus the budget arithmetic.
-void BM_DenseLruSetFusedAccess(benchmark::State& state) {
-  const auto capacity = static_cast<Height>(state.range(0));
-  Rng rng(1);
-  const InternedTrace trace{gen::zipf(capacity * 4, 1 << 14, 0.9, rng)};
-  DenseLruSet set(capacity, trace.num_distinct());
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const std::uint32_t page = trace[i];
-    if (!set.try_touch(page)) benchmark::DoNotOptimize(set.insert_absent(page));
-    i = (i + 1) % trace.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_DenseLruSetFusedAccess)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_PageIntern(benchmark::State& state) {
-  Rng rng(6);
-  const Trace trace =
-      gen::zipf(1024, static_cast<std::size_t>(state.range(0)), 0.9, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(InternedTrace(trace));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(trace.size()));
-}
-BENCHMARK(BM_PageIntern)->Arg(1 << 14);
 
 // Sequential simulator throughput via the policy fast path
 // (touch_if_resident — one lookup per hit).
@@ -199,9 +151,9 @@ void BM_ParallelEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelEngine)->Arg(8)->Arg(32)->Arg(128);
 
-/// Same instance pulled lazily from generator sources: measures the
-/// streaming path's per-request overhead (hash LRU + on-demand generation)
-/// against the dense materialized fast path above.
+/// Same instance pulled lazily from generator sources: measures on-demand
+/// generation's per-request overhead against the resident vectors above
+/// (both run the same box runner).
 void BM_ParallelEngineStreamed(benchmark::State& state) {
   const auto p = static_cast<ProcId>(state.range(0));
   WorkloadParams wp;

@@ -180,7 +180,7 @@ trap 'rm -f "${MICRO_JSON}" "${SERVICE_JSON}" "${SWEEP_J1}" "${SWEEP_JMAX}"' EXI
 MIN_TIME=0.5
 [[ "${QUICK}" == "1" ]] && MIN_TIME=0.05
 # (BM_SchedulerNextBox counts boxes, not requests, as its items.)
-BENCH_FILTER='BM_(LruSetAccess|DenseLruSetAccess|DenseLruSetFusedAccess|PageIntern|CacheSimLru|BoxRunnerCanonicalBoxes|StackDistances|PackOffline|SchedulerNextBox|ParallelEngine)'
+BENCH_FILTER='BM_(LruSetAccess|CacheSimLru|BoxRunnerCanonicalBoxes|StackDistances|PackOffline|SchedulerNextBox|ParallelEngine)'
 ./build/bench/engine_micro \
   --benchmark_filter="${BENCH_FILTER}" \
   --benchmark_min_time="${MIN_TIME}" \
@@ -270,11 +270,6 @@ t0, t1, t2 = (float(os.environ[k]) for k in ("T0", "T1", "T2"))
 serial_s = t1 - t0
 parallel_s = t2 - t1
 
-def ratio(name_dense, name_hash):
-    if bench.get(name_hash):
-        return round(bench[name_dense] / bench[name_hash], 3)
-    return None
-
 out = {
     "schema": 2,
     "quick": os.environ["QUICK"] == "1",
@@ -289,8 +284,6 @@ out = {
     },
     "build_type": os.environ["BUILD_TYPE"],
     "requests_per_sec": bench,
-    "dense_over_hash_lru": ratio("BM_DenseLruSetAccess/256",
-                                 "BM_LruSetAccess/256"),
     # PagingService end to end (bench/service_throughput): batch cohort,
     # trickled arrivals, adversarial bursts. The same numbers also sit in
     # requests_per_sec, so the hard gate covers them.
@@ -324,7 +317,6 @@ with open(tmp, "w") as f:
     os.fsync(f.fileno())
 os.replace(tmp, os.environ["OUT"])
 print(f"wrote {os.environ['OUT']}")
-print(f"  dense/hash LRU throughput: {out['dense_over_hash_lru']}x")
 print(f"  sweep --jobs 1: {out['sweep']['jobs1_seconds']}s, "
       f"--jobs max: {out['sweep']['jobsmax_seconds']}s "
       f"({out['sweep']['speedup_jobsmax']}x)")

@@ -632,18 +632,6 @@ const std::vector<StepCompletion>& EngineStepper::last_completions() const {
 
 CheckedRun EngineStepper::finish() { return impl_->finish(); }
 
-ParallelEngine::ParallelEngine(const MultiTrace& traces,
-                               BoxScheduler& scheduler,
-                               const EngineConfig& config)
-    : sources_(MultiTraceSource::view_of(traces)),
-      traces_(&traces),
-      scheduler_(&scheduler),
-      config_(config) {
-  PPG_CHECK(traces.num_procs() >= 1);
-  PPG_CHECK(config.cache_size >= 1);
-  PPG_CHECK(config.miss_cost >= 1);
-}
-
 ParallelEngine::ParallelEngine(MultiTraceSource sources,
                                BoxScheduler& scheduler,
                                const EngineConfig& config)
@@ -667,7 +655,9 @@ void ParallelEngine::maybe_write_dump(CheckedRun& out) {
   if (out.status.ok() || config_.replay_dump_path.empty()) return;
   // Streamed runs without a generator spec can be arbitrarily long;
   // embedding the vectors above this cap would defeat constant-memory
-  // execution, so such dumps record the failure but skip the traces.
+  // execution, so such dumps record the failure but skip the traces. Runs
+  // whose sources are all resident already paid that memory, so their
+  // vectors are embedded at any size.
   constexpr std::uint64_t kMaxDumpRequests = std::uint64_t{1} << 22;
   ReplayDump dump;
   dump.cache_size = config_.cache_size;
@@ -681,9 +671,8 @@ void ParallelEngine::maybe_write_dump(CheckedRun& out) {
   if (!config_.trace_spec.empty()) {
     // The spec regenerates the exact traces; no need to embed vectors.
     dump.has_traces = false;
-  } else if (traces_ != nullptr) {
-    dump.traces = *traces_;
-  } else if (sources_.total_requests() <= kMaxDumpRequests) {
+  } else if (sources_.all_materialized() ||
+             sources_.total_requests() <= kMaxDumpRequests) {
     dump.traces = sources_.materialize();
   } else {
     dump.has_traces = false;
@@ -719,8 +708,7 @@ ParallelRunResult ParallelEngine::run() {
 ParallelRunResult run_parallel(const MultiTrace& traces,
                                BoxScheduler& scheduler,
                                const EngineConfig& config) {
-  ParallelEngine engine(traces, scheduler, config);
-  return engine.run();
+  return run_parallel(MultiTraceSource::view_of(traces), scheduler, config);
 }
 
 ParallelRunResult run_parallel(const MultiTraceSource& sources,
@@ -733,8 +721,8 @@ ParallelRunResult run_parallel(const MultiTraceSource& sources,
 CheckedRun run_parallel_checked(const MultiTrace& traces,
                                 BoxScheduler& scheduler,
                                 const EngineConfig& config) {
-  ParallelEngine engine(traces, scheduler, config);
-  return engine.run_checked();
+  return run_parallel_checked(MultiTraceSource::view_of(traces), scheduler,
+                              config);
 }
 
 CheckedRun run_parallel_checked(const MultiTraceSource& sources,

@@ -235,18 +235,11 @@ class EngineStepper {
 
 class ParallelEngine {
  public:
-  /// Materialized instance: every per-processor runner takes the dense
-  /// fast path, and replay dumps can always embed the request vectors.
-  /// `traces` must outlive the engine.
-  ParallelEngine(const MultiTrace& traces, BoxScheduler& scheduler,
-                 const EngineConfig& config);
-
-  /// Streaming instance: each processor pulls its requests from a
-  /// TraceCursor opened on `sources`, so peak memory is O(p * box height)
-  /// plus whatever the sources themselves buffer — independent of trace
-  /// length. Sources that are materialized underneath (VectorTraceSource)
-  /// still take the dense fast path; the two constructions produce
-  /// byte-identical metrics.
+  /// Each processor pulls its requests from a TraceCursor opened on
+  /// `sources`, so peak memory is O(p * box height) plus whatever the
+  /// sources themselves buffer — independent of trace length. A
+  /// materialized MultiTrace runs through MultiTraceSource::view_of (see
+  /// run_parallel); it must outlive the engine.
   ParallelEngine(MultiTraceSource sources, BoxScheduler& scheduler,
                  const EngineConfig& config);
 
@@ -265,9 +258,6 @@ class ParallelEngine {
   void maybe_write_dump(CheckedRun& out);
 
   MultiTraceSource sources_;
-  /// Non-null only when constructed from a MultiTrace; lets replay dumps
-  /// embed the vectors without re-materializing.
-  const MultiTrace* traces_ = nullptr;
   BoxScheduler* scheduler_;
   EngineConfig config_;
 };

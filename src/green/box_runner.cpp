@@ -1,6 +1,5 @@
 #include "green/box_runner.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -9,33 +8,24 @@
 namespace ppg {
 
 namespace {
-// Span-buffer size for streaming mode: large enough to amortize the
-// next_span virtual call and any generator bookkeeping, small enough to
-// stay resident in L1 (256 * 8 B = 2 KiB) per active processor.
+// Span-buffer size: large enough to amortize the next_span virtual call
+// and any generator bookkeeping, small enough to stay resident in L1
+// (256 * 8 B = 2 KiB) per active processor.
 constexpr std::size_t kStreamSpan = 256;
 }  // namespace
 
-BoxRunner::BoxRunner(const Trace& trace, Time miss_cost)
-    : trace_(trace),
-      cache_(std::in_place, 1,
-             std::max<std::size_t>(1, trace_.num_distinct())),
-      miss_cost_(miss_cost) {
-  PPG_CHECK(miss_cost >= 1);
-}
-
 BoxRunner::BoxRunner(std::unique_ptr<TraceCursor> cursor, Time miss_cost)
-    : cursor_(std::move(cursor)), miss_cost_(miss_cost) {
+    : cursor_(std::move(cursor)), span_(kStreamSpan), miss_cost_(miss_cost) {
   PPG_CHECK(miss_cost >= 1);
   PPG_CHECK(cursor_ != nullptr);
   start_ = cursor_->checkpoint();
-  stream_cache_.emplace(1);
-  span_.resize(kStreamSpan);
 }
 
 BoxRunner::BoxRunner(const TraceSource& source, Time miss_cost)
-    : BoxRunner(source.materialized() != nullptr
-                    ? BoxRunner(*source.materialized(), miss_cost)
-                    : BoxRunner(source.cursor(), miss_cost)) {}
+    : BoxRunner(source.cursor(), miss_cost) {}
+
+BoxRunner::BoxRunner(const Trace& trace, Time miss_cost)
+    : BoxRunner(VectorTraceSource::view(trace)->cursor(), miss_cost) {}
 
 BoxStepResult BoxRunner::run_box(Height height, Time duration, bool fresh) {
   PPG_CHECK(height >= 1);
@@ -43,53 +33,29 @@ BoxStepResult BoxRunner::run_box(Height height, Time duration, bool fresh) {
   if (fresh || height != cache_height_) {
     // A height change is always a fresh compartment: the model has no
     // notion of carrying LRU state across differently-sized boxes.
-    if (streaming())
-      stream_cache_->reset(height);
-    else
-      cache_->reset(height);
+    cache_.reset(height);
     cache_height_ = height;
   }
   Time remaining = duration;
-  if (streaming()) {
-    while (remaining > 0) {
-      if (span_pos_ >= span_len_) {
-        span_len_ = cursor_->next_span(span_.data(), span_.size());
-        span_pos_ = 0;
-        if (span_len_ == 0) break;  // source exhausted
-        // Validate the refilled chunk in one pass (L1-resident, branch
-        // never taken on clean traces): the kInvalidPage sentinel is
-        // reserved by the LRU layer and must never enter a cache. File
-        // traces are screened by trace_io; this is the equivalent screen
-        // for lazy/streaming sources. Dense mode needs none — it only runs
-        // over caller-materialized vectors.
-        for (std::size_t i = 0; i < span_len_; ++i) {
-          if (span_[i] == kInvalidPage) {
-            throw_error(ErrorCode::kCorruptTrace,
-                        "hostile page id (reserved sentinel) in trace stream",
-                        cursor_->position() - span_len_ + i);
-          }
+  while (remaining > 0) {
+    if (span_pos_ >= span_len_) {
+      span_len_ = cursor_->next_span(span_.data(), span_.size());
+      span_pos_ = 0;
+      if (span_len_ == 0) break;  // source exhausted
+      // Validate the refilled chunk in one pass (L1-resident, branch never
+      // taken on clean traces): the kInvalidPage sentinel is reserved by
+      // the LRU layer and must never enter a cache. File traces are also
+      // screened by trace_io; this screen covers every source, generated
+      // and caller-materialized ones included.
+      for (std::size_t i = 0; i < span_len_; ++i) {
+        if (span_[i] == kInvalidPage) {
+          throw_error(ErrorCode::kCorruptTrace,
+                      "hostile page id (reserved sentinel) in trace stream",
+                      cursor_->position() - span_len_ + i);
         }
       }
-      if (!advance_span(step, remaining)) break;  // stall to box end
     }
-  } else {
-    while (remaining > 0 && position_ < trace_.size()) {
-      const std::uint32_t page = trace_[position_];
-      Time cost;
-      if (cache_->try_touch(page)) {
-        cost = 1;  // a hit always fits: remaining >= 1 here
-        ++step.hits;
-      } else {
-        cost = miss_cost_;
-        if (cost > remaining) break;  // stall to box end
-        cache_->insert_absent(page);
-        ++step.misses;
-      }
-      remaining -= cost;
-      step.busy_time += cost;
-      ++position_;
-      ++step.requests_completed;
-    }
+    if (!advance_span(step, remaining)) break;  // stall to box end
   }
   step.stall_time = remaining;
   step.finished = finished();
@@ -102,13 +68,13 @@ bool BoxRunner::advance_span(BoxStepResult& step, Time& remaining) {
   while (span_pos_ < span_len_ && remaining > 0) {
     const PageId page = span_[span_pos_];
     Time cost;
-    if (stream_cache_->try_touch(page)) {
+    if (cache_.try_touch(page)) {
       cost = 1;  // a hit always fits: remaining >= 1 here
       ++step.hits;
     } else {
       cost = miss_cost_;
       if (cost > remaining) return false;  // stall; request stays buffered
-      stream_cache_->insert_absent(page);
+      cache_.insert_absent(page);
       ++step.misses;
     }
     remaining -= cost;
@@ -122,15 +88,10 @@ bool BoxRunner::advance_span(BoxStepResult& step, Time& remaining) {
 void BoxRunner::reset() {
   total_hits_ = 0;
   total_misses_ = 0;
-  if (streaming()) {
-    cursor_->rewind(start_);
-    stream_cache_->clear();
-    span_pos_ = 0;
-    span_len_ = 0;
-  } else {
-    position_ = 0;
-    cache_->clear();
-  }
+  cursor_->rewind(start_);
+  cache_.clear();
+  span_pos_ = 0;
+  span_len_ = 0;
 }
 
 namespace {

@@ -7,17 +7,15 @@
 // processor stalls to the box boundary and retries in the next box (a
 // height-z canonical box therefore always completes at least z requests).
 //
-// Two execution modes with identical results (both are exact LRU):
-//  - Dense (materialized traces): the trace is interned to dense ids at
-//    construction (one hash per request, once), after which the
-//    per-request path is a single DenseLruSet array probe — no hashing.
-//  - Streaming (lazy sources): requests are pulled from a TraceCursor in
-//    bulk spans (TraceCursor::next_span into a small resident buffer, one
-//    virtual call per span instead of two per request) and the box cache
-//    is a FlatLruSet over raw PageIds — one open-addressing probe per
-//    request, O(height) memory regardless of trace length. A stalled box
-//    leaves the request in the span buffer unconsumed, so the next box
-//    resumes at the same logical position without any rewind.
+// Requests are pulled from a TraceCursor in bulk spans (TraceCursor::
+// next_span into a small resident buffer, one virtual call per span instead
+// of two per request), and the box cache is an LruSet over raw PageIds —
+// one open-addressing probe per request, O(height) memory regardless of
+// trace length. A materialized trace is read through a VectorTraceSource
+// cursor like any other source. A stalled box leaves the request in the
+// span buffer unconsumed, so the next box resumes at the same logical
+// position without any rewind. Every refilled span is screened for the
+// reserved kInvalidPage sentinel, which must never enter a cache.
 //
 // A hit always fits (cost 1, remaining >= 1), so try_touch commits it
 // directly; a miss checks the remaining budget before insert_absent
@@ -26,11 +24,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "green/box.hpp"
-#include "trace/page_interner.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_source.hpp"
 #include "util/lru_set.hpp"
@@ -50,31 +46,28 @@ struct BoxStepResult {
 
 class BoxRunner {
  public:
-  /// Dense mode over a materialized trace (the fast path).
-  BoxRunner(const Trace& trace, Time miss_cost);
-
-  /// Streaming mode over a cursor: O(height) memory, any trace length.
+  /// Runs over a cursor: O(height) memory, any trace length.
   BoxRunner(std::unique_ptr<TraceCursor> cursor, Time miss_cost);
 
-  /// Picks the mode: dense when the source is materialized, streaming
-  /// otherwise.
+  /// Runs over a fresh cursor on `source`.
   BoxRunner(const TraceSource& source, Time miss_cost);
+
+  /// Runs over a materialized trace without copying it; the trace must
+  /// outlive the runner (so a temporary is rejected at compile time).
+  BoxRunner(const Trace& trace, Time miss_cost);
+  BoxRunner(Trace&& trace, Time miss_cost) = delete;
 
   /// Runs one box of the given height and duration from the current
   /// position. `fresh` resets the cache first (compartmentalized box); pass
   /// false to model a continuation at the same height.
   BoxStepResult run_box(Height height, Time duration, bool fresh = true);
 
-  bool finished() const {
-    return streaming() ? span_pos_ >= span_len_ && cursor_->done()
-                       : position_ >= trace_.size();
-  }
+  bool finished() const { return span_pos_ >= span_len_ && cursor_->done(); }
   std::size_t position() const {
-    // Streaming: the cursor has over-consumed by the unprocessed tail of
-    // the span buffer; the logical position discounts it.
-    return streaming() ? static_cast<std::size_t>(cursor_->position()) -
-                             (span_len_ - span_pos_)
-                       : position_;
+    // The cursor has over-consumed by the unprocessed tail of the span
+    // buffer; the logical position discounts it.
+    return static_cast<std::size_t>(cursor_->position()) -
+           (span_len_ - span_pos_);
   }
   std::uint64_t total_hits() const { return total_hits_; }
   std::uint64_t total_misses() const { return total_misses_; }
@@ -82,23 +75,15 @@ class BoxRunner {
   void reset();
 
  private:
-  bool streaming() const { return cursor_ != nullptr; }
-
-  /// Streaming hot loop: serves requests from the resident span buffer
-  /// until the buffer drains, the box budget runs out, or a miss no longer
-  /// fits. Returns false on a stall (the request stays buffered for the
-  /// next box), true otherwise.
+  /// Hot loop: serves requests from the resident span buffer until the
+  /// buffer drains, the box budget runs out, or a miss no longer fits.
+  /// Returns false on a stall (the request stays buffered for the next
+  /// box), true otherwise.
   bool advance_span(BoxStepResult& step, Time& remaining);
 
-  // Dense mode.
-  InternedTrace trace_;
-  std::size_t position_ = 0;
-  std::optional<DenseLruSet> cache_;
-
-  // Streaming mode.
   std::unique_ptr<TraceCursor> cursor_;
   CursorCheckpoint start_;  ///< For reset(): the cursor's initial state.
-  std::optional<FlatLruSet> stream_cache_;
+  LruSet cache_{1};
   std::vector<PageId> span_;    ///< Bulk-pull buffer (kStreamSpan pages).
   std::size_t span_pos_ = 0;    ///< Next unprocessed entry in span_.
   std::size_t span_len_ = 0;    ///< Valid prefix of span_.
@@ -123,7 +108,7 @@ struct ProfileRunResult {
 ProfileRunResult run_profile(const Trace& trace, const BoxProfile& profile,
                              Time miss_cost);
 
-/// Streaming counterpart; results are identical to the materialized run.
+/// As above, over any source.
 ProfileRunResult run_profile(const TraceSource& source,
                              const BoxProfile& profile, Time miss_cost);
 

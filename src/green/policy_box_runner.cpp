@@ -1,46 +1,29 @@
 #include "green/policy_box_runner.hpp"
 
-#include <utility>
-
 #include "util/assert.hpp"
 
 namespace ppg {
 
-PolicyBoxRunner::PolicyBoxRunner(const Trace& trace, Time miss_cost,
+PolicyBoxRunner::PolicyBoxRunner(const TraceSource& source, Time miss_cost,
                                  PolicyKind kind, std::uint64_t seed)
-    : cursor_(VectorTraceSource::view(trace)->cursor()),
-      miss_cost_(miss_cost),
-      kind_(kind),
+    : cursor_(source.cursor()), miss_cost_(miss_cost), kind_(kind),
       seed_(seed) {
   PPG_CHECK(miss_cost >= 1);
   if (kind_ == PolicyKind::kBelady) {
+    const Trace* trace = source.materialized();
+    PPG_CHECK_MSG(trace != nullptr,
+                  "Belady is clairvoyant and needs a materialized trace");
     // Belady ignores capacity and must keep its next-use table across
     // compartments; build it once from the whole trace.
     policy_ = make_policy(kind_, 1, seed_);
-    policy_->prepare(trace);
+    policy_->prepare(*trace);
   }
 }
 
-PolicyBoxRunner::PolicyBoxRunner(std::unique_ptr<TraceCursor> cursor,
-                                 Time miss_cost, PolicyKind kind,
-                                 std::uint64_t seed)
-    : cursor_(std::move(cursor)),
-      miss_cost_(miss_cost),
-      kind_(kind),
-      seed_(seed) {
-  PPG_CHECK(miss_cost >= 1);
-  PPG_CHECK(cursor_ != nullptr);
-  PPG_CHECK_MSG(kind_ != PolicyKind::kBelady,
-                "Belady is clairvoyant and needs a materialized trace");
-}
-
-PolicyBoxRunner::PolicyBoxRunner(const TraceSource& source, Time miss_cost,
+PolicyBoxRunner::PolicyBoxRunner(const Trace& trace, Time miss_cost,
                                  PolicyKind kind, std::uint64_t seed)
-    : PolicyBoxRunner(source.materialized() != nullptr
-                          ? PolicyBoxRunner(*source.materialized(), miss_cost,
-                                            kind, seed)
-                          : PolicyBoxRunner(source.cursor(), miss_cost, kind,
-                                            seed)) {}
+    : PolicyBoxRunner(*VectorTraceSource::view(trace), miss_cost, kind,
+                      seed) {}
 
 void PolicyBoxRunner::reset_compartment(Height height) {
   resident_count_ = 0;

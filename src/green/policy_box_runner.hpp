@@ -5,15 +5,15 @@
 // costs by at most a constant factor (boxes start empty and are short, so
 // policy differences cannot compound). This runner exists to measure that
 // constant (ablation E12) and to let users experiment with in-box Belady /
-// CLOCK / ARC. The hot path stays in BoxRunner (specialized dense LRU);
-// this class trades speed for generality — though residency now routes
-// through the policy's own index (touch_if_resident) instead of a second
-// hash set.
+// CLOCK / ARC. The hot path stays in BoxRunner (specialized LRU); this
+// class trades speed for generality — though residency routes through the
+// policy's own index (touch_if_resident) instead of a second hash set.
 //
-// Requests are pulled from a TraceCursor, so any online policy also runs
-// over lazy (generator / file) sources in O(height) memory. The exception
-// is kBelady: it is clairvoyant — its next-use table requires the whole
-// trace up front — so it only accepts materialized traces.
+// Requests are pulled from a TraceCursor on every source, so any online
+// policy also runs over lazy (generator / file) sources in O(height)
+// memory. The exception is kBelady: it is clairvoyant — its next-use table
+// requires the whole trace up front — so it takes that table from
+// source.materialized() and rejects lazy sources.
 #pragma once
 
 #include <memory>
@@ -29,19 +29,15 @@ namespace ppg {
 class PolicyBoxRunner {
  public:
   /// `kind` selects the in-box policy; kBelady uses global next-use times
-  /// (clairvoyant within and across boxes — a lower-bound reference).
-  /// The trace must outlive the runner.
-  PolicyBoxRunner(const Trace& trace, Time miss_cost, PolicyKind kind,
+  /// (clairvoyant within and across boxes — a lower-bound reference) and
+  /// PPG_CHECKs that `source` is materialized. The source's backing data
+  /// must outlive the runner.
+  PolicyBoxRunner(const TraceSource& source, Time miss_cost, PolicyKind kind,
                   std::uint64_t seed = 1);
 
-  /// Streaming mode over a cursor. kBelady is rejected (PPG_CHECK): a
-  /// clairvoyant policy cannot run single-pass.
-  PolicyBoxRunner(std::unique_ptr<TraceCursor> cursor, Time miss_cost,
-                  PolicyKind kind, std::uint64_t seed = 1);
-
-  /// Picks the mode: materialized sources run exactly like the Trace
-  /// constructor (any policy), lazy sources stream (online policies only).
-  PolicyBoxRunner(const TraceSource& source, Time miss_cost, PolicyKind kind,
+  /// Runs over a materialized trace (any policy); the trace must outlive
+  /// the runner.
+  PolicyBoxRunner(const Trace& trace, Time miss_cost, PolicyKind kind,
                   std::uint64_t seed = 1);
 
   /// Same semantics as BoxRunner::run_box: serve requests while they fit,

@@ -122,7 +122,7 @@ class FaultInjectingTraceSource final : public TraceSource {
   }
 
   // materialized() stays null (base default): faults must travel the
-  // streaming pipeline and meet its validation, never a dense shortcut.
+  // cursor pipeline and meet its validation, never a whole-trace shortcut.
 
  private:
   std::shared_ptr<const TraceSource> inner_;

@@ -22,9 +22,8 @@
 //                   tenant. Never materialize a stalled source (the drain
 //                   loop would spin); it is streaming-only by construction.
 //
-// The decorator hides any materialized() fast path so consumers always take
-// the streaming route — faults must flow through the same validation the
-// real streaming pipeline has. Checkpoints and rewind pass through, so
+// The decorator hides materialized() so no consumer can bypass the cursor —
+// faults must flow through the same validation as every other request. Checkpoints and rewind pass through, so
 // resumable sweeps replay the fault byte-identically.
 //
 // Spec grammar (trace/trace_spec.hpp registry):

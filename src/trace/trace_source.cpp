@@ -249,8 +249,8 @@ class ReadAheadSource final : public TraceSource {
     return std::make_unique<ReadAheadCursor>(inner_->cursor(), chunk_);
   }
   // Deliberately no materialized() forwarding: decorating a materialized
-  // source is legal but pointless, and consumers should keep taking the
-  // dense path on the undecorated original.
+  // source is legal but pointless, and consumers that need the whole trace
+  // should take it from the undecorated original.
 
  private:
   std::shared_ptr<const TraceSource> inner_;
@@ -412,6 +412,12 @@ std::uint64_t MultiTraceSource::total_requests() const {
   std::uint64_t total = 0;
   for (const auto& source : sources_) total += source->num_requests();
   return total;
+}
+
+bool MultiTraceSource::all_materialized() const {
+  return std::all_of(sources_.begin(), sources_.end(), [](const auto& source) {
+    return source->materialized() != nullptr;
+  });
 }
 
 MultiTrace MultiTraceSource::materialize() const {

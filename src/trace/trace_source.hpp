@@ -68,8 +68,8 @@ class TraceCursor {
   /// number copied (0 only when done()). Equivalent to that many
   /// peek()/advance() pairs — same stream, same RNG draws, same checkpoint
   /// state afterwards — but one virtual call per span instead of two per
-  /// request, which is what makes streamed simulation competitive with the
-  /// materialized fast path. Implementations with cheap bulk access
+  /// request, which is what keeps the box runner's per-request cost down
+  /// to one LRU probe. Implementations with cheap bulk access
   /// (vectors, files, generators) override the default loop.
   virtual std::size_t next_span(PageId* out, std::size_t max) {
     std::size_t n = 0;
@@ -92,9 +92,11 @@ class TraceSource {
   /// A fresh cursor positioned at the first request.
   virtual std::unique_ptr<TraceCursor> cursor() const = 0;
 
-  /// If the whole sequence is resident in memory, the backing Trace —
-  /// consumers use this to keep the dense interned fast path. Null for
-  /// lazy (generator / file) sources.
+  /// If the whole sequence is resident in memory, the backing Trace. Null
+  /// for lazy (generator / file) sources. Simulation never needs it (every
+  /// runner reads through cursor()); only consumers that need the whole
+  /// sequence at once use it: clairvoyant ones (Belady, green-OPT, the OPT
+  /// bounds, the offline packer) and copies (replay dumps).
   virtual const Trace* materialized() const { return nullptr; }
 };
 
@@ -142,8 +144,7 @@ class MultiTraceSource {
       : sources_(std::move(sources)) {}
 
   /// Non-owning view over a materialized MultiTrace; the caller guarantees
-  /// `traces` outlives the view (the same contract ParallelEngine already
-  /// imposes on its trace argument).
+  /// `traces` outlives the view and every cursor taken from it.
   static MultiTraceSource view_of(const MultiTrace& traces);
 
   ProcId num_procs() const { return static_cast<ProcId>(sources_.size()); }
@@ -162,6 +163,9 @@ class MultiTraceSource {
   }
 
   std::uint64_t total_requests() const;
+
+  /// True when every source is resident (materialized() is non-null).
+  bool all_materialized() const;
 
   /// Drains every source into a materialized MultiTrace.
   MultiTrace materialize() const;

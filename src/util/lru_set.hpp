@@ -3,25 +3,18 @@
 // This is the hot data structure of every simulator in the library: each
 // compartmentalized box runs one LruSet, and the box runner touches it once
 // per request. It combines an intrusive doubly-linked list over a slot
-// vector (recency order) with a pluggable page->slot index, so all
-// operations are O(1) and the recency links are cache-friendly array
-// indices rather than pointers.
-//
-// Two index implementations back the same recency machinery:
-//  - LruHashIndex (default, LruSet): unordered_map from arbitrary 64-bit
-//    PageIds — one hash per lookup.
-//  - LruDenseIndex (DenseLruSet): a flat epoch-stamped vector over a known
-//    dense id universe [0, num_distinct) — one array load per lookup, O(1)
-//    clear. Traces are interned into this range by trace/page_interner.
+// vector (recency order) with an open-addressing page->slot index
+// (LruFlatIndex), so all operations are O(1) and both the recency links and
+// the index probes walk flat arrays rather than pointers. PageIds are
+// arbitrary 64-bit values.
 //
 // The hot path is the fused pair try_touch()/insert_absent(): a single
 // index lookup classifies hit vs miss, and the miss path never repeats it.
-// The legacy access() entry points are kept (and now built on the fused
-// pair) for callers that don't need to peek the cost before committing.
+// The access() entry points are built on the fused pair for callers that
+// don't need to peek the cost before committing.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -31,33 +24,17 @@ namespace ppg {
 
 inline constexpr std::uint32_t kLruNilSlot = UINT32_MAX;
 
-/// Hash-backed page->slot index for arbitrary (sparse) PageIds.
-class LruHashIndex {
- public:
-  explicit LruHashIndex(Height capacity) { map_.reserve(capacity * 2); }
-
-  std::uint32_t find(PageId page) const {
-    const auto it = map_.find(page);
-    return it == map_.end() ? kLruNilSlot : it->second;
-  }
-  void set(PageId page, std::uint32_t slot) { map_[page] = slot; }
-  void erase(PageId page) { map_.erase(page); }
-  void clear() { map_.clear(); }
-  void on_reset(Height capacity) { map_.reserve(capacity * 2); }
-
- private:
-  std::unordered_map<PageId, std::uint32_t> map_;
-};
-
 /// Open-addressing page->slot index for arbitrary (sparse) PageIds: one
 /// mixed hash, then a linear probe over a flat power-of-two table at load
 /// factor <= 1/2. No per-node allocation, no bucket pointers — the probe
-/// walks contiguous memory, which is what lets the streaming box runner
-/// (whose page universe is unknown, so it cannot intern into
-/// LruDenseIndex) approach the dense fast path. Deletion backward-shifts
-/// displaced entries instead of leaving tombstones, so probe lengths stay
-/// short however many evictions a long box run performs; clear() is O(1)
-/// via the same epoch stamping as LruDenseIndex.
+/// walks contiguous memory. Deletion backward-shifts displaced entries
+/// instead of leaving tombstones, so probe lengths stay short however many
+/// evictions a long box run performs. clear() is O(1): every cell carries
+/// the epoch it was written in, and bumping the epoch empties the table —
+/// critical because compartmentalized boxes reset the cache far more often
+/// than they fill it. The epoch is 64-bit so it never wraps: a 32-bit one
+/// would wrap after 2^32 clears (one per fresh box), and every never-used
+/// cell (stamp 0) would then read as occupied.
 class LruFlatIndex {
  public:
   explicit LruFlatIndex(Height capacity) { rebuild(capacity); }
@@ -139,52 +116,15 @@ class LruFlatIndex {
 
   std::vector<PageId> pages_;
   std::vector<std::uint32_t> slots_;
-  std::vector<std::uint32_t> epochs_;
+  std::vector<std::uint64_t> epochs_;
   std::size_t mask_ = 0;
-  std::uint32_t epoch_ = 1;
+  std::uint64_t epoch_ = 1;
 };
 
-/// Flat direct-map index over a dense id universe [0, universe). clear()
-/// is O(1) via epoch stamping — critical because compartmentalized boxes
-/// reset the cache far more often than they fill it.
-class LruDenseIndex {
- public:
-  LruDenseIndex(Height capacity, std::size_t universe)
-      : slots_(universe, kLruNilSlot), epochs_(universe, 0) {
-    (void)capacity;
-  }
-
-  std::uint32_t find(PageId page) const {
-    PPG_DCHECK(page < slots_.size());
-    return epochs_[page] == epoch_ ? slots_[page] : kLruNilSlot;
-  }
-  void set(PageId page, std::uint32_t slot) {
-    PPG_DCHECK(page < slots_.size());
-    slots_[page] = slot;
-    epochs_[page] = epoch_;
-  }
-  void erase(PageId page) {
-    PPG_DCHECK(page < slots_.size());
-    slots_[page] = kLruNilSlot;
-  }
-  void clear() { ++epoch_; }
-  void on_reset(Height /*capacity*/) {}  // universe-sized, nothing to grow
-
- private:
-  std::vector<std::uint32_t> slots_;
-  std::vector<std::uint32_t> epochs_;
-  std::uint32_t epoch_ = 1;  // entries start stale (epochs_ filled with 0)
-};
-
-template <typename Index>
-class BasicLruSet {
+class LruSet {
  public:
   /// Creates an empty set holding at most `capacity` pages (capacity >= 1).
-  /// Extra arguments configure the index (DenseLruSet takes the universe).
-  template <typename... IndexArgs>
-  explicit BasicLruSet(Height capacity, IndexArgs&&... index_args)
-      : capacity_(capacity),
-        index_(capacity, static_cast<IndexArgs&&>(index_args)...) {
+  explicit LruSet(Height capacity) : capacity_(capacity), index_(capacity) {
     PPG_CHECK(capacity >= 1);
     slots_.reserve(capacity);
   }
@@ -268,8 +208,8 @@ class BasicLruSet {
     return true;
   }
 
-  /// Removes every page (compartmentalized box reset). O(1) for the dense
-  /// index (epoch bump), O(size) for the hash index.
+  /// Removes every page (compartmentalized box reset); the index clears
+  /// in O(1) by an epoch bump.
   void clear() {
     index_.clear();
     slots_.clear();
@@ -278,9 +218,9 @@ class BasicLruSet {
     lru_ = kLruNilSlot;
   }
 
-  /// clear() plus a capacity change, without rebuilding the index — the
-  /// box runner resizes compartments once per height switch and must not
-  /// pay an index reallocation each time.
+  /// clear() plus a capacity change. The index is rebuilt only when the new
+  /// capacity outgrows its table — the box runner resizes compartments once
+  /// per height switch and must not pay an index reallocation each time.
   void reset(Height capacity) {
     PPG_CHECK(capacity >= 1);
     clear();
@@ -342,23 +282,11 @@ class BasicLruSet {
   }
 
   Height capacity_;
-  Index index_;
+  LruFlatIndex index_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
   std::uint32_t mru_ = kLruNilSlot;
   std::uint32_t lru_ = kLruNilSlot;
 };
-
-/// General-purpose LRU set over arbitrary PageIds (hash index).
-using LruSet = BasicLruSet<LruHashIndex>;
-
-/// LRU set over interned dense ids: DenseLruSet(capacity, universe)
-/// accepts pages in [0, universe) and does no hashing at all.
-using DenseLruSet = BasicLruSet<LruDenseIndex>;
-
-/// LRU set over arbitrary PageIds with the open-addressing flat index:
-/// the streaming box runner's middle ground between LruSet (pointer-heavy
-/// unordered_map) and DenseLruSet (requires interning the whole trace).
-using FlatLruSet = BasicLruSet<LruFlatIndex>;
 
 }  // namespace ppg

@@ -50,11 +50,12 @@ TEST(EngineConfig, RejectsZeroCacheOrMissCost) {
   EngineConfig bad_cache;
   bad_cache.cache_size = 0;
   bad_cache.miss_cost = 2;
-  EXPECT_DEATH(ParallelEngine(mt, *scheduler, bad_cache), "");
+  const MultiTraceSource sources = MultiTraceSource::view_of(mt);
+  EXPECT_DEATH(ParallelEngine(sources, *scheduler, bad_cache), "");
   EngineConfig bad_cost;
   bad_cost.cache_size = 4;
   bad_cost.miss_cost = 0;
-  EXPECT_DEATH(ParallelEngine(mt, *scheduler, bad_cost), "");
+  EXPECT_DEATH(ParallelEngine(sources, *scheduler, bad_cost), "");
 }
 
 TEST(WorkloadCacheHungry, HasHungryAndModestProcessors) {

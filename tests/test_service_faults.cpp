@@ -169,8 +169,8 @@ TEST(FaultInjectionTraceTest, SpecRegistryWrapsEveryProcessor) {
       "workload(kind=hetero-mix,p=2,k=16,n=200,seed=3,s=4))");
   ASSERT_EQ(sources.num_procs(), 2);
   for (ProcId i = 0; i < 2; ++i) {
-    // The decorator hides any materialized fast path: hostile input must
-    // flow through the streaming validation.
+    // The decorator hides materialized(): hostile input must flow through
+    // the cursor's validation.
     EXPECT_EQ(sources.source(i).materialized(), nullptr);
     const auto cursor = sources.source(i).cursor();
     PageId buffer[64];
@@ -294,6 +294,29 @@ TEST(EngineStepperQuarantineTest, HostilePageIsRejectedByTheSpanScan) {
   EXPECT_EQ(bad.error.byte_offset, 30u);
 }
 
+/// A resident trace whose request at `at` is the reserved sentinel.
+Trace hostile_materialized(std::size_t at) {
+  Trace trace = gen::cyclic(8, 100);
+  trace.mutable_requests()[at] = kInvalidPage;
+  return trace;
+}
+
+TEST(EngineStepperQuarantineTest, HostilePageInMaterializedTraceIsCorrupt) {
+  // Caller-materialized traces pass the same span screen as streamed ones:
+  // the sentinel is corrupt input, never a page.
+  MultiTrace traces;
+  traces.add(gen::cyclic(6, 80));
+  traces.add(hostile_materialized(30));
+  EngineConfig ec = contained_config();
+  ec.contain_proc_failures = false;
+  const auto sched = make_scheduler(SchedulerKind::kStatic, 0);
+  const CheckedRun run = run_parallel_checked(traces, *sched, ec);
+  ASSERT_FALSE(run.status.ok());
+  EXPECT_EQ(run.status.error.code, ErrorCode::kCorruptTrace);
+  EXPECT_EQ(run.status.error.proc, 1);
+  EXPECT_EQ(run.status.error.byte_offset, 30u);
+}
+
 TEST(EngineStepperQuarantineTest, BoxBudgetEvictsAStalledProcessor) {
   // A stalled source never finishes and never throws: only the
   // per-processor box budget can evict it. Budget/deadline watchdogs are
@@ -399,6 +422,26 @@ TEST(PagingServiceQuarantineTest, QuarantineSurfacesStructuredOutcome) {
   ASSERT_EQ(m.quarantine_codes.size(), 1u);
   EXPECT_EQ(m.quarantine_codes[0].first, ErrorCode::kCorruptTrace);
   EXPECT_EQ(m.quarantine_codes[0].second, 1u);
+}
+
+TEST(PagingServiceQuarantineTest, HostileMaterializedTenantIsQuarantined) {
+  const auto sched = make_scheduler(SchedulerKind::kStatic, 0);
+  PagingService service(*sched, small_service_config());
+  const auto healthy = service.submit(
+      std::make_shared<const VectorTraceSource>(gen::cyclic(8, 120)), 0);
+  const auto bad = service.submit(
+      std::make_shared<const VectorTraceSource>(hostile_materialized(30)), 0);
+  ASSERT_TRUE(healthy && bad);
+  service.run_until_idle();
+  ASSERT_TRUE(service.status().ok());
+
+  const TenantOutcome out = service.outcome(*bad);
+  EXPECT_EQ(out.terminal, TenantTerminal::kQuarantined);
+  EXPECT_EQ(out.error.code, ErrorCode::kCorruptTrace);
+  EXPECT_EQ(service.outcome(*healthy).terminal, TenantTerminal::kCompleted);
+  const ServiceMetrics m = service.metrics();
+  EXPECT_EQ(m.completed, 1u);
+  EXPECT_EQ(m.quarantined, 1u);
 }
 
 TEST(PagingServiceQuarantineTest, TenantBudgetEvictsARunawayTenant) {

@@ -132,43 +132,6 @@ TEST(StreamingEquivalence, OptBoundsMatchMaterialized) {
   EXPECT_EQ(a.lb_impact, b.lb_impact);
 }
 
-TEST(StreamingEquivalence, BoxRunnerStreamingModeMatchesDense) {
-  const Trace trace = gen::polluted_cycle(9, 400, 5);
-  const auto view = VectorTraceSource::view(trace);
-
-  BoxRunner dense(trace, /*miss_cost=*/6);
-  // The cursor constructor forces streaming mode even though the payload
-  // is resident — the two modes must agree box by box.
-  BoxRunner streaming(view->cursor(), /*miss_cost=*/6);
-
-  const struct {
-    Height h;
-    Time d;
-  } boxes[] = {{4, 40}, {2, 16}, {8, 100}, {1, 9}, {16, 300}, {8, 500}};
-  for (const auto& box : boxes) {
-    const BoxStepResult a = dense.run_box(box.h, box.d);
-    const BoxStepResult b = streaming.run_box(box.h, box.d);
-    EXPECT_EQ(a.requests_completed, b.requests_completed);
-    EXPECT_EQ(a.hits, b.hits);
-    EXPECT_EQ(a.misses, b.misses);
-    EXPECT_EQ(a.busy_time, b.busy_time);
-    EXPECT_EQ(a.stall_time, b.stall_time);
-    EXPECT_EQ(a.finished, b.finished);
-    EXPECT_EQ(dense.position(), streaming.position());
-    if (a.finished) break;
-  }
-  EXPECT_EQ(dense.total_hits(), streaming.total_hits());
-  EXPECT_EQ(dense.total_misses(), streaming.total_misses());
-
-  // reset() rewinds the streaming cursor to its initial state.
-  dense.reset();
-  streaming.reset();
-  const BoxStepResult a = dense.run_box(4, 40);
-  const BoxStepResult b = streaming.run_box(4, 40);
-  EXPECT_EQ(a.requests_completed, b.requests_completed);
-  EXPECT_EQ(a.misses, b.misses);
-}
-
 TEST(StreamingEquivalence, RunProfileMatchesOverGeneratorSource) {
   Rng rng(41);
   const auto source = gen::zipf_source(30, 600, 1.0, rng);
@@ -187,35 +150,13 @@ TEST(StreamingEquivalence, RunProfileMatchesOverGeneratorSource) {
   EXPECT_EQ(a.boxes_used, b.boxes_used);
 }
 
-TEST(StreamingEquivalence, PolicyRunnerStreamsOnlinePolicies) {
-  const Trace trace = gen::polluted_cycle(7, 300, 4);
-  const auto view = VectorTraceSource::view(trace);
-  for (const PolicyKind kind :
-       {PolicyKind::kLru, PolicyKind::kFifo, PolicyKind::kClock,
-        PolicyKind::kRandom, PolicyKind::kLfu, PolicyKind::kMru,
-        PolicyKind::kSlru, PolicyKind::kArc}) {
-    PolicyBoxRunner dense(trace, /*miss_cost=*/5, kind, /*seed=*/3);
-    PolicyBoxRunner streaming(view->cursor(), /*miss_cost=*/5, kind,
-                              /*seed=*/3);
-    while (true) {
-      const BoxStepResult a = dense.run_box(8, 120);
-      const BoxStepResult b = streaming.run_box(8, 120);
-      ASSERT_EQ(a.requests_completed, b.requests_completed)
-          << "policy " << static_cast<int>(kind);
-      ASSERT_EQ(a.misses, b.misses);
-      ASSERT_EQ(a.finished, b.finished);
-      if (a.finished) break;
-    }
-  }
-}
-
 TEST(StreamingEquivalence, StreamingBeladyIsRejected) {
   const Trace trace = gen::cyclic(4, 20);
   const auto view = VectorTraceSource::view(trace);
-  // Dense mode (Trace or materialized source) supports the clairvoyant
-  // policy; a raw cursor cannot.
+  // A materialized source hands Belady its whole trace; a lazy one cannot.
   PolicyBoxRunner ok(*view, /*miss_cost=*/2, PolicyKind::kBelady);
-  EXPECT_DEATH(PolicyBoxRunner(view->cursor(), 2, PolicyKind::kBelady), "");
+  const auto lazy = gen::cyclic_source(4, 20);
+  EXPECT_DEATH(PolicyBoxRunner(*lazy, 2, PolicyKind::kBelady), "");
 }
 
 // --- Replay dump v2 --------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "util/lru_set.hpp"
@@ -105,17 +106,33 @@ TEST(LruSet, CapacityOneAlwaysReplaces) {
 }
 
 // Cross-check against a straightforward reference implementation on random
-// access streams, for a sweep of capacities.
-class LruSetReference : public ::testing::TestWithParam<Height> {};
+// access streams, for a sweep of capacities. The sparse cases draw
+// structured ids (proc << 48 | local), whose raw low bits collide under a
+// power-of-two mask unless the index mixes them, and sprinkle clears and
+// growing resets that force the index to rebuild mid-stream.
+struct ReferenceCase {
+  Height capacity;
+  bool sparse;  ///< Structured ids plus clears and growing resets.
+};
+
+// Plain cases print as their bare capacity, so their test names are the
+// capacity alone; sparse ones get a suffix.
+void PrintTo(const ReferenceCase& c, std::ostream* os) {
+  *os << c.capacity << (c.sparse ? "_sparse" : "");
+}
+
+class LruSetReference : public ::testing::TestWithParam<ReferenceCase> {};
 
 TEST_P(LruSetReference, MatchesNaiveModel) {
-  const Height capacity = GetParam();
+  const auto [initial_capacity, sparse] = GetParam();
+  Height capacity = initial_capacity;
+  const PageId tag = sparse ? PageId{3} << 48 : 0;
   LruSet set(capacity);
   std::vector<PageId> model;  // MRU at front
-  Rng rng(1234 + capacity);
+  Rng rng(1234 + capacity + (sparse ? 1000 : 0));
 
   for (int i = 0; i < 5000; ++i) {
-    const PageId page = rng.next_below(capacity * 3 + 1);
+    const PageId page = tag | rng.next_below(initial_capacity * 3 + 1);
     // Model step.
     const auto it = std::find(model.begin(), model.end(), page);
     const bool model_hit = it != model.end();
@@ -134,11 +151,31 @@ TEST_P(LruSetReference, MatchesNaiveModel) {
     ASSERT_EQ(evicted, model_evicted) << "iteration " << i;
     ASSERT_EQ(set.size(), model.size());
     ASSERT_EQ(set.pages_mru_order(), model);
+    if (!sparse) continue;
+    if (i % 701 == 700) {
+      set.clear();
+      model.clear();
+    }
+    if (i % 1301 == 1300) {
+      // Up to twice the initial capacity: the index table must grow.
+      capacity = 1 + (initial_capacity + static_cast<Height>(i)) %
+                         (2 * initial_capacity);
+      set.reset(capacity);
+      model.clear();
+      ASSERT_TRUE(set.empty());
+      ASSERT_EQ(set.capacity(), capacity);
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Capacities, LruSetReference,
-                         ::testing::Values(1, 2, 3, 4, 7, 16, 33));
+INSTANTIATE_TEST_SUITE_P(
+    Capacities, LruSetReference,
+    ::testing::Values(ReferenceCase{1, false}, ReferenceCase{2, false},
+                      ReferenceCase{3, false}, ReferenceCase{4, false},
+                      ReferenceCase{7, false}, ReferenceCase{16, false},
+                      ReferenceCase{33, false}, ReferenceCase{1, true},
+                      ReferenceCase{2, true}, ReferenceCase{5, true},
+                      ReferenceCase{16, true}, ReferenceCase{33, true}));
 
 TEST(LruSet, FusedPairMatchesAccess) {
   // try_touch + insert_absent must be exactly access() split in two.
@@ -191,84 +228,10 @@ TEST(LruSet, ResetChangesCapacityAndEmpties) {
   EXPECT_FALSE(set.contains(1));
 }
 
-// The dense-index variant must be observationally identical to the hash
-// variant on any stream drawn from its id universe.
-class DenseLruSetParity : public ::testing::TestWithParam<Height> {};
-
-TEST_P(DenseLruSetParity, MatchesHashIndexVariant) {
-  const Height capacity = GetParam();
-  const std::size_t universe = capacity * 3 + 1;
-  DenseLruSet dense(capacity, universe);
-  LruSet hash(capacity);
-  Rng rng(4321 + capacity);
-  for (int i = 0; i < 5000; ++i) {
-    const PageId page = rng.next_below(universe);
-    PageId dense_evicted = kInvalidPage;
-    PageId hash_evicted = kInvalidPage;
-    const bool dense_hit = dense.access(page, dense_evicted);
-    const bool hash_hit = hash.access(page, hash_evicted);
-    ASSERT_EQ(dense_hit, hash_hit) << "iteration " << i;
-    ASSERT_EQ(dense_evicted, hash_evicted) << "iteration " << i;
-    ASSERT_EQ(dense.pages_mru_order(), hash.pages_mru_order());
-    // Sprinkle clears and resets to exercise the epoch-stamped index.
-    if (i % 701 == 700) {
-      dense.clear();
-      hash.clear();
-    }
-    if (i % 1301 == 1300) {
-      const Height next = 1 + (capacity + static_cast<Height>(i)) % capacity;
-      dense.reset(next);
-      hash.reset(next);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Capacities, DenseLruSetParity,
-                         ::testing::Values(1, 2, 5, 16, 33));
-
-// The open-addressing flat-index variant (the streaming box runner's
-// cache) must also be observationally identical to the hash variant —
-// including on sparse, structured ids (proc << 48 | local) and with resets
-// growing past the initial table size.
-class FlatLruSetParity : public ::testing::TestWithParam<Height> {};
-
-TEST_P(FlatLruSetParity, MatchesHashIndexVariant) {
-  const Height capacity = GetParam();
-  const std::size_t universe = capacity * 3 + 1;
-  FlatLruSet flat(capacity);
-  LruSet hash(capacity);
-  Rng rng(987 + capacity);
-  for (int i = 0; i < 5000; ++i) {
-    // Structured sparse ids: the high bits carry a processor tag, so the
-    // raw low bits collide under a power-of-two mask without mixing.
-    const PageId page = (PageId{3} << 48) | rng.next_below(universe);
-    PageId flat_evicted = kInvalidPage;
-    PageId hash_evicted = kInvalidPage;
-    const bool flat_hit = flat.access(page, flat_evicted);
-    const bool hash_hit = hash.access(page, hash_evicted);
-    ASSERT_EQ(flat_hit, hash_hit) << "iteration " << i;
-    ASSERT_EQ(flat_evicted, hash_evicted) << "iteration " << i;
-    ASSERT_EQ(flat.pages_mru_order(), hash.pages_mru_order());
-    if (i % 701 == 700) {
-      flat.clear();
-      hash.clear();
-    }
-    if (i % 1301 == 1300) {
-      // Growing resets force the flat table to rebuild mid-stream.
-      const Height next = 1 + (capacity + static_cast<Height>(i)) % (2 * capacity);
-      flat.reset(next);
-      hash.reset(next);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Capacities, FlatLruSetParity,
-                         ::testing::Values(1, 2, 5, 16, 33));
-
-TEST(FlatLruSet, EraseBackwardShiftKeepsProbesFindable) {
+TEST(LruSet, EraseBackwardShiftKeepsProbesFindable) {
   // Insert colliding keys, erase one from the middle of the cluster, and
   // verify the displaced keys remain findable (no tombstone holes).
-  FlatLruSet set(8);
+  LruSet set(8);
   const std::vector<PageId> pages = {11, 22, 33, 44, 55, 66, 77, 88};
   for (const PageId p : pages) set.access(p);
   ASSERT_TRUE(set.full());
@@ -284,8 +247,8 @@ TEST(FlatLruSet, EraseBackwardShiftKeepsProbesFindable) {
   EXPECT_EQ(set.size(), 8u);
 }
 
-TEST(FlatLruSet, ResetGrowsCapacityPastInitialTable) {
-  FlatLruSet set(2);
+TEST(LruSet, ResetGrowsCapacityPastInitialTable) {
+  LruSet set(2);
   set.reset(64);
   for (PageId p = 0; p < 64; ++p) {
     PageId evicted = kInvalidPage;
@@ -296,8 +259,8 @@ TEST(FlatLruSet, ResetGrowsCapacityPastInitialTable) {
   for (PageId p = 0; p < 64; ++p) ASSERT_TRUE(set.contains(p));
 }
 
-TEST(DenseLruSet, ClearIsEpochBased) {
-  DenseLruSet set(4, std::size_t{8});
+TEST(LruSet, ClearIsEpochBased) {
+  LruSet set(4);
   for (PageId p = 0; p < 4; ++p) set.access(p);
   set.clear();
   EXPECT_TRUE(set.empty());

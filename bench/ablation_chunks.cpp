@@ -18,10 +18,6 @@
 //                  (PPGJRNL); stage A holds live sources, so it is
 //                  recomputed on resume — output stays byte-identical
 //   --resume       skip cells already in the journal
-//   --shard i/N    compute only the 1-of-N slice of the stage-B cells
-//                  (requires --journal; stage A is cheap and recomputed by
-//                  every shard; render later from the journal_merge output)
-//   --steal-lease  take over a provably-dead worker's journal lease
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -142,7 +138,6 @@ int run_bench(int argc, char** argv) {
         res.stall_mean = r.f64();
         return res;
       });
-  if (bench::shard_epilogue(cli)) return 0;
 
   Table table({"workload", "p", "primary_x", "fillers", "makespan", "ratio",
                "stall_frac"});

@@ -19,10 +19,6 @@
 //   --journal PATH checkpoint each finished cell to PATH (PPGJRNL); the
 //                  two sweeps journal as stages 0/1
 //   --resume       skip cells already in the journal
-//   --shard i/N    compute only the 1-of-N slice of each stage's cells
-//                  (requires --journal; tables are skipped — render later
-//                  from the journal_merge output)
-//   --steal-lease  take over a provably-dead worker's journal lease
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -61,9 +57,7 @@ int run_bench(int argc, char** argv) {
   // miss-serving caps every exponent's loss at ~s * h_min per request).
   //
   // The cases share one Rng, so they are generated serially up front; each
-  // (case, set of exponents) is then an independent sweep cell. Section
-  // headers and tables are deferred until after the sweep so a shard
-  // worker (which computes only its slice) can skip rendering entirely.
+  // (case, set of exponents) is then an independent sweep cell.
   Table green_table({"workload", "p", "s", "exp0", "exp1", "exp2", "exp3"});
   struct GreenCase {
     const char* name;
@@ -116,16 +110,13 @@ int run_bench(int argc, char** argv) {
       },
       [](CellReader& r) { return GreenResult{decode_f64_vec(r)}; });
 
-  if (!cli.sharded()) {
-    bench::section("green paging: impact ratio vs exact OPT, by exponent");
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      const GreenCase& gc = cases[i];
-      green_table.row().cell(gc.name).cell(gc.p).cell(gc.miss_cost);
-      for (const double ratio : green_results[i].ratios)
-        green_table.cell(ratio);
-    }
-    bench::print_table(green_table);
+  bench::section("green paging: impact ratio vs exact OPT, by exponent");
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const GreenCase& gc = cases[i];
+    green_table.row().cell(gc.name).cell(gc.p).cell(gc.miss_cost);
+    for (const double ratio : green_results[i].ratios) green_table.cell(ratio);
   }
+  bench::print_table(green_table);
 
   // Part 2: RAND-PAR makespan by exponent; one cell per p (the instance and
   // its OPT bounds are shared by every exponent column).
@@ -179,7 +170,6 @@ int run_bench(int argc, char** argv) {
         encode_f64_vec(w, res.ratios);
       },
       [](CellReader& r) { return ParResult{decode_f64_vec(r)}; });
-  if (bench::shard_epilogue(cli)) return 0;
 
   bench::section("RAND-PAR: makespan ratio vs OPT LB, by exponent");
   Table par_table({"p", "exp0", "exp1", "exp2", "exp3"});

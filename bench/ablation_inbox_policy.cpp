@@ -10,10 +10,6 @@
 //   --jobs N|max   run sweep cells on N threads (default 1)
 //   --journal PATH checkpoint each finished replay cell to PATH (PPGJRNL)
 //   --resume       skip cells already in the journal
-//   --shard i/N    compute only the 1-of-N slice of the replay cells
-//                  (requires --journal; render later from the journal_merge
-//                  output)
-//   --steal-lease  take over a provably-dead worker's journal lease
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -85,7 +81,6 @@ int run_bench(int argc, char** argv) {
       },
       [](CellWriter& w, const Time& t) { w.u64(t); },
       [](CellReader& r) { return Time{r.u64()}; });
-  if (bench::shard_epilogue(cli)) return 0;
 
   std::size_t next = 0;
   for (const Time multiplier : multipliers) {

@@ -7,12 +7,9 @@
 // are computed concurrently, output is emitted sequentially afterwards and
 // is byte-identical at every --jobs value.
 //
-// They likewise share the distributed-sweep surface (sweep_cli_from_args):
-// --journal PATH / --resume checkpointing, --shard i/N slicing, and
-// --steal-lease for taking over a dead worker's journal. A sharded run
-// computes and journals only its slice, prints a shard summary instead of
-// the tables (shard_epilogue), and is rendered later from the merged
-// journal (tools/journal_merge).
+// They likewise share --journal PATH / --resume checkpointing
+// (sweep_cli_from_args): a resumed sweep's output is byte-identical to an
+// uninterrupted one.
 #pragma once
 
 #include <cstdio>
@@ -86,14 +83,6 @@ inline void section(const std::string& name) {
 inline void print_table(const Table& table) {
   table.print(std::cout);
   std::cout.flush();
-}
-
-/// Call after every sweep has run. On a shard worker this prints the
-/// shard summary and returns true: the caller must skip rendering — its
-/// result grid holds only the owned slice, and Table aborts on partially
-/// populated rows by design — and exit 0.
-inline bool shard_epilogue(const SweepCli& cli) {
-  return ppg::shard_epilogue(cli, std::cout);
 }
 
 }  // namespace ppg::bench

@@ -12,10 +12,6 @@
 //   --journal PATH checkpoint each finished cell to PATH (PPGJRNL); the
 //                  three sweeps journal as stages 0/1/2
 //   --resume       skip cells already in the journal
-//   --shard i/N    compute only the 1-of-N slice of each stage's cells
-//                  (requires --journal; tables are skipped — render later
-//                  from the journal_merge output)
-//   --steal-lease  take over a provably-dead worker's journal lease
 #include <iostream>
 #include <vector>
 
@@ -132,44 +128,37 @@ int run_bench(int argc, char** argv) {
         return res;
       });
 
-  // Render regions between the three sweeps are gated on !sharded() so a
-  // shard worker (which computes only its slice of each stage) never
-  // touches a partially-populated table.
-  if (!cli.sharded()) {
-    Table table({"workload", "p", "k", "opt_impact", "RAND-GREEN",
-                 "DET-GREEN", "FIXED-MIN", "FIXED-MAX"});
-    ScalingCollector fits;
-    for (std::size_t i = 0; i < main_params.size(); ++i) {
-      const auto [p, case_idx] = main_params[i];
-      (void)case_idx;
-      const MainResult& res = main_results[i];
-      const Height k = 4 * p;
-      table.row().cell(res.case_name).cell(p).cell(
-          static_cast<std::uint64_t>(k));
-      table.cell(static_cast<std::uint64_t>(res.opt));
-      for (std::size_t j = 0; j < pagers.size(); ++j) {
-        table.cell(res.ratios[j]);
-        fits.add(
-            std::string(green_kind_name(pagers[j])) + "/" + res.case_name,
-            static_cast<double>(p), res.ratios[j]);
-      }
+  Table table({"workload", "p", "k", "opt_impact", "RAND-GREEN", "DET-GREEN",
+               "FIXED-MIN", "FIXED-MAX"});
+  ScalingCollector fits;
+  for (std::size_t i = 0; i < main_params.size(); ++i) {
+    const auto [p, case_idx] = main_params[i];
+    (void)case_idx;
+    const MainResult& res = main_results[i];
+    const Height k = 4 * p;
+    table.row().cell(res.case_name).cell(p).cell(static_cast<std::uint64_t>(k));
+    table.cell(static_cast<std::uint64_t>(res.opt));
+    for (std::size_t j = 0; j < pagers.size(); ++j) {
+      table.cell(res.ratios[j]);
+      fits.add(std::string(green_kind_name(pagers[j])) + "/" + res.case_name,
+               static_cast<double>(p), res.ratios[j]);
     }
-
-    bench::section("impact ratio vs offline OPT (lower is better)");
-    bench::print_table(table);
-    bench::section("scaling fits: ratio ~ slope * log2(p) + intercept");
-    bench::print_table(fits.fit_table());
-    std::cout << "\nExpected shape: RAND-GREEN/DET-GREEN rows grow ~log p "
-                 "(moderate slope, ratio never explodes);\nFIXED rows either "
-                 "blow up on reuse-heavy workloads (FIXED-MIN) or waste "
-                 "impact on stream workloads (FIXED-MAX).\n";
-
-    // Section 4 extension: the minimum threshold doubles as the computation
-    // advances (the regime green paging faces inside a parallel pager);
-    // pagers are rebooted at each epoch, as the paper prescribes.
-    bench::section("dynamic thresholds (Section 4): doubling minimum, "
-                   "reboot per epoch; ratio vs dynamic OPT DP");
   }
+
+  bench::section("impact ratio vs offline OPT (lower is better)");
+  bench::print_table(table);
+  bench::section("scaling fits: ratio ~ slope * log2(p) + intercept");
+  bench::print_table(fits.fit_table());
+  std::cout << "\nExpected shape: RAND-GREEN/DET-GREEN rows grow ~log p "
+               "(moderate slope, ratio never explodes);\nFIXED rows either "
+               "blow up on reuse-heavy workloads (FIXED-MIN) or waste "
+               "impact on stream workloads (FIXED-MAX).\n";
+
+  // Section 4 extension: the minimum threshold doubles as the computation
+  // advances (the regime green paging faces inside a parallel pager);
+  // pagers are rebooted at each epoch, as the paper prescribes.
+  bench::section("dynamic thresholds (Section 4): doubling minimum, "
+                 "reboot per epoch; ratio vs dynamic OPT DP");
   struct DynParams {
     std::uint32_t p;
     std::size_t case_idx;
@@ -233,28 +222,26 @@ int run_bench(int argc, char** argv) {
         return res;
       });
 
-  if (!cli.sharded()) {
-    Table dyn_table({"workload", "p", "epochs", "RAND-GREEN", "DET-GREEN"});
-    for (std::size_t i = 0; i < dyn_params.size(); ++i) {
-      const DynResult& res = dyn_results[i];
-      dyn_table.row()
-          .cell(res.case_name)
-          .cell(dyn_params[i].p)
-          .cell(static_cast<std::uint64_t>(res.epochs))
-          .cell(res.rand_ratio)
-          .cell(res.det_ratio);
-    }
-    bench::print_table(dyn_table);
-    std::cout << "\nExpected shape: the reboot machinery preserves the "
-                 "O(log p) ratios under evolving thresholds (ratios "
-                 "comparable to the static table above).\n";
-
-    // Definition 1 (Section 4): online competitive pagers are automatically
-    // GREEDILY competitive -- every prefix is served within a bounded factor
-    // of that prefix's own optimum. Measured directly via the checker.
-    bench::section("greedy green-competitiveness (Definition 1): worst "
-                   "prefix ratio over 6 checkpoints");
+  Table dyn_table({"workload", "p", "epochs", "RAND-GREEN", "DET-GREEN"});
+  for (std::size_t i = 0; i < dyn_params.size(); ++i) {
+    const DynResult& res = dyn_results[i];
+    dyn_table.row()
+        .cell(res.case_name)
+        .cell(dyn_params[i].p)
+        .cell(static_cast<std::uint64_t>(res.epochs))
+        .cell(res.rand_ratio)
+        .cell(res.det_ratio);
   }
+  bench::print_table(dyn_table);
+  std::cout << "\nExpected shape: the reboot machinery preserves the "
+               "O(log p) ratios under evolving thresholds (ratios "
+               "comparable to the static table above).\n";
+
+  // Definition 1 (Section 4): online competitive pagers are automatically
+  // GREEDILY competitive -- every prefix is served within a bounded factor
+  // of that prefix's own optimum. Measured directly via the checker.
+  bench::section("greedy green-competitiveness (Definition 1): worst "
+                 "prefix ratio over 6 checkpoints");
   const std::uint32_t greedy_p = 32;
   struct GreedyResult {
     std::string case_name;
@@ -289,7 +276,6 @@ int run_bench(int argc, char** argv) {
         for (double& ratio : res.ratios) ratio = r.f64();
         return res;
       });
-  if (bench::shard_epilogue(cli)) return 0;
 
   Table greedy_table({"workload", "p", "RAND-GREEN", "DET-GREEN",
                       "FIXED-MAX"});

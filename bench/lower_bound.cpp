@@ -33,10 +33,6 @@
 //                  PATH (PPGJRNL); stage A holds live sources, so it is
 //                  recomputed on resume — output stays byte-identical
 //   --resume       skip cells already in the journal
-//   --shard i/N    compute only the 1-of-N slice of the stage-B cells
-//                  (requires --journal; stage A is cheap and recomputed by
-//                  every shard; render later from the journal_merge output)
-//   --steal-lease  take over a provably-dead worker's journal lease
 #include <cmath>
 #include <iostream>
 #include <memory>
@@ -138,7 +134,6 @@ int run_bench(int argc, char** argv) {
       },
       [](CellWriter& w, const Time& makespan) { w.u64(makespan); },
       [](CellReader& r) { return Time{r.u64()}; });
-  if (bench::shard_epilogue(cli)) return 0;
 
   Table table({"ell", "p", "k", "T_opt", "opt_eras", "scheduler", "makespan",
                "eras", "ratio_vs_optUB", "log(p)/loglog(p)"});

@@ -20,10 +20,6 @@
 //   --journal PATH checkpoint each finished cell to PATH (PPGJRNL)
 //   --resume       skip cells already in the journal; final output is
 //                  byte-identical to an uninterrupted run
-//   --shard i/N    compute only the 1-of-N slice of the cell grid (requires
-//                  --journal; merge the shard journals with journal_merge,
-//                  then render unsharded via --journal MERGED --resume)
-//   --steal-lease  take over a provably-dead worker's journal lease
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -129,7 +125,6 @@ int run_bench(int argc, char** argv) {
         return cell;
       },
       encode_cell, decode_cell);
-  if (bench::shard_epilogue(cli)) return 0;
 
   Table table({"workload", "p", "k", "T_LB", "T_UB", "scheduler", "makespan",
                "ratio", "xi"});

@@ -13,9 +13,6 @@
 //                  (byte-identical output, O(active window) peak memory)
 //   --journal PATH checkpoint each finished cell to PATH (PPGJRNL)
 //   --resume       skip cells already in the journal
-//   --shard i/N    compute only the 1-of-N slice of the cell grid (requires
-//                  --journal; render later from the journal_merge output)
-//   --steal-lease  take over a provably-dead worker's journal lease
 #include <algorithm>
 #include <iostream>
 #include <limits>
@@ -102,7 +99,6 @@ int run_bench(int argc, char** argv) {
         return cell;
       },
       encode_cell, decode_cell);
-  if (bench::shard_epilogue(cli)) return 0;
 
   Table table({"p", "k", "scheduler", "mean_ct", "mean_ratio", "makespan",
                "spread_max_over_min", "max_stretch"});

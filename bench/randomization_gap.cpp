@@ -16,9 +16,6 @@
 //                  of materializing it (output is byte-identical)
 //   --journal PATH checkpoint each finished cell to PATH (PPGJRNL)
 //   --resume       skip cells already in the journal
-//   --shard i/N    compute only the 1-of-N slice of the cell grid (requires
-//                  --journal; render later from the journal_merge output)
-//   --steal-lease  take over a provably-dead worker's journal lease
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -107,7 +104,6 @@ int run_bench(int argc, char** argv) {
         return cell;
       },
       encode_cell, decode_cell);
-  if (bench::shard_epilogue(cli)) return 0;
 
   Table table({"workload", "p", "DET-PAR", "RAND mean", "RAND best",
                "RAND worst", "best/det"});

@@ -16,9 +16,6 @@
 //                  every value)
 //   --journal PATH checkpoint each finished cell to PATH (PPGJRNL)
 //   --resume       skip cells already in the journal
-//   --shard i/N    compute only the 1-of-N slice of the cell grid (requires
-//                  --journal; render later from the journal_merge output)
-//   --steal-lease  take over a provably-dead worker's journal lease
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -102,7 +99,6 @@ int run_bench(int argc, char** argv) {
         c.equi = r.u64();
         return c;
       });
-  if (bench::shard_epilogue(cli)) return 0;
 
   Table table({"share_frac", "p", "k", "GLOBAL-LRU", "DET-PAR(priv)",
                "EQUI(priv)", "detpar_over_global"});

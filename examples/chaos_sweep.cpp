@@ -12,7 +12,6 @@
 //   $ ./chaos_sweep [--cells N] [--jobs N|max] [--engine-threads N|max]
 //                   [--journal PATH [--resume]] [--kill-at K]
 //                   [--budget EVENTS] [--retries R]
-//                   [--shard i/N] [--steal-lease]
 //
 //   --cells N      number of sweep cells (default 48)
 //   --journal PATH checkpoint each finished cell to PATH (PPGJRNL)
@@ -27,9 +26,6 @@
 //   --retries R    re-attempt failing cells up to R times with the same
 //                  seed (deterministic failures fail identically; see
 //                  ExperimentConfig::cell_retries)
-//   --shard i/N    compute only the 1-of-N slice of the cells (requires
-//                  --journal; render later from the journal_merge output)
-//   --steal-lease  take over a provably-dead worker's journal lease
 //   --faulty-every N  give every N-th cell a corrupt trace (via the
 //                  INJECT-TRACE spec decorator); its row reports a
 //                  structured [corrupt-trace] status — failure as data
@@ -110,7 +106,6 @@ int run_chaos(int argc, char** argv) {
         encode_instance_outcome(w, o);
       },
       [](CellReader& r) { return decode_instance_outcome(r); });
-  if (shard_epilogue(cli, std::cout)) return 0;
 
   Table table({"cell", "makespan", "ratio", "status"});
   std::size_t failed = 0;

@@ -7,15 +7,11 @@
 // shared cache be partitioned?" answered by each strategy.
 //
 //   $ ./multiprogram_study [p] [k] [--jobs N|max] [--engine-threads N|max]
-//                          [--journal PATH [--resume]] [--shard i/N]
-//                          [--steal-lease]
+//                          [--journal PATH [--resume]]
 //
 // --journal PATH checkpoints each finished scheduler run to PATH (PPGJRNL);
 // --resume skips runs already journaled. The positional p/k are part of the
 // journal binding, so resuming with a different shape is refused.
-// --shard i/N computes only the 1-of-N slice of the runs (requires
-// --journal; render later from the journal_merge output); --steal-lease
-// takes over a provably-dead worker's journal lease.
 #include <cstdlib>
 #include <iostream>
 #include <new>
@@ -63,11 +59,10 @@ int run_study(int argc, char** argv) {
   oc.miss_cost = s;
   const OptBounds bounds = compute_opt_bounds(traces, oc);
 
-  if (!cli.sharded())
-    std::cout << "p = " << p << ", k = " << k << ", s = " << s
-              << ", total requests = " << traces.total_requests()
-              << "\nOPT lower bound on makespan: " << bounds.lower_bound()
-              << "\n\n";
+  std::cout << "p = " << p << ", k = " << k << ", s = " << s
+            << ", total requests = " << traces.total_requests()
+            << "\nOPT lower bound on makespan: " << bounds.lower_bound()
+            << "\n\n";
 
   // One sweep cell per scheduler (GLOBAL-LRU rides along as the last cell);
   // rows are emitted in scheduler order regardless of --jobs.
@@ -93,7 +88,6 @@ int run_study(int argc, char** argv) {
         encode_run_result(w, r);
       },
       [](CellReader& r) { return decode_run_result(r); });
-  if (shard_epilogue(cli, std::cout)) return 0;
 
   Table table({"scheduler", "makespan", "ratio", "mean_ct", "fault_rate",
                "peak_mem", "boxes"});

@@ -16,10 +16,10 @@
 # nothing.
 # Plus one budget gate: cells that exhaust --budget must report structured
 # [cell-budget-exceeded] rows and exit 0 (a failed cell is data, not a
-# crash), and two lease gates: a second writer against a journal whose
-# lease names a LIVE process must refuse with structured [journal-locked]
-# (and --steal-lease must not override it), while a lease left by a DEAD
-# process refuses by default and yields to --steal-lease.
+# crash), and one single-writer gate: a second writer against a journal a
+# LIVE process holds must refuse with structured [journal-locked], while
+# the journal of a SIGKILLed writer resumes with a plain --resume (the
+# kernel dropped its lock) and reproduces golden.
 #
 # Usage: scripts/chaos.sh [path-to-chaos_sweep]
 set -euo pipefail
@@ -32,7 +32,7 @@ if [[ ! -x "${BIN}" ]]; then
 fi
 
 WORK="$(mktemp -d)"
-trap 'rm -rf "${WORK}"' EXIT
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "${WORK}"' EXIT
 
 CELLS=24
 KILL_AT=9
@@ -62,11 +62,8 @@ for JOBS in 1 max; do
   fi
 
   # Gate 3: resume completes the sweep; stdout must match golden exactly.
-  # The SIGKILLed run left a lease naming its own dead pid, so the resume
-  # must steal it (the dedicated lease gates below check that a PLAIN
-  # resume refuses first).
   "${BIN}" --cells "${CELLS}" --jobs "${JOBS}" --engine-threads max \
-           --journal "${journal}" --resume --steal-lease \
+           --journal "${journal}" --resume \
            > "${WORK}/resumed-${tag}.txt" 2> "${WORK}/resumed-${tag}.err"
   cmp "${golden}" "${WORK}/resumed-${tag}.txt" || {
     echo "chaos.sh FAIL (${tag}): resumed output differs from golden" >&2
@@ -110,7 +107,7 @@ if [[ "${status}" -ne 137 ]]; then
   exit 1
 fi
 "${BIN}" --cells "${CELLS}" --faulty-every 5 --engine-threads max \
-         --journal "${faulty_journal}" --resume --steal-lease \
+         --journal "${faulty_journal}" --resume \
          > "${WORK}/faulty-resumed.txt" 2> "${WORK}/faulty-resumed.err"
 cmp "${faulty_golden}" "${WORK}/faulty-resumed.txt" || {
   echo "chaos.sh FAIL: faulty-cell resume differs from golden" >&2
@@ -125,63 +122,61 @@ grep -q "cell-budget-exceeded" "${budget_out}" || {
   exit 1
 }
 
-# Lease-refusal gate: while writer 1 holds the journal lease, a concurrent
-# writer 2 must exit with structured [journal-locked] — even with
-# --steal-lease, because the owner is demonstrably alive.
-lease_journal="${WORK}/lease.ppgjrnl"
-"${BIN}" --cells 4000 --journal "${lease_journal}" \
-         > "${WORK}/lease-w1.txt" 2>&1 &
+# Single-writer gate: while writer 1 holds the journal, a concurrent
+# writer 2 must exit with structured [journal-locked]. The journal's flock
+# is taken before its header is written, so once a record is on disk the
+# lock is held. Writer 1 is then SIGKILLed: the kernel drops its lock, and
+# a plain --resume of its journal must complete and reproduce golden.
+lock_journal="${WORK}/lock.ppgjrnl"
+lock_golden="${WORK}/lock-golden.txt"
+"${BIN}" --cells 4000 > "${lock_golden}" &
+golden_pid=$!
+"${BIN}" --cells 4000 --journal "${lock_journal}" \
+         > "${WORK}/lock-w1.txt" 2>&1 &
 w1=$!
+# Header = magic(8) + version(4) + binding_len(4) + binding; a record is
+# at least 28 bytes beyond it.
+has_record() {
+  [[ -s "${lock_journal}" ]] || return 1
+  local binding_len size
+  binding_len=$(od -An -tu4 -j12 -N4 "${lock_journal}" | tr -d ' ')
+  [[ -n "${binding_len}" ]] || return 1
+  size=$(wc -c < "${lock_journal}")
+  (( size >= 16 + binding_len + 28 ))
+}
 for _ in $(seq 1 200); do
-  [[ -f "${lease_journal}.lock" ]] && break
+  has_record && break
   sleep 0.05
 done
-[[ -f "${lease_journal}.lock" ]] || {
-  echo "chaos.sh FAIL: writer 1 never published its lease" >&2
+has_record || {
+  echo "chaos.sh FAIL: writer 1 never journaled a record" >&2
   kill -KILL "${w1}" 2>/dev/null || true
   exit 1
 }
-for steal_flag in "" "--steal-lease"; do
-  set +e
-  # shellcheck disable=SC2086  # steal_flag is intentionally word-split
-  "${BIN}" --cells 4000 --journal "${lease_journal}" --resume ${steal_flag} \
-           > "${WORK}/lease-w2.txt" 2>&1
-  status=$?
-  set -e
-  if [[ "${status}" -eq 0 ]] || ! grep -q "journal-locked" "${WORK}/lease-w2.txt"; then
-    echo "chaos.sh FAIL: second writer (${steal_flag:-no steal}) did not refuse" \
-         "with [journal-locked] (exit ${status})" >&2
-    kill -KILL "${w1}" 2>/dev/null || true
-    exit 1
-  fi
-done
-kill -KILL "${w1}" 2>/dev/null || true
-wait "${w1}" 2>/dev/null || true
-
-# Lease-steal gate: the SIGKILLed writer's lease names a dead pid; a plain
-# restart refuses with the steal hint, and --steal-lease takes over and
-# completes the sweep.
-[[ -f "${lease_journal}.lock" ]] || {
-  echo "chaos.sh FAIL: killed writer left no lease behind" >&2
-  exit 1
-}
 set +e
-"${BIN}" --cells 4000 --journal "${lease_journal}" --resume \
-         > "${WORK}/lease-stale.txt" 2>&1
+"${BIN}" --cells 4000 --journal "${lock_journal}" --resume \
+         > "${WORK}/lock-w2.txt" 2>&1
 status=$?
 set -e
-if [[ "${status}" -eq 0 ]] || ! grep -q "steal-lease" "${WORK}/lease-stale.txt"; then
-  echo "chaos.sh FAIL: stale lease was not refused with the --steal-lease hint" >&2
+if [[ "${status}" -eq 0 ]] || ! grep -q "journal-locked" "${WORK}/lock-w2.txt"; then
+  echo "chaos.sh FAIL: second writer did not refuse with [journal-locked]" \
+       "(exit ${status})" >&2
+  kill -KILL "${w1}" 2>/dev/null || true
   exit 1
 fi
-"${BIN}" --cells 4000 --journal "${lease_journal}" --resume --steal-lease \
-         > "${WORK}/lease-stolen.txt" 2>&1 || {
-  echo "chaos.sh FAIL: --steal-lease could not take over a dead owner's journal" >&2
+kill -KILL "${w1}" 2>/dev/null || true
+wait "${w1}" 2>/dev/null || true
+wait "${golden_pid}"
+
+"${BIN}" --cells 4000 --journal "${lock_journal}" --resume \
+         > "${WORK}/lock-resumed.txt" 2> "${WORK}/lock-resumed.err" || {
+  echo "chaos.sh FAIL: plain --resume could not reopen a SIGKILLed" \
+       "writer's journal" >&2
   exit 1
 }
-if [[ -f "${lease_journal}.lock" ]]; then
-  echo "chaos.sh FAIL: lease not released after a clean exit" >&2
+cmp "${lock_golden}" "${WORK}/lock-resumed.txt" || {
+  echo "chaos.sh FAIL: resume after SIGKILLed writer differs from golden" >&2
   exit 1
-fi
+}
 
-echo "chaos OK (kill/resume/torn byte-identical at --jobs 1 and max; budget rows structured; lease refusal/steal enforced)"
+echo "chaos OK (kill/resume/torn byte-identical at --jobs 1 and max; budget rows structured; second writer refused, killed writer resumed)"

@@ -28,7 +28,6 @@
 
 #include <csignal>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -56,61 +55,31 @@ std::size_t jobs_from_args(const ArgParser& args);
 /// cleanly under any --engine-threads and vice versa.
 std::size_t engine_threads_from_args(const ArgParser& args);
 
-/// Deterministic 1-of-N slice of a sweep's cell grid: shard i of N owns
-/// every cell index congruent to i mod N, in every journaled stage. The
-/// round-robin slicing balances work even when cell cost grows with the
-/// index (p-sweeps), and makes ownership checkable from the index alone —
-/// journal_merge validates disjointness with no grid knowledge.
-struct ShardSpec {
-  std::uint32_t index = 0;
-  std::uint32_t count = 1;
-
-  bool sharded() const { return count > 1; }
-  bool owns(std::uint64_t cell) const { return cell % count == index; }
-  std::string to_string() const;  ///< "i/N", the --shard flag syntax.
-};
-
-/// Resolves the shared `--shard i/N` flag (default: the identity shard
-/// 0/1, owning every cell). Rejects malformed specs and i >= N.
-ShardSpec shard_from_args(const ArgParser& args);
-
-/// Folds the shard spec into a journal binding (appends " shard=i/N"
-/// when sharded), so a shard journal can never be resumed — or merged —
-/// under a different slicing.
-std::string apply_shard_binding(const std::string& base,
-                                const ShardSpec& shard);
-
-/// Inverse of apply_shard_binding: splits a binding into its base and the
-/// shard spec (identity when no shard suffix is present).
-std::pair<std::string, ShardSpec> strip_shard_binding(
-    const std::string& binding);
-
 /// Resolves the shared `--journal PATH` / `--resume` flag pair. Returns
 /// null when no --journal was given (and rejects a bare --resume,
 /// kBadInput). `binding` must identify the bench and every flag that
 /// shapes cell enumeration; resuming against a journal whose binding
-/// differs is refused instead of decoding garbage.
+/// differs is refused instead of decoding garbage, and so is a journal
+/// another live process is writing (kJournalLocked).
 std::unique_ptr<SweepJournal> journal_from_args(const ArgParser& args,
-                                                const std::string& binding,
-                                                const LeaseOptions& lease = {});
+                                                const std::string& binding);
 
 /// RNG seed for sweep cell `index`: a splitmix64 mix of the sweep base
 /// seed and the enumeration index, so it is independent of execution
 /// order and uncorrelated across neighbouring cells.
 std::uint64_t cell_seed(std::uint64_t base, std::size_t index);
 
-/// How a sweep executes: thread count, shard slice, optional checkpoint
-/// journal, and the stage id namespacing this sweep's records within the
-/// journal (benches that run several sweeps give each a distinct stage).
+/// How a sweep executes: thread count, optional checkpoint journal, and
+/// the stage id namespacing this sweep's records within the journal
+/// (benches that run several sweeps give each a distinct stage).
 struct SweepOptions {
   std::size_t jobs = 1;
   SweepJournal* journal = nullptr;  ///< Borrowed; null = no checkpointing.
   std::uint32_t stage = 0;
-  ShardSpec shard;  ///< Cells outside the slice are skipped, not computed.
 
-  /// Chaos hook (PPG_SWEEP_KILL_AFTER / chaos drills' --kill-at): raise
-  /// SIGKILL at the start of the first *fresh* cell once this many
-  /// records are journaled, simulating a hard crash that tears nothing.
+  /// Chaos hook (chaos_sweep's --kill-at): raise SIGKILL at the start of
+  /// the first *fresh* cell once this many records are journaled,
+  /// simulating a hard crash that tears nothing.
   std::int64_t kill_after = -1;
 
   SweepOptions with_stage(std::uint32_t s) const {
@@ -121,9 +90,8 @@ struct SweepOptions {
 };
 
 /// Everything the shared sweep CLI surface resolves for a bench: --jobs,
-/// --shard, --journal/--resume, --steal-lease, and the crash hook. The
-/// journal (when present) is lease-guarded and already bound to the
-/// shard-folded binding; `options` borrows it.
+/// --engine-threads and --journal/--resume. The journal (when present) is
+/// locked against other writers; `options` borrows it.
 struct SweepCli {
   SweepOptions options;
   std::unique_ptr<SweepJournal> journal;
@@ -131,27 +99,16 @@ struct SweepCli {
   /// cell's ExperimentConfig. Not part of the journal binding (results do
   /// not depend on it).
   std::size_t engine_threads = 1;
-
-  bool sharded() const { return options.shard.sharded(); }
 };
 
 /// One-call CLI resolution for sweep binaries. `binding` is the bench's
-/// base binding (id + every enumeration-shaping flag); the shard spec is
-/// folded in before the journal is opened. A sharded run requires
-/// --journal (its journal *is* its output — rendering is skipped, see
-/// shard_epilogue) and always acquires the journal lease.
+/// binding (id + every enumeration-shaping flag).
 SweepCli sweep_cli_from_args(const ArgParser& args,
                              const std::string& binding);
 
-/// When `cli` is one shard of a sharded run, prints the shard summary to
-/// `out` and returns true: the caller must skip rendering (its result
-/// grid holds only the owned slice) and exit 0. No-op returning false on
-/// unsharded runs.
-bool shard_epilogue(const SweepCli& cli, std::ostream& out);
-
 /// Raises PpgException(kInterrupted) describing a sweep stopped after
 /// `completed` of `total` cells, with a copy-pasteable resume hint when
-/// journaled (including the --shard spec for shard workers).
+/// journaled.
 [[noreturn]] void throw_sweep_interrupted(std::size_t completed,
                                           std::size_t total,
                                           const SweepOptions& opts);
@@ -172,12 +129,6 @@ auto sweep_cells(const SweepOptions& opts, std::size_t num_cells, Fn&& fn,
   // exactly one worker, and wait_all() orders them before the scan).
   std::vector<unsigned char> filled PPG_SHARDED_BY(cell index i)(num_cells, 0);
   parallel_for_index(opts.jobs, num_cells, [&](std::size_t i) {
-    if (!opts.shard.owns(i)) {
-      // Another shard's cell: the slot keeps its default value and counts
-      // as done — this worker's output is its journal, never the grid.
-      filled[i] = 1;
-      return;
-    }
     if (opts.journal != nullptr) {
       if (const std::string* record =
               opts.journal->find(opts.stage, i)) {

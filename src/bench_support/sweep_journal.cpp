@@ -80,16 +80,12 @@ struct Scanner {
   bool take_u64(std::uint64_t& v) { return take(&v, 8); }
 };
 
-std::string read_whole_file(const std::string& path, bool& exists) {
+std::string read_whole_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    exists = false;
-    return {};
-  }
-  exists = true;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  return bytes;
+  if (!in)
+    throw_error(ErrorCode::kIoError, "cannot read journal", kNoOffset, path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 }  // namespace
@@ -97,43 +93,44 @@ std::string read_whole_file(const std::string& path, bool& exists) {
 SweepJournal::~SweepJournal() {
   const MutexLock lock(mutex_);
   file_.close();
-  lease_.release();
 }
 
-std::unique_ptr<SweepJournal> SweepJournal::create(const std::string& path,
-                                                   const std::string& binding,
-                                                   const LeaseOptions& lease) {
+std::unique_ptr<SweepJournal> SweepJournal::start_fresh(
+    const std::string& path, const std::string& binding,
+    DurableAppendFile file) {
   std::unique_ptr<SweepJournal> journal(new SweepJournal());
   journal->path_ = path;
   journal->binding_ = binding;
   // The journal is not shared yet, but the guarded members are locked while
   // populated so clang's thread-safety analysis can verify the whole class.
   const MutexLock lock(journal->mutex_);
-  // Lease before touching the journal: a refused second writer must leave
-  // the owner's file (and its records) untouched.
-  if (lease.acquire)
-    journal->lease_ = JournalLease::acquire(path, binding, lease.steal);
-  journal->file_ = DurableAppendFile::open(path, /*truncate=*/true);
+  journal->file_ = std::move(file);
   journal->file_.append(header_bytes(binding));
   return journal;
 }
 
-/// Parses header + records out of `bytes`. In strict mode (load) a torn
-/// header, torn tail, or checksum failure is a structured error; in
-/// recovery mode (open_resume) the longest valid prefix wins and the torn
-/// byte count is recorded for truncation. A duplicate (stage, index)
-/// among *intact* records is corruption in both modes: the single-writer
+std::unique_ptr<SweepJournal> SweepJournal::create(const std::string& path,
+                                                   const std::string& binding) {
+  // open() locks before it truncates: a refused second writer must leave
+  // the owner's file (and its records) untouched.
+  return start_fresh(path, binding,
+                     DurableAppendFile::open(path, /*truncate=*/true));
+}
+
+/// Parses header + records out of `bytes`: the longest valid prefix wins
+/// and the torn byte count is recorded for truncation. Returns null when
+/// even the header is torn (or the file is empty). A duplicate (stage,
+/// index) among *intact* records is corruption: the single-writer
 /// protocol appends each cell at most once, so two durable copies mean
 /// two writers raced and neither copy can be trusted.
 std::unique_ptr<SweepJournal> SweepJournal::scan_existing(
-    const std::string& path, const std::string& bytes, bool strict) {
+    const std::string& path, const std::string& bytes) {
   // A non-empty file whose leading bytes disagree with the magic is some
   // other file — refuse rather than clobber it.
   const std::size_t magic_prefix = std::min(bytes.size(), sizeof kMagic);
   if (std::memcmp(bytes.data(), kMagic, magic_prefix) != 0) {
     throw_error(ErrorCode::kBadInput,
-                "not a PPGJRNL journal (magic mismatch); refusing to " +
-                    std::string(strict ? "read" : "resume"),
+                "not a PPGJRNL journal (magic mismatch); refusing to resume",
                 0, path);
   }
 
@@ -144,15 +141,7 @@ std::unique_ptr<SweepJournal> SweepJournal::scan_existing(
   const bool header_ok =
       scan.take(magic, sizeof magic) && scan.take_u32(version) &&
       scan.take_u32(binding_len) && bytes.size() - scan.pos >= binding_len;
-  if (!header_ok) {
-    if (strict) {
-      throw_error(ErrorCode::kBadInput,
-                  "PPGJRNL header is torn; resume the writing sweep to "
-                  "repair the journal before reading it",
-                  scan.pos, path);
-    }
-    return nullptr;  // Torn during the very first append: start over.
-  }
+  if (!header_ok) return nullptr;  // Torn during the very first append.
   if (version != kVersion) {
     throw_error(ErrorCode::kBadInput,
                 "unsupported PPGJRNL version " + std::to_string(version),
@@ -199,40 +188,22 @@ std::unique_ptr<SweepJournal> SweepJournal::scan_existing(
     valid_end = scan.pos;
   }
   journal->recovered_tail_bytes_ = bytes.size() - valid_end;
-  if (strict && journal->recovered_tail_bytes_ > 0) {
-    throw_error(ErrorCode::kBadInput,
-                "journal has a torn tail (" +
-                    std::to_string(journal->recovered_tail_bytes_) +
-                    " bytes past the last intact record); resume the "
-                    "writing sweep to repair it before reading",
-                valid_end, path);
-  }
   return journal;
 }
 
 std::unique_ptr<SweepJournal> SweepJournal::open_resume(
-    const std::string& path, const std::string& binding,
-    const LeaseOptions& lease) {
-  // Lease first: the loser of a double-resume race must not scan (or
-  // later truncate) a file the winner is appending to.
-  JournalLease held;
-  if (lease.acquire) held = JournalLease::acquire(path, binding, lease.steal);
-
-  bool exists = false;
-  const std::string bytes = read_whole_file(path, exists);
-  std::unique_ptr<SweepJournal> journal =
-      exists ? scan_existing(path, bytes, /*strict=*/false) : nullptr;
+    const std::string& path, const std::string& binding) {
+  // Lock first: the loser of a double-resume race must not scan (or later
+  // truncate) a file the winner is appending to. open() creates a missing
+  // file empty, which scans as torn below.
+  DurableAppendFile file = DurableAppendFile::open(path, /*truncate=*/false);
+  const std::string bytes = read_whole_file(path);
+  std::unique_ptr<SweepJournal> journal = scan_existing(path, bytes);
   if (journal == nullptr) {
     // Missing file, or torn during the very first append (the header
     // write): nothing was journaled, start over.
-    std::unique_ptr<SweepJournal> fresh(new SweepJournal());
-    fresh->path_ = path;
-    fresh->binding_ = binding;
-    const MutexLock fresh_lock(fresh->mutex_);
-    fresh->lease_ = std::move(held);
-    fresh->file_ = DurableAppendFile::open(path, /*truncate=*/true);
-    fresh->file_.append(header_bytes(binding));
-    return fresh;
+    file.truncate_to(0);
+    return start_fresh(path, binding, std::move(file));
   }
   if (journal->binding_ != binding) {
     throw_error(ErrorCode::kBadInput,
@@ -241,22 +212,11 @@ std::unique_ptr<SweepJournal> SweepJournal::open_resume(
                     "\"; pass a fresh --journal path",
                 kNoOffset, path);
   }
+  if (journal->recovered_tail_bytes_ > 0)
+    file.truncate_to(bytes.size() - journal->recovered_tail_bytes_);
   const MutexLock lock(journal->mutex_);
-  journal->lease_ = std::move(held);
-  journal->file_ = DurableAppendFile::open(path, /*truncate=*/false);
-  if (journal->recovered_tail_bytes_ > 0) {
-    journal->file_.truncate_to(bytes.size() - journal->recovered_tail_bytes_);
-  }
+  journal->file_ = std::move(file);
   return journal;
-}
-
-std::unique_ptr<SweepJournal> SweepJournal::load(const std::string& path) {
-  bool exists = false;
-  const std::string bytes = read_whole_file(path, exists);
-  if (!exists) {
-    throw_error(ErrorCode::kIoError, "cannot read journal", kNoOffset, path);
-  }
-  return scan_existing(path, bytes, /*strict=*/true);
 }
 
 const std::string* SweepJournal::find(std::uint32_t stage,
@@ -272,10 +232,6 @@ void SweepJournal::append(std::uint32_t stage, std::uint64_t index,
   const MutexLock lock(mutex_);
   file_.append(encode_record(stage, index, payload));
   records_[{stage, index}] = std::string(payload);
-  // Progress signal for supervisors: the heartbeat counter advances with
-  // every durable record, so a stuck worker is distinguishable from a
-  // slow one by watching the lease file.
-  lease_.beat();
 }
 
 std::size_t SweepJournal::num_records() const {

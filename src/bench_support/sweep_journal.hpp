@@ -29,6 +29,11 @@
 // and truncates the torn tail in place. Torn or checksum-corrupt tails
 // are recovered from, but a file that does not start with the PPGJRNL
 // magic is refused — it is some other file, not a crashed journal.
+//
+// Single writer: the journal's append handle holds an exclusive flock(2)
+// on the file (util/atomic_file), taken before any byte changes, so a
+// second live writer is refused with kJournalLocked and leaves the
+// owner's file untouched. A crashed owner's lock dies with it.
 #pragma once
 
 #include <cstdint>
@@ -38,19 +43,10 @@
 #include <string_view>
 #include <utility>
 
-#include "bench_support/journal_lease.hpp"
 #include "util/atomic_file.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace ppg {
-
-/// Writer-exclusion policy for the journal factories. Default off so
-/// in-process tests and read-only tooling stay lease-free; the shared
-/// --journal flag path (sweep_cli_from_args) always acquires.
-struct LeaseOptions {
-  bool acquire = false;  ///< Take the <path>.lock lease before writing.
-  bool steal = false;    ///< --steal-lease: take over a dead owner's lease.
-};
 
 /// Thread-safe append/lookup store over one PPGJRNL file. Create via the
 /// factories; the object is pinned (non-movable) because worker threads
@@ -63,25 +59,19 @@ class SweepJournal {
 
   /// Starts a fresh journal at `path` (truncating any existing file) and
   /// writes the header. Throws PpgException (kIoError; kJournalLocked
-  /// when `lease.acquire` is set and another writer holds the lease).
+  /// when another live writer holds the journal).
   static std::unique_ptr<SweepJournal> create(const std::string& path,
-                                              const std::string& binding,
-                                              const LeaseOptions& lease = {});
+                                              const std::string& binding);
 
   /// Opens `path` for resumption: loads every intact record, truncates a
   /// torn tail, and positions for appending. A missing or torn-header
   /// file becomes a fresh journal; a file with a foreign magic is refused
   /// (kBadInput), as is a binding mismatch or a duplicate (stage, index)
-  /// record (two writers raced — neither copy can be trusted).
+  /// record (two writers raced — neither copy can be trusted), and a
+  /// journal another live writer holds (kJournalLocked). Every refusal
+  /// leaves the file untouched.
   static std::unique_ptr<SweepJournal> open_resume(const std::string& path,
-                                                   const std::string& binding,
-                                                   const LeaseOptions& lease = {});
-
-  /// Strict read-only load for validation tooling (journal_merge): no
-  /// lease, no append handle, and *nothing* is repaired — a missing file,
-  /// torn header, torn tail, or duplicate record is a structured error
-  /// (a torn tail means the shard worker must be resumed to repair it).
-  static std::unique_ptr<SweepJournal> load(const std::string& path);
+                                                   const std::string& binding);
 
   /// Encoded payload for (stage, index), or nullptr if not journaled.
   /// The pointee is stable for the journal's lifetime.
@@ -97,27 +87,19 @@ class SweepJournal {
   const std::string& path() const { return path_; }
   const std::string& binding() const { return binding_; }
 
-  /// Full record map, keyed by (stage, index). Only meaningful on
-  /// load()-ed journals (single-threaded validation tooling); a journal
-  /// being appended to concurrently must go through find() — which is why
-  /// this deliberately reads records_ without the lock and opts out of
-  /// clang's analysis.
-  const std::map<std::pair<std::uint32_t, std::uint64_t>, std::string>&
-  records() const PPG_NO_THREAD_SAFETY_ANALYSIS {
-    return records_;
-  }
-
  private:
   SweepJournal() = default;
 
+  /// A journal over `file` (locked, empty) holding only the header.
+  static std::unique_ptr<SweepJournal> start_fresh(const std::string& path,
+                                                   const std::string& binding,
+                                                   DurableAppendFile file);
   static std::unique_ptr<SweepJournal> scan_existing(const std::string& path,
-                                                     const std::string& bytes,
-                                                     bool strict);
+                                                     const std::string& bytes);
 
   mutable Mutex mutex_;
+  /// Holds the journal's writer lock for the journal's lifetime.
   DurableAppendFile file_ PPG_GUARDED_BY(mutex_);
-  /// Held only when LeaseOptions::acquire was set; beat on every append.
-  JournalLease lease_ PPG_GUARDED_BY(mutex_);
   // ppg-lint: allow(guard-annotation): set once in a factory, then immutable
   std::string path_;
   // ppg-lint: allow(guard-annotation): set once in a factory, then immutable

@@ -11,7 +11,7 @@
 // batch at time t can land back at time t, the engine drains whole
 // same-time batches: scheduler calls run serially in event order, the
 // independent box fast-forwards run concurrently when
-// EngineConfig::engine_threads > 1 (see DESIGN.md §11), and results fold
+// EngineConfig::engine_threads > 1 (see DESIGN.md §10), and results fold
 // back in event order — output is byte-identical at every thread count.
 //
 // Two entry points share the same loop:
@@ -156,7 +156,7 @@ struct StepCompletion {
 ///    the instance geometry; processors added before start() form that
 ///    cohort exactly as ParallelEngine's constructor arguments would.
 ///  - step() drains exactly one global-time event batch (serial scheduler
-///    pass, fan-out box simulation, in-order fold — see DESIGN.md §11) and
+///    pass, fan-out box simulation, in-order fold — see DESIGN.md §10) and
 ///    returns false once the run is complete or failed. Between steps the
 ///    caller may inspect any accessor, add processors, or request
 ///    departures; interleaving those calls with step() is deterministic.

@@ -23,7 +23,7 @@
 // structured cause in TenantOutcome::error) while every other tenant's
 // schedule and metrics stay byte-identical. Overload is handled by a
 // pluggable AdmissionPolicy, and metrics().health summarizes both
-// pressure signals. See DESIGN.md §13.
+// pressure signals. See DESIGN.md §12.
 //
 // Memory: tenants stream through TraceCursor-backed runners that are
 // released on completion, so live memory is O(active tenants x box height)

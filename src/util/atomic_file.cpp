@@ -1,6 +1,7 @@
 #include "util/atomic_file.hpp"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -89,12 +90,23 @@ DurableAppendFile& DurableAppendFile::operator=(
 DurableAppendFile DurableAppendFile::open(const std::string& path,
                                           bool truncate) {
   DurableAppendFile file;
-  int flags = O_WRONLY | O_CREAT | O_APPEND;
-  if (truncate) flags |= O_TRUNC;
-  file.fd_ = ::open(path.c_str(), flags, 0644);
+  // No O_TRUNC: the lock must be held before any byte changes, so a
+  // refused second writer leaves the owner's file untouched.
+  file.fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                    0644);
   if (file.fd_ < 0) throw_io("cannot open append file", path);
   file.path_ = path;
-  if (truncate) sync_parent_dir(path);
+  if (::flock(file.fd_, LOCK_EX | LOCK_NB) != 0) {
+    if (errno == EWOULDBLOCK) {
+      throw_error(ErrorCode::kJournalLocked,
+                  "another live writer holds this file; wait for it to "
+                  "finish or pick a different path",
+                  kNoOffset, path);
+    }
+    throw_io("flock failed", path);
+  }
+  if (truncate) file.truncate_to(0);
+  sync_parent_dir(path);  // The file may have just been created.
   return file;
 }
 

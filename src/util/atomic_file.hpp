@@ -12,9 +12,12 @@
 //    to disk before returning, for incremental logs (the sweep checkpoint
 //    journal). A crash can tear at most the record being appended; the
 //    journal layer detects and truncates that tail on resume via
-//    truncate_to().
+//    truncate_to(). Each handle holds an exclusive flock(2) on its file,
+//    so a file has at most one live writer; the kernel drops the lock
+//    when the holder closes it or dies, so no stale lock survives a crash.
 //
-// All failures surface as ppg::Error (kIoError) with the path attached.
+// All failures surface as ppg::Error (kIoError, or kJournalLocked for a
+// second writer) with the path attached.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +32,9 @@ namespace ppg {
 void atomic_write_file(const std::string& path, std::string_view contents);
 
 /// Append-only file handle with durable appends. Move-only; the
-/// destructor closes the descriptor. Not internally synchronized —
-/// callers that append from several threads must serialize (SweepJournal
-/// holds a mutex around it).
+/// destructor closes the descriptor and so releases the lock. Not
+/// internally synchronized — callers that append from several threads
+/// must serialize (SweepJournal holds a mutex around it).
 class DurableAppendFile {
  public:
   DurableAppendFile() = default;
@@ -41,8 +44,11 @@ class DurableAppendFile {
   DurableAppendFile(const DurableAppendFile&) = delete;
   DurableAppendFile& operator=(const DurableAppendFile&) = delete;
 
-  /// Opens `path` for appending, creating it if needed; `truncate` starts
-  /// the file over from zero bytes. Throws PpgException (kIoError).
+  /// Opens `path` for appending, creating it if needed, and takes an
+  /// exclusive non-blocking flock on it; `truncate` then starts the file
+  /// over from zero bytes. Throws PpgException: kJournalLocked when
+  /// another open handle holds the lock (the file is left untouched),
+  /// kIoError otherwise.
   static DurableAppendFile open(const std::string& path, bool truncate);
 
   bool is_open() const { return fd_ >= 0; }

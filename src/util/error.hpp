@@ -32,7 +32,7 @@ enum class ErrorCode : std::uint8_t {
   kCellBudgetExceeded,  ///< Sweep cell passed its simulated-step budget.
   kResourceExhausted,   ///< Allocation failure (std::bad_alloc) surfaced.
   kInterrupted,         ///< SIGINT/SIGTERM: sweep drained and stopped.
-  kJournalLocked,       ///< Another live writer holds the journal lease.
+  kJournalLocked,       ///< Another live writer holds the journal lock.
   kTenantBudgetExceeded,    ///< One processor passed its per-tenant budget.
   kTenantDeadlineExceeded,  ///< One processor passed its sojourn deadline.
 };

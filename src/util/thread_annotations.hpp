@@ -47,7 +47,7 @@
   PPG_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 // Documentation-only synchronization claims (every compiler): see the table
-// above. Arguments are free-form prose naming the sharding index or owner.
+// above. Arguments are free-form prose naming the partition index or owner.
 #define PPG_SHARDED_BY(...)
 #define PPG_CALLER_SYNCHRONIZED(...)
 

@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <string>
 
-std::string kill_after() {
-  const char* raw = std::getenv("PPG_SWEEP_KILL_AFTER");
+std::string kill_at() {
+  const char* raw = std::getenv("PPG_KILL_AT");
   return raw != nullptr ? raw : "";
 }

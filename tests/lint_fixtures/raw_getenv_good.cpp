@@ -1,13 +1,9 @@
-// Clean: environment hooks go through util/env.hpp, which parses and
-// validates the value (and is itself the designated raw-getenv exception).
+// Clean: a run's knobs arrive as parsed, validated flags, never from the
+// ambient environment, so the result is a pure function of its arguments.
 #include <cstdint>
-#include <optional>
 
-namespace ppg {
-std::optional<std::uint64_t> env_u64(const char* name);
-}
+#include "util/arg_parse.hpp"
 
-std::int64_t kill_after() {
-  const auto hook = ppg::env_u64("PPG_SWEEP_KILL_AFTER");
-  return hook ? static_cast<std::int64_t>(*hook) : -1;
+std::int64_t kill_at(const ppg::ArgParser& args) {
+  return args.get_int("kill-at", -1);
 }

@@ -2,8 +2,8 @@
 #include <cstdlib>
 #include <string>
 
-std::string kill_after() {
+std::string kill_at() {
   // ppg-lint: allow(raw-getenv): fixture
-  const char* raw = std::getenv("PPG_SWEEP_KILL_AFTER");
+  const char* raw = std::getenv("PPG_KILL_AT");
   return raw != nullptr ? raw : "";
 }

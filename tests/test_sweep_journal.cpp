@@ -1,10 +1,14 @@
 // SweepJournal: the PPGJRNL checkpoint file must round-trip encoded cells,
-// recover from a tail torn at ANY byte, refuse foreign files and binding
-// mismatches, and make sweep_cells resume without recomputation — with
-// output identical across --jobs values and interruptions.
+// recover from a tail torn at ANY byte, refuse foreign files, binding
+// mismatches and a second live writer, and make sweep_cells resume without
+// recomputation — with output identical across --jobs values and
+// interruptions.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -40,7 +44,6 @@ class SweepJournalTest : public ::testing::Test {
   void TearDown() override {
     clear_interrupt();
     std::remove(path_.c_str());
-    std::remove((path_ + ".lock").c_str());
   }
   std::string path_;
 };
@@ -269,98 +272,65 @@ TEST_F(SweepJournalTest, DuplicateRecordIsRejectedAsCorruption) {
     EXPECT_EQ(e.error().code, ErrorCode::kBadInput);
     EXPECT_NE(e.error().message.find("duplicate"), std::string::npos);
   }
-  EXPECT_THROW(SweepJournal::load(path_), PpgException);
 }
 
-TEST_F(SweepJournalTest, StrictLoadRefusesRepairs) {
-  // load() is the validation entry (journal_merge): a torn tail that
-  // open_resume would silently truncate is a structured error here,
-  // because a torn shard journal means its worker must be resumed first.
-  {
-    auto j = SweepJournal::create(path_, "bench v1");
-    j->append(0, 0, "first-record");
-    j->append(0, 1, "second-record");
-  }
-  const std::string whole = slurp(path_);
-  spill(path_, whole.substr(0, whole.size() - 3));
-  try {
-    SweepJournal::load(path_);
-    FAIL() << "strict load repaired a torn tail";
-  } catch (const PpgException& e) {
-    EXPECT_EQ(e.error().code, ErrorCode::kBadInput);
-  }
-  // A missing file is an error too (open_resume would create it fresh).
-  std::remove(path_.c_str());
-  EXPECT_THROW(SweepJournal::load(path_), PpgException);
-}
+// --- single-writer lock ---------------------------------------------------
 
-// --- journal leases -------------------------------------------------------
-
-TEST_F(SweepJournalTest, JournalLeaseRefusesLiveSecondWriter) {
-  const LeaseOptions hold{/*acquire=*/true, /*steal=*/false};
-  auto first = SweepJournal::create(path_, "bench v1", hold);
-  for (const bool steal : {false, true}) {
+TEST_F(SweepJournalTest, LiveJournalRefusesSecondWriterUntouched) {
+  auto owner = SweepJournal::create(path_, "bench v1");
+  owner->append(0, 0, "owned-record");
+  const std::string before = slurp(path_);
+  for (const bool resume : {false, true}) {
     try {
-      SweepJournal::open_resume(path_, "bench v1",
-                                LeaseOptions{/*acquire=*/true, steal});
-      FAIL() << "second writer acquired a held lease (steal=" << steal << ")";
+      if (resume) {
+        SweepJournal::open_resume(path_, "bench v1");
+      } else {
+        SweepJournal::create(path_, "bench v1");
+      }
+      FAIL() << "second writer opened a live journal (resume=" << resume
+             << ")";
     } catch (const PpgException& e) {
-      // This process is alive, so even --steal-lease must refuse.
       EXPECT_EQ(e.error().code, ErrorCode::kJournalLocked);
+      EXPECT_EQ(e.error().path, path_);
     }
+    // The refusal happens before any byte changes.
+    EXPECT_EQ(slurp(path_), before) << "resume=" << resume;
   }
-  // Lease-free opens (read paths, in-process tests) are not blocked.
-  first.reset();
-  EXPECT_NE(SweepJournal::open_resume(path_, "bench v1"), nullptr);
+  owner->append(0, 1, "still-owned");
+  EXPECT_EQ(owner->num_records(), 2u);
 }
 
-TEST_F(SweepJournalTest, JournalLeaseReleasedOnDestruction) {
-  const LeaseOptions hold{/*acquire=*/true, /*steal=*/false};
-  const std::string lock_path = path_ + ".lock";
-  {
-    auto j = SweepJournal::create(path_, "bench v1", hold);
-    EXPECT_TRUE(JournalLease::read(lock_path).has_value());
-  }
-  EXPECT_FALSE(JournalLease::read(lock_path).has_value());
-  // The next writer acquires cleanly.
-  SweepJournal::open_resume(path_, "bench v1", hold);
+TEST_F(SweepJournalTest, ResettingOwnerReleasesLock) {
+  auto owner = SweepJournal::create(path_, "bench v1");
+  owner->append(0, 0, "x");
+  EXPECT_THROW(SweepJournal::open_resume(path_, "bench v1"), PpgException);
+  owner.reset();
+  auto next = SweepJournal::open_resume(path_, "bench v1");
+  ASSERT_NE(next->find(0, 0), nullptr);
+  EXPECT_EQ(*next->find(0, 0), "x");
 }
 
-TEST_F(SweepJournalTest, JournalLeaseDeadOwnerYieldsOnlyToSteal) {
-  { SweepJournal::create(path_, "bench v1")->append(0, 0, "x"); }
-  // A lease left by a crashed worker: a pid beyond pid_max is never alive.
-  spill(path_ + ".lock",
-        "PPGLOCK v1\npid 999999999\nheartbeat 7\nbinding bench v1\n");
-  try {
-    SweepJournal::open_resume(path_, "bench v1",
-                              LeaseOptions{/*acquire=*/true, /*steal=*/false});
-    FAIL() << "acquired a dead owner's lease without --steal-lease";
-  } catch (const PpgException& e) {
-    EXPECT_EQ(e.error().code, ErrorCode::kJournalLocked);
-    EXPECT_NE(e.error().message.find("steal-lease"), std::string::npos);
+TEST_F(SweepJournalTest, SigkilledWriterLeavesNoStaleLock) {
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // A writer that dies holding the journal: nothing runs its destructor.
+    try {
+      auto j = SweepJournal::create(path_, "bench v1");
+      j->append(0, 0, "before-the-crash");
+      std::raise(SIGKILL);
+    } catch (...) {
+    }
+    ::_exit(1);
   }
-  auto stolen = SweepJournal::open_resume(
-      path_, "bench v1", LeaseOptions{/*acquire=*/true, /*steal=*/true});
-  ASSERT_NE(stolen, nullptr);
-  EXPECT_NE(stolen->find(0, 0), nullptr);
-  const auto info = JournalLease::read(path_ + ".lock");
-  ASSERT_TRUE(info.has_value());
-  EXPECT_NE(info->pid, 999999999LL);  // rewritten to the new owner
-  stolen.reset();
-  std::remove((path_ + ".lock").c_str());
-}
-
-TEST_F(SweepJournalTest, JournalLeaseHeartbeatAdvancesOnAppend) {
-  const LeaseOptions hold{/*acquire=*/true, /*steal=*/false};
-  auto j = SweepJournal::create(path_, "bench v1", hold);
-  const auto before = JournalLease::read(path_ + ".lock");
-  ASSERT_TRUE(before.has_value());
-  j->append(0, 0, "a");
-  j->append(0, 1, "b");
-  const auto after = JournalLease::read(path_ + ".lock");
-  ASSERT_TRUE(after.has_value());
-  EXPECT_GT(after->heartbeat, before->heartbeat)
-      << "a supervisor cannot tell a working owner from a hung one";
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(status));
+  EXPECT_EQ(WTERMSIG(status), SIGKILL);
+  // The kernel dropped the dead owner's lock: a plain resume succeeds.
+  auto resumed = SweepJournal::open_resume(path_, "bench v1");
+  ASSERT_NE(resumed->find(0, 0), nullptr);
+  EXPECT_EQ(*resumed->find(0, 0), "before-the-crash");
 }
 
 }  // namespace

@@ -104,8 +104,8 @@ void check_raw_getenv(const ScannedFile& file, std::vector<Finding>& out) {
       R"(\b(?:std\s*::\s*)?(?:getenv|secure_getenv)\s*\()");
   match_all(file, kCalls, "raw-getenv",
             "raw environment read in library code; results must be a pure "
-            "function of flags and seeds — route sanctioned hooks through "
-            "util/env.hpp so they are parsed, validated, and greppable",
+            "function of flags and seeds — take the value as a parsed flag "
+            "so it is validated and visible on the command line",
             out);
 }
 
@@ -313,8 +313,8 @@ const std::vector<RuleDesc>& all_rules() {
        {"util/atomic_file.cpp", "trace/trace_io.cpp"}},
       {"raw-getenv",
        "std::getenv in src/: environment reads bypass flag parsing and "
-       "validation; route through util/env.hpp",
-       {"util/env.hpp"}},
+       "validation; take the value as a parsed flag",
+       {}},
       {"raw-thread",
        "std::thread/std::async in src/: ad-hoc threads dodge the "
        "determinism contract; run on util/thread_pool",

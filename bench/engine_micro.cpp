@@ -2,8 +2,9 @@
 //
 // Throughput of the structures every experiment leans on: the LRU set, the
 // box runner, the sequential cache simulator, the stack-distance profiler,
-// the green-OPT DP, the schedulers' next_box alone (a p-sweep), and the
-// full parallel engine. These keep the harness
+// the green-OPT DP, the offline packer, GLOBAL-LRU and the OPT bounds on a
+// sweep cell, the schedulers' next_box alone (a p-sweep), and the full
+// parallel engine. These keep the harness
 // honest about simulator cost and catch performance regressions —
 // scripts/bench_perf.sh snapshots them into BENCH_PERF.json.
 #include <benchmark/benchmark.h>
@@ -15,11 +16,13 @@
 #include <utility>
 #include <vector>
 
+#include "core/global_lru.hpp"
 #include "core/parallel_engine.hpp"
 #include "core/scheduler_factory.hpp"
 #include "green/box_runner.hpp"
 #include "green/green_opt.hpp"
 #include "opt/offline_packer.hpp"
+#include "opt/opt_bounds.hpp"
 #include "paging/cache_sim.hpp"
 #include "trace/generators.hpp"
 #include "trace/stack_distance.hpp"
@@ -129,6 +132,52 @@ void BM_PackOffline(benchmark::State& state) {
       static_cast<std::int64_t>(mt.total_requests()));
 }
 BENCHMARK(BM_PackOffline)->Arg(16)->Arg(64)->Arg(128);
+
+constexpr Time kSweepMissCost = 64;
+
+/// One E3/E4 sweep cell: hetero-mix, k = 8p, s = 64, 4000 requests per
+/// processor.
+WorkloadParams sweep_cell(ProcId p) {
+  WorkloadParams wp;
+  wp.num_procs = p;
+  wp.cache_size = 8 * p;
+  wp.requests_per_proc = 4000;
+  wp.miss_cost = kSweepMissCost;
+  return wp;
+}
+
+/// The shared-pool GLOBAL-LRU baseline on a sweep cell; items = requests.
+void BM_GlobalLru(benchmark::State& state) {
+  const WorkloadParams wp = sweep_cell(static_cast<ProcId>(state.range(0)));
+  const MultiTrace mt = make_workload(WorkloadKind::kHeterogeneousMix, wp);
+  GlobalLruConfig gc;
+  gc.cache_size = wp.cache_size;
+  gc.miss_cost = kSweepMissCost;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_global_lru(mt, gc).makespan);
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(mt.total_requests()));
+}
+BENCHMARK(BM_GlobalLru)->Arg(32)->Arg(128);
+
+/// The OPT lower bounds (Belady and stack-distance impact terms) on a
+/// sweep cell; items = requests.
+void BM_OptBounds(benchmark::State& state) {
+  const WorkloadParams wp = sweep_cell(static_cast<ProcId>(state.range(0)));
+  const MultiTrace mt = make_workload(WorkloadKind::kHeterogeneousMix, wp);
+  OptBoundsConfig oc;
+  oc.cache_size = wp.cache_size;
+  oc.miss_cost = kSweepMissCost;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compute_opt_bounds(mt, oc).lower_bound());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(mt.total_requests()));
+}
+BENCHMARK(BM_OptBounds)->Arg(32)->Arg(128);
 
 void BM_ParallelEngine(benchmark::State& state) {
   const auto p = static_cast<ProcId>(state.range(0));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -11,48 +10,121 @@
 
 namespace ppg {
 
+namespace {
+
+// Pages pulled per next_span call: one virtual call per span, 512 B of
+// buffer per processor.
+constexpr std::size_t kLaneSpan = 64;
+
+/// Every processor's unserved requests, buffered kLaneSpan at a time by
+/// next_span, so serving a request is a pointer bump.
+class Lanes {
+ public:
+  explicit Lanes(const MultiTraceSource& sources)
+      : windows_(sources.num_procs()),
+        buffers_(kLaneSpan * sources.num_procs()) {
+    cursors_.reserve(sources.num_procs());
+    for (ProcId i = 0; i < sources.num_procs(); ++i)
+      cursors_.push_back(sources.source(i).cursor());
+  }
+
+  PageId take(ProcId proc) { return *windows_[proc].next++; }
+
+  /// True once every request of `proc` has been taken.
+  bool done(ProcId proc) {
+    Window& w = windows_[proc];
+    if (w.next != w.end) return false;
+    PageId* buffer = buffers_.data() + kLaneSpan * proc;
+    w.next = buffer;
+    w.end = buffer + cursors_[proc]->next_span(buffer, kLaneSpan);
+    return w.next == w.end;
+  }
+
+ private:
+  struct Window {
+    const PageId* next = nullptr;
+    const PageId* end = nullptr;
+  };
+
+  std::vector<Window> windows_;
+  std::vector<std::unique_ptr<TraceCursor>> cursors_;
+  std::vector<PageId> buffers_;
+};
+
+}  // namespace
+
 ParallelRunResult run_global_lru(const MultiTraceSource& sources,
                                  const GlobalLruConfig& config) {
   PPG_CHECK(config.cache_size >= 1);
   PPG_CHECK(config.miss_cost >= 1);
   const ProcId p = sources.num_procs();
+  PPG_CHECK(p >= 1);
+  const Time s = config.miss_cost;
 
   ParallelRunResult result;
   result.completion.assign(p, 0);
 
   LruSet cache(config.cache_size);
-  std::vector<std::unique_ptr<TraceCursor>> cursors;
-  cursors.reserve(p);
+  Lanes lanes(sources);
 
-  // (ready time, proc): the time at which the processor's next request is
-  // issued. Ties resolve by processor id for determinism.
-  using Entry = std::pair<Time, ProcId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-  for (ProcId i = 0; i < p; ++i) {
-    cursors.push_back(sources.source(i).cursor());
-    if (cursors.back()->done())
-      result.completion[i] = 0;
-    else
-      queue.push({0, i});
-  }
+  // The processors ready at tick `now` are two ascending runs: `hits`, the
+  // ones that hit at now - 1, and the front of `misses`, the ones that
+  // missed at now - s. Misses land in the order they were served, so the
+  // ring `misses` holds (land time, proc) sorted; merging the two runs
+  // serves requests in (time, proc) order, ties by processor id.
+  struct Landing {
+    Time time;
+    ProcId proc;
+  };
+  std::vector<Landing> misses(p);  // ring: at most p pending
+  std::size_t miss_head = 0;
+  std::size_t miss_count = 0;
+  std::vector<ProcId> hits;
+  std::vector<ProcId> next_hits;
+  hits.reserve(p);
+  next_hits.reserve(p);
+  for (ProcId i = 0; i < p; ++i)
+    if (!lanes.done(i)) hits.push_back(i);
 
-  while (!queue.empty()) {
-    const auto [now, proc] = queue.top();
-    queue.pop();
-    TraceCursor& cursor = *cursors[proc];
-    const PageId page = cursor.peek();
-    const bool hit = cache.contains(page);
-    cache.access(page);
-    const Time done = now + (hit ? 1 : config.miss_cost);
-    if (hit)
-      ++result.hits;
-    else
-      ++result.misses;
-    cursor.advance();
-    if (cursor.done())
-      result.completion[proc] = done;
-    else
-      queue.push({done, proc});
+  Time now = 0;
+  while (!hits.empty() || miss_count > 0) {
+    if (hits.empty()) now = misses[miss_head].time;
+    std::size_t h = 0;
+    for (;;) {
+      ProcId proc;
+      const bool miss_ready = miss_count > 0 && misses[miss_head].time == now;
+      if (h < hits.size() &&
+          (!miss_ready || hits[h] < misses[miss_head].proc)) {
+        proc = hits[h++];
+      } else if (miss_ready) {
+        proc = misses[miss_head].proc;
+        if (++miss_head == p) miss_head = 0;
+        --miss_count;
+      } else {
+        break;
+      }
+      const PageId page = lanes.take(proc);
+      const bool hit = cache.try_touch(page);
+      if (!hit) cache.insert_absent(page);
+      const Time done = now + (hit ? 1 : s);
+      if (hit)
+        ++result.hits;
+      else
+        ++result.misses;
+      if (lanes.done(proc)) {
+        result.completion[proc] = done;
+      } else if (hit) {
+        next_hits.push_back(proc);
+      } else {
+        std::size_t tail = miss_head + miss_count;
+        if (tail >= p) tail -= p;
+        misses[tail] = {done, proc};
+        ++miss_count;
+      }
+    }
+    hits.swap(next_hits);
+    next_hits.clear();
+    ++now;
   }
 
   result.makespan =

@@ -5,8 +5,19 @@
 // box model (no compartments, no allocation decisions), so it is simulated
 // directly: each processor issues its next request as soon as the previous
 // one is served; a hit costs 1 tick, a miss costs s; evictions follow the
-// global recency order. Events are processed in deterministic time order
+// global recency order. Requests are served in deterministic time order
 // (ties by processor id).
+//
+// Ticks are integers and a served processor is ready again 1 tick later
+// (hit) or s ticks later (miss), so the processors ready at tick T are two
+// ascending runs: the hits served at T-1 and the misses served at T-s.
+// Misses land in the order they were served, so a FIFO of (land time,
+// proc) keeps them sorted, and merging its front with the hit run
+// reproduces a (time, proc) priority queue's order in O(1) per request,
+// with no empty ticks visited and O(p) memory whatever s is. Pages come
+// through a 64-page next_span buffer per processor (one virtual call per
+// span), and each request probes the cache once (try_touch, then
+// insert_absent on a miss).
 #pragma once
 
 #include <memory>
@@ -24,9 +35,9 @@ struct GlobalLruConfig {
   Time miss_cost = 2;     ///< s.
 };
 
-/// Streams each processor's requests from a cursor; memory is O(k + p)
-/// regardless of trace length. The MultiTrace overload delegates here and
-/// produces byte-identical results.
+/// Streams each processor's requests; memory is O(k + p) regardless of
+/// trace length. Requires at least one processor. The MultiTrace overload
+/// delegates here and produces byte-identical results.
 ParallelRunResult run_global_lru(const MultiTraceSource& sources,
                                  const GlobalLruConfig& config);
 ParallelRunResult run_global_lru(const MultiTrace& traces,

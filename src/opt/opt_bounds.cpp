@@ -1,44 +1,16 @@
 #include "opt/opt_bounds.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "green/green_opt.hpp"
-#include "paging/cache_sim.hpp"
 #include "trace/stack_distance.hpp"
 #include "util/assert.hpp"
 #include "util/math_util.hpp"
 
 namespace ppg {
-
-Time busy_min_single(const Trace& trace, Height cache, Time miss_cost) {
-  if (trace.empty()) return 0;
-  const CacheSimResult r =
-      simulate_policy(PolicyKind::kBelady, trace, cache, miss_cost);
-  return r.time;
-}
-
-Impact impact_lb_stack(TraceCursor& cursor, Time miss_cost) {
-  Impact total = 0;
-  OnlineStackDistance online;
-  while (!cursor.done()) {
-    const std::uint64_t d = online.access(cursor.peek());
-    cursor.advance();
-    if (d == kInfiniteDistance)
-      total += miss_cost;  // cold: must miss in any profile
-    else
-      total += std::min<Impact>(miss_cost, d + 1);
-  }
-  return total;
-}
-
-Impact impact_lb_stack(const Trace& trace, Time miss_cost) {
-  const auto cursor = VectorTraceSource::view(trace)->cursor();
-  return impact_lb_stack(*cursor, miss_cost);
-}
-
-Time OptBounds::lower_bound() const {
-  return std::max({lb_max_length, lb_max_single, lb_impact});
-}
 
 namespace {
 
@@ -52,7 +24,79 @@ const Trace& materialized_view(const TraceSource& source, Trace& storage) {
   return storage;
 }
 
+/// Belady (MIN) faults at capacity `cache`, from the trace's
+/// previous_accesses(). With at most `cache` distinct pages nothing is ever
+/// evicted, so the faults are the first accesses. Otherwise a resident page
+/// is its latest access position, keyed by that position's next use in a
+/// flat max-heap, and eviction pops the top. A hit leaves its page's old
+/// entry behind stale, keyed by the hit's own position; so stale keys are
+/// <= now while every resident key is > now, and the top is always
+/// resident.
+std::uint64_t belady_faults(const std::vector<std::size_t>& previous,
+                            Height cache) {
+  const std::size_t n = previous.size();
+  const auto distinct = static_cast<std::uint64_t>(
+      std::count(previous.begin(), previous.end(), kNoPrevious));
+  if (distinct <= cache) return distinct;
+
+  constexpr std::size_t kNoNextUse = SIZE_MAX;
+  std::vector<std::size_t> next_use(n, kNoNextUse);
+  for (std::size_t i = 0; i < n; ++i)
+    if (previous[i] != kNoPrevious) next_use[previous[i]] = i;
+
+  std::vector<char> resident(n, 0);  // resident[i]: request i's page, held
+  std::vector<std::pair<std::size_t, std::size_t>> heap;  // (next use, i)
+  std::uint64_t faults = 0;
+  Height held = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t prev = previous[i];
+    if (prev != kNoPrevious && resident[prev] != 0) {
+      resident[prev] = 0;  // hit: (i, prev) goes stale
+    } else {
+      ++faults;
+      if (held == cache) {
+        std::pop_heap(heap.begin(), heap.end());
+        resident[heap.back().second] = 0;
+        heap.pop_back();
+      } else {
+        ++held;
+      }
+    }
+    resident[i] = 1;
+    heap.emplace_back(next_use[i], i);
+    std::push_heap(heap.begin(), heap.end());
+  }
+  return faults;
+}
+
+Time busy_time(const std::vector<std::size_t>& previous, Height cache,
+               Time miss_cost) {
+  return previous.size() + (miss_cost - 1) * belady_faults(previous, cache);
+}
+
+/// sum_r min(s, d_r + 1), cold requests counting s (see the header).
+Impact stack_impact(const std::vector<std::uint64_t>& distances,
+                    Time miss_cost) {
+  Impact total = 0;
+  for (const std::uint64_t d : distances)
+    total += d == kInfiniteDistance ? miss_cost
+                                    : std::min<Impact>(miss_cost, d + 1);
+  return total;
+}
+
 }  // namespace
+
+Time busy_min_single(const Trace& trace, Height cache, Time miss_cost) {
+  return busy_time(previous_accesses(trace), cache, miss_cost);
+}
+
+Impact impact_lb_stack(const Trace& trace, Time miss_cost) {
+  return stack_impact(stack_distances(trace), miss_cost);
+}
+
+Time OptBounds::lower_bound() const {
+  return std::max({lb_max_length, lb_max_single, lb_impact});
+}
 
 std::vector<double> per_proc_stretch(const MultiTraceSource& sources,
                                      const std::vector<Time>& completion,
@@ -91,13 +135,14 @@ OptBounds compute_opt_bounds(const MultiTraceSource& sources,
     const Trace& t = materialized_view(sources.source(i), storage);
     bounds.lb_max_length =
         std::max<Time>(bounds.lb_max_length, t.size());
+    const std::vector<std::size_t> previous = previous_accesses(t);
     bounds.lb_max_single =
         std::max(bounds.lb_max_single,
-                 busy_min_single(t, config.cache_size, config.miss_cost));
+                 busy_time(previous, config.cache_size, config.miss_cost));
     if (t.size() <= config.exact_impact_max_requests)
       impact_sum += green_opt_impact(t, full_ladder, config.miss_cost);
     else
-      impact_sum += impact_lb_stack(t, config.miss_cost);
+      impact_sum += stack_impact(stack_distances(previous), config.miss_cost);
   }
   bounds.lb_impact = impact_sum / config.cache_size;
   return bounds;

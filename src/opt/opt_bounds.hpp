@@ -22,6 +22,13 @@
 //     as misses. Valid for every compartmentalized box profile.
 //   * green_opt_impact — the exact DP of green_opt.hpp (tight, but costs
 //     O(n * s * k); used when traces are small).
+//
+// Both per-trace terms come from one previous_accesses() hash pass
+// (trace/stack_distance.hpp). The stack distances are the Fenwick pass
+// over it. Belady needs no cache simulator: with at most k distinct pages
+// its faults are the distinct count, and otherwise it is one scan with a
+// flat max-heap of (next use, position), next uses read off the same
+// previous-access array.
 #pragma once
 
 #include <cstdint>
@@ -38,12 +45,9 @@ namespace ppg {
 /// trace on a dedicated cache.
 Time busy_min_single(const Trace& trace, Height cache, Time miss_cost);
 
-/// Stack-distance impact lower bound (see header comment).
+/// Stack-distance impact lower bound (see header comment): the
+/// min(s, d + 1) fold over stack_distances(trace).
 Impact impact_lb_stack(const Trace& trace, Time miss_cost);
-
-/// Single-pass fold over a cursor in O(distinct pages) memory; identical
-/// to the Trace overload.
-Impact impact_lb_stack(TraceCursor& cursor, Time miss_cost);
 
 struct OptBounds {
   Time lb_max_length = 0;

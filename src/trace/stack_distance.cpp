@@ -102,7 +102,11 @@ std::vector<std::size_t> previous_accesses(const Trace& trace) {
 }
 
 std::vector<std::uint64_t> stack_distances(const Trace& trace) {
-  const std::vector<std::size_t> previous = previous_accesses(trace);
+  return stack_distances(previous_accesses(trace));
+}
+
+std::vector<std::uint64_t> stack_distances(
+    const std::vector<std::size_t>& previous) {
   const std::size_t n = previous.size();
   std::vector<std::uint64_t> out(n, kInfiniteDistance);
   if (n == 0) return out;

@@ -65,6 +65,11 @@ std::vector<std::size_t> previous_accesses(const Trace& trace);
 /// page.
 std::vector<std::uint64_t> stack_distances(const Trace& trace);
 
+/// The same Fenwick pass over an already computed previous_accesses()
+/// vector, for callers that also need `previous` itself.
+std::vector<std::uint64_t> stack_distances(
+    const std::vector<std::size_t>& previous);
+
 /// Aggregated profile: counts[d] = number of requests with stack distance
 /// exactly d (d < max_tracked); cold_misses counts first accesses;
 /// far counts distances >= max_tracked.

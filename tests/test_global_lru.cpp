@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <queue>
+#include <utility>
+#include <vector>
+
 #include "core/global_lru.hpp"
 #include "test_helpers.hpp"
 #include "trace/generators.hpp"
+#include "trace/workload.hpp"
+#include "util/lru_set.hpp"
+#include "util/rng.hpp"
 
 namespace ppg {
 namespace {
@@ -77,6 +87,105 @@ TEST(GlobalLru, EmptyTraceCompletesImmediately) {
   const ParallelRunResult r = run_global_lru(mt, config_for(4, 2));
   EXPECT_EQ(r.completion[0], 0u);
   EXPECT_EQ(r.completion[1], 2u);
+}
+
+TEST(GlobalLru, ZeroProcessorsIsRejected) {
+  EXPECT_DEATH(run_global_lru(MultiTrace{}, config_for(4, 2)), "p >= 1");
+}
+
+// The order oracle: a (ready time, proc) min-heap, one cursor per
+// processor, and a contains-then-access probe per request.
+ParallelRunResult heap_global_lru(const MultiTraceSource& sources,
+                                  const GlobalLruConfig& config) {
+  const ProcId p = sources.num_procs();
+  ParallelRunResult result;
+  result.completion.assign(p, 0);
+  LruSet cache(config.cache_size);
+  std::vector<std::unique_ptr<TraceCursor>> cursors;
+  using Entry = std::pair<Time, ProcId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
+  for (ProcId i = 0; i < p; ++i) {
+    cursors.push_back(sources.source(i).cursor());
+    if (!cursors.back()->done()) queue.push({0, i});
+  }
+  while (!queue.empty()) {
+    const auto [now, proc] = queue.top();
+    queue.pop();
+    TraceCursor& cursor = *cursors[proc];
+    const bool hit = cache.contains(cursor.peek());
+    cache.access(cursor.peek());
+    const Time done = now + (hit ? 1 : config.miss_cost);
+    ++(hit ? result.hits : result.misses);
+    cursor.advance();
+    if (cursor.done())
+      result.completion[proc] = done;
+    else
+      queue.push({done, proc});
+  }
+  result.makespan =
+      *std::max_element(result.completion.begin(), result.completion.end());
+  return result;
+}
+
+void expect_same_run(const ParallelRunResult& fast,
+                     const ParallelRunResult& oracle) {
+  EXPECT_EQ(fast.completion, oracle.completion);
+  EXPECT_EQ(fast.hits, oracle.hits);
+  EXPECT_EQ(fast.misses, oracle.misses);
+  EXPECT_EQ(fast.makespan, oracle.makespan);
+}
+
+// Pages drawn from one shared pool, so processors hit and evict each
+// other's pages; lengths in [0, 300], with about one trace in five empty.
+MultiTrace random_instance(ProcId p, Rng& rng) {
+  MultiTrace mt;
+  const std::uint64_t pool = 4 * static_cast<std::uint64_t>(p) + 8;
+  for (ProcId i = 0; i < p; ++i) {
+    const std::size_t n =
+        rng.next_below(5) == 0 ? 0 : rng.next_in(1, 300);
+    std::vector<PageId> pages(n);
+    for (PageId& page : pages) page = rng.next_below(pool);
+    mt.add(Trace(std::move(pages)));
+  }
+  return mt;
+}
+
+TEST(GlobalLruOrder, MatchesHeapOnRandomInstances) {
+  Rng rng(2024);
+  // s = 1 lands the hits and the misses of one tick on the same next tick.
+  for (const Time s : {Time{1}, Time{2}, Time{64}})
+    for (const ProcId p : {ProcId{1}, ProcId{3}, ProcId{128}})
+      for (int round = 0; round < 4; ++round) {
+        const MultiTrace mt = random_instance(p, rng);
+        const auto k = static_cast<Height>(rng.next_in(1, 2 * p + 4));
+        SCOPED_TRACE(testing::Message()
+                     << "s=" << s << " p=" << p << " k=" << k);
+        expect_same_run(run_global_lru(mt, config_for(k, s)),
+                        heap_global_lru(MultiTraceSource::view_of(mt),
+                                        config_for(k, s)));
+      }
+}
+
+TEST(GlobalLruOrder, MatchesHeapOnGeneratorSources) {
+  for (const Time s : {Time{1}, Time{2}, Time{64}})
+    for (const ProcId p : {ProcId{1}, ProcId{3}, ProcId{128}})
+      for (const WorkloadKind kind :
+           {WorkloadKind::kSkewedLengths, WorkloadKind::kHeterogeneousMix}) {
+        WorkloadParams wp;
+        wp.num_procs = p;
+        wp.cache_size = 4 * p;
+        wp.requests_per_proc = 300;
+        wp.miss_cost = s;
+        wp.seed = 7 + p;
+        SCOPED_TRACE(testing::Message() << "s=" << s << " p=" << p << " "
+                                        << workload_kind_name(kind));
+        const MultiTraceSource lazy = make_workload_source(kind, wp);
+        const GlobalLruConfig config = config_for(wp.cache_size, s);
+        const ParallelRunResult oracle = heap_global_lru(lazy, config);
+        expect_same_run(run_global_lru(lazy, config), oracle);
+        expect_same_run(run_global_lru(make_workload(kind, wp), config),
+                        oracle);
+      }
 }
 
 }  // namespace

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "core/parallel_engine.hpp"
 #include "core/scheduler_factory.hpp"
 #include "opt/opt_bounds.hpp"
+#include "paging/cache_sim.hpp"
 #include "test_helpers.hpp"
 #include "trace/generators.hpp"
+#include "trace/stack_distance.hpp"
 #include "trace/workload.hpp"
+#include "util/rng.hpp"
 
 namespace ppg {
 namespace {
@@ -39,6 +46,79 @@ TEST(ImpactLbStack, CapsAtMissCost) {
   // option).
   const Trace t = gen::cyclic(100, 300);
   EXPECT_EQ(impact_lb_stack(t, 5), 300u * 5);
+}
+
+// n pages drawn uniformly from `distinct` ids (not all need appear).
+Trace random_trace(std::uint64_t distinct, std::size_t n, Rng& rng) {
+  std::vector<PageId> pages(n);
+  for (PageId& page : pages) page = 1000 + rng.next_below(distinct);
+  return Trace(std::move(pages));
+}
+
+// The streaming fold impact_lb_stack used before it read stack_distances.
+Impact online_impact(const Trace& trace, Time miss_cost) {
+  OnlineStackDistance online;
+  Impact total = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const std::uint64_t d = online.access(trace[i]);
+    total += d == kInfiniteDistance ? miss_cost
+                                    : std::min<Impact>(miss_cost, d + 1);
+  }
+  return total;
+}
+
+TEST(BusyMinSingle, MatchesBeladySimulationOnRandomTraces) {
+  Rng rng(31);
+  for (int round = 0; round < 60; ++round) {
+    const Height k = static_cast<Height>(rng.next_in(1, 24));
+    // Half the rounds stay within k distinct pages (no eviction ever),
+    // half exceed it (the heap evicts).
+    const std::uint64_t distinct =
+        round % 2 == 0 ? rng.next_in(1, k) : rng.next_in(k + 1, 4 * k + 8);
+    const Trace t = random_trace(distinct, rng.next_in(1, 600), rng);
+    const Time s = rng.next_in(1, 40);
+    SCOPED_TRACE(testing::Message() << "round " << round << " k=" << k
+                                    << " distinct=" << distinct);
+    EXPECT_EQ(busy_min_single(t, k, s),
+              simulate_policy(PolicyKind::kBelady, t, k, s).time);
+  }
+}
+
+TEST(ImpactLbStack, MatchesOnlineStackDistanceFold) {
+  Rng rng(37);
+  for (int round = 0; round < 40; ++round) {
+    const std::uint64_t distinct = rng.next_in(1, 80);
+    const Trace t = random_trace(distinct, rng.next_in(0, 800), rng);
+    const Time s = rng.next_in(1, 64);
+    EXPECT_EQ(impact_lb_stack(t, s), online_impact(t, s)) << "round " << round;
+  }
+}
+
+TEST(OptBounds, TermsMatchReferencesOnRandomInstances) {
+  Rng rng(41);
+  for (int round = 0; round < 10; ++round) {
+    MultiTrace mt;
+    const ProcId p = static_cast<ProcId>(rng.next_in(1, 6));
+    for (ProcId i = 0; i < p; ++i)
+      mt.add(random_trace(rng.next_in(1, 40), rng.next_in(0, 400), rng));
+    OptBoundsConfig config;
+    config.cache_size = static_cast<Height>(rng.next_in(1, 32));
+    config.miss_cost = rng.next_in(1, 32);
+    Time single = 0;
+    Impact impact = 0;
+    for (ProcId i = 0; i < p; ++i) {
+      const Trace& t = mt.trace(i);
+      if (!t.empty())
+        single = std::max(single, simulate_policy(PolicyKind::kBelady, t,
+                                                  config.cache_size,
+                                                  config.miss_cost)
+                                      .time);
+      impact += online_impact(t, config.miss_cost);
+    }
+    const OptBounds b = compute_opt_bounds(mt, config);
+    EXPECT_EQ(b.lb_max_single, single) << "round " << round;
+    EXPECT_EQ(b.lb_impact, impact / config.cache_size) << "round " << round;
+  }
 }
 
 TEST(OptBounds, LowerBoundIsMaxOfTerms) {

@@ -77,6 +77,7 @@ TEST_P(StackDistanceMatchesNaive, PreviousAccessesOnRandomZipfSawtooth) {
                          gen::single_use(300)}) {
     EXPECT_EQ(previous_accesses(t), previous_naive(t));
     EXPECT_EQ(stack_distances(t), stack_distances_naive(t));
+    EXPECT_EQ(stack_distances(previous_naive(t)), stack_distances_naive(t));
   }
 }
 

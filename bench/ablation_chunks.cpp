@@ -10,14 +10,9 @@
 //   --jobs N|max   run sweep cells on N threads (default 1)
 //   --engine-threads N|max
 //                  fast-forward each run's same-time boxes on N threads
-//                  (default 1; output and journals are byte-identical at
-//                  every value)
+//                  (default 1; output is byte-identical at every value)
 //   --stream       pull each instance lazily from generator sources instead
 //                  of materializing it (output is byte-identical)
-//   --journal PATH checkpoint each finished variant cell (stage B) to PATH
-//                  (PPGJRNL); stage A holds live sources, so it is
-//                  recomputed on resume — output stays byte-identical
-//   --resume       skip cells already in the journal
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -31,10 +26,9 @@ int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
   const bool stream = args.get_bool("stream", false);
-  const SweepCli cli = sweep_cli_from_args(
-      args, std::string("ablation_chunks v1 stream=") + (stream ? "1" : "0"));
+  const std::size_t jobs = jobs_from_args(args);
+  const std::size_t engine_threads = engine_threads_from_args(args);
   bench::reject_unknown_options(args);
-  const SweepOptions& sweep = cli.options;
 
   bench::banner(
       "E8", "Ablation: RAND-PAR primary/secondary balance and wave fillers",
@@ -62,7 +56,7 @@ int run_bench(int argc, char** argv) {
     OptBounds bounds;
   };
   const std::vector<InstCell> inst_cells =
-      sweep_cells(sweep.jobs, inst_params.size(), [&](std::size_t i) {
+      sweep_cells(jobs, inst_params.size(), [&](std::size_t i) {
         const auto [wkind, p] = inst_params[i];
         WorkloadParams wp;
         wp.num_procs = p;
@@ -101,9 +95,8 @@ int run_bench(int argc, char** argv) {
     double makespan_mean = 0.0;
     double stall_mean = 0.0;
   };
-  const std::vector<VariantResult> variant_results = sweep_cells(
-      sweep.with_stage(1), variant_params.size(),
-      [&](std::size_t i) {
+  const std::vector<VariantResult> variant_results =
+      sweep_cells(jobs, variant_params.size(), [&](std::size_t i) {
         const auto [inst_idx, primary_mult, stall] = variant_params[i];
         const InstCell& inst = inst_cells[inst_idx];
         const ProcId p = inst_params[inst_idx].p;
@@ -119,7 +112,7 @@ int run_bench(int argc, char** argv) {
           EngineConfig ec;
           ec.cache_size = inst.k;
           ec.miss_cost = s;
-          ec.engine_threads = cli.engine_threads;
+          ec.engine_threads = engine_threads;
           const ParallelRunResult r =
               run_parallel(inst.sources, *scheduler, ec);
           makespan_sum += static_cast<double>(r.makespan);
@@ -127,16 +120,6 @@ int run_bench(int argc, char** argv) {
                        (static_cast<double>(r.makespan) * p);
         }
         return VariantResult{makespan_sum / trials, stall_sum / trials};
-      },
-      [](CellWriter& w, const VariantResult& res) {
-        w.f64(res.makespan_mean);
-        w.f64(res.stall_mean);
-      },
-      [](CellReader& r) {
-        VariantResult res;
-        res.makespan_mean = r.f64();
-        res.stall_mean = r.f64();
-        return res;
       });
 
   Table table({"workload", "p", "primary_x", "fillers", "makespan", "ratio",

@@ -10,15 +10,11 @@
 //   --jobs N|max   run sweep cells on N threads (default 1)
 //   --engine-threads N|max
 //                  fast-forward each run's same-time boxes on N threads
-//                  (default 1; output and journals are byte-identical at
-//                  every value)
+//                  (default 1; output is byte-identical at every value)
 //   --stream       pull the RAND-PAR instances lazily from generator
 //                  sources instead of materializing them (output is
 //                  byte-identical; the green-paging traces are a few
 //                  thousand requests and stay materialized)
-//   --journal PATH checkpoint each finished cell to PATH (PPGJRNL); the
-//                  two sweeps journal as stages 0/1
-//   --resume       skip cells already in the journal
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -37,11 +33,9 @@ int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
   const bool stream = args.get_bool("stream", false);
-  const SweepCli cli = sweep_cli_from_args(
-      args,
-      std::string("ablation_distribution v1 stream=") + (stream ? "1" : "0"));
+  const std::size_t jobs = jobs_from_args(args);
+  const std::size_t engine_threads = engine_threads_from_args(args);
   bench::reject_unknown_options(args);
-  const SweepOptions& sweep = cli.options;
 
   bench::banner(
       "E7", "Ablation: box-height distribution exponent",
@@ -83,9 +77,8 @@ int run_bench(int argc, char** argv) {
   struct GreenResult {
     std::vector<double> ratios;  ///< One per exponent.
   };
-  const std::vector<GreenResult> green_results = sweep_cells(
-      sweep.with_stage(0), cases.size(),
-      [&](std::size_t i) {
+  const std::vector<GreenResult> green_results =
+      sweep_cells(jobs, cases.size(), [&](std::size_t i) {
         const GreenCase& gc = cases[i];
         const Height k = 4 * gc.p;
         const HeightLadder ladder = HeightLadder::for_cache(k, gc.p);
@@ -104,11 +97,7 @@ int run_bench(int argc, char** argv) {
               sum / trials / static_cast<double>(std::max<Impact>(1, opt)));
         }
         return res;
-      },
-      [](CellWriter& w, const GreenResult& res) {
-        encode_f64_vec(w, res.ratios);
-      },
-      [](CellReader& r) { return GreenResult{decode_f64_vec(r)}; });
+      });
 
   bench::section("green paging: impact ratio vs exact OPT, by exponent");
   for (std::size_t i = 0; i < cases.size(); ++i) {
@@ -124,9 +113,8 @@ int run_bench(int argc, char** argv) {
   struct ParResult {
     std::vector<double> ratios;  ///< One per exponent.
   };
-  const std::vector<ParResult> par_results = sweep_cells(
-      sweep.with_stage(1), ps.size(),
-      [&](std::size_t i) {
+  const std::vector<ParResult> par_results =
+      sweep_cells(jobs, ps.size(), [&](std::size_t i) {
         const ProcId p = ps[i];
         WorkloadParams wp;
         wp.num_procs = p;
@@ -157,7 +145,7 @@ int run_bench(int argc, char** argv) {
             EngineConfig ec;
             ec.cache_size = wp.cache_size;
             ec.miss_cost = s;
-            ec.engine_threads = cli.engine_threads;
+            ec.engine_threads = engine_threads;
             sum += static_cast<double>(
                 run_parallel(sources, *scheduler, ec).makespan);
           }
@@ -165,11 +153,7 @@ int run_bench(int argc, char** argv) {
                                static_cast<double>(bounds.lower_bound()));
         }
         return res;
-      },
-      [](CellWriter& w, const ParResult& res) {
-        encode_f64_vec(w, res.ratios);
-      },
-      [](CellReader& r) { return ParResult{decode_f64_vec(r)}; });
+      });
 
   bench::section("RAND-PAR: makespan ratio vs OPT LB, by exponent");
   Table par_table({"p", "exp0", "exp1", "exp2", "exp3"});

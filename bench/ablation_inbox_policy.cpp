@@ -8,8 +8,6 @@
 // the floor.
 //
 //   --jobs N|max   run sweep cells on N threads (default 1)
-//   --journal PATH checkpoint each finished replay cell to PATH (PPGJRNL)
-//   --resume       skip cells already in the journal
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -22,9 +20,8 @@
 int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
-  const SweepCli cli = sweep_cli_from_args(args, "ablation_inbox_policy v1");
+  const std::size_t jobs = jobs_from_args(args);
   bench::reject_unknown_options(args);
-  const SweepOptions& sweep = cli.options;
 
   bench::banner(
       "E12", "Ablation: replacement policy inside compartmentalized boxes",
@@ -73,14 +70,11 @@ int run_bench(int argc, char** argv) {
       for (std::size_t q = 0; q < policies.size(); ++q)
         params.push_back({m, t, q});
 
-  const std::vector<Time> times = sweep_cells(
-      sweep, params.size(),
-      [&](std::size_t i) {
+  const std::vector<Time> times =
+      sweep_cells(jobs, params.size(), [&](std::size_t i) {
         const auto [m, t, q] = params[i];
         return replay(traces[t].second, policies[q], multipliers[m]);
-      },
-      [](CellWriter& w, const Time& t) { w.u64(t); },
-      [](CellReader& r) { return Time{r.u64()}; });
+      });
 
   std::size_t next = 0;
   for (const Time multiplier : multipliers) {

@@ -5,11 +5,8 @@
 //
 // All benches take a shared --jobs flag (see parallel_sweep.hpp): cells
 // are computed concurrently, output is emitted sequentially afterwards and
-// is byte-identical at every --jobs value.
-//
-// They likewise share --journal PATH / --resume checkpointing
-// (sweep_cli_from_args): a resumed sweep's output is byte-identical to an
-// uninterrupted one.
+// is byte-identical at every --jobs value. --engine-threads sets the
+// engine's intra-run threads and is output-neutral too.
 #pragma once
 
 #include <cstdio>
@@ -21,7 +18,6 @@
 #include "bench_support/parallel_sweep.hpp"
 #include "util/arg_parse.hpp"
 #include "util/error.hpp"
-#include "util/interrupt.hpp"
 #include "util/table.hpp"
 
 namespace ppg::bench {
@@ -39,23 +35,11 @@ inline void reject_unknown_options(const ArgParser& args) {
 /// Standard bench entry point wrapper: recoverable failures (malformed
 /// flags, corrupt trace input — anything carried by ppg::Error or a std
 /// exception) print `error: [code] message` and exit 1 instead of
-/// std::terminate, matching the examples' contract. Three extra duties:
-///  - installs the SIGINT/SIGTERM handler so sweeps drain-and-stop;
-///  - a kInterrupted escape (the sweep was stopped) prints the resume
-///    hint and exits 130, the shell convention for "killed by SIGINT";
-///  - std::bad_alloc maps to a structured [resource-exhausted] exit
-///    instead of escaping to std::terminate.
+/// std::terminate, matching the examples' contract. std::bad_alloc maps
+/// to a structured [resource-exhausted] exit.
 inline int guarded_main(int (*body)(int, char**), int argc, char** argv) {
-  install_interrupt_handler();
   try {
     return body(argc, argv);
-  } catch (const PpgException& err) {
-    if (err.error().code == ErrorCode::kInterrupted) {
-      std::cerr << "interrupted: " << err.error().message << "\n";
-      return 130;
-    }
-    std::cerr << "error: " << err.what() << "\n";
-    return 1;
   } catch (const std::bad_alloc&) {
     Error oom;
     oom.code = ErrorCode::kResourceExhausted;

@@ -9,9 +9,6 @@
 // baselines.
 //
 //   --jobs N|max   run sweep cells on N threads (default 1)
-//   --journal PATH checkpoint each finished cell to PATH (PPGJRNL); the
-//                  three sweeps journal as stages 0/1/2
-//   --resume       skip cells already in the journal
 #include <iostream>
 #include <vector>
 
@@ -61,9 +58,8 @@ constexpr std::size_t kNumCases = 3;
 int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
-  const SweepCli cli = sweep_cli_from_args(args, "green_ratio v1");
+  const std::size_t jobs = jobs_from_args(args);
   bench::reject_unknown_options(args);
-  const SweepOptions& sweep = cli.options;
 
   bench::banner(
       "E1/E2", "Green paging: online pagers vs exact offline OPT",
@@ -89,9 +85,8 @@ int run_bench(int argc, char** argv) {
     Impact opt = 0;
     std::vector<double> ratios;  ///< One per pager, in `pagers` order.
   };
-  const std::vector<MainResult> main_results = sweep_cells(
-      sweep.with_stage(0), main_params.size(),
-      [&](std::size_t i) {
+  const std::vector<MainResult> main_results =
+      sweep_cells(jobs, main_params.size(), [&](std::size_t i) {
         const auto [p, case_idx] = main_params[i];
         const Height k = 4 * p;
         const HeightLadder ladder = HeightLadder::for_cache(k, p);
@@ -113,18 +108,6 @@ int run_bench(int argc, char** argv) {
           res.ratios.push_back(
               sum / trials / static_cast<double>(std::max<Impact>(1, res.opt)));
         }
-        return res;
-      },
-      [](CellWriter& w, const MainResult& res) {
-        w.str(res.case_name);
-        w.u64(res.opt);
-        encode_f64_vec(w, res.ratios);
-      },
-      [](CellReader& r) {
-        MainResult res;
-        res.case_name = r.str();
-        res.opt = r.u64();
-        res.ratios = decode_f64_vec(r);
         return res;
       });
 
@@ -173,9 +156,8 @@ int run_bench(int argc, char** argv) {
     double rand_ratio = 0.0;
     double det_ratio = 0.0;
   };
-  const std::vector<DynResult> dyn_results = sweep_cells(
-      sweep.with_stage(1), dyn_params.size(),
-      [&](std::size_t i) {
+  const std::vector<DynResult> dyn_results =
+      sweep_cells(jobs, dyn_params.size(), [&](std::size_t i) {
         const auto [p, case_idx] = dyn_params[i];
         const Height k = 4 * p;
         const Height h_min = HeightLadder::for_cache(k, p).h_min;
@@ -206,20 +188,6 @@ int run_bench(int argc, char** argv) {
           (kind == GreenKind::kRand ? res.rand_ratio : res.det_ratio) = ratio;
         }
         return res;
-      },
-      [](CellWriter& w, const DynResult& res) {
-        w.str(res.case_name);
-        w.u64(res.epochs);
-        w.f64(res.rand_ratio);
-        w.f64(res.det_ratio);
-      },
-      [](CellReader& r) {
-        DynResult res;
-        res.case_name = r.str();
-        res.epochs = static_cast<std::size_t>(r.u64());
-        res.rand_ratio = r.f64();
-        res.det_ratio = r.f64();
-        return res;
       });
 
   Table dyn_table({"workload", "p", "epochs", "RAND-GREEN", "DET-GREEN"});
@@ -247,9 +215,8 @@ int run_bench(int argc, char** argv) {
     std::string case_name;
     double ratios[3] = {0.0, 0.0, 0.0};
   };
-  const std::vector<GreedyResult> greedy_results = sweep_cells(
-      sweep.with_stage(2), kNumCases,
-      [&](std::size_t case_idx) {
+  const std::vector<GreedyResult> greedy_results =
+      sweep_cells(jobs, kNumCases, [&](std::size_t case_idx) {
         const Height k = 4 * greedy_p;
         const HeightLadder ladder = HeightLadder::for_cache(k, greedy_p);
         GreenCase gc =
@@ -264,16 +231,6 @@ int run_bench(int argc, char** argv) {
               check_greedily_green(gc.trace, *pager, ladder, s, 6);
           res.ratios[j++] = r.max_ratio;
         }
-        return res;
-      },
-      [](CellWriter& w, const GreedyResult& res) {
-        w.str(res.case_name);
-        for (const double ratio : res.ratios) w.f64(ratio);
-      },
-      [](CellReader& r) {
-        GreedyResult res;
-        res.case_name = r.str();
-        for (double& ratio : res.ratios) ratio = r.f64();
         return res;
       });
 

@@ -23,16 +23,11 @@
 //   --jobs N|max   run sweep cells on N threads (default 1)
 //   --engine-threads N|max
 //                  fast-forward each run's same-time boxes on N threads
-//                  (default 1; output and journals are byte-identical at
-//                  every value)
+//                  (default 1; output is byte-identical at every value)
 //   --stream       run the schedulers from lazy per-processor sources
 //                  instead of the materialized instance (output is
 //                  byte-identical; the constructed OPT is clairvoyant and
 //                  still materializes inside its stage-A cell)
-//   --journal PATH checkpoint each finished scheduler-run cell (stage B) to
-//                  PATH (PPGJRNL); stage A holds live sources, so it is
-//                  recomputed on resume — output stays byte-identical
-//   --resume       skip cells already in the journal
 #include <cmath>
 #include <iostream>
 #include <memory>
@@ -49,10 +44,9 @@ int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
   const bool stream = args.get_bool("stream", false);
-  const SweepCli cli = sweep_cli_from_args(
-      args, std::string("lower_bound v1 stream=") + (stream ? "1" : "0"));
+  const std::size_t jobs = jobs_from_args(args);
+  const std::size_t engine_threads = engine_threads_from_args(args);
   bench::reject_unknown_options(args);
-  const SweepOptions& sweep = cli.options;
 
   bench::banner(
       "E6", "Theorem 4 adversarial instance: black-box green paging vs OPT",
@@ -78,7 +72,7 @@ int run_bench(int argc, char** argv) {
     ConstructedOptResult opt;
   };
   const std::vector<EllCell> ell_cells =
-      sweep_cells(sweep.jobs, ells.size(), [&](std::size_t i) {
+      sweep_cells(jobs, ells.size(), [&](std::size_t i) {
         AdversarialParams params;
         params.ell = ells[i];
         params.a = 1;
@@ -119,9 +113,8 @@ int run_bench(int argc, char** argv) {
   for (std::size_t i = 0; i < ells.size(); ++i)
     for (const SchedulerKind kind : kinds) run_params.push_back({i, kind});
 
-  const std::vector<Time> makespans = sweep_cells(
-      sweep.with_stage(1), run_params.size(),
-      [&](std::size_t i) {
+  const std::vector<Time> makespans =
+      sweep_cells(jobs, run_params.size(), [&](std::size_t i) {
         const auto [ell_idx, kind] = run_params[i];
         const EllCell& cell = ell_cells[ell_idx];
         auto scheduler = make_scheduler(kind, 5);
@@ -129,11 +122,9 @@ int run_bench(int argc, char** argv) {
         ec.cache_size = cell.k;
         ec.miss_cost = cell.s;
         ec.track_memory_timeline = false;
-        ec.engine_threads = cli.engine_threads;
+        ec.engine_threads = engine_threads;
         return run_parallel(cell.sources, *scheduler, ec).makespan;
-      },
-      [](CellWriter& w, const Time& makespan) { w.u64(makespan); },
-      [](CellReader& r) { return Time{r.u64()}; });
+      });
 
   Table table({"ell", "p", "k", "T_opt", "opt_eras", "scheduler", "makespan",
                "eras", "ratio_vs_optUB", "log(p)/loglog(p)"});

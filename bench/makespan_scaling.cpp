@@ -17,9 +17,6 @@
 //   --stream       pull each instance lazily from generator sources instead
 //                  of materializing it (output is byte-identical; peak
 //                  memory drops to O(active window))
-//   --journal PATH checkpoint each finished cell to PATH (PPGJRNL)
-//   --resume       skip cells already in the journal; final output is
-//                  byte-identical to an uninterrupted run
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -34,11 +31,9 @@ int run_bench(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const bool quick = args.get_bool("quick", false);
   const bool stream = args.get_bool("stream", false);
-  const SweepCli cli = sweep_cli_from_args(
-      args, std::string("makespan_scaling v1 quick=") + (quick ? "1" : "0") +
-                " stream=" + (stream ? "1" : "0"));
+  const std::size_t jobs = jobs_from_args(args);
+  const std::size_t engine_threads = engine_threads_from_args(args);
   bench::reject_unknown_options(args);
-  const SweepOptions& sweep = cli.options;
 
   bench::banner(
       "E3/E4", "Makespan competitive-ratio scaling",
@@ -70,21 +65,8 @@ int run_bench(int argc, char** argv) {
     Height k = 0;
     Time t_ub = 0;
   };
-  const auto encode_cell = [](CellWriter& w, const CellResult& c) {
-    encode_instance_outcome(w, c.outcome);
-    w.u32(c.k);
-    w.u64(c.t_ub);
-  };
-  const auto decode_cell = [](CellReader& r) {
-    CellResult c;
-    c.outcome = decode_instance_outcome(r);
-    c.k = r.u32();
-    c.t_ub = r.u64();
-    return c;
-  };
-  const std::vector<CellResult> results = sweep_cells(
-      sweep, params.size(),
-      [&](std::size_t i) {
+  const std::vector<CellResult> results =
+      sweep_cells(jobs, params.size(), [&](std::size_t i) {
         const auto [wkind, p] = params[i];
         WorkloadParams wp;
         wp.num_procs = p;
@@ -108,7 +90,7 @@ int run_bench(int argc, char** argv) {
         config.miss_cost = s;
         config.seed = 3;
         config.trace_spec = workload_trace_spec(wkind, wp);
-        config.engine_threads = cli.engine_threads;
+        config.engine_threads = engine_threads;
 
         CellResult cell;
         cell.k = wp.cache_size;
@@ -123,8 +105,7 @@ int run_bench(int argc, char** argv) {
         pc.exact_profile_max_requests = 1;
         cell.t_ub = pack_offline(sources, pc).makespan;
         return cell;
-      },
-      encode_cell, decode_cell);
+      });
 
   Table table({"workload", "p", "k", "T_LB", "T_UB", "scheduler", "makespan",
                "ratio", "xi"});

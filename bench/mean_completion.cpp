@@ -11,8 +11,6 @@
 //                  (default 1; byte-identical output at every value)
 //   --stream       pull each instance lazily from generator sources
 //                  (byte-identical output, O(active window) peak memory)
-//   --journal PATH checkpoint each finished cell to PATH (PPGJRNL)
-//   --resume       skip cells already in the journal
 #include <algorithm>
 #include <iostream>
 #include <limits>
@@ -27,11 +25,9 @@ int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
   const bool stream = args.get_bool("stream", false);
-  const SweepCli cli = sweep_cli_from_args(
-      args,
-      std::string("mean_completion v1 stream=") + (stream ? "1" : "0"));
+  const std::size_t jobs = jobs_from_args(args);
+  const std::size_t engine_threads = engine_threads_from_args(args);
   bench::reject_unknown_options(args);
-  const SweepOptions& sweep = cli.options;
 
   bench::banner(
       "E5", "Mean completion time on skewed-length workloads",
@@ -50,21 +46,8 @@ int run_bench(int argc, char** argv) {
     std::vector<double> max_stretch;
     Height k = 0;
   };
-  const auto encode_cell = [](CellWriter& w, const CellResult& c) {
-    encode_instance_outcome(w, c.outcome);
-    encode_f64_vec(w, c.max_stretch);
-    w.u32(c.k);
-  };
-  const auto decode_cell = [](CellReader& r) {
-    CellResult c;
-    c.outcome = decode_instance_outcome(r);
-    c.max_stretch = decode_f64_vec(r);
-    c.k = r.u32();
-    return c;
-  };
-  const std::vector<CellResult> results = sweep_cells(
-      sweep, ps.size(),
-      [&](std::size_t i) {
+  const std::vector<CellResult> results =
+      sweep_cells(jobs, ps.size(), [&](std::size_t i) {
         const ProcId p = ps[i];
         WorkloadParams wp;
         wp.num_procs = p;
@@ -87,7 +70,7 @@ int run_bench(int argc, char** argv) {
         config.miss_cost = s;
         config.trace_spec =
             workload_trace_spec(WorkloadKind::kSkewedLengths, wp);
-        config.engine_threads = cli.engine_threads;
+        config.engine_threads = engine_threads;
         cell.outcome = run_instance(sources, all_scheduler_kinds(), config);
         for (const SchedulerOutcome& so : cell.outcome.outcomes) {
           const std::vector<double> stretch =
@@ -97,8 +80,7 @@ int run_bench(int argc, char** argv) {
           cell.max_stretch.push_back(max_stretch);
         }
         return cell;
-      },
-      encode_cell, decode_cell);
+      });
 
   Table table({"p", "k", "scheduler", "mean_ct", "mean_ratio", "makespan",
                "spread_max_over_min", "max_stretch"});

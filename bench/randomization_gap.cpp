@@ -10,12 +10,9 @@
 //   --jobs N|max   run sweep cells on N threads (default 1)
 //   --engine-threads N|max
 //                  fast-forward each run's same-time boxes on N threads
-//                  (default 1; output and journals are byte-identical at
-//                  every value)
+//                  (default 1; output is byte-identical at every value)
 //   --stream       pull each instance lazily from generator sources instead
 //                  of materializing it (output is byte-identical)
-//   --journal PATH checkpoint each finished cell to PATH (PPGJRNL)
-//   --resume       skip cells already in the journal
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -28,11 +25,9 @@ int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
   const bool stream = args.get_bool("stream", false);
-  const SweepCli cli = sweep_cli_from_args(
-      args,
-      std::string("randomization_gap v1 stream=") + (stream ? "1" : "0"));
+  const std::size_t jobs = jobs_from_args(args);
+  const std::size_t engine_threads = engine_threads_from_args(args);
   bench::reject_unknown_options(args);
-  const SweepOptions& sweep = cli.options;
 
   bench::banner(
       "E13", "Does randomization help? (Section 5 conjecture)",
@@ -56,21 +51,8 @@ int run_bench(int argc, char** argv) {
     Summary det;
     Summary rand;
   };
-  const auto encode_cell = [](CellWriter& w, const CellResult& c) {
-    w.f64(c.lb);
-    encode_summary(w, c.det);
-    encode_summary(w, c.rand);
-  };
-  const auto decode_cell = [](CellReader& r) {
-    CellResult c;
-    c.lb = r.f64();
-    c.det = decode_summary(r);
-    c.rand = decode_summary(r);
-    return c;
-  };
-  const std::vector<CellResult> results = sweep_cells(
-      sweep, params.size(),
-      [&](std::size_t i) {
+  const std::vector<CellResult> results =
+      sweep_cells(jobs, params.size(), [&](std::size_t i) {
         const auto [wkind, p] = params[i];
         WorkloadParams wp;
         wp.num_procs = p;
@@ -90,7 +72,7 @@ int run_bench(int argc, char** argv) {
         ExperimentConfig config;
         config.cache_size = wp.cache_size;
         config.miss_cost = s;
-        config.engine_threads = cli.engine_threads;
+        config.engine_threads = engine_threads;
         OptBoundsConfig oc;
         oc.cache_size = wp.cache_size;
         oc.miss_cost = s;
@@ -102,8 +84,7 @@ int run_bench(int argc, char** argv) {
         cell.rand =
             makespan_over_seeds(sources, SchedulerKind::kRandPar, config, 11);
         return cell;
-      },
-      encode_cell, decode_cell);
+      });
 
   Table table({"workload", "p", "DET-PAR", "RAND mean", "RAND best",
                "RAND worst", "best/det"});

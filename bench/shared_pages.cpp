@@ -12,10 +12,7 @@
 //   --jobs N|max   run sweep cells on N threads (default 1)
 //   --engine-threads N|max
 //                  fast-forward each run's same-time boxes on N threads
-//                  (default 1; output and journals are byte-identical at
-//                  every value)
-//   --journal PATH checkpoint each finished cell to PATH (PPGJRNL)
-//   --resume       skip cells already in the journal
+//                  (default 1; output is byte-identical at every value)
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -28,9 +25,9 @@
 int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
-  const SweepCli cli = sweep_cli_from_args(args, "shared_pages v1");
+  const std::size_t jobs = jobs_from_args(args);
+  const std::size_t engine_threads = engine_threads_from_args(args);
   bench::reject_unknown_options(args);
-  const SweepOptions& sweep = cli.options;
 
   bench::banner(
       "E11", "Page sharing across processors (open problem, Section 5)",
@@ -54,9 +51,8 @@ int run_bench(int argc, char** argv) {
     Time det_par = 0;
     Time equi = 0;
   };
-  const std::vector<CellResult> results = sweep_cells(
-      sweep, params.size(),
-      [&](std::size_t i) {
+  const std::vector<CellResult> results =
+      sweep_cells(jobs, params.size(), [&](std::size_t i) {
         const auto [sigma, p] = params[i];
         SharedWorkloadParams sp;
         sp.num_procs = p;
@@ -78,26 +74,12 @@ int run_bench(int argc, char** argv) {
         EngineConfig ec;
         ec.cache_size = sp.cache_size;
         ec.miss_cost = s;
-        ec.engine_threads = cli.engine_threads;
+        ec.engine_threads = engine_threads;
         auto det_par = make_scheduler(SchedulerKind::kDetPar);
         cell.det_par = run_parallel(priv, *det_par, ec).makespan;
         auto equi = make_scheduler(SchedulerKind::kEqui);
         cell.equi = run_parallel(priv, *equi, ec).makespan;
         return cell;
-      },
-      [](CellWriter& w, const CellResult& c) {
-        w.u32(c.k);
-        w.u64(c.global_lru);
-        w.u64(c.det_par);
-        w.u64(c.equi);
-      },
-      [](CellReader& r) {
-        CellResult c;
-        c.k = r.u32();
-        c.global_lru = r.u64();
-        c.det_par = r.u64();
-        c.equi = r.u64();
-        return c;
       });
 
   Table table({"share_frac", "p", "k", "GLOBAL-LRU", "DET-PAR(priv)",

@@ -1,25 +1,16 @@
-// Chaos harness: a small sweep purpose-built for crash-safety drills.
+// Chaos harness: a small sweep whose cells fail on purpose.
 //
 // Each cell is a real (tiny) experiment — a deterministic workload run
-// through run_instance() — so the binary exercises the full checkpoint
-// path: journal append, durable flush, resume decode, budget outcomes.
-// What makes it a chaos harness is --kill-at: the process raises SIGKILL
-// against itself once K cells are journaled, simulating a hard crash
-// (power loss, OOM kill) that no signal handler can soften. scripts/
-// chaos.sh drives the drill: golden run, killed run, resumed run, then
-// byte-compares the outputs.
+// through run_instance() — so the binary exercises the sweep's failure
+// paths: a cell whose trace is corrupt, or one that exhausts its step
+// budget, reports a structured status in its row instead of aborting the
+// sweep. scripts/chaos.sh byte-compares those rows across --jobs and
+// --engine-threads values.
 //
 //   $ ./chaos_sweep [--cells N] [--jobs N|max] [--engine-threads N|max]
-//                   [--journal PATH [--resume]] [--kill-at K]
-//                   [--budget EVENTS] [--retries R]
+//                   [--budget EVENTS] [--retries R] [--faulty-every N]
 //
 //   --cells N      number of sweep cells (default 48)
-//   --journal PATH checkpoint each finished cell to PATH (PPGJRNL)
-//   --resume       skip cells already in the journal
-//   --kill-at K    raise SIGKILL at the start of the first fresh cell once
-//                  >= K records are journaled (requires --journal); the
-//                  journal keeps the K finished cells, the process dies
-//                  with exit 137 like any externally killed job
 //   --budget E     per-cell engine step budget (0 = unlimited); exhausted
 //                  cells report a structured [cell-budget-exceeded] status
 //                  in their row instead of aborting the sweep
@@ -29,7 +20,6 @@
 //   --faulty-every N  give every N-th cell a corrupt trace (via the
 //                  INJECT-TRACE spec decorator); its row reports a
 //                  structured [corrupt-trace] status — failure as data
-//                  that must survive kill/resume byte-for-byte
 #include <iostream>
 #include <new>
 #include <stdexcept>
@@ -41,7 +31,6 @@
 #include "trace/workload.hpp"
 #include "util/arg_parse.hpp"
 #include "util/error.hpp"
-#include "util/interrupt.hpp"
 #include "util/table.hpp"
 
 int run_chaos(int argc, char** argv) {
@@ -53,28 +42,17 @@ int run_chaos(int argc, char** argv) {
       static_cast<std::uint64_t>(args.get_int("budget", 0));
   const std::uint32_t retries =
       static_cast<std::uint32_t>(args.get_int("retries", 0));
-  const std::int64_t kill_at = args.get_int("kill-at", -1);
   const std::uint64_t faulty_every =
       static_cast<std::uint64_t>(args.get_int("faulty-every", 0));
-  const SweepCli cli = sweep_cli_from_args(
-      args, "chaos_sweep v1 cells=" + std::to_string(num_cells) +
-                " budget=" + std::to_string(budget) +
-                " retries=" + std::to_string(retries) +
-                " faulty-every=" + std::to_string(faulty_every));
+  const std::size_t jobs = jobs_from_args(args);
+  const std::size_t engine_threads = engine_threads_from_args(args);
   if (const auto unused = args.unused_keys(); !unused.empty())
     throw std::invalid_argument("unknown option --" + unused.front());
-  if (kill_at >= 0 && cli.journal == nullptr)
-    throw_error(ErrorCode::kBadInput,
-                "--kill-at requires --journal (the drill is about what the "
-                "journal preserves)");
-  SweepOptions sweep = cli.options;
-  if (kill_at >= 0) sweep.kill_after = kill_at;
 
   const std::vector<SchedulerKind> kinds{SchedulerKind::kDetPar};
 
-  const std::vector<InstanceOutcome> outcomes = sweep_cells(
-      sweep, num_cells,
-      [&](std::size_t i) {
+  const std::vector<InstanceOutcome> outcomes =
+      sweep_cells(jobs, num_cells, [&](std::size_t i) {
         WorkloadParams wp;
         wp.num_procs = 4;
         wp.cache_size = 32;
@@ -87,11 +65,11 @@ int run_chaos(int argc, char** argv) {
         config.include_global_lru = false;
         config.cell_event_budget = budget;
         config.cell_retries = retries;
-        config.engine_threads = cli.engine_threads;
+        config.engine_threads = engine_threads;
         if (faulty_every > 0 && i % faulty_every == faulty_every - 1) {
           // Same workload, wrapped in the INJECT-TRACE decorator: the cell
           // fails deterministically with [corrupt-trace] and the sweep
-          // journals the failure as data instead of crashing.
+          // reports the failure as data instead of crashing.
           const MultiTraceSource sources = make_source_from_trace_spec(
               "INJECT-TRACE(fail@123,workload(kind=hetero-mix,p=4,k=32,"
               "n=400,seed=" +
@@ -101,11 +79,7 @@ int run_chaos(int argc, char** argv) {
         const MultiTrace traces =
             make_workload(WorkloadKind::kHeterogeneousMix, wp);
         return run_instance(traces, kinds, config);
-      },
-      [](CellWriter& w, const InstanceOutcome& o) {
-        encode_instance_outcome(w, o);
-      },
-      [](CellReader& r) { return decode_instance_outcome(r); });
+      });
 
   Table table({"cell", "makespan", "ratio", "status"});
   std::size_t failed = 0;
@@ -127,18 +101,9 @@ int run_chaos(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   // Examples only see src/ on the include path; this mirrors
-  // bench::guarded_main (drain-and-stop on SIGINT/SIGTERM, exit 130 with
-  // the resume hint, structured resource-exhausted on bad_alloc).
-  ppg::install_interrupt_handler();
+  // bench::guarded_main (structured resource-exhausted on bad_alloc).
   try {
     return run_chaos(argc, argv);
-  } catch (const ppg::PpgException& err) {
-    if (err.error().code == ppg::ErrorCode::kInterrupted) {
-      std::cerr << "interrupted: " << err.what() << "\n";
-      return 130;
-    }
-    std::cerr << "error: " << err.what() << "\n";
-    return 1;
   } catch (const std::bad_alloc&) {
     ppg::Error oom;
     oom.code = ppg::ErrorCode::kResourceExhausted;

@@ -7,11 +7,6 @@
 // shared cache be partitioned?" answered by each strategy.
 //
 //   $ ./multiprogram_study [p] [k] [--jobs N|max] [--engine-threads N|max]
-//                          [--journal PATH [--resume]]
-//
-// --journal PATH checkpoints each finished scheduler run to PATH (PPGJRNL);
-// --resume skips runs already journaled. The positional p/k are part of the
-// journal binding, so resuming with a different shape is refused.
 #include <cstdlib>
 #include <iostream>
 #include <new>
@@ -26,7 +21,6 @@
 #include "trace/workload.hpp"
 #include "util/arg_parse.hpp"
 #include "util/error.hpp"
-#include "util/interrupt.hpp"
 #include "util/table.hpp"
 
 int run_study(int argc, char** argv) {
@@ -39,12 +33,10 @@ int run_study(int argc, char** argv) {
   const Height k = positional.size() > 1
                        ? static_cast<Height>(std::atoi(positional[1].c_str()))
                        : 8 * p;
-  const SweepCli cli = sweep_cli_from_args(
-      args, "multiprogram_study v1 p=" + std::to_string(p) +
-                " k=" + std::to_string(k));
+  const std::size_t jobs = jobs_from_args(args);
+  const std::size_t engine_threads = engine_threads_from_args(args);
   if (const auto unused = args.unused_keys(); !unused.empty())
     throw std::invalid_argument("unknown option --" + unused.front());
-  const SweepOptions& sweep = cli.options;
   const Time s = 16;
 
   WorkloadParams wp;
@@ -67,9 +59,8 @@ int run_study(int argc, char** argv) {
   // One sweep cell per scheduler (GLOBAL-LRU rides along as the last cell);
   // rows are emitted in scheduler order regardless of --jobs.
   const std::vector<SchedulerKind> kinds = all_scheduler_kinds();
-  const std::vector<ParallelRunResult> results = sweep_cells(
-      sweep, kinds.size() + 1,
-      [&](std::size_t i) {
+  const std::vector<ParallelRunResult> results =
+      sweep_cells(jobs, kinds.size() + 1, [&](std::size_t i) {
         if (i == kinds.size()) {
           // The no-partitioning baseline.
           GlobalLruConfig gc;
@@ -81,13 +72,9 @@ int run_study(int argc, char** argv) {
         EngineConfig ec;
         ec.cache_size = k;
         ec.miss_cost = s;
-        ec.engine_threads = cli.engine_threads;
+        ec.engine_threads = engine_threads;
         return run_parallel(traces, *scheduler, ec);
-      },
-      [](CellWriter& w, const ParallelRunResult& r) {
-        encode_run_result(w, r);
-      },
-      [](CellReader& r) { return decode_run_result(r); });
+      });
 
   Table table({"scheduler", "makespan", "ratio", "mean_ct", "fault_rate",
                "peak_mem", "boxes"});
@@ -116,19 +103,10 @@ int run_study(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   // Examples only see src/ on the include path, so this mirrors
-  // bench::guarded_main by hand: SIGINT/SIGTERM drain in-flight cells and
-  // exit 130 with a resume hint; allocation failure becomes a structured
+  // bench::guarded_main by hand: allocation failure becomes a structured
   // resource-exhausted error instead of a raw terminate.
-  ppg::install_interrupt_handler();
   try {
     return run_study(argc, argv);
-  } catch (const ppg::PpgException& err) {
-    if (err.error().code == ppg::ErrorCode::kInterrupted) {
-      std::cerr << "interrupted: " << err.what() << "\n";
-      return 130;
-    }
-    std::cerr << "error: " << err.what() << "\n";
-    return 1;
   } catch (const std::bad_alloc&) {
     ppg::Error oom;
     oom.code = ppg::ErrorCode::kResourceExhausted;

@@ -57,6 +57,17 @@ std::string read_string(std::istream& is, const char* what) {
   return s;
 }
 
+// Any byte that names no current ErrorCode (past the last one, or a
+// retired number) is corrupt rather than a new enumerator.
+ErrorCode read_error_code(std::istream& is) {
+  const auto byte = read_pod<std::uint8_t>(is, "error code");
+  const auto code = static_cast<ErrorCode>(byte);
+  if (std::strcmp(error_code_name(code), "unknown") == 0)
+    throw_error(ErrorCode::kCorruptTrace,
+                "unknown replay dump error code " + std::to_string(byte));
+  return code;
+}
+
 }  // namespace
 
 void write_replay_dump(std::ostream& os, const ReplayDump& dump) {
@@ -94,8 +105,7 @@ ReplayDump read_replay_dump(std::istream& is) {
   dump.max_time = read_pod<Time>(is, "max_time");
   dump.seed = read_pod<std::uint64_t>(is, "seed");
   dump.scheduler_spec = read_string(is, "scheduler_spec");
-  dump.reason.code =
-      static_cast<ErrorCode>(read_pod<std::uint8_t>(is, "error code"));
+  dump.reason.code = read_error_code(is);
   dump.reason.message = read_string(is, "error message");
   dump.reason.proc = read_pod<ProcId>(is, "error proc");
   dump.reason.time = read_pod<Time>(is, "error time");

@@ -1,13 +1,11 @@
 #include "util/atomic_file.hpp"
 
 #include <fcntl.h>
-#include <sys/file.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <utility>
 
 #include "util/error.hpp"
 
@@ -34,8 +32,8 @@ void write_all(int fd, std::string_view bytes, const std::string& path) {
   }
 }
 
-// Best-effort fsync of the directory containing `path`, so the rename (or
-// file creation) itself survives a crash. Failure is ignored: directory
+// Best-effort fsync of the directory containing `path`, so the rename
+// itself survives a crash. Failure is ignored: directory
 // fsync is not supported on every filesystem and the data is already safe.
 void sync_parent_dir(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
@@ -70,67 +68,6 @@ void atomic_write_file(const std::string& path, std::string_view contents) {
     throw_io("rename into place failed", path);
   }
   sync_parent_dir(path);
-}
-
-DurableAppendFile::~DurableAppendFile() { close(); }
-
-DurableAppendFile::DurableAppendFile(DurableAppendFile&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), path_(std::move(other.path_)) {}
-
-DurableAppendFile& DurableAppendFile::operator=(
-    DurableAppendFile&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-    path_ = std::move(other.path_);
-  }
-  return *this;
-}
-
-DurableAppendFile DurableAppendFile::open(const std::string& path,
-                                          bool truncate) {
-  DurableAppendFile file;
-  // No O_TRUNC: the lock must be held before any byte changes, so a
-  // refused second writer leaves the owner's file untouched.
-  file.fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
-                    0644);
-  if (file.fd_ < 0) throw_io("cannot open append file", path);
-  file.path_ = path;
-  if (::flock(file.fd_, LOCK_EX | LOCK_NB) != 0) {
-    if (errno == EWOULDBLOCK) {
-      throw_error(ErrorCode::kJournalLocked,
-                  "another live writer holds this file; wait for it to "
-                  "finish or pick a different path",
-                  kNoOffset, path);
-    }
-    throw_io("flock failed", path);
-  }
-  if (truncate) file.truncate_to(0);
-  sync_parent_dir(path);  // The file may have just been created.
-  return file;
-}
-
-void DurableAppendFile::append(std::string_view bytes) {
-  if (fd_ < 0)
-    throw_error(ErrorCode::kIoError, "append on closed file", kNoOffset,
-                path_);
-  write_all(fd_, bytes, path_);
-  if (::fdatasync(fd_) != 0) throw_io("fdatasync failed", path_);
-}
-
-void DurableAppendFile::truncate_to(std::uint64_t size) {
-  if (fd_ < 0)
-    throw_error(ErrorCode::kIoError, "truncate on closed file", kNoOffset,
-                path_);
-  if (::ftruncate(fd_, static_cast<off_t>(size)) != 0)
-    throw_io("ftruncate failed", path_);
-}
-
-void DurableAppendFile::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
 }
 
 }  // namespace ppg

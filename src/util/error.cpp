@@ -15,8 +15,6 @@ const char* error_code_name(ErrorCode code) {
     case ErrorCode::kInternal: return "internal";
     case ErrorCode::kCellBudgetExceeded: return "cell-budget-exceeded";
     case ErrorCode::kResourceExhausted: return "resource-exhausted";
-    case ErrorCode::kInterrupted: return "interrupted";
-    case ErrorCode::kJournalLocked: return "journal-locked";
     case ErrorCode::kTenantBudgetExceeded: return "tenant-budget-exceeded";
     case ErrorCode::kTenantDeadlineExceeded: return "tenant-deadline-exceeded";
   }

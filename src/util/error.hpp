@@ -31,10 +31,10 @@ enum class ErrorCode : std::uint8_t {
   kInternal,            ///< Unexpected failure escaping a component.
   kCellBudgetExceeded,  ///< Sweep cell passed its simulated-step budget.
   kResourceExhausted,   ///< Allocation failure (std::bad_alloc) surfaced.
-  kInterrupted,         ///< SIGINT/SIGTERM: sweep drained and stopped.
-  kJournalLocked,       ///< Another live writer holds the journal lock.
-  kTenantBudgetExceeded,    ///< One processor passed its per-tenant budget.
-  kTenantDeadlineExceeded,  ///< One processor passed its sojourn deadline.
+  // 9 and 10 are retired (sweep-journal errors); replay dumps store codes
+  // as bytes, so the numbers below stay pinned.
+  kTenantBudgetExceeded = 11,    ///< One processor passed its tenant budget.
+  kTenantDeadlineExceeded = 12,  ///< One processor passed its deadline.
 };
 
 const char* error_code_name(ErrorCode code);

@@ -21,22 +21,6 @@ class Summary {
   double min() const { return min_; }
   double max() const { return max_; }
   double sum() const { return sum_; }
-  double m2() const { return m2_; }  ///< Raw Welford accumulator.
-
-  /// Rebuilds a summary from captured accumulator state. Paired with the
-  /// accessors above it round-trips bit-exactly, which the sweep checkpoint
-  /// journal relies on for byte-identical resumed output.
-  static Summary from_state(std::size_t count, double mean, double m2,
-                            double min, double max, double sum) {
-    Summary s;
-    s.count_ = count;
-    s.mean_ = mean;
-    s.m2_ = m2;
-    s.min_ = min;
-    s.max_ = max;
-    s.sum_ = sum;
-    return s;
-  }
 
  private:
   std::size_t count_ = 0;

@@ -5,8 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "util/interrupt.hpp"
-
 namespace ppg {
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
@@ -107,33 +105,12 @@ void ThreadPool::worker_loop() {
 
 void parallel_for_index(std::size_t jobs, std::size_t n,
                         const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (jobs <= 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (interrupt_requested()) return;
-      fn(i);
-    }
+  if (jobs <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  ThreadPool pool(std::min(jobs, n));
-  // One logical task per worker pulling indices from a shared counter:
-  // cheaper than n queue round-trips and naturally load-balanced.
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
-  for (std::size_t w = 0; w < pool.num_threads(); ++w) {
-    pool.submit([next, n, &fn] {
-      for (;;) {
-        // Drain-and-stop: once an interrupt is requested, workers stop
-        // claiming indices; calls already in flight run to completion.
-        // Callers that must know which i ran (the sweep executor) track
-        // completion per slot and surface kInterrupted themselves.
-        if (interrupt_requested()) return;
-        const std::size_t i = next->fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        fn(i);
-      }
-    });
-  }
-  pool.wait_all();
+  ThreadPool pool(std::min(jobs, n) - 1);
+  pool.run_batch(n, fn);
 }
 
 }  // namespace ppg

@@ -3,9 +3,8 @@
 // The sweep harness (bench_support/parallel_sweep.hpp) runs independent
 // experiment cells concurrently. Determinism is the contract that makes
 // that safe to expose as a --jobs flag: parallel_for_index(jobs, n, fn)
-// calls fn(i) at most once for every i in [0, n) (exactly once unless an
-// interrupt is requested), each i on exactly one thread, with no ordering
-// guarantee — callers make results deterministic
+// calls fn(i) exactly once for every i in [0, n), each i on exactly one
+// thread, with no ordering guarantee — callers make results deterministic
 // by writing fn(i)'s output to slot i of a pre-sized vector and deriving
 // any per-cell randomness from i, never from execution order.
 //
@@ -50,13 +49,9 @@ class ThreadPool {
 
   /// Runs fn(i) for every i in [0, n), fanning out across the pool's
   /// workers with the calling thread participating, and blocks until all
-  /// calls return. Unlike parallel_for_index this does NOT consult
-  /// util/interrupt: it is the engine's intra-run primitive, and a run in
-  /// flight must complete every index of its batch so that drain-and-stop
-  /// interruption (which operates at the sweep-cell level) always leaves
-  /// behind whole, byte-identical cells. Indices are claimed from a shared
-  /// counter, so assignment to threads is load-balanced but unordered —
-  /// callers write fn(i)'s output to slot i and fold sequentially.
+  /// calls return. Indices are claimed from a shared counter, so
+  /// assignment to threads is load-balanced but unordered — callers write
+  /// fn(i)'s output to slot i and fold sequentially.
   /// Rethrows the first task exception after the batch quiesces.
   void run_batch(std::size_t n, const std::function<void(std::size_t)>& fn);
 
@@ -85,11 +80,9 @@ class ThreadPool {
 
 /// Runs fn(i) for every i in [0, n) across up to `jobs` threads (inline
 /// when jobs <= 1 or n <= 1, so --jobs 1 exercises the exact serial path).
-/// Blocks until all calls finish; rethrows the first task exception.
-/// Cooperates with util/interrupt: once interrupt_requested() is set,
-/// no further indices are claimed (in-flight calls finish normally), so
-/// some fn(i) may never run — callers needing exactly-once coverage must
-/// check the flag afterwards (the sweep executor does, per slot).
+/// Otherwise a pool of jobs - 1 workers runs the indices with the calling
+/// thread, via run_batch. Blocks until all calls finish; rethrows the
+/// first task exception.
 void parallel_for_index(std::size_t jobs, std::size_t n,
                         const std::function<void(std::size_t)>& fn);
 

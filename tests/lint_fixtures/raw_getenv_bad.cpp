@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <string>
 
-std::string kill_at() {
-  const char* raw = std::getenv("PPG_KILL_AT");
+std::string budget() {
+  const char* raw = std::getenv("PPG_BUDGET");
   return raw != nullptr ? raw : "";
 }

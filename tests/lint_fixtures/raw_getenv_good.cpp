@@ -4,6 +4,6 @@
 
 #include "util/arg_parse.hpp"
 
-std::int64_t kill_at(const ppg::ArgParser& args) {
-  return args.get_int("kill-at", -1);
+std::int64_t budget(const ppg::ArgParser& args) {
+  return args.get_int("budget", 0);
 }

@@ -2,8 +2,8 @@
 #include <cstdlib>
 #include <string>
 
-std::string kill_at() {
+std::string budget() {
   // ppg-lint: allow(raw-getenv): fixture
-  const char* raw = std::getenv("PPG_KILL_AT");
+  const char* raw = std::getenv("PPG_BUDGET");
   return raw != nullptr ? raw : "";
 }

@@ -1,6 +1,6 @@
 // Violates raw-thread (library realm): an ad-hoc std::thread bypasses the
-// determinism contract of util/thread_pool (slot-indexed output, interrupt
-// drain, first-error capture).
+// determinism contract of util/thread_pool (slot-indexed output,
+// first-error capture).
 #include <thread>
 
 void touch_all(int* data, int n) {

@@ -1,6 +1,6 @@
 // Clean: concurrency goes through util/thread_pool, whose executor owns
-// the determinism, interrupt, and error-capture behaviour (and which is
-// itself the designated raw-thread exception).
+// the determinism and error-capture behaviour (and which is itself the
+// designated raw-thread exception).
 #include <cstddef>
 #include <functional>
 

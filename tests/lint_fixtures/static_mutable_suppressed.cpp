@@ -1,6 +1,6 @@
 // Same violations as static_mutable_bad.cpp, silenced with rationales —
-// the pattern util/interrupt.cpp's signal flag would use if it were not a
-// designated exception.
+// the one way a deliberate process global passes the rule, which has no
+// designated exceptions.
 #include <cstdint>
 
 namespace fixture {

@@ -1,5 +1,5 @@
-// util/atomic_file: whole-file atomic replacement and durable appends —
-// the two write primitives everything crash-safe builds on.
+// util/atomic_file: whole-file atomic replacement, the write primitive
+// behind replay dumps and the lint/analyze reports.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -60,51 +60,6 @@ TEST_F(AtomicFile, WriteToMissingDirectoryIsStructured) {
   } catch (const PpgException& e) {
     EXPECT_EQ(e.error().code, ErrorCode::kIoError);
     EXPECT_FALSE(e.error().path.empty());
-  }
-}
-
-TEST_F(AtomicFile, DurableAppendAccumulates) {
-  {
-    DurableAppendFile f = DurableAppendFile::open(path_, /*truncate=*/true);
-    f.append("alpha");
-    f.append("-beta");
-  }
-  EXPECT_EQ(slurp(path_), "alpha-beta");
-  {
-    // Reopen without truncation: appends continue at the end.
-    DurableAppendFile f = DurableAppendFile::open(path_, /*truncate=*/false);
-    f.append("-gamma");
-  }
-  EXPECT_EQ(slurp(path_), "alpha-beta-gamma");
-}
-
-TEST_F(AtomicFile, TruncateToDropsTail) {
-  DurableAppendFile f = DurableAppendFile::open(path_, /*truncate=*/true);
-  f.append("keep|torn");
-  f.truncate_to(5);
-  f.append("next");
-  f.close();
-  EXPECT_EQ(slurp(path_), "keep|next");
-}
-
-TEST_F(AtomicFile, MoveTransfersOwnership) {
-  DurableAppendFile a = DurableAppendFile::open(path_, /*truncate=*/true);
-  a.append("one");
-  DurableAppendFile b = std::move(a);
-  EXPECT_FALSE(a.is_open());  // NOLINT(bugprone-use-after-move): asserted
-  ASSERT_TRUE(b.is_open());
-  b.append("-two");
-  b.close();
-  EXPECT_EQ(slurp(path_), "one-two");
-}
-
-TEST_F(AtomicFile, OpenInMissingDirectoryIsStructured) {
-  try {
-    DurableAppendFile::open(test::unique_temp_path("no_such_dir") + "/j.jrnl",
-                            /*truncate=*/true);
-    FAIL() << "opened a file in a nonexistent directory";
-  } catch (const PpgException& e) {
-    EXPECT_EQ(e.error().code, ErrorCode::kIoError);
   }
 }
 

@@ -13,13 +13,11 @@
 #include <string>
 #include <vector>
 
-#include "bench_support/parallel_sweep.hpp"
 #include "core/global_lru.hpp"
 #include "core/parallel_engine.hpp"
 #include "core/scheduler_factory.hpp"
 #include "test_helpers.hpp"
 #include "trace/workload.hpp"
-#include "util/interrupt.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ppg {
@@ -233,47 +231,6 @@ TEST(EngineThreads, ReplayDumpByteIdenticalUnderThreads) {
   EXPECT_EQ(slurp(ec.replay_dump_path), want_bytes);
   std::remove(serial_path.c_str());
   std::remove(ec.replay_dump_path.c_str());
-}
-
-TEST(EngineThreads, InterruptedSweepDrainsWholeThreadedCells) {
-  // Drain-and-stop interruption operates at the sweep-cell level; a cell
-  // whose engine fans out across threads must still complete whole, with
-  // the same kInterrupted surface as serial cells.
-  clear_interrupt();
-  const MultiTrace mt =
-      make_workload(WorkloadKind::kHeterogeneousMix, study_params());
-  EngineConfig ec;
-  ec.cache_size = study_params().cache_size;
-  ec.miss_cost = 4;
-  auto ref_sched = make_scheduler(SchedulerKind::kDetPar, 3);
-  const ParallelRunResult want = run_parallel(mt, *ref_sched, ec);
-
-  ec.engine_threads = 4;
-  ParallelRunResult first;
-  bool have_first = false;
-  bool interrupted = false;
-  try {
-    sweep_cells(1, 4, [&](std::size_t i) {
-      // Interrupt while the first threaded cell is in flight: the engine's
-      // internal fan-out ignores the flag, so the cell completes whole and
-      // only the executor stops claiming further cells.
-      if (i == 0) request_interrupt();
-      auto sched = make_scheduler(SchedulerKind::kDetPar, 3);
-      const ParallelRunResult r = run_parallel(mt, *sched, ec);
-      if (i == 0) {
-        first = r;
-        have_first = true;
-      }
-      return r;
-    });
-  } catch (const PpgException& e) {
-    EXPECT_EQ(e.error().code, ErrorCode::kInterrupted);
-    interrupted = true;
-  }
-  EXPECT_TRUE(interrupted);
-  ASSERT_TRUE(have_first);
-  expect_identical(first, want, "interrupted threaded cell");
-  clear_interrupt();
 }
 
 }  // namespace

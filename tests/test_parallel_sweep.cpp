@@ -30,6 +30,21 @@ TEST(ParallelSweep, JobsFromArgsParsesFlagForms) {
   EXPECT_EQ(parse({"--jobs", "0"}), ThreadPool::hardware_jobs());
   EXPECT_THROW(parse({"--jobs", "-1"}), PpgException);
   EXPECT_THROW(parse({"--jobs", "many"}), PpgException);
+
+  // --engine-threads shares the parse but refuses 0.
+  const auto parse_engine = [](std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "prog");
+    const ArgParser args(static_cast<int>(argv.size()), argv.data());
+    return engine_threads_from_args(args);
+  };
+  EXPECT_EQ(parse_engine({}), 1u);
+  EXPECT_EQ(parse_engine({"--engine-threads", "3"}), 3u);
+  EXPECT_EQ(parse_engine({"--engine-threads=5"}), 5u);
+  EXPECT_EQ(parse_engine({"--engine-threads", "max"}),
+            ThreadPool::hardware_jobs());
+  EXPECT_THROW(parse_engine({"--engine-threads", "0"}), PpgException);
+  EXPECT_THROW(parse_engine({"--engine-threads", "-1"}), PpgException);
+  EXPECT_THROW(parse_engine({"--engine-threads", "many"}), PpgException);
 }
 
 TEST(ParallelSweep, CellSeedIsPureAndSpreads) {

@@ -211,10 +211,17 @@ TEST(AnalyzeScan, AnnotatedAndConstMembersSatisfyTheGuardRule) {
 }
 
 TEST(AnalyzeScan, DesignatedExemptionsApplyByPathSuffix) {
+  // static-mutable has no exemptions: a process global is a finding in
+  // every file.
   const std::string global = "namespace ppg {\nint g_flag = 0;\n}\n";
-  EXPECT_TRUE(
-      analyze_snippet(global, "src/util/interrupt.cpp").empty());
+  EXPECT_EQ(analyze_snippet(global, "src/util/interrupt.cpp").size(), 1u);
   EXPECT_EQ(analyze_snippet(global, "src/util/other.cpp").size(), 1u);
+  // The pool defines the fan-out primitives, so only it may call them
+  // without a shared-state annotation.
+  const std::string fan_out =
+      "namespace ppg {\nvoid f() { parallel_for_index(2, 8, g); }\n}\n";
+  EXPECT_TRUE(analyze_snippet(fan_out, "src/util/thread_pool.cpp").empty());
+  EXPECT_EQ(analyze_snippet(fan_out, "src/util/other.cpp").size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

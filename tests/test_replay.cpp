@@ -25,6 +25,12 @@ MultiTrace small_workload() {
   return make_workload(WorkloadKind::kZipf, wp);
 }
 
+// Byte offset of the error-code byte: magic(8) + version(4) + four u64
+// fields (32) + the scheduler spec's u32 length and its bytes.
+std::size_t error_code_offset(const ReplayDump& dump) {
+  return 8 + 4 + 4 * 8 + 4 + dump.scheduler_spec.size();
+}
+
 ReplayDump sample_dump() {
   ReplayDump dump;
   dump.cache_size = 16;
@@ -166,6 +172,35 @@ TEST(Replay, CorruptDumpsAreRejectedStructurally) {
       EXPECT_NE(e.error().message.find("oversized"), std::string::npos);
     }
   }
+}
+
+TEST(Replay, UnknownErrorCodesAreRejected) {
+  const ReplayDump dump = sample_dump();
+  std::stringstream buffer;
+  write_replay_dump(buffer, dump);
+  const std::string bytes = buffer.str();
+  // 200 is past the last code; 9 and 10 are retired numbers.
+  for (const int code : {200, 9, 10}) {
+    std::string bad = bytes;
+    bad[error_code_offset(dump)] = static_cast<char>(code);
+    std::istringstream is(bad);
+    try {
+      read_replay_dump(is);
+      FAIL() << "accepted error code " << code;
+    } catch (const PpgException& e) {
+      EXPECT_EQ(e.error().code, ErrorCode::kCorruptTrace);
+    }
+  }
+}
+
+TEST(Replay, TenantDeadlineCodeRoundTrips) {
+  ReplayDump dump = sample_dump();
+  dump.reason.code = ErrorCode::kTenantDeadlineExceeded;
+  std::stringstream buffer;
+  write_replay_dump(buffer, dump);
+  EXPECT_EQ(buffer.str()[error_code_offset(dump)], 12);
+  const ReplayDump back = read_replay_dump(buffer);
+  EXPECT_EQ(back.reason.code, ErrorCode::kTenantDeadlineExceeded);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "util/interrupt.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ppg {
@@ -117,20 +116,6 @@ TEST(ThreadPool, RunBatchIsReusableAcrossBatches) {
     });
   }
   EXPECT_EQ(total.load(), 400);
-}
-
-TEST(ThreadPool, RunBatchIgnoresInterruptFlag) {
-  // Unlike parallel_for_index, run_batch is the engine's intra-run
-  // primitive: an interrupt must not carve a hole out of a simulated step
-  // (drain-and-stop operates at the sweep-cell level).
-  request_interrupt();
-  ThreadPool pool(2);
-  std::vector<std::atomic<int>> seen(64);
-  pool.run_batch(64, [&seen](std::size_t i) {
-    seen[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::size_t i = 0; i < 64; ++i) ASSERT_EQ(seen[i].load(), 1);
-  clear_interrupt();
 }
 
 TEST(ThreadPool, RunBatchPropagatesTaskException) {

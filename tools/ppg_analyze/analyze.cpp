@@ -33,9 +33,7 @@ const std::vector<RuleDesc>& all_rules() {
       {"static-mutable",
        "namespace-scope / static / thread_local mutable state (breaks "
        "run-to-run determinism)",
-       // The interrupt flag is the one deliberate process-global: a
-       // lock-free atomic set from signal handlers.
-       {"util/interrupt.cpp"}},
+       {}},
       {"unseeded-rng",
        "Rng constructed without an explicit seed expression",
        // The generator's own definition (deleted default ctor etc.).

@@ -114,8 +114,8 @@ void check_raw_thread(const ScannedFile& file, std::vector<Finding>& out) {
       R"(\bstd\s*::\s*(?:thread|jthread|async)\b)");
   match_all(file, kCalls, "raw-thread",
             "bare std::thread/std::async in library code; ad-hoc threads "
-            "dodge the determinism contract (slot-indexed output, interrupt "
-            "drain, first-error capture) — run on util/thread_pool "
+            "dodge the determinism contract (slot-indexed output, "
+            "first-error capture) — run on util/thread_pool "
             "(parallel_for_index for sweep cells, ThreadPool::run_batch for "
             "intra-run fan-out)",
             out);

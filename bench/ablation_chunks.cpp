@@ -8,9 +8,6 @@
 // boxes from the augmentation budget.
 //
 //   --jobs N|max   run sweep cells on N threads (default 1)
-//   --engine-threads N|max
-//                  fast-forward each run's same-time boxes on N threads
-//                  (default 1; output is byte-identical at every value)
 //   --stream       pull each instance lazily from generator sources instead
 //                  of materializing it (output is byte-identical)
 #include <iostream>
@@ -27,7 +24,6 @@ int run_bench(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const bool stream = args.get_bool("stream", false);
   const std::size_t jobs = jobs_from_args(args);
-  const std::size_t engine_threads = engine_threads_from_args(args);
   bench::reject_unknown_options(args);
 
   bench::banner(
@@ -112,7 +108,6 @@ int run_bench(int argc, char** argv) {
           EngineConfig ec;
           ec.cache_size = inst.k;
           ec.miss_cost = s;
-          ec.engine_threads = engine_threads;
           const ParallelRunResult r =
               run_parallel(inst.sources, *scheduler, ec);
           makespan_sum += static_cast<double>(r.makespan);

@@ -8,9 +8,6 @@
 // that need them.
 //
 //   --jobs N|max   run sweep cells on N threads (default 1)
-//   --engine-threads N|max
-//                  fast-forward each run's same-time boxes on N threads
-//                  (default 1; output is byte-identical at every value)
 //   --stream       pull the RAND-PAR instances lazily from generator
 //                  sources instead of materializing them (output is
 //                  byte-identical; the green-paging traces are a few
@@ -34,7 +31,6 @@ int run_bench(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const bool stream = args.get_bool("stream", false);
   const std::size_t jobs = jobs_from_args(args);
-  const std::size_t engine_threads = engine_threads_from_args(args);
   bench::reject_unknown_options(args);
 
   bench::banner(
@@ -145,7 +141,6 @@ int run_bench(int argc, char** argv) {
             EngineConfig ec;
             ec.cache_size = wp.cache_size;
             ec.miss_cost = s;
-            ec.engine_threads = engine_threads;
             sum += static_cast<double>(
                 run_parallel(sources, *scheduler, ec).makespan);
           }

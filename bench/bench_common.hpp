@@ -5,8 +5,7 @@
 //
 // All benches take a shared --jobs flag (see parallel_sweep.hpp): cells
 // are computed concurrently, output is emitted sequentially afterwards and
-// is byte-identical at every --jobs value. --engine-threads sets the
-// engine's intra-run threads and is output-neutral too.
+// is byte-identical at every --jobs value.
 #pragma once
 
 #include <cstdio>

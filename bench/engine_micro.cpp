@@ -27,7 +27,6 @@
 #include "trace/generators.hpp"
 #include "trace/stack_distance.hpp"
 #include "trace/workload.hpp"
-#include "util/thread_pool.hpp"
 #include "util/lru_set.hpp"
 #include "util/rng.hpp"
 
@@ -224,61 +223,6 @@ void BM_ParallelEngineStreamed(benchmark::State& state) {
       static_cast<std::int64_t>(sources.total_requests()));
 }
 BENCHMARK(BM_ParallelEngineStreamed)->Arg(8)->Arg(32)->Arg(128);
-
-/// BM_ParallelEngine with intra-run threading: the same instance, every
-/// same-time box batch fanned out across all hardware threads
-/// (EngineConfig::engine_threads). Metrics are byte-identical to the
-/// serial runs above; only the wall clock should move. The acceptance
-/// target is >= 2x BM_ParallelEngine/128 on a multi-core host; on a
-/// single-core machine this degenerates to the serial path plus pool
-/// overhead.
-void BM_ParallelEngineThreaded(benchmark::State& state) {
-  const auto p = static_cast<ProcId>(state.range(0));
-  WorkloadParams wp;
-  wp.num_procs = p;
-  wp.cache_size = 8 * p;
-  wp.requests_per_proc = 2000;
-  const MultiTrace mt = make_workload(WorkloadKind::kHeterogeneousMix, wp);
-  EngineConfig ec;
-  ec.cache_size = wp.cache_size;
-  ec.miss_cost = 8;
-  ec.track_memory_timeline = false;
-  ec.engine_threads = ThreadPool::hardware_jobs();
-  for (auto _ : state) {
-    auto scheduler = make_scheduler(SchedulerKind::kDetPar);
-    benchmark::DoNotOptimize(run_parallel(mt, *scheduler, ec).makespan);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(mt.total_requests()));
-}
-BENCHMARK(BM_ParallelEngineThreaded)->Arg(8)->Arg(32)->Arg(128);
-
-/// Threaded + streamed: the combination the makespan sweeps run at scale —
-/// lazy generator sources, span-buffered box runners, and the per-step box
-/// fan-out all at once.
-void BM_ParallelEngineThreadedStreamed(benchmark::State& state) {
-  const auto p = static_cast<ProcId>(state.range(0));
-  WorkloadParams wp;
-  wp.num_procs = p;
-  wp.cache_size = 8 * p;
-  wp.requests_per_proc = 2000;
-  const MultiTraceSource sources =
-      make_workload_source(WorkloadKind::kHeterogeneousMix, wp);
-  EngineConfig ec;
-  ec.cache_size = wp.cache_size;
-  ec.miss_cost = 8;
-  ec.track_memory_timeline = false;
-  ec.engine_threads = ThreadPool::hardware_jobs();
-  for (auto _ : state) {
-    auto scheduler = make_scheduler(SchedulerKind::kDetPar);
-    benchmark::DoNotOptimize(run_parallel(sources, *scheduler, ec).makespan);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(sources.total_requests()));
-}
-BENCHMARK(BM_ParallelEngineThreadedStreamed)->Arg(128);
 
 /// The first p processors, all active for the whole run.
 class AllActiveView final : public EngineView {

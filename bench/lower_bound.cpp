@@ -21,9 +21,6 @@
 // construction is otherwise verbatim.
 //
 //   --jobs N|max   run sweep cells on N threads (default 1)
-//   --engine-threads N|max
-//                  fast-forward each run's same-time boxes on N threads
-//                  (default 1; output is byte-identical at every value)
 //   --stream       run the schedulers from lazy per-processor sources
 //                  instead of the materialized instance (output is
 //                  byte-identical; the constructed OPT is clairvoyant and
@@ -45,7 +42,6 @@ int run_bench(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const bool stream = args.get_bool("stream", false);
   const std::size_t jobs = jobs_from_args(args);
-  const std::size_t engine_threads = engine_threads_from_args(args);
   bench::reject_unknown_options(args);
 
   bench::banner(
@@ -122,7 +118,6 @@ int run_bench(int argc, char** argv) {
         ec.cache_size = cell.k;
         ec.miss_cost = cell.s;
         ec.track_memory_timeline = false;
-        ec.engine_threads = engine_threads;
         return run_parallel(cell.sources, *scheduler, ec).makespan;
       });
 

@@ -8,11 +8,6 @@
 //
 //   --jobs N|max   run sweep cells on N threads (default 1; output is
 //                  byte-identical at every value)
-//   --engine-threads N|max
-//                  fast-forward each run's same-time boxes on N threads
-//                  (default 1; output is byte-identical at every value —
-//                  prefer --jobs for many small cells, --engine-threads
-//                  for few wide ones)
 //   --quick        reduced sweep (p <= 16) for CI smoke runs
 //   --stream       pull each instance lazily from generator sources instead
 //                  of materializing it (output is byte-identical; peak
@@ -32,7 +27,6 @@ int run_bench(int argc, char** argv) {
   const bool quick = args.get_bool("quick", false);
   const bool stream = args.get_bool("stream", false);
   const std::size_t jobs = jobs_from_args(args);
-  const std::size_t engine_threads = engine_threads_from_args(args);
   bench::reject_unknown_options(args);
 
   bench::banner(
@@ -90,7 +84,6 @@ int run_bench(int argc, char** argv) {
         config.miss_cost = s;
         config.seed = 3;
         config.trace_spec = workload_trace_spec(wkind, wp);
-        config.engine_threads = engine_threads;
 
         CellResult cell;
         cell.k = wp.cache_size;

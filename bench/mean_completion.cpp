@@ -6,9 +6,6 @@
 // lower bound and the max/min completion spread per scheduler.
 //
 //   --jobs N|max   run sweep cells on N threads (default 1)
-//   --engine-threads N|max
-//                  threads for each run's intra-engine box fan-out
-//                  (default 1; byte-identical output at every value)
 //   --stream       pull each instance lazily from generator sources
 //                  (byte-identical output, O(active window) peak memory)
 #include <algorithm>
@@ -26,7 +23,6 @@ int run_bench(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const bool stream = args.get_bool("stream", false);
   const std::size_t jobs = jobs_from_args(args);
-  const std::size_t engine_threads = engine_threads_from_args(args);
   bench::reject_unknown_options(args);
 
   bench::banner(
@@ -70,7 +66,6 @@ int run_bench(int argc, char** argv) {
         config.miss_cost = s;
         config.trace_spec =
             workload_trace_spec(WorkloadKind::kSkewedLengths, wp);
-        config.engine_threads = engine_threads;
         cell.outcome = run_instance(sources, all_scheduler_kinds(), config);
         for (const SchedulerOutcome& so : cell.outcome.outcomes) {
           const std::vector<double> stretch =

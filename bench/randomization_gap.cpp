@@ -8,9 +8,6 @@
 // curve would detach from DET-PAR's as p grows; it does not.
 //
 //   --jobs N|max   run sweep cells on N threads (default 1)
-//   --engine-threads N|max
-//                  fast-forward each run's same-time boxes on N threads
-//                  (default 1; output is byte-identical at every value)
 //   --stream       pull each instance lazily from generator sources instead
 //                  of materializing it (output is byte-identical)
 #include <iostream>
@@ -26,7 +23,6 @@ int run_bench(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const bool stream = args.get_bool("stream", false);
   const std::size_t jobs = jobs_from_args(args);
-  const std::size_t engine_threads = engine_threads_from_args(args);
   bench::reject_unknown_options(args);
 
   bench::banner(
@@ -72,7 +68,6 @@ int run_bench(int argc, char** argv) {
         ExperimentConfig config;
         config.cache_size = wp.cache_size;
         config.miss_cost = s;
-        config.engine_threads = engine_threads;
         OptBoundsConfig oc;
         oc.cache_size = wp.cache_size;
         oc.miss_cost = s;

@@ -10,9 +10,6 @@
 // wins outright — quantifying why the open problem is open.
 //
 //   --jobs N|max   run sweep cells on N threads (default 1)
-//   --engine-threads N|max
-//                  fast-forward each run's same-time boxes on N threads
-//                  (default 1; output is byte-identical at every value)
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -26,7 +23,6 @@ int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
   const std::size_t jobs = jobs_from_args(args);
-  const std::size_t engine_threads = engine_threads_from_args(args);
   bench::reject_unknown_options(args);
 
   bench::banner(
@@ -74,7 +70,6 @@ int run_bench(int argc, char** argv) {
         EngineConfig ec;
         ec.cache_size = sp.cache_size;
         ec.miss_cost = s;
-        ec.engine_threads = engine_threads;
         auto det_par = make_scheduler(SchedulerKind::kDetPar);
         cell.det_par = run_parallel(priv, *det_par, ec).makespan;
         auto equi = make_scheduler(SchedulerKind::kEqui);

@@ -4,11 +4,10 @@
 // through run_instance() — so the binary exercises the sweep's failure
 // paths: a cell whose trace is corrupt, or one that exhausts its step
 // budget, reports a structured status in its row instead of aborting the
-// sweep. scripts/chaos.sh byte-compares those rows across --jobs and
-// --engine-threads values.
+// sweep. scripts/chaos.sh byte-compares those rows across --jobs values.
 //
-//   $ ./chaos_sweep [--cells N] [--jobs N|max] [--engine-threads N|max]
-//                   [--budget EVENTS] [--retries R] [--faulty-every N]
+//   $ ./chaos_sweep [--cells N] [--jobs N|max] [--budget EVENTS]
+//                   [--retries R] [--faulty-every N]
 //
 //   --cells N      number of sweep cells (default 48)
 //   --budget E     per-cell engine step budget (0 = unlimited); exhausted
@@ -45,7 +44,6 @@ int run_chaos(int argc, char** argv) {
   const std::uint64_t faulty_every =
       static_cast<std::uint64_t>(args.get_int("faulty-every", 0));
   const std::size_t jobs = jobs_from_args(args);
-  const std::size_t engine_threads = engine_threads_from_args(args);
   if (const auto unused = args.unused_keys(); !unused.empty())
     throw std::invalid_argument("unknown option --" + unused.front());
 
@@ -65,7 +63,6 @@ int run_chaos(int argc, char** argv) {
         config.include_global_lru = false;
         config.cell_event_budget = budget;
         config.cell_retries = retries;
-        config.engine_threads = engine_threads;
         if (faulty_every > 0 && i % faulty_every == faulty_every - 1) {
           // Same workload, wrapped in the INJECT-TRACE decorator: the cell
           // fails deterministically with [corrupt-trace] and the sweep

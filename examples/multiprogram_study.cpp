@@ -6,7 +6,7 @@
 // fault rate, with how much memory — the practical question "how should a
 // shared cache be partitioned?" answered by each strategy.
 //
-//   $ ./multiprogram_study [p] [k] [--jobs N|max] [--engine-threads N|max]
+//   $ ./multiprogram_study [p] [k] [--jobs N|max]
 #include <cstdlib>
 #include <iostream>
 #include <new>
@@ -34,7 +34,6 @@ int run_study(int argc, char** argv) {
                        ? static_cast<Height>(std::atoi(positional[1].c_str()))
                        : 8 * p;
   const std::size_t jobs = jobs_from_args(args);
-  const std::size_t engine_threads = engine_threads_from_args(args);
   if (const auto unused = args.unused_keys(); !unused.empty())
     throw std::invalid_argument("unknown option --" + unused.front());
   const Time s = 16;
@@ -72,7 +71,6 @@ int run_study(int argc, char** argv) {
         EngineConfig ec;
         ec.cache_size = k;
         ec.miss_cost = s;
-        ec.engine_threads = engine_threads;
         return run_parallel(traces, *scheduler, ec);
       });
 

@@ -3,20 +3,20 @@
 // One fixed submission sequence of --tenants tenants, a seeded fraction of
 // which carry an injected trace fault (rotating through the INJECT-TRACE
 // classes: fail, hostile-page, torn-span, stall). The binary runs the
-// sequence four times — faulty fraction in {0, f} crossed with
-// --engine-threads in {0, max} — under the STATIC scheduler, whose box
-// cadence is independent of the active set, and then proves isolation:
+// sequence twice — faulty fraction 0 and f — under the STATIC scheduler,
+// whose box cadence is independent of the active set, and then proves
+// isolation:
 //
 //   * every HEALTHY tenant's outcome (terminal state, admission time,
-//     completion time, hits, misses) is byte-identical across all four
-//     legs — faulty neighbours and engine parallelism change nothing;
+//     completion time, hits, misses) is byte-identical across both legs —
+//     faulty neighbours change nothing;
 //   * every FAULTY tenant lands in the terminal state its fault class
 //     dictates (fail/hostile-page → quarantined corrupt-trace, stall →
 //     quarantined tenant-budget-exceeded, torn-span → completed early);
 //   * no leg fails run-wide: containment means the service stays up.
 //
-// scripts/tier1.sh runs 10^5 tenants as a hard gate (plus sanitizer
-// variants); ctest runs a short version as an example smoke test.
+// scripts/tier1.sh runs 10^5 tenants as a hard gate (plus an ASan
+// variant); ctest runs a short version as an example smoke test.
 //
 // Usage: service_chaos [--tenants N] [--n REQUESTS_PER_TENANT] [--k CACHE]
 //                      [--s COST] [--faulty-permille M] [--gap TICKS]
@@ -34,7 +34,6 @@
 #include "trace/generators.hpp"
 #include "util/arg_parse.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -82,12 +81,11 @@ struct LegResult {
   ServiceMetrics metrics;
 };
 
-LegResult run_leg(const Options& opt, bool with_faults, std::size_t threads) {
+LegResult run_leg(const Options& opt, bool with_faults) {
   const auto scheduler = make_scheduler(SchedulerKind::kStatic, opt.seed);
   ServiceConfig sc;
   sc.cache_size = opt.k;
   sc.miss_cost = opt.s;
-  sc.engine_threads = threads;
   // No backpressure: the submission (and hence admission) sequence must be
   // identical across legs, so nothing may be rejected or shed.
   sc.admission_queue_limit = static_cast<std::size_t>(opt.tenants) + 1;
@@ -165,70 +163,46 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    const std::size_t max_threads = ThreadPool::hardware_jobs();
     std::printf("service_chaos: tenants=%llu n=%zu k=%u s=%llu "
-                "faulty-permille=%llu threads-max=%zu\n",
+                "faulty-permille=%llu\n",
                 static_cast<unsigned long long>(opt.tenants), opt.n, opt.k,
                 static_cast<unsigned long long>(opt.s),
-                static_cast<unsigned long long>(opt.faulty_permille),
-                max_threads);
+                static_cast<unsigned long long>(opt.faulty_permille));
 
-    // Leg 0 is the reference: no faults, serial engine.
-    const LegResult baseline = run_leg(opt, /*with_faults=*/false, 0);
-    struct LegSpec {
-      const char* name;
-      bool faults;
-      std::size_t threads;
-    };
-    const LegSpec legs[] = {
-        {"clean/threads-max", false, max_threads},
-        {"faulty/serial", true, 0},
-        {"faulty/threads-max", true, max_threads},
-    };
+    const LegResult baseline = run_leg(opt, /*with_faults=*/false);
+    const LegResult leg = run_leg(opt, /*with_faults=*/true);
 
-    std::uint64_t faulty_count = 0;
-    for (std::uint64_t i = 0; i < opt.tenants; ++i)
-      if (is_faulty(i, opt)) ++faulty_count;
-
-    for (const LegSpec& spec : legs) {
-      const LegResult leg = run_leg(opt, spec.faults, spec.threads);
-      std::uint64_t healthy_mismatch = 0, faulty_bad = 0;
-      for (std::uint64_t i = 0; i < opt.tenants; ++i) {
-        const bool hostile = spec.faults && is_faulty(i, opt);
-        if (hostile) {
-          if (!faulty_outcome_ok(leg.outcomes[i], fault_class(i)))
-            ++faulty_bad;
-        } else if (!same_outcome(leg.outcomes[i], baseline.outcomes[i])) {
-          ++healthy_mismatch;
-        }
+    std::uint64_t faulty_count = 0, healthy_mismatch = 0, faulty_bad = 0;
+    for (std::uint64_t i = 0; i < opt.tenants; ++i) {
+      if (is_faulty(i, opt)) {
+        ++faulty_count;
+        if (!faulty_outcome_ok(leg.outcomes[i], fault_class(i)))
+          ++faulty_bad;
+      } else if (!same_outcome(leg.outcomes[i], baseline.outcomes[i])) {
+        ++healthy_mismatch;
       }
-      std::printf(
-          "leg %-18s completed=%llu quarantined=%llu health=%s "
-          "events=%llu\n",
-          spec.name,
-          static_cast<unsigned long long>(leg.metrics.completed),
-          static_cast<unsigned long long>(leg.metrics.quarantined),
-          leg.metrics.health == ServiceHealth::kDegraded ? "degraded"
-                                                         : "healthy",
-          static_cast<unsigned long long>(leg.metrics.events_consumed));
-      if (healthy_mismatch != 0 || faulty_bad != 0) {
-        std::fprintf(stderr,
-                     "FAIL (%s): %llu healthy tenants diverged from the "
-                     "clean serial run, %llu faulty tenants landed in the "
-                     "wrong terminal state\n",
-                     spec.name,
-                     static_cast<unsigned long long>(healthy_mismatch),
-                     static_cast<unsigned long long>(faulty_bad));
-        return 1;
-      }
+    }
+    std::printf(
+        "leg faulty completed=%llu quarantined=%llu health=%s events=%llu\n",
+        static_cast<unsigned long long>(leg.metrics.completed),
+        static_cast<unsigned long long>(leg.metrics.quarantined),
+        leg.metrics.health == ServiceHealth::kDegraded ? "degraded"
+                                                       : "healthy",
+        static_cast<unsigned long long>(leg.metrics.events_consumed));
+    if (healthy_mismatch != 0 || faulty_bad != 0) {
+      std::fprintf(stderr,
+                   "FAIL: %llu healthy tenants diverged from the clean run, "
+                   "%llu faulty tenants landed in the wrong terminal state\n",
+                   static_cast<unsigned long long>(healthy_mismatch),
+                   static_cast<unsigned long long>(faulty_bad));
+      return 1;
     }
 
     std::printf("service_chaos OK: %llu healthy tenants byte-identical "
-                "across faulty-fraction {0,%llu permille} x threads {0,%zu}; "
-                "%llu faulty tenants contained\n",
+                "across faulty-fraction {0,%llu permille}; %llu faulty "
+                "tenants contained\n",
                 static_cast<unsigned long long>(opt.tenants - faulty_count),
                 static_cast<unsigned long long>(opt.faulty_permille),
-                max_threads,
                 static_cast<unsigned long long>(faulty_count));
     return 0;
   } catch (const std::exception& e) {

@@ -4,16 +4,15 @@
 // arrivals by default, adversarial bursts or an all-at-t0 batch on request
 // — submitting lazily against the bounded admission queue so the process
 // footprint stays O(active tenants), not O(all tenants). scripts/tier1.sh
-// runs 10^5 tenants under a hard `ulimit -v` (serial and with
-// --engine-threads max) to gate the service layer's memory discipline;
-// ctest runs short variants as ordinary example smoke tests.
+// runs 10^5 tenants under a hard `ulimit -v` to gate the service layer's
+// memory discipline; ctest runs short variants as ordinary example smoke
+// tests.
 //
 // Usage: service_sim [--tenants N] [--n REQUESTS_PER_TENANT] [--k CACHE]
 //                    [--s COST] [--arrivals poisson|burst|t0]
 //                    [--mean-gap TICKS] [--burst N] [--queue-limit N]
 //                    [--admission-policy fifo-reject|shed-oldest|shed-largest]
-//                    [--depart-every N] [--scheduler NAME]
-//                    [--engine-threads N|max] [--seed SEED]
+//                    [--depart-every N] [--scheduler NAME] [--seed SEED]
 //                    [--max-rss-mb LIMIT]
 //
 // --depart-every N force-departs every N-th tenant shortly after
@@ -36,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_support/parallel_sweep.hpp"
 #include "core/scheduler_factory.hpp"
 #include "service/paging_service.hpp"
 #include "trace/generators.hpp"
@@ -128,7 +126,6 @@ int main(int argc, char** argv) {
     ServiceConfig sc;
     sc.cache_size = static_cast<Height>(args.get_int("k", 64));
     sc.miss_cost = static_cast<Time>(args.get_int("s", 8));
-    sc.engine_threads = engine_threads_from_args(args);
     sc.admission_queue_limit =
         static_cast<std::size_t>(args.get_int("queue-limit", 4096));
     const std::string policy_name =
@@ -139,14 +136,17 @@ int main(int argc, char** argv) {
       throw_error(ErrorCode::kBadInput,
                   "--admission-policy must be fifo-reject, shed-oldest, or "
                   "shed-largest (got '" + policy_name + "')");
+    if (const auto unused = args.unused_keys(); !unused.empty())
+      throw_error(ErrorCode::kBadInput,
+                  "unknown option --" + unused.front());
     PagingService service(*scheduler, sc);
 
     std::printf(
         "service_sim: tenants=%llu n/tenant=%zu k=%u s=%llu arrivals=%s "
-        "scheduler=%s engine_threads=%zu\n",
+        "scheduler=%s\n",
         static_cast<unsigned long long>(tenants), n, sc.cache_size,
         static_cast<unsigned long long>(sc.miss_cost), arrivals_name.c_str(),
-        scheduler->name(), sc.engine_threads);
+        scheduler->name());
 
     // Arrival clock: Poisson draws exponential inter-arrival gaps, burst
     // drops `burst` tenants at one instant then jumps a long gap, t0 puts

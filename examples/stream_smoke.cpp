@@ -49,6 +49,9 @@ int main(int argc, char** argv) {
     wp.miss_cost = static_cast<Time>(args.get_int("s", 8));
     const long max_rss_mb = args.get_int("max-rss-mb", 0);
     const bool materialize = args.get_bool("materialize", false);
+    if (const auto unused = args.unused_keys(); !unused.empty())
+      throw_error(ErrorCode::kBadInput,
+                  "unknown option --" + unused.front());
 
     const MultiTraceSource sources =
         make_workload_source(WorkloadKind::kHomogeneousCyclic, wp);

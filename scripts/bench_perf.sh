@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Perf regression gate: snapshots simulator throughput (engine_micro,
-# including the threaded-engine benchmarks, plus the PagingService
-# end-to-end numbers from service_throughput) and the reference E4 sweep
+# Perf regression gate: snapshots simulator throughput (engine_micro, plus
+# the PagingService end-to-end numbers from service_throughput) and the
+# reference E4 sweep
 # wall time at --jobs 1 vs --jobs max into a machine-readable
 # BENCH_PERF.json, verifying on the way that the parallel sweep output is
 # byte-identical to the serial one.
@@ -273,14 +273,13 @@ parallel_s = t2 - t1
 out = {
     "schema": 2,
     "quick": os.environ["QUICK"] == "1",
-    # The threaded-engine benchmarks run at engine_threads = hardware_jobs,
-    # so a snapshot only compares meaningfully against hosts of the same
-    # width; num_cpus records that width (nproc, not google-benchmark's
-    # guess, which can report the container host's topology).
+    # The --jobs max sweep runs one thread per core, so a snapshot only
+    # compares meaningfully against hosts of the same width; num_cpus
+    # records that width (nproc, not google-benchmark's guess, which can
+    # report the container host's topology).
     "context": {
         "num_cpus": int(os.environ["NUM_CPUS"]),
         "compiler": os.environ["COMPILER"],
-        "engine_threads": int(os.environ["NUM_CPUS"]),
     },
     "build_type": os.environ["BUILD_TYPE"],
     "requests_per_sec": bench,

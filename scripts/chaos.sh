@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Failure-as-data drill (tier-1): sweep cells that fail on purpose must
-# report structured rows, and those rows must not depend on thread counts.
+# report structured rows, and those rows must not depend on --jobs.
 #
 # Two gates:
 #   1. faulty: a sweep seeded with corrupt traces (--faulty-every) reports
-#      [corrupt-trace] rows; a serial --jobs 1 run and a --jobs max
-#      --engine-threads max run must be byte-identical (cmp, not diff), so
-#      the gate doubles as proof that the sweep pool and the threaded
-#      engine change nothing, failures included;
+#      [corrupt-trace] rows; a serial --jobs 1 run and a --jobs max run
+#      must be byte-identical (cmp, not diff), so the gate doubles as proof
+#      that the sweep pool changes nothing, failures included;
 #   2. budget: cells that exhaust --budget report structured
 #      [cell-budget-exceeded] rows and the sweep exits 0 (a failed cell is
 #      data, not a crash).
@@ -27,18 +26,17 @@ trap 'rm -rf "${WORK}"' EXIT
 
 CELLS=24
 
-# Faulty-cell gate: failures are byte-identical across thread counts.
+# Faulty-cell gate: failures are byte-identical across --jobs values.
 faulty_serial="${WORK}/faulty-serial.txt"
-faulty_threaded="${WORK}/faulty-threaded.txt"
+faulty_parallel="${WORK}/faulty-parallel.txt"
 "${BIN}" --cells "${CELLS}" --faulty-every 5 --jobs 1 > "${faulty_serial}"
 grep -q "corrupt-trace" "${faulty_serial}" || {
   echo "chaos.sh FAIL: faulty sweep did not report corrupt-trace rows" >&2
   exit 1
 }
-"${BIN}" --cells "${CELLS}" --faulty-every 5 --jobs max \
-         --engine-threads max > "${faulty_threaded}"
-cmp "${faulty_serial}" "${faulty_threaded}" || {
-  echo "chaos.sh FAIL: threaded faulty sweep differs from the serial run" >&2
+"${BIN}" --cells "${CELLS}" --faulty-every 5 --jobs max > "${faulty_parallel}"
+cmp "${faulty_serial}" "${faulty_parallel}" || {
+  echo "chaos.sh FAIL: --jobs max faulty sweep differs from the serial run" >&2
   exit 1
 }
 
@@ -50,4 +48,4 @@ grep -q "cell-budget-exceeded" "${budget_out}" || {
   exit 1
 }
 
-echo "chaos OK (faulty rows byte-identical serial vs threaded; budget rows structured)"
+echo "chaos OK (faulty rows byte-identical --jobs 1 vs max; budget rows structured)"

@@ -9,15 +9,15 @@
 #    clang -Wthread-safety / clang-tidy / cppcheck when available) plus a
 #    hard check that both emitted JSON reports are empty;
 #  - the robustness tests (fault injection, trace corruption, replay)
-#    again under ASan/UBSan, then the thread pool, sweep executor and
-#    threaded engine raced under ThreadSanitizer;
+#    again under ASan/UBSan, then the thread pool and sweep executor raced
+#    under ThreadSanitizer;
 #  - the failure-as-data drill (scripts/chaos.sh: corrupt-trace rows
-#    byte-identical serial vs threaded, budget rows structured);
+#    byte-identical at --jobs 1 and max, budget rows structured);
 #  - the constant-memory gates (a 10^8-request streamed run and a
 #    10^5-tenant service soak, both under a 256 MB address-space cap);
 #  - the tenant fault-isolation chaos gate (service_chaos: 10^5 tenants,
 #    seeded injected-fault fraction, healthy outcomes byte-identical across
-#    fault fraction and thread count; smaller ASan/TSan legs run above);
+#    fault fraction; a smaller ASan leg runs above);
 #  - the perf gate (a self-test proving the gate can fail, followed by the
 #    quick snapshot, which checks --jobs byte-identity and hard-fails on
 #    >15% throughput drops vs the committed BENCH_PERF.json).
@@ -46,7 +46,7 @@ cmake --build build -j "$(nproc)"
 # really are per-case).
 (cd build &&
  ctest --output-on-failure -j8 --repeat until-fail:3 --no-tests=error \
-       -R 'TraceSource\.|TraceIo|StreamingEquivalence|Replay|StreamingReaderCorruption|ParallelSweep|EngineThreads|AtomicFile|RunInstance')
+       -R 'TraceSource\.|TraceIo|StreamingEquivalence|Replay|StreamingReaderCorruption|ParallelSweep|AtomicFile|RunInstance')
 
 scripts/static.sh --format-check
 
@@ -71,39 +71,26 @@ if [[ "${SAN}" != "none" ]]; then
   # Fault-isolation gate under ASan: injected trace faults (fail,
   # hostile-page, torn-span, stall) must quarantine only their own tenant
   # while every healthy tenant's outcome stays byte-identical to the
-  # fault-free run, serial and threaded.
+  # fault-free run.
   "./build-${SAN}/examples-bin/service_chaos" --tenants 5000 \
       --faulty-permille 150 > /dev/null
   echo "ASan fault-isolation gate OK (service_chaos, 5*10^3 tenants)"
 
-  # Race the thread pool, sweep executor, and threaded engine under TSan:
-  # the determinism suites run every sweep at --jobs 1/2/hardware and every
-  # engine at engine_threads 0/2/4/hardware, so a data race in either
-  # parallel path surfaces here even on a single-core host.
+  # Race the thread pool and sweep executor under TSan: the determinism
+  # suites run every sweep at --jobs 1/2/hardware, so a data race in the
+  # parallel path surfaces here even on a single-core host. The engine and
+  # service suites stay in the filter, so a thread added there is raced too.
   cmake -B build-thread -S . -DPPG_SANITIZE=thread -DPPG_WERROR=ON \
         -DPPG_BUILD_BENCH=OFF -DPPG_BUILD_EXAMPLES=ON >/dev/null
   cmake --build build-thread -j "$(nproc)"
   (cd build-thread &&
    ctest --output-on-failure -j "$(nproc)" --no-tests=error \
-         -R 'ThreadPool|ParallelSweep|EngineThreads|EngineStepper|PagingService')
-
-  # TSan variant of the service soak: race the admission/stepper/fold path
-  # end to end with the engine pool maxed. Reduced tenant count and no
-  # ulimit — TSan shadow memory needs the address space.
-  ./build-thread/examples-bin/service_sim --tenants 10000 --depart-every 97 \
-      --engine-threads max > /dev/null
-  echo "TSan service soak OK (10^4 tenants, --engine-threads max)"
-
-  # TSan variant of the fault-isolation gate: the contained-failure fold
-  # (pending_error slots resolved in pop order) raced at max threads.
-  ./build-thread/examples-bin/service_chaos --tenants 5000 \
-      --faulty-permille 150 > /dev/null
-  echo "TSan fault-isolation gate OK (service_chaos, 5*10^3 tenants)"
+         -R 'ThreadPool|ParallelSweep|EngineStepper|PagingService')
 fi
 
 # Failure-as-data gate: corrupt-trace cells report structured rows that are
-# byte-identical between a serial run and --jobs max --engine-threads max;
-# budget-exhausted cells report structured rows and exit 0.
+# byte-identical between --jobs 1 and --jobs max; budget-exhausted cells
+# report structured rows and exit 0.
 scripts/chaos.sh
 
 # Constant-memory gate: a generator-backed 10^8-request streamed run must
@@ -117,28 +104,19 @@ echo "streaming memory gate OK (10^8 requests under 256 MB)"
 
 # Service soak gate: 10^5 tenants through PagingService (Poisson arrivals,
 # periodic departures) under the same 256 MB cap — memory stays
-# O(active tenants), not O(submitted). Run serial and with the intra-run
-# engine pool maxed; the two must print byte-identical metrics. The
-# threaded leg pins glibc to one malloc arena: each per-thread arena
-# reserves address space that counts against ulimit -v however little of
-# it is touched, so at 4+ cores the reservations alone exceed the cap.
+# O(active tenants), not O(submitted).
 (
   ulimit -v 262144
   ./build/examples-bin/service_sim --tenants 100000 --depart-every 97 \
-      --max-rss-mb 256 > /tmp/service_soak_serial.txt
-  MALLOC_ARENA_MAX=1 ./build/examples-bin/service_sim --tenants 100000 \
-      --depart-every 97 --max-rss-mb 256 --engine-threads max \
-      > /tmp/service_soak_threads.txt
+      --max-rss-mb 256
 )
-diff <(tail -n +2 /tmp/service_soak_serial.txt) \
-     <(tail -n +2 /tmp/service_soak_threads.txt)
-echo "service soak gate OK (10^5 tenants under 256 MB, serial == threaded)"
+echo "service soak gate OK (10^5 tenants under 256 MB)"
 
 # Chaos soak gate: 10^5 tenants, a seeded tenth of them carrying injected
 # trace faults. The binary itself proves isolation — every healthy tenant's
-# outcome byte-identical across faulty-fraction {0, f} and engine-threads
-# {0, max}, every faulty tenant in its fault class's terminal state — and
-# exits non-zero on any divergence.
+# outcome byte-identical across faulty-fraction {0, f}, every faulty tenant
+# in its fault class's terminal state — and exits non-zero on any
+# divergence.
 ./build/examples-bin/service_chaos --tenants 100000 --faulty-permille 100 \
     > /tmp/service_chaos_gate.txt
 tail -n 1 /tmp/service_chaos_gate.txt

@@ -72,7 +72,6 @@ InstanceOutcome run_instance(const MultiTraceSource& sources,
   ec.max_events = config.cell_event_budget;
   ec.seed = config.seed;
   ec.trace_spec = config.trace_spec;
-  ec.engine_threads = config.engine_threads;
 
   for (const SchedulerKind kind : kinds) {
     // Scheduler construction is a lambda so a retry rebuilds it from the
@@ -148,7 +147,6 @@ Summary makespan_over_seeds(const MultiTraceSource& sources,
   ec.cache_size = config.cache_size;
   ec.miss_cost = config.miss_cost;
   ec.track_memory_timeline = false;
-  ec.engine_threads = config.engine_threads;
   Summary summary;
   for (std::size_t trial = 0; trial < num_seeds; ++trial) {
     auto scheduler = make_scheduler(kind, config.seed + trial * 7919);

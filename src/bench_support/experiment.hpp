@@ -58,10 +58,6 @@ struct ExperimentConfig {
   /// forwarded to the engine so replay dumps record (spec, seed) instead
   /// of the full request vectors.
   std::string trace_spec;
-  /// Intra-run threads forwarded to EngineConfig::engine_threads (0/1 =
-  /// serial). Orthogonal to sweep --jobs: results are byte-identical at
-  /// every value, so it is a pure throughput knob for wide instances.
-  std::size_t engine_threads = 0;
 };
 
 struct SchedulerOutcome {

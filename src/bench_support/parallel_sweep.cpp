@@ -5,14 +5,8 @@
 
 namespace ppg {
 
-namespace {
-
-// Parses a thread-count flag: a positive integer, or "max" for one thread
-// per hardware core. `zero_means_max` also accepts 0 as an alias of max.
-std::size_t thread_count_from_args(const ArgParser& args,
-                                   const std::string& flag,
-                                   bool zero_means_max) {
-  const std::string value = args.get_string(flag, "1");
+std::size_t jobs_from_args(const ArgParser& args) {
+  const std::string value = args.get_string("jobs", "1");
   if (value == "max") return ThreadPool::hardware_jobs();
   std::size_t pos = 0;
   long long parsed = -1;
@@ -21,26 +15,13 @@ std::size_t thread_count_from_args(const ArgParser& args,
   } catch (const std::exception&) {
     pos = 0;
   }
-  const long long min = zero_means_max ? 0 : 1;
-  if (pos != value.size() || parsed < min) {
+  if (pos != value.size() || parsed < 0) {
     throw_error(ErrorCode::kBadInput,
-                "--" + flag + " expects a " +
-                    (zero_means_max ? "non-negative" : "positive") +
-                    " integer or 'max', got '" + value + "'");
+                "--jobs expects a non-negative integer or 'max', got '" +
+                    value + "'");
   }
   return parsed == 0 ? ThreadPool::hardware_jobs()
                      : static_cast<std::size_t>(parsed);
-}
-
-}  // namespace
-
-std::size_t jobs_from_args(const ArgParser& args) {
-  return thread_count_from_args(args, "jobs", /*zero_means_max=*/true);
-}
-
-std::size_t engine_threads_from_args(const ArgParser& args) {
-  return thread_count_from_args(args, "engine-threads",
-                                /*zero_means_max=*/false);
 }
 
 std::uint64_t cell_seed(std::uint64_t base, std::size_t index) {

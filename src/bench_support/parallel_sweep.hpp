@@ -31,13 +31,6 @@ namespace ppg {
 /// "max" / "0" for one thread per hardware core. Default 1.
 std::size_t jobs_from_args(const ArgParser& args);
 
-/// Resolves the shared `--engine-threads` flag (intra-run parallelism,
-/// ExperimentConfig/EngineConfig::engine_threads): a positive thread
-/// count, or "max" for one thread per hardware core. Default 1 (serial).
-/// The engine is byte-identical at every thread count, so this flag never
-/// changes a bench's output.
-std::size_t engine_threads_from_args(const ArgParser& args);
-
 /// RNG seed for sweep cell `index`: a splitmix64 mix of the sweep base
 /// seed and the enumeration index, so it is independent of execution
 /// order and uncorrelated across neighbouring cells.

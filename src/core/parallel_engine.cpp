@@ -1,7 +1,6 @@
 #include "core/parallel_engine.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <queue>
 #include <sstream>
 #include <utility>
@@ -10,8 +9,6 @@
 #include "core/replay.hpp"
 #include "green/box_runner.hpp"
 #include "util/assert.hpp"
-#include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppg {
 
@@ -108,10 +105,7 @@ struct EngineStepper::Impl {
 
   // Per-processor lifetime state. Runners are released (reset) the moment
   // a processor finishes or departs, so live memory tracks the active set.
-  // During a batch fan-out each worker touches only runners[pending_proc[i]]
-  // for its claimed i; everything else is serial-phase-only.
-  std::vector<std::unique_ptr<BoxRunner>> runners
-      PPG_SHARDED_BY(pending_proc[i] of the claimed batch index);
+  std::vector<std::unique_ptr<BoxRunner>> runners;
   std::vector<std::shared_ptr<const TraceSource>> pending_sources;
   std::vector<bool> departing;
   std::vector<std::uint64_t> proc_hits;
@@ -127,28 +121,12 @@ struct EngineStepper::Impl {
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
   std::uint64_t seq = 0;
 
-  // Engine-owned pool for intra-run parallelism. The calling thread
-  // participates in every batch (ThreadPool::run_batch), so N configured
-  // threads means N-1 workers.
-  std::optional<ThreadPool> pool;
-
   // Per-batch scratch (SoA, reused across steps): the events popped at the
-  // current simulated time, and the boxes awaiting simulation. A processor
-  // has exactly one outstanding event at any time, so the pending procs of
-  // one batch are distinct — the run_box calls touch disjoint runners and
-  // disjoint step slots, which is what makes the fan-out race-free.
+  // current simulated time, and the boxes granted by the scheduler pass,
+  // awaiting simulation in the fold.
   std::vector<Event> batch;
   std::vector<ProcId> pending_proc;
   std::vector<BoxAssignment> pending_box;
-  // Result slots: slot i is written by exactly the worker that claimed
-  // batch index i and read only after the run_batch barrier, in pop order.
-  std::vector<BoxStepResult> pending_step PPG_SHARDED_BY(batch index i);
-  // Error slots for the same fan-out: a PpgException thrown by run_box is
-  // captured into the thrower's own slot (instead of racing through the
-  // pool's first-error channel, whose winner depends on completion order)
-  // and resolved in pop order during the fold — the failing *event* is
-  // therefore deterministic at every thread count.
-  std::vector<std::unique_ptr<Error>> pending_error PPG_SHARDED_BY(batch index i);
 
   std::vector<std::pair<Time, std::int64_t>> mem_timeline;
   std::vector<StepCompletion> completions;
@@ -163,7 +141,6 @@ struct EngineStepper::Impl {
       : scheduler(&sched), config(cfg) {
     PPG_CHECK(config.cache_size >= 1);
     PPG_CHECK(config.miss_cost >= 1);
-    if (config.engine_threads > 1) pool.emplace(config.engine_threads - 1);
   }
 
   ProcId add_slot(std::shared_ptr<const TraceSource> source, bool active) {
@@ -292,11 +269,10 @@ struct EngineStepper::Impl {
 
     ParallelRunResult& result = out.result;
 
-    // Serial pass, in pop order: per-event guards and every scheduler
-    // interaction. Box simulations are deferred to the fan-out below; on
-    // a failure mid-batch the boxes collected so far are still simulated
-    // and folded, so the partial result is byte-identical to the serial
-    // engine stopping at the same event.
+    // Scheduler pass, in pop order: per-event guards and every scheduler
+    // interaction. Box simulations are deferred to the fold below, so every
+    // scheduler call of the batch precedes every simulation; on a failure
+    // mid-batch the boxes granted so far are still simulated and folded.
     pending_proc.clear();
     pending_box.clear();
     for (std::size_t batch_index = 0; batch_index < batch.size();
@@ -419,45 +395,23 @@ struct EngineStepper::Impl {
       pending_box.push_back(box);
     }
 
-    // Fan-out: fast-forward the batch's boxes. Each call only touches
-    // its own processor's runner and step slot; the barrier (run_batch
-    // returns only when every index has run) makes the fold below safe.
-    const std::size_t n = pending_proc.size();
-    pending_step.resize(n);
-    pending_error.clear();
-    pending_error.resize(n);
-    const auto simulate = [&](std::size_t i) {
-      const BoxAssignment& box = pending_box[i];
-      try {
-        pending_step[i] = runners[pending_proc[i]]->run_box(
-            box.height, box.end - box.start, box.fresh);
-      } catch (const PpgException& e) {
-        // Captured per slot (not through the pool's completion-ordered
-        // first-error channel) so the fold below resolves failures in pop
-        // order — deterministic at every thread count.
-        pending_error[i] = std::make_unique<Error>(e.error());
-      }
-    };
-    if (pool && n > 1) {
-      pool->run_batch(n, simulate);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) simulate(i);
-    }
-
-    // Fold, again in pop order: metric accumulation, timeline entries,
-    // and follow-up event pushes see the same sequence (and assign the
-    // same seq numbers) as the one-event-at-a-time loop.
-    for (std::size_t i = 0; i < n; ++i) {
+    // Fold, again in pop order: fast-forward each granted box, then
+    // accumulate its metrics and timeline entries and push its follow-up
+    // event (assigning seq numbers in pop order).
+    for (std::size_t i = 0; i < pending_proc.size(); ++i) {
       const ProcId proc = pending_proc[i];
       const BoxAssignment& box = pending_box[i];
-      if (pending_error[i] != nullptr) {
-        Error error = std::move(*pending_error[i]);
+      BoxStepResult step;
+      try {
+        step = runners[proc]->run_box(box.height, box.end - box.start,
+                                      box.fresh);
+      } catch (const PpgException& e) {
+        Error error = e.error();
         error.proc = proc;
         if (error.time == kTimeInfinity) error.time = box.start;
         if (!config.contain_proc_failures) {
           // Batch contract: the first failure (in pop order) fails the
-          // whole run; the rest of the fold is skipped, exactly as the
-          // serial engine stopping at the same event.
+          // whole run; the rest of the fold is skipped.
           fail(std::move(error));
           break;
         }
@@ -480,7 +434,6 @@ struct EngineStepper::Impl {
         events.push(Event{box.end, EventKind::kNeedBox, proc, seq++});
         continue;
       }
-      const BoxStepResult& step = pending_step[i];
       ++result.num_boxes;
       result.hits += step.hits;
       result.misses += step.misses;

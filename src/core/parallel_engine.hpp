@@ -9,10 +9,9 @@
 // processor's progress depends only on its own trace, so each box is
 // fast-forwarded in one step. Because no event produced while draining the
 // batch at time t can land back at time t, the engine drains whole
-// same-time batches: scheduler calls run serially in event order, the
-// independent box fast-forwards run concurrently when
-// EngineConfig::engine_threads > 1 (see DESIGN.md §10), and results fold
-// back in event order — output is byte-identical at every thread count.
+// same-time batches in two in-order passes: every scheduler call of the
+// batch first, then each granted box's fast-forward and fold (see
+// DESIGN.md §10). The engine runs on the calling thread.
 //
 // Two entry points share the same loop:
 //  - run() treats any scheduler misbehaviour or watchdog trip as fatal
@@ -88,17 +87,6 @@ struct EngineConfig {
   /// Record the (time, +/-height) allocation timeline to measure peak
   /// concurrent height (costs memory proportional to #boxes).
   bool track_memory_timeline = true;
-  /// Intra-run parallelism: number of OS threads used to fast-forward the
-  /// boxes of one simulated step (0 and 1 both mean serial, the default —
-  /// existing callers are untouched). The engine drains each global-time
-  /// event batch by simulating the affected boxes concurrently on an
-  /// engine-owned util/thread_pool (the calling thread participates, so N
-  /// means N threads total) behind a deterministic barrier, then folds the
-  /// results back in event order. Scheduler calls stay on the calling
-  /// thread. Metrics, event ordering, and scheduler observations are
-  /// byte-identical at every thread count; sweeps layering cell-level
-  /// parallelism on top should keep this at 0 (nested pools oversubscribe).
-  std::size_t engine_threads = 0;
   /// Optional observer invoked for every box the scheduler issues (after
   /// validation, before simulation). Used by tests to verify scheduler
   /// properties such as DET-PAR's well-roundedness.
@@ -155,9 +143,9 @@ struct StepCompletion {
 ///  - start() seeds the initial cohort's events after the scheduler sees
 ///    the instance geometry; processors added before start() form that
 ///    cohort exactly as ParallelEngine's constructor arguments would.
-///  - step() drains exactly one global-time event batch (serial scheduler
-///    pass, fan-out box simulation, in-order fold — see DESIGN.md §10) and
-///    returns false once the run is complete or failed. Between steps the
+///  - step() drains exactly one global-time event batch (scheduler pass,
+///    then box simulation and fold, both in event order — see DESIGN.md
+///    §10) and returns false once the run is complete or failed. Between steps the
 ///    caller may inspect any accessor, add processors, or request
 ///    departures; interleaving those calls with step() is deterministic.
 ///  - add_processor(source, arrival) admits a processor mid-run: it

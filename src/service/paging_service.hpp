@@ -10,8 +10,8 @@
 // max-fault fairness figure that Online Min-Max Paging motivates.
 //
 // Determinism: the service adds no randomness of its own. Metrics are a
-// pure function of (submission sequence, scheduler seed, config), at every
-// engine_threads value — the same contract the batch engine has. And a
+// pure function of (submission sequence, scheduler seed, config) — the
+// same contract the batch engine has. And a
 // service whose tenants all arrive at t = 0 admits them as the engine's
 // initial cohort, so its engine run is byte-identical to
 // ParallelEngine::run() over the same sources (pinned by
@@ -96,12 +96,6 @@ struct ServiceConfig {
   /// through ServiceMetrics::events_consumed.
   Time max_time = Time{1} << 60;
   std::uint64_t max_events = 0;
-  /// Intra-run engine parallelism (EngineConfig::engine_threads).
-  std::size_t engine_threads = 0;
-  /// Memory-timeline tracking costs O(#boxes) memory over the service's
-  /// whole lifetime, so it defaults off here (unlike the batch engine);
-  /// enable only for bounded equivalence tests.
-  bool track_memory_timeline = false;
   /// Admission backpressure: submit() rejects (returns nullopt) while this
   /// many tenants are already waiting for admission.
   std::size_t admission_queue_limit = 4096;
@@ -265,11 +259,9 @@ class PagingService {
   void shed_queued(std::size_t index);
 
   // The service is driven by one external thread (submit/depart/step are
-  // never called concurrently); the only parallelism underneath is the
-  // engine's own run_batch fan-out, which stays inside stepper_.step() and
-  // never touches service state. Hence caller-synchronized annotations, not
-  // a mutex: adding one here would imply a concurrency the API does not
-  // offer.
+  // never called concurrently), and the engine underneath runs on that
+  // thread too. Hence caller-synchronized annotations, not a mutex: adding
+  // one here would imply a concurrency the API does not offer.
   ServiceConfig config_;
   EngineStepper stepper_;
   bool started_ = false;

@@ -184,10 +184,8 @@ std::shared_ptr<const TraceSource> concat_source(
 /// the back buffer one chunk ahead of consumption. peek()/advance()/
 /// next_span() are then served from resident memory, so the inner source's
 /// per-request cost (generator arithmetic, file reads, virtual dispatch)
-/// is paid in chunk-sized bursts — and, inside the threaded engine, inside
-/// the processor's own parallel task, overlapping every other processor's
-/// simulation. The stream, checkpoints, and rewind behaviour are
-/// byte-identical to the undecorated source.
+/// is paid in chunk-sized bursts. The stream, checkpoints, and rewind
+/// behaviour are byte-identical to the undecorated source.
 std::shared_ptr<const TraceSource> read_ahead_source(
     std::shared_ptr<const TraceSource> inner, std::size_t chunk = 4096);
 

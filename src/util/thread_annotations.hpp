@@ -13,9 +13,9 @@
 //   PPG_GUARDED_BY(m)         field is only touched while `m` is held
 //                             (checkable by clang).
 //   PPG_SHARDED_BY(...)       field is written at disjoint indices by
-//                             ThreadPool::run_batch / parallel_for_index
-//                             workers and published by the pool's barrier;
-//                             there is no lock to name, so this is
+//                             parallel_for_index workers (sweep cells) and
+//                             published by the pool's barrier; there is
+//                             no lock to name, so this is
 //                             documentation-only on every compiler.
 //   PPG_CALLER_SYNCHRONIZED(...)  field is owned by a single external
 //                             driver thread (e.g. PagingService's driver);

@@ -11,8 +11,7 @@
 //  - online arrival/departure: EngineView::for_each_active stays exact
 //    after every step, DET-PAR / RAND-PAR / GLOBAL-LRU re-phase instead of
 //    aborting when the active set changes mid-run, and any fixed
-//    add/depart/step script is deterministic at every engine_threads
-//    value.
+//    add/depart/step script is deterministic.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -26,7 +25,6 @@
 #include "core/scheduler_factory.hpp"
 #include "trace/generators.hpp"
 #include "trace/workload.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppg {
 namespace {
@@ -275,11 +273,10 @@ TEST(EngineStepperTest, DepartBeforeArrivalNeverActivates) {
 }
 
 /// Runs a fixed arrival/departure script and returns the final metrics.
-CheckedRun run_script(const std::string& sched_name, std::size_t threads) {
+CheckedRun run_script(const std::string& sched_name) {
   EngineConfig ec;
   ec.cache_size = 32;
   ec.miss_cost = 8;
-  ec.engine_threads = threads;
   const auto sched = build(sched_name, 13);
   EngineStepper stepper(*sched, ec);
   for (std::size_t i = 0; i < 3; ++i)
@@ -305,19 +302,15 @@ CheckedRun run_script(const std::string& sched_name, std::size_t threads) {
   return stepper.finish();
 }
 
-TEST(EngineStepperTest, ArrivalScriptsAreDeterministicAtEveryThreadCount) {
+TEST(EngineStepperTest, ArrivalScriptsAreDeterministic) {
   for (const std::string name : {"DET-PAR", "RAND-PAR", "GLOBAL-LRU"}) {
-    const CheckedRun want = run_script(name, 0);
+    const CheckedRun want = run_script(name);
     ASSERT_TRUE(want.status.ok()) << name;
     ASSERT_EQ(want.result.completion.size(), 5u) << name;
-    for (const std::size_t threads :
-         {std::size_t{0}, std::size_t{2}, ThreadPool::hardware_jobs()}) {
-      const CheckedRun got = run_script(name, threads);
-      ASSERT_TRUE(got.status.ok()) << name << " threads=" << threads;
-      expect_identical(got.result, want.result,
-                       name + " threads=" + std::to_string(threads));
-      EXPECT_EQ(got.events_consumed, want.events_consumed) << name;
-    }
+    const CheckedRun got = run_script(name);
+    ASSERT_TRUE(got.status.ok()) << name;
+    expect_identical(got.result, want.result, name);
+    EXPECT_EQ(got.events_consumed, want.events_consumed) << name;
   }
 }
 

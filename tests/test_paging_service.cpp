@@ -1,7 +1,7 @@
 // PagingService contracts: the all-at-t0 cohort is byte-identical to a
 // batch ParallelEngine::run() over the same sources; any fixed submission
-// schedule is deterministic (same seed + schedule => identical metrics, at
-// every engine_threads value); admission is FIFO with bounded-queue
+// schedule is deterministic (same seed + schedule => identical metrics);
+// admission is FIFO with bounded-queue
 // backpressure; depart() works in every tenant state; completion
 // callbacks fire once, in engine order, with correct outcomes; histograms
 // and the max-fault SLO aggregate exactly the per-tenant outcomes.
@@ -16,7 +16,6 @@
 #include "service/paging_service.hpp"
 #include "trace/generators.hpp"
 #include "trace/workload.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppg {
 namespace {
@@ -190,11 +189,9 @@ TEST(PagingServiceTest, MetricsAggregateOutcomes) {
 }
 
 /// Fixed submission schedule; returns (makespan, hits^misses fingerprint).
-ServiceMetrics run_schedule(SchedulerKind kind, std::size_t threads) {
+ServiceMetrics run_schedule(SchedulerKind kind) {
   const auto sched = make_scheduler(kind, 31);
-  ServiceConfig sc = service_config();
-  sc.engine_threads = threads;
-  PagingService service(*sched, sc);
+  PagingService service(*sched, service_config());
   std::uint64_t submitted = 0;
   const auto submit_next = [&] {
     const TenantId id = static_cast<TenantId>(submitted);
@@ -224,24 +221,19 @@ ServiceMetrics run_schedule(SchedulerKind kind, std::size_t threads) {
   return service.metrics();
 }
 
-TEST(PagingServiceTest, SchedulesAreDeterministicAtEveryThreadCount) {
+TEST(PagingServiceTest, SchedulesAreDeterministic) {
   for (const SchedulerKind kind :
        {SchedulerKind::kDetPar, SchedulerKind::kRandPar}) {
-    const ServiceMetrics want = run_schedule(kind, 0);
+    const ServiceMetrics want = run_schedule(kind);
     EXPECT_EQ(want.completed + want.departed, 12u);
-    for (const std::size_t threads :
-         {std::size_t{0}, std::size_t{2}, ThreadPool::hardware_jobs()}) {
-      const ServiceMetrics got = run_schedule(kind, threads);
-      EXPECT_EQ(got.now, want.now) << "threads=" << threads;
-      EXPECT_EQ(got.completed, want.completed) << "threads=" << threads;
-      EXPECT_EQ(got.departed, want.departed) << "threads=" << threads;
-      EXPECT_EQ(got.events_consumed, want.events_consumed)
-          << "threads=" << threads;
-      EXPECT_EQ(got.max_faults, want.max_faults) << "threads=" << threads;
-      EXPECT_DOUBLE_EQ(got.mean_completion_latency,
-                       want.mean_completion_latency)
-          << "threads=" << threads;
-    }
+    const ServiceMetrics got = run_schedule(kind);
+    EXPECT_EQ(got.now, want.now);
+    EXPECT_EQ(got.completed, want.completed);
+    EXPECT_EQ(got.departed, want.departed);
+    EXPECT_EQ(got.events_consumed, want.events_consumed);
+    EXPECT_EQ(got.max_faults, want.max_faults);
+    EXPECT_DOUBLE_EQ(got.mean_completion_latency,
+                     want.mean_completion_latency);
   }
 }
 

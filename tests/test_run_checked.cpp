@@ -31,17 +31,21 @@ class StallingScheduler final : public BoxScheduler {
   const char* name() const override { return "STALLER"; }
 };
 
-/// Returns a malformed (zero-height) box on the second request.
+/// Returns a malformed (zero-height) box from request `malformed_at` on
+/// (counting from 0; by default the second request).
 class EventuallyMalformedScheduler final : public BoxScheduler {
  public:
+  explicit EventuallyMalformedScheduler(int malformed_at = 1)
+      : malformed_at_(malformed_at) {}
   void start(const SchedulerContext&, const EngineView&) override {}
   BoxAssignment next_box(ProcId, Time now, const EngineView&) override {
-    if (calls_++ == 0) return BoxAssignment{4, now, now + 16};
+    if (calls_++ < malformed_at_) return BoxAssignment{4, now, now + 16};
     return BoxAssignment{0, now, now + 16};
   }
   const char* name() const override { return "MALFORMED"; }
 
  private:
+  int malformed_at_;
   int calls_ = 0;
 };
 
@@ -70,6 +74,30 @@ TEST(RunChecked, MalformedBoxReturnsContractViolation) {
   EXPECT_EQ(run.status.error.code, ErrorCode::kContractViolation);
   EXPECT_NE(run.status.error.message.find("zero-height"), std::string::npos);
   EXPECT_NE(run.status.error.proc, kInvalidProc);
+}
+
+TEST(RunChecked, MalformedBoxMidBatchStillFoldsEarlierBoxes) {
+  // Eight processors all request a box at t = 0; the scheduler's fourth
+  // box (event 3 of that batch) is malformed. The boxes granted for
+  // events 0..2 are still simulated and folded into the partial result.
+  WorkloadParams wp;
+  wp.num_procs = 8;
+  wp.cache_size = 64;
+  wp.requests_per_proc = 600;
+  wp.seed = 11;
+  const MultiTrace mt = make_workload(WorkloadKind::kHeterogeneousMix, wp);
+  EventuallyMalformedScheduler scheduler(3);
+  EngineConfig ec;
+  ec.cache_size = 64;
+  ec.miss_cost = 4;
+  const CheckedRun run = run_parallel_checked(mt, scheduler, ec);
+  ASSERT_FALSE(run.status.ok());
+  EXPECT_EQ(run.status.error.code, ErrorCode::kContractViolation);
+  EXPECT_EQ(run.status.error.proc, 3);
+  EXPECT_EQ(run.status.error.time, Time{0});
+  EXPECT_EQ(run.events_consumed, 4u);
+  EXPECT_EQ(run.result.num_boxes, 3u);
+  EXPECT_EQ(run.result.hits + run.result.misses, 15u);
 }
 
 TEST(RunChecked, EventBudgetReturnsStructuredExhaustion) {

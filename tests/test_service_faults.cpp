@@ -4,8 +4,7 @@
 // while every other processor's schedule stays byte-identical; and the
 // service surfaces quarantines as structured TenantOutcomes, sheds load
 // under its admission policies, drains completed work past a run-wide
-// budget breach, and reports health — all deterministic at every
-// engine_threads value.
+// budget breach, and reports health — all deterministically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +18,6 @@
 #include "trace/fault_source.hpp"
 #include "trace/generators.hpp"
 #include "trace/trace_spec.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppg {
 namespace {
@@ -353,38 +351,31 @@ TEST(EngineStepperQuarantineTest, DeadlineEvictsASlowProcessor) {
   EXPECT_GE(slow.time, Time{200});
 }
 
-TEST(EngineStepperQuarantineTest, QuarantineIsIdenticalAtEveryThreadCount) {
-  const auto run_at = [](std::size_t threads) {
-    MultiTraceSource mixed = three_tenants();
-    MultiTraceSource wrapped;
-    wrapped.add(faulty(mixed.source_ptr(0), TraceFaultClass::kHostilePage, 40));
-    wrapped.add(faulty(mixed.source_ptr(1), TraceFaultClass::kFail, 50));
-    wrapped.add(mixed.source_ptr(2));
-    EngineConfig ec = contained_config();
-    ec.engine_threads = threads;
-    const auto sched = make_scheduler(SchedulerKind::kStatic, 0);
-    return run_stepper(wrapped, *sched, ec);
-  };
-  const SteppedRun want = run_at(0);
-  ASSERT_TRUE(want.checked.status.ok());
-  for (const std::size_t threads :
-       {std::size_t{2}, ThreadPool::hardware_jobs()}) {
-    const SteppedRun got = run_at(threads);
-    ASSERT_TRUE(got.checked.status.ok());
-    ASSERT_EQ(got.completions.size(), want.completions.size());
-    for (std::size_t i = 0; i < want.completions.size(); ++i) {
-      const StepCompletion& a = want.completions[i];
-      const StepCompletion& b = got.completions[i];
-      EXPECT_EQ(a.proc, b.proc) << "threads=" << threads << " i=" << i;
-      EXPECT_EQ(a.time, b.time) << "threads=" << threads << " i=" << i;
-      EXPECT_EQ(a.departed, b.departed);
-      EXPECT_EQ(a.quarantined, b.quarantined);
-      EXPECT_EQ(a.error.code, b.error.code);
-      EXPECT_EQ(a.error.byte_offset, b.error.byte_offset);
-    }
-    EXPECT_EQ(got.checked.result.makespan, want.checked.result.makespan);
-    EXPECT_EQ(got.checked.events_consumed, want.checked.events_consumed);
+TEST(EngineStepperQuarantineTest, TwoContainedFaultsQuarantineBothProcs) {
+  const auto clean_sched = make_scheduler(SchedulerKind::kStatic, 0);
+  const SteppedRun clean =
+      run_stepper(three_tenants(), *clean_sched, contained_config());
+  ASSERT_TRUE(clean.checked.status.ok());
+
+  MultiTraceSource mixed = three_tenants();
+  MultiTraceSource wrapped;
+  wrapped.add(faulty(mixed.source_ptr(0), TraceFaultClass::kHostilePage, 40));
+  wrapped.add(faulty(mixed.source_ptr(1), TraceFaultClass::kFail, 50));
+  wrapped.add(mixed.source_ptr(2));
+  const auto sched = make_scheduler(SchedulerKind::kStatic, 0);
+  const SteppedRun run = run_stepper(wrapped, *sched, contained_config());
+  ASSERT_TRUE(run.checked.status.ok());
+  ASSERT_EQ(run.completions.size(), 3u);
+  for (const ProcId proc : {ProcId{0}, ProcId{1}}) {
+    const StepCompletion& bad = completion_of(run, proc);
+    EXPECT_TRUE(bad.quarantined) << "proc " << proc;
+    EXPECT_EQ(bad.error.code, ErrorCode::kCorruptTrace) << "proc " << proc;
   }
+  EXPECT_EQ(completion_of(run, 0).error.byte_offset, 40u);
+  const StepCompletion& healthy = completion_of(run, 2);
+  EXPECT_FALSE(healthy.quarantined);
+  EXPECT_FALSE(healthy.departed);
+  EXPECT_EQ(healthy.time, completion_of(clean, 2).time);
 }
 
 // --- Service-level isolation, shedding, health ----------------------------
@@ -476,13 +467,10 @@ TEST(PagingServiceQuarantineTest, TenantDeadlineEvictsASlowTenant) {
             ErrorCode::kTenantDeadlineExceeded);
 }
 
-/// Depart vs quarantine in every tenant state, as a pure function of the
-/// thread count — the outcomes must not depend on it.
-std::vector<TenantOutcome> depart_race_outcomes(std::size_t threads) {
+/// Depart vs quarantine in every tenant state.
+std::vector<TenantOutcome> depart_race_outcomes() {
   const auto sched = make_scheduler(SchedulerKind::kStatic, 0);
-  ServiceConfig sc = small_service_config();
-  sc.engine_threads = threads;
-  PagingService service(*sched, sc);
+  PagingService service(*sched, small_service_config());
 
   // 0: departs while queued (faulty, but the engine never sees it).
   // 1: departs while active, racing its own quarantine at the same box
@@ -517,7 +505,7 @@ std::vector<TenantOutcome> depart_race_outcomes(std::size_t threads) {
 }
 
 TEST(PagingServiceQuarantineTest, DepartRacesQuarantineInEveryState) {
-  const std::vector<TenantOutcome> outcomes = depart_race_outcomes(0);
+  const std::vector<TenantOutcome> outcomes = depart_race_outcomes();
   ASSERT_EQ(outcomes.size(), 4u);
   EXPECT_EQ(outcomes[0].terminal, TenantTerminal::kDeparted);
   EXPECT_EQ(outcomes[0].hits + outcomes[0].misses, 0u);
@@ -527,20 +515,6 @@ TEST(PagingServiceQuarantineTest, DepartRacesQuarantineInEveryState) {
   // Post-terminal departs are no-ops.
   EXPECT_EQ(outcomes[2].terminal, TenantTerminal::kQuarantined);
   EXPECT_EQ(outcomes[3].terminal, TenantTerminal::kCompleted);
-
-  for (const std::size_t threads :
-       {std::size_t{2}, ThreadPool::hardware_jobs()}) {
-    const std::vector<TenantOutcome> got = depart_race_outcomes(threads);
-    ASSERT_EQ(got.size(), outcomes.size());
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      EXPECT_EQ(got[i].terminal, outcomes[i].terminal)
-          << "threads=" << threads << " tenant=" << i;
-      EXPECT_EQ(got[i].completed, outcomes[i].completed);
-      EXPECT_EQ(got[i].hits, outcomes[i].hits);
-      EXPECT_EQ(got[i].misses, outcomes[i].misses);
-      EXPECT_EQ(got[i].error.code, outcomes[i].error.code);
-    }
-  }
 }
 
 TEST(PagingServiceQuarantineTest, MaxEventsBreachDrainsCompletedOutcomes) {
@@ -694,12 +668,11 @@ TEST(PagingServiceHealthTest, AdmissionPolicyNamesRoundTrip) {
 /// queue limit exceeds the tenant count, so the submission and admission
 /// sequences are identical with and without faults — any difference in a
 /// healthy tenant's outcome would be containment leaking.
-std::vector<TenantOutcome> mixed_run(bool with_faults, std::size_t threads) {
+std::vector<TenantOutcome> mixed_run(bool with_faults) {
   const auto sched = make_scheduler(SchedulerKind::kStatic, 0);
   ServiceConfig sc;
   sc.cache_size = 32;
   sc.miss_cost = 4;
-  sc.engine_threads = threads;
   sc.admission_queue_limit = 64;
   PagingService service(*sched, sc);
 
@@ -724,28 +697,23 @@ std::vector<TenantOutcome> mixed_run(bool with_faults, std::size_t threads) {
 }
 
 TEST(PagingServiceIsolationTest, HealthyTenantsAreByteIdenticalUnderFaults) {
-  const std::vector<TenantOutcome> baseline = mixed_run(false, 0);
-  for (const std::size_t threads :
-       {std::size_t{0}, std::size_t{2}, ThreadPool::hardware_jobs()}) {
-    const std::vector<TenantOutcome> got = mixed_run(true, threads);
-    ASSERT_EQ(got.size(), baseline.size());
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      if (i % 4 == 1) {
-        EXPECT_EQ(got[i].terminal, TenantTerminal::kQuarantined)
-            << "threads=" << threads << " tenant=" << i;
-        EXPECT_EQ(got[i].error.code, ErrorCode::kCorruptTrace);
-        continue;
-      }
-      // Healthy tenant: every outcome field identical to the fault-free
-      // run of the same submission sequence.
-      EXPECT_EQ(got[i].terminal, TenantTerminal::kCompleted)
-          << "threads=" << threads << " tenant=" << i;
-      EXPECT_EQ(got[i].admitted, baseline[i].admitted);
-      EXPECT_EQ(got[i].completed, baseline[i].completed)
-          << "threads=" << threads << " tenant=" << i;
-      EXPECT_EQ(got[i].hits, baseline[i].hits);
-      EXPECT_EQ(got[i].misses, baseline[i].misses);
+  const std::vector<TenantOutcome> baseline = mixed_run(false);
+  const std::vector<TenantOutcome> got = mixed_run(true);
+  ASSERT_EQ(got.size(), baseline.size());
+  for (std::size_t i = 0; i < baseline.size(); ++i) {
+    if (i % 4 == 1) {
+      EXPECT_EQ(got[i].terminal, TenantTerminal::kQuarantined)
+          << "tenant=" << i;
+      EXPECT_EQ(got[i].error.code, ErrorCode::kCorruptTrace);
+      continue;
     }
+    // Healthy tenant: every outcome field identical to the fault-free
+    // run of the same submission sequence.
+    EXPECT_EQ(got[i].terminal, TenantTerminal::kCompleted) << "tenant=" << i;
+    EXPECT_EQ(got[i].admitted, baseline[i].admitted);
+    EXPECT_EQ(got[i].completed, baseline[i].completed) << "tenant=" << i;
+    EXPECT_EQ(got[i].hits, baseline[i].hits);
+    EXPECT_EQ(got[i].misses, baseline[i].misses);
   }
 }
 

@@ -116,8 +116,7 @@ void check_raw_thread(const ScannedFile& file, std::vector<Finding>& out) {
             "bare std::thread/std::async in library code; ad-hoc threads "
             "dodge the determinism contract (slot-indexed output, "
             "first-error capture) — run on util/thread_pool "
-            "(parallel_for_index for sweep cells, ThreadPool::run_batch for "
-            "intra-run fan-out)",
+            "(parallel_for_index for sweep cells)",
             out);
 }
 

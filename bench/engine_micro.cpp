@@ -188,7 +188,6 @@ void BM_ParallelEngine(benchmark::State& state) {
   EngineConfig ec;
   ec.cache_size = wp.cache_size;
   ec.miss_cost = 8;
-  ec.track_memory_timeline = false;
   for (auto _ : state) {
     auto scheduler = make_scheduler(SchedulerKind::kDetPar);
     benchmark::DoNotOptimize(run_parallel(mt, *scheduler, ec).makespan);
@@ -213,7 +212,6 @@ void BM_ParallelEngineStreamed(benchmark::State& state) {
   EngineConfig ec;
   ec.cache_size = wp.cache_size;
   ec.miss_cost = 8;
-  ec.track_memory_timeline = false;
   for (auto _ : state) {
     auto scheduler = make_scheduler(SchedulerKind::kDetPar);
     benchmark::DoNotOptimize(run_parallel(sources, *scheduler, ec).makespan);

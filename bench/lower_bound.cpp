@@ -117,7 +117,6 @@ int run_bench(int argc, char** argv) {
         EngineConfig ec;
         ec.cache_size = cell.k;
         ec.miss_cost = cell.s;
-        ec.track_memory_timeline = false;
         return run_parallel(cell.sources, *scheduler, ec).makespan;
       });
 

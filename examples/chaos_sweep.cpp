@@ -7,15 +7,12 @@
 // sweep. scripts/chaos.sh byte-compares those rows across --jobs values.
 //
 //   $ ./chaos_sweep [--cells N] [--jobs N|max] [--budget EVENTS]
-//                   [--retries R] [--faulty-every N]
+//                   [--faulty-every N]
 //
 //   --cells N      number of sweep cells (default 48)
 //   --budget E     per-cell engine step budget (0 = unlimited); exhausted
 //                  cells report a structured [cell-budget-exceeded] status
 //                  in their row instead of aborting the sweep
-//   --retries R    re-attempt failing cells up to R times with the same
-//                  seed (deterministic failures fail identically; see
-//                  ExperimentConfig::cell_retries)
 //   --faulty-every N  give every N-th cell a corrupt trace (via the
 //                  INJECT-TRACE spec decorator); its row reports a
 //                  structured [corrupt-trace] status — failure as data
@@ -39,8 +36,6 @@ int run_chaos(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("cells", 48));
   const std::uint64_t budget =
       static_cast<std::uint64_t>(args.get_int("budget", 0));
-  const std::uint32_t retries =
-      static_cast<std::uint32_t>(args.get_int("retries", 0));
   const std::uint64_t faulty_every =
       static_cast<std::uint64_t>(args.get_int("faulty-every", 0));
   const std::size_t jobs = jobs_from_args(args);
@@ -62,7 +57,6 @@ int run_chaos(int argc, char** argv) {
         config.seed = cell_seed(11, i);
         config.include_global_lru = false;
         config.cell_event_budget = budget;
-        config.cell_retries = retries;
         if (faulty_every > 0 && i % faulty_every == faulty_every - 1) {
           // Same workload, wrapped in the INJECT-TRACE decorator: the cell
           // fails deterministically with [corrupt-trace] and the sweep

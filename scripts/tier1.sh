@@ -9,8 +9,8 @@
 #    clang -Wthread-safety / clang-tidy / cppcheck when available) plus a
 #    hard check that both emitted JSON reports are empty;
 #  - the robustness tests (fault injection, trace corruption, replay)
-#    again under ASan/UBSan, then the thread pool and sweep executor raced
-#    under ThreadSanitizer;
+#    again under ASan/UBSan, then parallel_for_index and the sweep
+#    executor raced under ThreadSanitizer;
 #  - the failure-as-data drill (scripts/chaos.sh: corrupt-trace rows
 #    byte-identical at --jobs 1 and max, budget rows structured);
 #  - the constant-memory gates (a 10^8-request streamed run and a
@@ -76,16 +76,17 @@ if [[ "${SAN}" != "none" ]]; then
       --faulty-permille 150 > /dev/null
   echo "ASan fault-isolation gate OK (service_chaos, 5*10^3 tenants)"
 
-  # Race the thread pool and sweep executor under TSan: the determinism
-  # suites run every sweep at --jobs 1/2/hardware, so a data race in the
-  # parallel path surfaces here even on a single-core host. The engine and
-  # service suites stay in the filter, so a thread added there is raced too.
+  # Race parallel_for_index and the sweep executor under TSan: the
+  # determinism suites run every sweep at --jobs 1/2/hardware, so a data
+  # race in the parallel path surfaces here even on a single-core host. The
+  # engine and service suites stay in the filter, so a thread added there is
+  # raced too.
   cmake -B build-thread -S . -DPPG_SANITIZE=thread -DPPG_WERROR=ON \
         -DPPG_BUILD_BENCH=OFF -DPPG_BUILD_EXAMPLES=ON >/dev/null
   cmake --build build-thread -j "$(nproc)"
   (cd build-thread &&
    ctest --output-on-failure -j "$(nproc)" --no-tests=error \
-         -R 'ThreadPool|ParallelSweep|EngineStepper|PagingService')
+         -R 'ParallelForIndex|ParallelSweep|EngineStepper|PagingService')
 fi
 
 # Failure-as-data gate: corrupt-trace cells report structured rows that are

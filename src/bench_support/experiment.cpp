@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/contract.hpp"
 #include "core/global_lru.hpp"
 #include "core/parallel_engine.hpp"
 #include "util/assert.hpp"
@@ -36,7 +37,6 @@ InstanceOutcome run_instance(const MultiTraceSource& sources,
   OptBoundsConfig ob;
   ob.cache_size = config.cache_size;
   ob.miss_cost = config.miss_cost;
-  ob.exact_impact_max_requests = config.exact_impact_max_requests;
   try {
     out.bounds = compute_opt_bounds(sources, ob);
   } catch (const PpgException& e) {
@@ -74,20 +74,13 @@ InstanceOutcome run_instance(const MultiTraceSource& sources,
   ec.trace_spec = config.trace_spec;
 
   for (const SchedulerKind kind : kinds) {
-    // Scheduler construction is a lambda so a retry rebuilds it from the
-    // same cell seed (fresh internal state, identical randomness).
-    const auto build_scheduler = [&] {
-      std::unique_ptr<BoxScheduler> scheduler =
-          make_scheduler(kind, config.seed);
-      if (config.inject_fault) {
-        FaultInjectionConfig fc = *config.inject_fault;
-        fc.seed = config.seed;
-        scheduler = make_fault_injecting(std::move(scheduler), fc);
-      }
-      if (config.validate_contracts)
-        scheduler = make_validating(std::move(scheduler), config.validator);
-      return scheduler;
-    };
+    std::unique_ptr<BoxScheduler> scheduler = make_scheduler(kind, config.seed);
+    if (config.inject_fault) {
+      FaultInjectionConfig fc = *config.inject_fault;
+      fc.seed = config.seed;
+      scheduler = make_fault_injecting(std::move(scheduler), fc);
+    }
+    scheduler = make_validating(std::move(scheduler));
 
     SchedulerOutcome so;
     so.name = scheduler_kind_name(kind);
@@ -96,13 +89,7 @@ InstanceOutcome run_instance(const MultiTraceSource& sources,
         config.replay_dump_dir.empty()
             ? std::string{}
             : config.replay_dump_dir + "/" + so.name + ".ppgreplay";
-    CheckedRun run;
-    for (std::uint32_t attempt = 0; attempt <= config.cell_retries;
-         ++attempt) {
-      std::unique_ptr<BoxScheduler> scheduler = build_scheduler();
-      run = run_parallel_checked(sources, *scheduler, ec);
-      if (run.status.ok()) break;
-    }
+    CheckedRun run = run_parallel_checked(sources, *scheduler, ec);
     so.status = std::move(run.status);
     so.result = std::move(run.result);
     if (so.status.ok()) {
@@ -146,7 +133,6 @@ Summary makespan_over_seeds(const MultiTraceSource& sources,
   EngineConfig ec;
   ec.cache_size = config.cache_size;
   ec.miss_cost = config.miss_cost;
-  ec.track_memory_timeline = false;
   Summary summary;
   for (std::size_t trial = 0; trial < num_seeds; ++trial) {
     auto scheduler = make_scheduler(kind, config.seed + trial * 7919);

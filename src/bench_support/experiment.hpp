@@ -2,10 +2,11 @@
 // instance, compute ratio rows against the OPT lower bound, and summarize
 // scaling shapes with log-fits.
 //
-// Runs go through the engine's checked entry point: a scheduler breaking
-// the box contract, or a cell tripping the watchdog, is captured in that
-// cell's SchedulerOutcome::status (with an optional replay dump) instead
-// of aborting the whole sweep.
+// Runs go through the engine's checked entry point, and every box scheduler
+// is wrapped in a ValidatingScheduler: a scheduler breaking the box
+// contract, or a cell tripping the watchdog, is captured in that cell's
+// SchedulerOutcome::status (with an optional replay dump) instead of
+// aborting the whole sweep.
 #pragma once
 
 #include <optional>
@@ -13,7 +14,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/contract.hpp"
 #include "core/fault_injection.hpp"
 #include "core/metrics.hpp"
 #include "core/scheduler_factory.hpp"
@@ -31,23 +31,12 @@ struct ExperimentConfig {
   Time miss_cost = 2;
   std::uint64_t seed = 1;
   bool include_global_lru = true;
-  std::size_t exact_impact_max_requests = 0;  ///< See OptBoundsConfig.
   /// Watchdog forwarded to the engine for every cell.
   Time max_time = Time{1} << 60;
   /// Per-cell deadline in simulated engine steps (EngineConfig::max_events),
   /// so a runaway cell fails deterministically with kCellBudgetExceeded
   /// instead of hanging the sweep. 0 = unlimited.
   std::uint64_t cell_event_budget = 0;
-  /// Bounded retry for failing cells: the run is re-attempted up to this
-  /// many extra times with the *same* cell seed (a freshly built
-  /// scheduler). Deterministic failures fail identically every attempt —
-  /// retry exists for decorators with transient behaviour (fault
-  /// injection) and keeps the final outcome reproducible.
-  std::uint32_t cell_retries = 0;
-  /// Wrap every box scheduler in a ValidatingScheduler so contract
-  /// violations surface as per-cell errors.
-  bool validate_contracts = true;
-  ValidatorConfig validator;
   /// When non-empty, failing cells write a replay dump
   /// "<dir>/<scheduler>.ppgreplay" (see core/replay.hpp).
   std::string replay_dump_dir;

@@ -7,7 +7,7 @@ namespace ppg {
 
 std::size_t jobs_from_args(const ArgParser& args) {
   const std::string value = args.get_string("jobs", "1");
-  if (value == "max") return ThreadPool::hardware_jobs();
+  if (value == "max") return hardware_jobs();
   std::size_t pos = 0;
   long long parsed = -1;
   try {
@@ -20,7 +20,7 @@ std::size_t jobs_from_args(const ArgParser& args) {
                 "--jobs expects a non-negative integer or 'max', got '" +
                     value + "'");
   }
-  return parsed == 0 ? ThreadPool::hardware_jobs()
+  return parsed == 0 ? hardware_jobs()
                      : static_cast<std::size_t>(parsed);
 }
 

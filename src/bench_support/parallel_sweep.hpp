@@ -2,9 +2,9 @@
 //
 // Every experiment in the index is a sweep over independent cells —
 // (instance x scheduler x seed) — with no shared mutable state between
-// cells. This layer enumerates cells up front, runs them concurrently on a
-// fixed-size thread pool (util/thread_pool.hpp), and reassembles outcomes
-// in deterministic enumeration order.
+// cells. This layer enumerates cells up front, runs them concurrently with
+// a fork-join parallel_for_index (util/thread_pool.hpp), and reassembles
+// outcomes in deterministic enumeration order.
 //
 // Determinism contract (tested by tests/test_parallel_sweep.cpp, raced
 // under TSan by scripts/tier1.sh):

@@ -32,6 +32,9 @@ struct Event {
   EventKind kind;
   ProcId proc;
   std::uint64_t seq;  // final deterministic tie-break
+  /// Height of the box this event ends (0 if none): a processor holds at
+  /// most one box, and its next event is exactly that box's deallocation.
+  Height held = 0;
 
   bool operator>(const Event& other) const {
     if (time != other.time) return time > other.time;
@@ -128,7 +131,15 @@ struct EngineStepper::Impl {
   std::vector<ProcId> pending_proc;
   std::vector<BoxAssignment> pending_box;
 
-  std::vector<std::pair<Time, std::int64_t>> mem_timeline;
+  // Online peak-height tracker: the height of every live box that has
+  // started, its running maximum, and the (start, height) of granted boxes
+  // that start after their grant (RAND-PAR stalling between waves). Both
+  // are bounded by the live boxes.
+  std::uint64_t allocated = 0;
+  std::uint64_t peak = 0;
+  std::priority_queue<std::pair<Time, Height>,
+                      std::vector<std::pair<Time, Height>>, std::greater<>>
+      deferred_starts;
   std::vector<StepCompletion> completions;
 
   std::uint64_t processed_events = 0;
@@ -172,6 +183,15 @@ struct EngineStepper::Impl {
       events.push(Event{at, EventKind::kFinish, proc, seq++});
     else
       events.push(Event{at, EventKind::kNeedBox, proc, seq++});
+  }
+
+  /// Applies the deferred box starts at or before `t`, then the peak.
+  void start_boxes_through(Time t) {
+    while (!deferred_starts.empty() && deferred_starts.top().first <= t) {
+      allocated += deferred_starts.top().second;
+      deferred_starts.pop();
+    }
+    peak = std::max(peak, allocated);
   }
 
   void fail(Error error) {
@@ -261,6 +281,9 @@ struct EngineStepper::Impl {
     // exactly.
     const Time now = events.top().time;
     last_batch_time = now;
+    // Height timeline order: starts before `now`, then this batch's
+    // deallocations, then its starts at `now` (after the fold below).
+    if (now > 0) start_boxes_through(now - 1);
     batch.clear();
     while (!events.empty() && events.top().time == now) {
       batch.push_back(events.top());
@@ -297,6 +320,7 @@ struct EngineStepper::Impl {
                           ev.time));
         break;
       }
+      allocated -= ev.held;
 
       if (ev.kind == EventKind::kFinish) {
         state.deactivate(ev.proc);
@@ -396,11 +420,16 @@ struct EngineStepper::Impl {
     }
 
     // Fold, again in pop order: fast-forward each granted box, then
-    // accumulate its metrics and timeline entries and push its follow-up
-    // event (assigning seq numbers in pop order).
+    // accumulate its metrics and height and push its follow-up event
+    // (assigning seq numbers in pop order), which carries the box's height
+    // to release.
     for (std::size_t i = 0; i < pending_proc.size(); ++i) {
       const ProcId proc = pending_proc[i];
       const BoxAssignment& box = pending_box[i];
+      if (box.start == now)
+        allocated += box.height;
+      else
+        deferred_starts.emplace(box.start, box.height);
       BoxStepResult step;
       try {
         step = runners[proc]->run_box(box.height, box.end - box.start,
@@ -424,14 +453,10 @@ struct EngineStepper::Impl {
         result.total_impact +=
             static_cast<Impact>(box.height) * (box.end - box.start);
         result.total_stall += box.end - box.start;
-        if (config.track_memory_timeline) {
-          mem_timeline.emplace_back(box.start, box.height);
-          mem_timeline.emplace_back(box.end,
-                                    -static_cast<std::int64_t>(box.height));
-        }
         proc_error[proc] = std::make_unique<Error>(std::move(error));
         departing[proc] = true;
-        events.push(Event{box.end, EventKind::kNeedBox, proc, seq++});
+        events.push(
+            Event{box.end, EventKind::kNeedBox, proc, seq++, box.height});
         continue;
       }
       ++result.num_boxes;
@@ -445,24 +470,17 @@ struct EngineStepper::Impl {
         // Impact while the processor was actually running.
         result.total_impact +=
             static_cast<Impact>(box.height) * step.busy_time;
-        if (config.track_memory_timeline) {
-          mem_timeline.emplace_back(box.start, box.height);
-          mem_timeline.emplace_back(finish_time,
-                                    -static_cast<std::int64_t>(box.height));
-        }
-        events.push(Event{finish_time, EventKind::kFinish, proc, seq++});
+        events.push(
+            Event{finish_time, EventKind::kFinish, proc, seq++, box.height});
       } else {
         result.total_impact +=
             static_cast<Impact>(box.height) * (box.end - box.start);
         result.total_stall += step.stall_time;
-        if (config.track_memory_timeline) {
-          mem_timeline.emplace_back(box.start, box.height);
-          mem_timeline.emplace_back(box.end,
-                                    -static_cast<std::int64_t>(box.height));
-        }
-        events.push(Event{box.end, EventKind::kNeedBox, proc, seq++});
+        events.push(
+            Event{box.end, EventKind::kNeedBox, proc, seq++, box.height});
       }
     }
+    start_boxes_through(now);
   }
 
   CheckedRun finish() {
@@ -481,28 +499,15 @@ struct EngineStepper::Impl {
                                 result.completion.end());
     result.mean_completion = mean_of(result.completion);
 
-    if (config.track_memory_timeline && !mem_timeline.empty()) {
-      std::sort(mem_timeline.begin(), mem_timeline.end(),
-                [](const auto& a, const auto& b) {
-                  // Process deallocations before allocations at equal times.
-                  if (a.first != b.first) return a.first < b.first;
-                  return a.second < b.second;
-                });
-      std::int64_t current = 0;
-      std::int64_t peak = 0;
-      for (const auto& [t, delta] : mem_timeline) {
-        current += delta;
-        peak = std::max(peak, current);
-      }
-      PPG_CHECK_FMT(current == 0,
-                    "memory timeline unbalanced: residual height %lld after "
-                    "%llu boxes",
-                    static_cast<long long>(current),
-                    static_cast<unsigned long long>(result.num_boxes));
-      result.peak_concurrent_height = static_cast<Height>(peak);
-      result.effective_augmentation =
-          static_cast<double>(peak) / static_cast<double>(config.cache_size);
-    }
+    PPG_CHECK_FMT(allocated == 0 && deferred_starts.empty(),
+                  "height tracker unbalanced: residual height %llu, %zu "
+                  "unstarted boxes after %llu boxes",
+                  static_cast<unsigned long long>(allocated),
+                  deferred_starts.size(),
+                  static_cast<unsigned long long>(result.num_boxes));
+    result.peak_concurrent_height = static_cast<Height>(peak);
+    result.effective_augmentation =
+        static_cast<double>(peak) / static_cast<double>(config.cache_size);
     return std::move(out);
   }
 };

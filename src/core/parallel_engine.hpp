@@ -84,8 +84,9 @@ struct EngineConfig {
   /// Per-processor budget/deadline breaches (above) always quarantine,
   /// independent of this flag: configuring them is the opt-in.
   bool contain_proc_failures = false;
-  /// Record the (time, +/-height) allocation timeline to measure peak
-  /// concurrent height (costs memory proportional to #boxes).
+  /// Ignored: the peak concurrent height is always tracked, online, in
+  /// memory bounded by the live boxes. Kept only because
+  /// perfbench/src/workloads.cpp still assigns it.
   bool track_memory_timeline = true;
   /// Optional observer invoked for every box the scheduler issues (after
   /// validation, before simulation). Used by tests to verify scheduler
@@ -155,7 +156,7 @@ struct StepCompletion {
 ///  - depart(proc) cancels a processor at its next box boundary (the box
 ///    in flight completes); the scheduler is told through notify_departed.
 ///  - finish() computes the final metrics (makespan, mean completion,
-///    memory-timeline peak) and returns the CheckedRun.
+///    peak concurrent height) and returns the CheckedRun.
 ///
 /// Per-processor resources (the BoxRunner with its cursor and box cache)
 /// are released as soon as a processor finishes or departs, so a service

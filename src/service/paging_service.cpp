@@ -16,8 +16,6 @@ EngineConfig engine_config(const ServiceConfig& config) {
   ec.miss_cost = config.miss_cost;
   ec.max_time = config.max_time;
   ec.max_events = config.max_events;
-  // The timeline would grow with every box over the service's lifetime.
-  ec.track_memory_timeline = false;
   ec.proc_event_budget = config.tenant_event_budget;
   ec.proc_deadline = config.tenant_deadline;
   ec.contain_proc_failures = config.contain_tenant_failures;

@@ -14,9 +14,9 @@
 //                             (checkable by clang).
 //   PPG_SHARDED_BY(...)       field is written at disjoint indices by
 //                             parallel_for_index workers (sweep cells) and
-//                             published by the pool's barrier; there is
-//                             no lock to name, so this is
-//                             documentation-only on every compiler.
+//                             published by its join; there is no lock to
+//                             name, so this is documentation-only on every
+//                             compiler.
 //   PPG_CALLER_SYNCHRONIZED(...)  field is owned by a single external
 //                             driver thread (e.g. PagingService's driver);
 //                             documentation-only on every compiler.

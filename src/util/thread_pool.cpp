@@ -2,105 +2,44 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
-#include <utility>
+#include <exception>
+#include <thread>
+#include <vector>
+
+#include "util/thread_annotations.hpp"
 
 namespace ppg {
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  const std::size_t n = std::max<std::size_t>(1, num_threads);
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
+namespace {
 
-ThreadPool::~ThreadPool() {
-  {
+/// The first exception thrown by any claiming thread.
+class FirstError {
+ public:
+  void capture() PPG_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
-    stopping_ = true;
+    if (!error_) error_ = std::current_exception();
   }
-  work_ready_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    MutexLock lock(mutex_);
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  work_ready_.notify_one();
-}
-
-void ThreadPool::wait_all() {
-  // Explicit wait loop (not the predicate overload) so clang's thread-safety
-  // analysis sees the guarded reads happen under mutex_; the error is moved
-  // out of the critical section before rethrowing.
-  std::exception_ptr error;
-  {
-    MutexLock lock(mutex_);
-    while (in_flight_ != 0) all_done_.wait(mutex_);
-    error = std::exchange(first_error_, nullptr);
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-void ThreadPool::run_batch(std::size_t n,
-                           const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (n == 1) {
-    fn(0);
-    return;
-  }
-  // One claiming task per worker; the caller claims too, so a batch never
-  // waits on a worker that the OS has not scheduled yet.
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
-  const auto claim = [next, n, &fn] {
-    for (;;) {
-      const std::size_t i = next->fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      fn(i);
+  /// Called after the join, when no claiming thread is left.
+  void rethrow() PPG_EXCLUDES(mutex_) {
+    std::exception_ptr error;
+    {
+      MutexLock lock(mutex_);
+      error = error_;
     }
-  };
-  const std::size_t helpers = std::min(num_threads(), n - 1);
-  for (std::size_t w = 0; w < helpers; ++w) submit(claim);
-  // The caller's claims may throw straight through; the pool still owes us
-  // quiescence (and the first captured worker exception) via wait_all.
-  try {
-    claim();
-  } catch (...) {
-    wait_all();
-    throw;
+    if (error) std::rethrow_exception(error);
   }
-  wait_all();
-}
 
-std::size_t ThreadPool::hardware_jobs() {
+ private:
+  Mutex mutex_;
+  std::exception_ptr error_ PPG_GUARDED_BY(mutex_);
+};
+
+}  // namespace
+
+std::size_t hardware_jobs() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<std::size_t>(n);
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(mutex_);
-      while (!stopping_ && queue_.empty()) work_ready_.wait(mutex_);
-      if (queue_.empty()) return;  // stopping_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    try {
-      task();
-    } catch (...) {
-      MutexLock lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      MutexLock lock(mutex_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
-  }
 }
 
 void parallel_for_index(std::size_t jobs, std::size_t n,
@@ -109,8 +48,31 @@ void parallel_for_index(std::size_t jobs, std::size_t n,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  ThreadPool pool(std::min(jobs, n) - 1);
-  pool.run_batch(n, fn);
+  std::atomic<std::size_t> next{0};
+  FirstError first_error;
+  const auto claim = [&] {
+    try {
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < n; i = next.fetch_add(1, std::memory_order_relaxed))
+        fn(i);
+    } catch (...) {
+      first_error.capture();
+    }
+  };
+  // The caller claims too, so the work never waits on a thread the OS has
+  // not scheduled yet. A failed spawn is reported like a failed call, after
+  // the threads already running have been joined.
+  std::vector<std::thread> helpers;
+  const std::size_t threads = std::min(jobs, n);
+  try {
+    helpers.reserve(threads - 1);
+    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(claim);
+  } catch (...) {
+    first_error.capture();
+  }
+  claim();
+  for (std::thread& helper : helpers) helper.join();
+  first_error.rethrow();
 }
 
 }  // namespace ppg

@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/parallel_engine.hpp"
+#include "core/rand_par.hpp"
+#include "core/scheduler_factory.hpp"
 #include "core/simple_schedulers.hpp"
 #include "test_helpers.hpp"
+#include "trace/fault_source.hpp"
 #include "trace/generators.hpp"
+#include "trace/workload.hpp"
 #include "util/rng.hpp"
 
 namespace ppg {
@@ -105,6 +114,165 @@ TEST(Engine, MemoryTimelineTracksPeak) {
   EXPECT_LE(r.peak_concurrent_height, 16u);
   EXPECT_GT(r.effective_augmentation, 0.0);
   EXPECT_LE(r.effective_augmentation, 1.0);
+}
+
+using BoxLog = std::vector<std::pair<ProcId, BoxAssignment>>;
+
+/// The peak concurrent height recomputed offline from the on_box log: a box
+/// holds its height from box.start until min(box.end, its processor's
+/// completion), deallocations before allocations at equal times.
+Height peak_from_log(const BoxLog& log, const std::vector<Time>& completion) {
+  std::vector<std::pair<Time, std::int64_t>> timeline;
+  for (const auto& [proc, box] : log) {
+    const auto height = static_cast<std::int64_t>(box.height);
+    timeline.emplace_back(box.start, height);
+    timeline.emplace_back(std::min(box.end, completion[proc]), -height);
+  }
+  std::sort(timeline.begin(), timeline.end());
+  std::int64_t current = 0;
+  std::int64_t peak = 0;
+  for (const auto& [time, delta] : timeline) {
+    current += delta;
+    peak = std::max(peak, current);
+  }
+  EXPECT_EQ(current, 0);
+  return static_cast<Height>(peak);
+}
+
+/// True if some box of a batch run starts after its processor asked for it
+/// (at time 0 or at its previous box's end): the deferred-start path.
+bool has_stalled_box(const BoxLog& log) {
+  std::vector<Time> asked_at;
+  for (const auto& [proc, box] : log) {
+    if (proc >= asked_at.size()) asked_at.resize(proc + 1, 0);
+    if (box.start > asked_at[proc]) return true;
+    asked_at[proc] = box.end;
+  }
+  return false;
+}
+
+TEST(Engine, PeakHeightMatchesBoxLogRecount) {
+  WorkloadParams wp;
+  wp.num_procs = 12;
+  wp.cache_size = 48;
+  wp.requests_per_proc = 600;
+  wp.seed = 5;
+  const MultiTrace mt = make_workload(WorkloadKind::kHeterogeneousMix, wp);
+  const auto check = [&mt, &wp](std::unique_ptr<BoxScheduler> scheduler,
+                                bool defers_starts) {
+    EngineConfig c = config_for(wp.cache_size, 4);
+    BoxLog log;
+    c.on_box = [&log](ProcId proc, const BoxAssignment& box) {
+      log.emplace_back(proc, box);
+    };
+    const ParallelRunResult r = run_parallel(mt, *scheduler, c);
+    const std::string label =
+        std::string(scheduler->name()) + (defers_starts ? " (stalling)" : "");
+    EXPECT_GT(r.peak_concurrent_height, 0u) << label;
+    EXPECT_EQ(r.peak_concurrent_height, peak_from_log(log, r.completion))
+        << label;
+    EXPECT_DOUBLE_EQ(r.effective_augmentation,
+                     static_cast<double>(r.peak_concurrent_height) /
+                         static_cast<double>(wp.cache_size))
+        << label;
+    EXPECT_EQ(has_stalled_box(log), defers_starts) << label;
+  };
+  check(make_scheduler(SchedulerKind::kDetPar, 3), false);
+  check(make_scheduler(SchedulerKind::kRandPar, 3), false);
+  // RAND-PAR with stall_between_waves grants secondary boxes that start at
+  // their wave window, after the request: the engine's deferred starts.
+  RandParConfig stalling;
+  stalling.seed = 3;
+  stalling.stall_between_waves = true;
+  check(make_rand_par(stalling), true);
+
+  // A service-shaped stepper run: online arrivals, a depart(), a contained
+  // runner failure and a per-processor box-budget quarantine, each of which
+  // ends a processor at its box boundary.
+  EngineConfig c = config_for(32, 2);
+  c.contain_proc_failures = true;
+  c.proc_event_budget = 40;
+  BoxLog log;
+  c.on_box = [&log](ProcId proc, const BoxAssignment& box) {
+    log.emplace_back(proc, box);
+  };
+  auto scheduler = make_scheduler(SchedulerKind::kDetPar, 7);
+  EngineStepper stepper(*scheduler, c);
+  const auto fault = [](TraceFaultClass kind, std::uint64_t at) {
+    TraceFaultSpec spec;
+    spec.fault = kind;
+    spec.at = at;
+    return make_fault_injecting_source(gen::cyclic_source(6, 300), spec);
+  };
+  stepper.add_processor(gen::cyclic_source(5, 200));
+  stepper.add_processor(fault(TraceFaultClass::kFail, 90));
+  stepper.add_processor(fault(TraceFaultClass::kStall, 20));
+  stepper.start();
+  std::vector<Time> completion(3, 0);
+  std::vector<StepCompletion> ends;
+  for (int steps = 0; !stepper.done(); ++steps) {
+    stepper.step();
+    for (const StepCompletion& done : stepper.last_completions()) {
+      if (done.proc >= completion.size()) completion.resize(done.proc + 1, 0);
+      completion[done.proc] = done.time;
+      ends.push_back(done);
+    }
+    const Time now = stepper.now();
+    if (steps == 3) stepper.add_processor(gen::cyclic_source(9, 250), now + 5);
+    if (steps == 6) stepper.add_processor(gen::cyclic_source(7, 150), now + 30);
+    if (steps == 12) stepper.depart(3);
+  }
+  const CheckedRun run = stepper.finish();
+  ASSERT_TRUE(run.status.ok()) << run.status.error.to_string();
+  ASSERT_EQ(ends.size(), 5u);
+  const auto ended = [&ends](ProcId proc) {
+    return *std::find_if(ends.begin(), ends.end(),
+                         [proc](const StepCompletion& e) {
+                           return e.proc == proc;
+                         });
+  };
+  EXPECT_EQ(ended(1).error.code, ErrorCode::kCorruptTrace);
+  EXPECT_EQ(ended(2).error.code, ErrorCode::kTenantBudgetExceeded);
+  EXPECT_TRUE(ended(3).departed);
+  EXPECT_GT(run.result.peak_concurrent_height, 0u);
+  EXPECT_EQ(run.result.peak_concurrent_height, peak_from_log(log, completion));
+}
+
+TEST(Engine, PeakHeightOrdersDeferredStartsAroundReleases) {
+  // Processor 0 holds height 4 on [0, 10), then height 1; processor 1 is
+  // granted height 4 at time 0 that starts `delay` ticks later. With miss
+  // cost 1 every request takes one tick, so the box boundaries are exact.
+  class Scripted final : public BoxScheduler {
+   public:
+    explicit Scripted(Time delay) : delay_(delay) {}
+    void start(const SchedulerContext&, const EngineView&) override {}
+    BoxAssignment next_box(ProcId proc, Time now, const EngineView&) override {
+      if (proc == 1) return BoxAssignment{4, now + delay_, now + delay_ + 100};
+      if (now == 0) return BoxAssignment{4, 0, 10};
+      return BoxAssignment{1, now, now + 100};
+    }
+    const char* name() const override { return "SCRIPTED"; }
+
+   private:
+    Time delay_;
+  };
+  MultiTrace mt;
+  mt.add(gen::single_use(30));
+  mt.add(gen::single_use(30));
+  // A start at 5 lands before processor 0's release at 10: both boxes
+  // overlap on [5, 10). A start at exactly 10 follows that release.
+  for (const auto& [delay, want] : {std::pair<Time, Height>{5, 8},
+                                    std::pair<Time, Height>{10, 5}}) {
+    Scripted scheduler(delay);
+    EngineConfig c = config_for(8, 1);
+    BoxLog log;
+    c.on_box = [&log](ProcId proc, const BoxAssignment& box) {
+      log.emplace_back(proc, box);
+    };
+    const ParallelRunResult r = run_parallel(mt, scheduler, c);
+    EXPECT_EQ(r.peak_concurrent_height, want) << "delay " << delay;
+    EXPECT_EQ(peak_from_log(log, r.completion), want) << "delay " << delay;
+  }
 }
 
 TEST(Engine, RejectsMisbehavingScheduler) {

@@ -1,5 +1,5 @@
-// Engine configuration edge cases: the safety net and the optional
-// instrumentation paths.
+// Engine configuration edge cases: the safety net and the always-on
+// peak-height instrumentation.
 #include <gtest/gtest.h>
 
 #include "core/parallel_engine.hpp"
@@ -21,26 +21,22 @@ TEST(EngineConfig, MaxTimeAbortsRunawayRuns) {
   EXPECT_DEATH(run_parallel(mt, *scheduler, c), "max_time");
 }
 
-TEST(EngineConfig, TimelineTrackingCanBeDisabled) {
+TEST(EngineConfig, PeakHeightIsAlwaysTracked) {
   WorkloadParams wp;
   wp.num_procs = 4;
   wp.cache_size = 16;
   wp.requests_per_proc = 300;
   const MultiTrace mt = make_workload(WorkloadKind::kZipf, wp);
-  auto s1 = make_equi_partition();
-  auto s2 = make_equi_partition();
-  EngineConfig with;
-  with.cache_size = 16;
-  with.miss_cost = 3;
-  EngineConfig without = with;
-  without.track_memory_timeline = false;
-  const ParallelRunResult a = run_parallel(mt, *s1, with);
-  const ParallelRunResult b = run_parallel(mt, *s2, without);
-  // Behaviour identical; only instrumentation differs.
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.completion, b.completion);
-  EXPECT_GT(a.peak_concurrent_height, 0u);
-  EXPECT_EQ(b.peak_concurrent_height, 0u);
+  auto scheduler = make_equi_partition();
+  EngineConfig c;
+  c.cache_size = 16;
+  c.miss_cost = 3;
+  const ParallelRunResult r = run_parallel(mt, *scheduler, c);
+  // EQUI splits k among the active processors, so xi stays within 1.
+  EXPECT_GT(r.peak_concurrent_height, 0u);
+  EXPECT_LE(r.peak_concurrent_height, 16u);
+  EXPECT_DOUBLE_EQ(r.effective_augmentation,
+                   static_cast<double>(r.peak_concurrent_height) / 16.0);
 }
 
 TEST(EngineConfig, RejectsZeroCacheOrMissCost) {

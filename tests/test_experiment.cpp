@@ -113,46 +113,6 @@ TEST(RunInstance, CellBudgetSurfacesAsStructuredOutcome) {
   EXPECT_EQ(outcome.num_failed(), 1u);
 }
 
-TEST(RunInstance, RetriesAreDeterministicAndBounded) {
-  WorkloadParams wp;
-  wp.num_procs = 2;
-  wp.cache_size = 8;
-  wp.requests_per_proc = 200;
-  const MultiTrace mt = make_workload(WorkloadKind::kZipf, wp);
-  ExperimentConfig config;
-  config.cache_size = 8;
-  config.miss_cost = 2;
-  config.include_global_lru = false;
-
-  // A clean cell with retries enabled is bit-identical to one without:
-  // the first attempt succeeds, so no retry runs.
-  const InstanceOutcome base =
-      run_instance(mt, {SchedulerKind::kDetPar}, config);
-  config.cell_retries = 3;
-  const InstanceOutcome with_retries =
-      run_instance(mt, {SchedulerKind::kDetPar}, config);
-  ASSERT_TRUE(with_retries.outcomes[0].status.ok());
-  EXPECT_EQ(with_retries.outcomes[0].result.makespan,
-            base.outcomes[0].result.makespan);
-
-  // A deterministic fault fails every same-seed attempt identically: the
-  // retry loop is bounded and the final outcome is still the structured
-  // failure, not a hang or a different error.
-  FaultInjectionConfig fault;
-  fault.fault = FaultClass::kZeroHeight;
-  config.inject_fault = fault;
-  const InstanceOutcome failed =
-      run_instance(mt, {SchedulerKind::kDetPar}, config);
-  ASSERT_FALSE(failed.outcomes[0].status.ok());
-  EXPECT_EQ(failed.outcomes[0].status.error.code,
-            ErrorCode::kContractViolation);
-  config.cell_retries = 0;
-  const InstanceOutcome failed_once =
-      run_instance(mt, {SchedulerKind::kDetPar}, config);
-  EXPECT_EQ(failed.outcomes[0].status.error.message,
-            failed_once.outcomes[0].status.error.message);
-}
-
 TEST(ScalingCollector, FitsPerScheduler) {
   ScalingCollector collector;
   for (double p : {2.0, 4.0, 8.0, 16.0}) {

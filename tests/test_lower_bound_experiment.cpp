@@ -37,7 +37,6 @@ TEST(LowerBoundExperiment, EveryObliviousSchedulerPaysOnEll4) {
   EngineConfig ec;
   ec.cache_size = setup.instance.params.cache_size();
   ec.miss_cost = setup.miss_cost;
-  ec.track_memory_timeline = false;
 
   Time min_makespan = kTimeInfinity;
   Time max_makespan = 0;
@@ -67,7 +66,6 @@ TEST(LowerBoundExperiment, GapGrowsWithEll) {
     EngineConfig ec;
     ec.cache_size = setup.instance.params.cache_size();
     ec.miss_cost = setup.miss_cost;
-    ec.track_memory_timeline = false;
     auto scheduler = make_scheduler(SchedulerKind::kBlackboxGreenDet, 5);
     const ParallelRunResult r =
         run_parallel(setup.instance.traces, *scheduler, ec);

@@ -26,8 +26,8 @@ TEST(ParallelSweep, JobsFromArgsParsesFlagForms) {
   EXPECT_EQ(parse({}), 1u);  // default: serial
   EXPECT_EQ(parse({"--jobs", "3"}), 3u);
   EXPECT_EQ(parse({"--jobs=5"}), 5u);
-  EXPECT_EQ(parse({"--jobs", "max"}), ThreadPool::hardware_jobs());
-  EXPECT_EQ(parse({"--jobs", "0"}), ThreadPool::hardware_jobs());
+  EXPECT_EQ(parse({"--jobs", "max"}), hardware_jobs());
+  EXPECT_EQ(parse({"--jobs", "0"}), hardware_jobs());
   EXPECT_THROW(parse({"--jobs", "-1"}), PpgException);
   EXPECT_THROW(parse({"--jobs", "many"}), PpgException);
 }
@@ -45,7 +45,7 @@ TEST(ParallelSweep, CellSeedIsPureAndSpreads) {
 
 TEST(ParallelSweep, SweepCellsPreservesEnumerationOrder) {
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{2},
-                                 ThreadPool::hardware_jobs()}) {
+                                 hardware_jobs()}) {
     const std::vector<std::size_t> out =
         sweep_cells(jobs, 257, [](std::size_t i) { return i * i; });
     ASSERT_EQ(out.size(), 257u);
@@ -101,7 +101,7 @@ TEST(ParallelSweep, RunInstancesByteIdenticalAcrossJobs) {
   const std::string serial = render_outcomes(run_instances(cells, 1));
   EXPECT_FALSE(serial.empty());
   for (const std::size_t jobs : {std::size_t{2},
-                                 ThreadPool::hardware_jobs()}) {
+                                 hardware_jobs()}) {
     EXPECT_EQ(render_outcomes(run_instances(cells, jobs)), serial)
         << "jobs=" << jobs;
   }

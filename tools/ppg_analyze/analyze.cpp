@@ -26,9 +26,9 @@ const std::vector<RuleDesc>& all_rules() {
        "PPG_SHARDED_BY / PPG_CALLER_SYNCHRONIZED annotation",
        {}},
       {"pool-shared-state",
-       "file fans out via ThreadPool (run_batch / parallel_for_index) but "
-       "declares no shared-state annotation",
-       // The pool itself defines the fan-out primitives.
+       "file fans out via parallel_for_index but declares no shared-state "
+       "annotation",
+       // util/thread_pool itself defines the fan-out primitive.
        {"util/thread_pool.hpp", "util/thread_pool.cpp"}},
       {"static-mutable",
        "namespace-scope / static / thread_local mutable state (breaks "
@@ -419,7 +419,7 @@ void run_unseeded_rng(const ScannedFile& file, std::vector<Finding>& out) {
 
 void run_pool_shared_state(const ScannedFile& file,
                            std::vector<Finding>& out) {
-  static const std::regex kFanOut(R"(\b(?:run_batch|parallel_for_index)\s*\()");
+  static const std::regex kFanOut(R"(\bparallel_for_index\s*\()");
   static const std::regex kSharedAnno(
       R"(\bPPG_(?:GUARDED_BY|SHARDED_BY|CALLER_SYNCHRONIZED)\b)");
   const std::string& code = file.joined_code();
@@ -429,10 +429,10 @@ void run_pool_shared_state(const ScannedFile& file,
   out.push_back(Finding{
       "pool-shared-state",
       file.line_of_offset(static_cast<std::size_t>(m.position(0))),
-      "file fans work out via ThreadPool but declares no shared-state "
-      "annotation — mark the result slots PPG_SHARDED_BY(index), guard "
-      "shared state with PPG_GUARDED_BY, or document the discipline with "
-      "PPG_CALLER_SYNCHRONIZED"});
+      "file fans work out via parallel_for_index but declares no "
+      "shared-state annotation — mark the result slots "
+      "PPG_SHARDED_BY(index), guard shared state with PPG_GUARDED_BY, or "
+      "document the discipline with PPG_CALLER_SYNCHRONIZED"});
 }
 
 const RuleDesc& rule_by_id(const char* id) {

@@ -10,9 +10,9 @@
 //   guard-annotation  a mutex-holding class has a mutable member with no
 //                     PPG_GUARDED_BY / PPG_SHARDED_BY /
 //                     PPG_CALLER_SYNCHRONIZED annotation (or suppression)
-//   pool-shared-state a file fans out via ThreadPool (run_batch /
-//                     parallel_for_index) but declares no shared-state
-//                     annotation at all — the result slots are undocumented
+//   pool-shared-state a file fans out via parallel_for_index but declares
+//                     no shared-state annotation at all — the result slots
+//                     are undocumented
 //   static-mutable    namespace-scope / static / thread_local mutable state
 //                     (process-global state breaks run-to-run determinism
 //                     and the multi-tenant service's isolation story)

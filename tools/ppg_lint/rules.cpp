@@ -115,8 +115,8 @@ void check_raw_thread(const ScannedFile& file, std::vector<Finding>& out) {
   match_all(file, kCalls, "raw-thread",
             "bare std::thread/std::async in library code; ad-hoc threads "
             "dodge the determinism contract (slot-indexed output, "
-            "first-error capture) — run on util/thread_pool "
-            "(parallel_for_index for sweep cells)",
+            "first-error capture) — fan out through parallel_for_index "
+            "(util/thread_pool)",
             out);
 }
 

@@ -3,14 +3,16 @@
 // Throughput of the structures every experiment leans on: the LRU set, the
 // box runner, the sequential cache simulator, the stack-distance profiler,
 // the green-OPT DP, the offline packer, GLOBAL-LRU and the OPT bounds on a
-// sweep cell, the schedulers' next_box alone (a p-sweep), and the full
-// parallel engine. These keep the harness
-// honest about simulator cost and catch performance regressions —
+// sweep cell, the schedulers' next_box alone (a p-sweep), the trace
+// generators' next_span alone, and the full parallel engine. These keep
+// the harness honest about simulator cost and catch performance
+// regressions —
 // scripts/bench_perf.sh snapshots them into BENCH_PERF.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <numeric>
 #include <queue>
 #include <utility>
@@ -221,6 +223,33 @@ void BM_ParallelEngineStreamed(benchmark::State& state) {
       static_cast<std::int64_t>(sources.total_requests()));
 }
 BENCHMARK(BM_ParallelEngineStreamed)->Arg(8)->Arg(32)->Arg(128);
+
+/// Trace layer alone: one cursor drained through next_span() in the box
+/// runner's 256-page spans, with no cache and no scheduler. Items =
+/// requests, so the reported time per item is ns/request of generation.
+void BM_TraceSpan(benchmark::State& state,
+                  std::shared_ptr<const TraceSource> source) {
+  std::vector<PageId> span(256);
+  for (auto _ : state) {
+    auto cursor = source->cursor();
+    while (cursor->next_span(span.data(), span.size()) != 0) {
+      benchmark::DoNotOptimize(span.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(source->num_requests()));
+}
+constexpr std::size_t kTraceSpanRequests = std::size_t{1} << 16;
+BENCHMARK_CAPTURE(BM_TraceSpan, cyclic,
+                  gen::cyclic_source(64, kTraceSpanRequests));
+BENCHMARK_CAPTURE(BM_TraceSpan, zipf,
+                  gen::zipf_source(256, kTraceSpanRequests, 0.9, Rng(5)));
+BENCHMARK_CAPTURE(BM_TraceSpan, sawtooth,
+                  gen::sawtooth_source(8, 256, kTraceSpanRequests / 64, 64,
+                                       Rng(6)));
+BENCHMARK_CAPTURE(BM_TraceSpan, single_use,
+                  gen::single_use_source(kTraceSpanRequests));
 
 /// The first p processors, all active for the whole run.
 class AllActiveView final : public EngineView {

@@ -180,7 +180,7 @@ trap 'rm -f "${MICRO_JSON}" "${SERVICE_JSON}" "${SWEEP_J1}" "${SWEEP_JMAX}"' EXI
 MIN_TIME=0.5
 [[ "${QUICK}" == "1" ]] && MIN_TIME=0.05
 # (BM_SchedulerNextBox counts boxes, not requests, as its items.)
-BENCH_FILTER='BM_(LruSetAccess|CacheSimLru|BoxRunnerCanonicalBoxes|StackDistances|PackOffline|GlobalLru|OptBounds|SchedulerNextBox|ParallelEngine)'
+BENCH_FILTER='BM_(LruSetAccess|CacheSimLru|BoxRunnerCanonicalBoxes|StackDistances|PackOffline|GlobalLru|OptBounds|SchedulerNextBox|TraceSpan|ParallelEngine)'
 ./build/bench/engine_micro \
   --benchmark_filter="${BENCH_FILTER}" \
   --benchmark_min_time="${MIN_TIME}" \

@@ -8,9 +8,11 @@
 #    layering / annotation / determinism rules, header self-containedness,
 #    clang -Wthread-safety / clang-tidy / cppcheck when available) plus a
 #    hard check that both emitted JSON reports are empty;
-#  - the robustness tests (fault injection, trace corruption, replay)
-#    again under ASan/UBSan, then parallel_for_index and the sweep
-#    executor raced under ThreadSanitizer;
+#  - the robustness tests (fault injection, trace corruption, replay), the
+#    engine stepper, the scheduler goldens and the generators again under
+#    ASan/UBSan (the event queue's buckets and the Zipf guide table are
+#    indexed there), then parallel_for_index and the sweep executor raced
+#    under ThreadSanitizer;
 #  - the failure-as-data drill (scripts/chaos.sh: corrupt-trace rows
 #    byte-identical at --jobs 1 and max, budget rows structured);
 #  - the constant-memory gates (a 10^8-request streamed run and a
@@ -66,7 +68,7 @@ if [[ "${SAN}" != "none" ]]; then
   cmake --build "build-${SAN}" -j "$(nproc)"
   (cd "build-${SAN}" &&
    ctest --output-on-failure -j "$(nproc)" --no-tests=error \
-         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|AtomicFile|EngineStepper|PagingService')
+         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|AtomicFile|EngineStepper|PagingService|DetParGolden|RandParGolden|Generators')
 
   # Fault-isolation gate under ASan: injected trace faults (fail,
   # hostile-page, torn-span, stall) must quarantine only their own tenant

@@ -64,13 +64,20 @@ class DetPar final : public BoxScheduler {
 
     // Per strip: (a) a box window containing `now` assigned to this
     // processor — take the tallest — and (b) the earliest upcoming window,
-    // both in closed form, so a call costs O(rungs).
+    // both in closed form, so a call costs O(rungs). Rung m has height
+    // b·2^m, so its cycle index is the base cycle index shifted right by m
+    // (floor(floor(x/a)/2^m) = floor(x/(a·2^m))): one division per call,
+    // not one per rung.
     Height current_height = 0;
     Time current_end = 0;
     Time next_start = kTimeInfinity;
-    for (const Strip& strip : strips_) {
+    const Time c_base = (now - phase_start_) /
+                        (ctx_.miss_cost * static_cast<Time>(base_height_));
+    for (std::size_t m = 0; m < strips_.size(); ++m) {
+      const Strip& strip = strips_[m];
+      PPG_DCHECK(strip.height == base_height_ << m);
       const Time cycle_len = ctx_.miss_cost * static_cast<Time>(strip.height);
-      const Time c_now = (now - phase_start_) / cycle_len;
+      const Time c_now = c_base >> m;
       const StripWindow window =
           strip_window(phase_r0_, strip.slots, strip.offset, c_now, idx);
       if (window.serves_now && strip.height > current_height) {

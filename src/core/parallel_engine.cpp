@@ -1,8 +1,11 @@
 #include "core/parallel_engine.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <queue>
 #include <sstream>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -35,13 +38,84 @@ struct Event {
   /// Height of the box this event ends (0 if none): a processor holds at
   /// most one box, and its next event is exactly that box's deallocation.
   Height held = 0;
+};
 
-  bool operator>(const Event& other) const {
-    if (time != other.time) return time > other.time;
-    if (kind != other.kind) return kind > other.kind;
-    if (proc != other.proc) return proc > other.proc;
-    return seq > other.seq;
+/// Monotone radix queue over the engine's integer event times. Every push
+/// is at or after `base_`, the last popped batch time: follow-ups land
+/// after the batch that made them, and online arrivals are checked against
+/// the last batch time. An event lives in bucket bit_width(time ^ base_),
+/// so bucket 0 holds the events at `base_` and bucket i > 0 those whose
+/// time first differs from `base_` at bit i - 1; lower buckets hold
+/// earlier times. Refilling bucket 0 re-buckets the first non-empty bucket
+/// around its minimum, which moves each event to a strictly lower bucket,
+/// so an event is moved at most 64 times over its life: O(1) amortized per
+/// event, where a binary heap sifts O(log n) per push and per pop.
+class EventQueue {
+ public:
+  bool empty() const { return size_ == 0; }
+
+  void push(const Event& ev) {
+    PPG_DCHECK(ev.time >= base_);
+    buckets_[bucket_of(ev.time)].push_back(ev);
+    ++size_;
+    if (min_valid_) min_ = std::min(min_, ev.time);
   }
+
+  /// Earliest pending event time. Unlike pop_batch() this does not move
+  /// the radix base: a caller may peek here and then push arrivals between
+  /// the last batch time and the returned frontier. The minimum is cached
+  /// until the next pop, so repeated peeks cost O(1).
+  Time min_time() const {
+    PPG_DCHECK(!empty());
+    if (!buckets_[0].empty()) return base_;
+    if (!min_valid_) {
+      const std::vector<Event>& first = buckets_[first_nonempty()];
+      min_ = first.front().time;
+      for (const Event& ev : first) min_ = std::min(min_, ev.time);
+      min_valid_ = true;
+    }
+    return min_;
+  }
+
+  /// Moves every event at the earliest pending time into `batch`, in the
+  /// order (kind, proc, seq): with the shared time, exactly a binary
+  /// heap's (time, kind, proc, seq) pop order, which `seq` makes total.
+  /// Events pushed at that same time afterwards (an arrival's first box
+  /// request) form the next batch.
+  void pop_batch(std::vector<Event>& batch) {
+    PPG_DCHECK(!empty());
+    if (buckets_[0].empty()) {
+      const Time next = min_time();
+      std::vector<Event>& from = buckets_[first_nonempty()];
+      base_ = next;
+      for (const Event& ev : from) buckets_[bucket_of(ev.time)].push_back(ev);
+      from.clear();
+    }
+    batch.clear();
+    batch.swap(buckets_[0]);
+    size_ -= batch.size();
+    min_valid_ = false;
+    std::sort(batch.begin(), batch.end(), [](const Event& a, const Event& b) {
+      return std::tie(a.kind, a.proc, a.seq) < std::tie(b.kind, b.proc, b.seq);
+    });
+  }
+
+ private:
+  std::size_t bucket_of(Time time) const {
+    return static_cast<std::size_t>(std::bit_width(time ^ base_));
+  }
+
+  std::size_t first_nonempty() const {
+    std::size_t i = 1;
+    while (buckets_[i].empty()) ++i;
+    return i;
+  }
+
+  std::array<std::vector<Event>, 65> buckets_;
+  std::size_t size_ = 0;
+  Time base_ = 0;
+  mutable Time min_ = 0;
+  mutable bool min_valid_ = false;
 };
 
 class EngineState final : public EngineView {
@@ -121,7 +195,7 @@ struct EngineStepper::Impl {
   /// consumed by the forced departure at the next box boundary.
   std::vector<std::unique_ptr<Error>> proc_error;
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
+  EventQueue events;
   std::uint64_t seq = 0;
 
   // Per-batch scratch (SoA, reused across steps): the events popped at the
@@ -279,16 +353,12 @@ struct EngineStepper::Impl {
     // follow-up event, which simply forms the next batch at the same
     // time. Popping the batch eagerly preserves the serial pop order
     // exactly.
-    const Time now = events.top().time;
+    events.pop_batch(batch);
+    const Time now = batch.front().time;
     last_batch_time = now;
     // Height timeline order: starts before `now`, then this batch's
     // deallocations, then its starts at `now` (after the fold below).
     if (now > 0) start_boxes_through(now - 1);
-    batch.clear();
-    while (!events.empty() && events.top().time == now) {
-      batch.push_back(events.top());
-      events.pop();
-    }
 
     ParallelRunResult& result = out.result;
 
@@ -555,7 +625,7 @@ bool EngineStepper::has_pending() const { return !impl_->events.empty(); }
 
 Time EngineStepper::frontier() const {
   PPG_CHECK(!impl_->events.empty());
-  return impl_->events.top().time;
+  return impl_->events.min_time();
 }
 
 Time EngineStepper::now() const { return impl_->last_batch_time; }

@@ -7,8 +7,11 @@
 // expirations, completions) are processed in strict global-time order so
 // schedulers always observe consistent active counts; within a box a
 // processor's progress depends only on its own trace, so each box is
-// fast-forwarded in one step. Because no event produced while draining the
-// batch at time t can land back at time t, the engine drains whole
+// fast-forwarded in one step. Event times are integers that never fall
+// below the last batch time, so pending events sit in a monotone radix
+// queue (O(1) amortized per event) whose batch pops keep the exact
+// (time, kind, proc, seq) order. Because no event produced while draining
+// the batch at time t can land back at time t, the engine drains whole
 // same-time batches in two in-order passes: every scheduler call of the
 // batch first, then each granted box's fast-forward and fold (see
 // DESIGN.md §10). The engine runs on the calling thread.
@@ -198,7 +201,8 @@ class EngineStepper {
   /// events (all admitted processors finished or departed).
   bool done() const;
   bool has_pending() const;  ///< Any event still queued?
-  /// Time of the next pending batch. Requires has_pending().
+  /// Time of the next pending batch. Requires has_pending(). A pure peek:
+  /// arrivals may still be added anywhere in [now(), frontier()].
   Time frontier() const;
   /// Time of the last processed batch (0 before the first step).
   Time now() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -222,45 +223,21 @@ class UniformCursor final : public GenCursor {
   Rng rng_;
 };
 
-std::shared_ptr<const std::vector<double>> make_zipf_cdf(
-    std::uint64_t num_pages, double theta) {
-  PPG_CHECK(num_pages >= 1);
-  PPG_CHECK(theta >= 0.0);
-  // Inverse-transform sampling over the precomputed CDF. O(m) setup,
-  // O(log m) per draw.
-  auto cdf = std::make_shared<std::vector<double>>(num_pages);
-  double acc = 0.0;
-  for (std::uint64_t r = 0; r < num_pages; ++r) {
-    acc += 1.0 / std::pow(static_cast<double>(r + 1), theta);
-    (*cdf)[r] = acc;
-  }
-  for (auto& v : *cdf) v /= acc;
-  return cdf;
-}
-
 class ZipfCursor final : public GenCursor {
  public:
   ZipfCursor(std::shared_ptr<const std::vector<double>> cdf,
              std::uint64_t num_requests, const Rng& rng)
-      : GenCursor(num_requests), cdf_(std::move(cdf)), rng_(rng) {
+      : GenCursor(num_requests), sampler_(std::move(cdf)), rng_(rng) {
     prime();
   }
 
   const Rng& rng() const { return rng_; }
 
  protected:
-  PageId produce() override {
-    const double u = rng_.next_double();
-    const auto it = std::lower_bound(cdf_->begin(), cdf_->end(), u);
-    return static_cast<PageId>(it - cdf_->begin());
-  }
+  PageId produce() override { return sampler_.draw(rng_.next_double()); }
   void produce_span(PageId* out, std::size_t count) override {
-    const double* begin = cdf_->data();
-    const double* end = begin + cdf_->size();
-    for (std::size_t i = 0; i < count; ++i) {
-      const double u = rng_.next_double();
-      out[i] = static_cast<PageId>(std::lower_bound(begin, end, u) - begin);
-    }
+    for (std::size_t i = 0; i < count; ++i)
+      out[i] = sampler_.draw(rng_.next_double());
     position_ += count;
   }
   void save_extra(std::vector<std::uint64_t>& words) const override {
@@ -272,7 +249,10 @@ class ZipfCursor final : public GenCursor {
   }
 
  private:
-  std::shared_ptr<const std::vector<double>> cdf_;
+  // One guide table per cursor, not per source: source construction stays
+  // a single O(n) CDF pass, and the guide is built only by cursors that
+  // actually draw.
+  ZipfSampler sampler_;
   Rng rng_;
 };
 
@@ -483,6 +463,34 @@ std::vector<WorkingSetPhase> sawtooth_phases(std::uint64_t hot,
 }
 
 }  // namespace
+
+std::shared_ptr<const std::vector<double>> make_zipf_cdf(
+    std::uint64_t num_pages, double theta) {
+  PPG_CHECK(num_pages >= 1);
+  PPG_CHECK(theta >= 0.0);
+  auto cdf = std::make_shared<std::vector<double>>(num_pages);
+  double acc = 0.0;
+  for (std::uint64_t r = 0; r < num_pages; ++r) {
+    acc += 1.0 / std::pow(static_cast<double>(r + 1), theta);
+    (*cdf)[r] = acc;
+  }
+  for (auto& v : *cdf) v /= acc;
+  return cdf;
+}
+
+ZipfSampler::ZipfSampler(std::shared_ptr<const std::vector<double>> cdf)
+    : cdf_(std::move(cdf)) {
+  PPG_CHECK(cdf_ != nullptr && !cdf_->empty());
+  PPG_CHECK(cdf_->back() == 1.0);
+  PPG_CHECK(cdf_->size() <= std::numeric_limits<std::uint32_t>::max());
+  const std::vector<double>& values = *cdf_;
+  guide_.resize(values.size());
+  std::size_t r = 0;
+  for (std::size_t b = 0; b < guide_.size(); ++b) {
+    while (r + 1 < values.size() && bucket(values[r]) < b) ++r;
+    guide_[b] = static_cast<std::uint32_t>(r);
+  }
+}
 
 Trace cyclic(std::uint64_t num_pages, std::size_t num_requests) {
   CyclicCursor cursor(num_pages, num_requests);

@@ -8,12 +8,15 @@
 // Workload (workload.hpp) or rebase_to_proc() to build disjoint MultiTraces.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "trace/trace.hpp"
 #include "trace/trace_source.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace ppg::gen {
@@ -46,6 +49,42 @@ Trace uniform_random(std::uint64_t num_pages, std::size_t num_requests,
 /// around 0.8-1.2 models typical skewed reuse.
 Trace zipf(std::uint64_t num_pages, std::size_t num_requests, double theta,
            Rng& rng);
+
+/// Normalized Zipf(theta) CDF over [0, num_pages): entry r is the
+/// probability of a page at rank <= r, and the last entry is exactly 1.
+std::shared_ptr<const std::vector<double>> make_zipf_cdf(
+    std::uint64_t num_pages, double theta);
+
+/// Inverse-transform sampler over a CDF whose last entry is 1: draw(u),
+/// for u in [0, 1), returns the first rank r with cdf[r] >= u, exactly the
+/// rank std::lower_bound finds, through an n-entry guide table in O(1)
+/// expected steps instead of O(log n). bucket(u) = min(n-1, floor(u*n)) is
+/// monotone in u, and guide[b] is the first rank whose CDF value lies in
+/// bucket b or later; every rank before guide[bucket(u)] therefore has a
+/// CDF value in a lower bucket, hence below u, and the forward scan from
+/// there stops at the lower_bound rank. Building the guide is O(n).
+class ZipfSampler {
+ public:
+  explicit ZipfSampler(std::shared_ptr<const std::vector<double>> cdf);
+
+  std::uint64_t draw(double u) const {
+    PPG_DCHECK(u >= 0.0 && u < 1.0);
+    const double* cdf = cdf_->data();
+    std::size_t r = guide_[bucket(u)];
+    while (cdf[r] < u) ++r;
+    return r;
+  }
+
+ private:
+  std::size_t bucket(double u) const {
+    return std::min(guide_.size() - 1,
+                    static_cast<std::size_t>(
+                        u * static_cast<double>(guide_.size())));
+  }
+
+  std::shared_ptr<const std::vector<double>> cdf_;
+  std::vector<std::uint32_t> guide_;
+};
 
 /// One phase of a phased-working-set workload.
 struct WorkingSetPhase {

@@ -314,5 +314,188 @@ TEST(EngineStepperTest, ArrivalScriptsAreDeterministic) {
   }
 }
 
+// Event-queue corner cases. Each scenario drives a stepper through an
+// arrival pattern that stresses how pending events are ordered, and
+// returns everything the ordering can perturb: the full on_box stream (as
+// a count and an FNV-1a digest), every completion in harvest order, and
+// the events consumed. The expected values were captured from a binary-heap
+// event queue with the same (time, kind, proc, seq) order, so they pin that
+// order itself, not just run-to-run determinism.
+struct QueueOutcome {
+  std::uint64_t boxes = 0;
+  std::uint64_t box_digest = 0xcbf29ce484222325ull;
+  std::string completions;
+  std::uint64_t events_consumed = 0;
+  Time makespan = 0;
+};
+
+void fnv_mix(std::uint64_t& digest, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    digest ^= (word >> (8 * byte)) & 0xff;
+    digest *= 0x100000001b3ull;
+  }
+}
+
+enum class QueueScenario {
+  kArriveBelowPeekedFrontier,
+  kArriveAtNow,
+  kFarFutureArrivals,
+  kSameTimeArrivalChain,
+};
+
+QueueOutcome run_queue_scenario(const std::string& sched_name,
+                                QueueScenario scenario) {
+  QueueOutcome got;
+  EngineConfig ec;
+  ec.cache_size = 16;
+  ec.miss_cost = 4;
+  ec.on_box = [&got](ProcId proc, const BoxAssignment& box) {
+    ++got.boxes;
+    fnv_mix(got.box_digest, proc);
+    fnv_mix(got.box_digest, box.height);
+    fnv_mix(got.box_digest, box.start);
+    fnv_mix(got.box_digest, box.end);
+    fnv_mix(got.box_digest, box.fresh ? 1 : 0);
+  };
+  const auto sched = build(sched_name, 11);
+  EngineStepper stepper(*sched, ec);
+  stepper.add_processor(gen::cyclic_source(6, 60));
+  stepper.add_processor(gen::zipf_source(12, 80, 0.8, Rng(3)));
+  stepper.start();
+
+  const auto harvest = [&] {
+    for (const StepCompletion& c : stepper.last_completions()) {
+      got.completions += std::to_string(c.proc) + "@" +
+                         std::to_string(c.time) +
+                         (c.departed ? "d" : "") + " ";
+    }
+  };
+  int steps = 0;
+  int peeks = 0;
+  bool more = true;
+  while (more) {
+    more = stepper.step();
+    harvest();
+    ++steps;
+    switch (scenario) {
+      case QueueScenario::kArriveBelowPeekedFrontier:
+        if (peeks < 2 && steps >= 3 && stepper.has_pending() &&
+            stepper.frontier() > stepper.now() + 1) {
+          // Peeking the frontier must not move the queue's base: these
+          // arrivals land in [now(), frontier()].
+          ++peeks;
+          const Time now = stepper.now();
+          const Time frontier = stepper.frontier();
+          stepper.add_processor(gen::cyclic_source(5, 30), now);
+          stepper.add_processor(gen::cyclic_source(7, 25),
+                                now + (frontier - now) / 2);
+          stepper.add_processor(gen::single_use_source(9), frontier - 1);
+          // An arrival at the frontier itself activates before the box
+          // requests pending there (kind order), re-phasing DET-PAR first.
+          stepper.add_processor(gen::cyclic_source(4, 12), frontier);
+          EXPECT_EQ(stepper.frontier(), now);
+          more = true;
+        }
+        break;
+      case QueueScenario::kArriveAtNow:
+        if (steps == 1 || steps == 6) {
+          stepper.add_processor(gen::sawtooth_source(3, 9, 40, 2, Rng(8)),
+                                stepper.now());
+          more = true;
+        }
+        break;
+      case QueueScenario::kFarFutureArrivals:
+        if (steps == 2) {
+          // Far beyond the near events, in distinct high buckets.
+          const Time far = Time{1} << 40;
+          for (const Time at : {far, far + 3, 3 * far, Time{1} << 52})
+            stepper.add_processor(gen::cyclic_source(4, 20), at);
+          more = true;
+        }
+        if (steps == 4) {
+          stepper.add_processor(gen::single_use_source(6),
+                                stepper.now() + 2);
+          more = true;
+        }
+        break;
+      case QueueScenario::kSameTimeArrivalChain:
+        if (steps >= 2 && steps <= 4) {
+          // Each arrival at now() forms a same-time successor batch; its
+          // first box request (or an empty trace's instant finish) chains
+          // one more batch at the same time.
+          stepper.add_processor(gen::cyclic_source(3, 15), stepper.now());
+          stepper.add_processor(gen::single_use_source(0), stepper.now());
+          more = true;
+        }
+        break;
+    }
+  }
+  const CheckedRun run = stepper.finish();
+  EXPECT_TRUE(run.status.ok()) << run.status.error.to_string();
+  got.events_consumed = run.events_consumed;
+  got.makespan = run.result.makespan;
+  return got;
+}
+
+struct QueuePin {
+  const char* sched;
+  QueueScenario scenario;
+  std::uint64_t boxes;
+  std::uint64_t box_digest;
+  const char* completions;
+  std::uint64_t events_consumed;
+  Time makespan;
+};
+
+TEST(EngineStepperTest, EventQueueCornerCasesMatchHeapOrder) {
+  const QueuePin pins[] = {
+      {"DET-PAR", QueueScenario::kArriveBelowPeekedFrontier, 25,
+       18354022563854085640ull,
+       "0@96 9@136 2@141 6@141 8@147 4@163 5@176 3@179 7@192 1@194 ",
+       43, 194},
+      {"DET-PAR", QueueScenario::kArriveAtNow, 9,
+       3320829074855200654ull,
+       "0@96 2@128 1@173 3@256 ",
+       15, 256},
+      {"DET-PAR", QueueScenario::kFarFutureArrivals, 10,
+       13002818220868368170ull,
+       "0@96 6@154 1@173 2@1099511627808 "
+       "3@1099511627811 4@3298534883360 5@4503599627370528 ",
+       22, 4503599627370528},
+      {"DET-PAR", QueueScenario::kSameTimeArrivalChain, 8,
+       16620463706267104892ull,
+       "3@64 5@64 7@64 2@88 4@88 6@88 0@96 1@173 ",
+       22, 173},
+      {"RAND-PAR", QueueScenario::kArriveBelowPeekedFrontier, 67,
+       13509153945846774501ull,
+       "8@116 9@128 4@132 5@144 2@148 0@156 7@172 3@180 6@184 1@243 ",
+       85, 243},
+      {"RAND-PAR", QueueScenario::kArriveAtNow, 31,
+       10382619744753839990ull,
+       "0@144 2@220 1@246 3@329 ",
+       37, 329},
+      {"RAND-PAR", QueueScenario::kFarFutureArrivals, 20,
+       5759994992769701425ull,
+       "6@122 0@146 1@239 2@1099511627808 "
+       "3@1099511627811 4@3298534883360 5@4503599627370528 ",
+       32, 4503599627370528},
+      {"RAND-PAR", QueueScenario::kSameTimeArrivalChain, 25,
+       15050105415841195138ull,
+       "3@32 5@32 7@32 2@68 4@68 6@68 0@168 1@247 ",
+       39, 247},
+  };
+  for (const QueuePin& pin : pins) {
+    const std::string label =
+        std::string(pin.sched) + " scenario " +
+        std::to_string(static_cast<int>(pin.scenario));
+    const QueueOutcome got = run_queue_scenario(pin.sched, pin.scenario);
+    EXPECT_EQ(got.boxes, pin.boxes) << label;
+    EXPECT_EQ(got.box_digest, pin.box_digest) << label;
+    EXPECT_EQ(got.completions, pin.completions) << label;
+    EXPECT_EQ(got.events_consumed, pin.events_consumed) << label;
+    EXPECT_EQ(got.makespan, pin.makespan) << label;
+  }
+}
+
 }  // namespace
 }  // namespace ppg

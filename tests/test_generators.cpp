@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "test_helpers.hpp"
 #include "trace/generators.hpp"
@@ -91,6 +94,82 @@ TEST(Generators, ZipfThetaZeroIsRoughlyUniform) {
   for (PageId p : t) ++counts[p];
   for (PageId p = 0; p < 4; ++p)
     EXPECT_NEAR(counts[p], 10000, 600) << "page " << p;
+}
+
+// The guide-table draw must return std::lower_bound's rank for every u in
+// [0, 1), not just on average. The probes are the adversarial ones: every
+// CDF value and its floating-point neighbours, every guide bucket edge
+// b/n and its neighbours, and random 53-bit draws, over CDFs from one
+// page to 2*10^4 and from uniform to theta = 60 (whose tail rounds to
+// runs of equal CDF values).
+TEST(Generators, ZipfGuidedDrawMatchesLowerBound) {
+  Rng rng(97);
+  std::uint64_t probes = 0;
+  std::uint64_t mismatches = 0;
+  for (const std::uint64_t n : {1u, 2u, 3u, 5u, 17u, 100u, 1000u, 20000u}) {
+    for (const double theta : {0.0, 0.5, 1.0, 1.3, 4.0, 60.0}) {
+      const auto cdf = gen::make_zipf_cdf(n, theta);
+      const gen::ZipfSampler sampler(cdf);
+      const auto check = [&](double u) {
+        if (!(u >= 0.0 && u < 1.0)) return;
+        const auto want = static_cast<std::uint64_t>(
+            std::lower_bound(cdf->begin(), cdf->end(), u) - cdf->begin());
+        const std::uint64_t got = sampler.draw(u);
+        if (got != want && mismatches++ == 0) {
+          ADD_FAILURE() << "first mismatch: n=" << n << " theta=" << theta
+                        << " u=" << u << " draw=" << got
+                        << " lower_bound=" << want;
+        }
+        ++probes;
+      };
+      const auto check_around = [&](double u) {
+        check(std::nextafter(u, 0.0));
+        check(u);
+        check(std::nextafter(u, 1.0));
+      };
+      for (const double value : *cdf) check_around(value);
+      for (std::uint64_t b = 0; b <= n; ++b)
+        check_around(static_cast<double>(b) / static_cast<double>(n));
+      for (int i = 0; i < 2000; ++i) check(rng.next_double());
+      check(0.0);
+      check(std::nextafter(1.0, 0.0));
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << probes << " probes";
+  EXPECT_GT(probes, 600000u);
+}
+
+// A Zipf cursor checkpointed between spans and rewound replays the same
+// pages, on itself and on a fresh cursor, and both match the materialized
+// stream.
+TEST(Generators, ZipfCursorRewindReplaysMidStream) {
+  const std::size_t n = 500;
+  Rng rng(41);
+  const Trace reference = gen::zipf(64, n, 0.9, rng);
+  const auto source = gen::zipf_source(64, n, 0.9, Rng(41));
+  auto cursor = source->cursor();
+
+  std::vector<PageId> head(37);
+  ASSERT_EQ(cursor->next_span(head.data(), head.size()), head.size());
+  const CursorCheckpoint cp = cursor->checkpoint();
+  std::vector<PageId> first(200);
+  ASSERT_EQ(cursor->next_span(first.data(), first.size()), first.size());
+
+  cursor->rewind(cp);
+  std::vector<PageId> again(200);
+  ASSERT_EQ(cursor->next_span(again.data(), again.size()), again.size());
+  EXPECT_EQ(again, first);
+
+  auto fresh = source->cursor();
+  fresh->rewind(cp);
+  std::vector<PageId> ported(200);
+  ASSERT_EQ(fresh->next_span(ported.data(), ported.size()), ported.size());
+  EXPECT_EQ(ported, first);
+
+  for (std::size_t i = 0; i < head.size(); ++i)
+    EXPECT_EQ(head[i], reference[i]) << i;
+  for (std::size_t i = 0; i < first.size(); ++i)
+    EXPECT_EQ(first[i], reference[head.size() + i]) << i;
 }
 
 TEST(Generators, PhasedWorkingSetUsesFreshSets) {

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/contract.hpp"
 #include "core/global_lru.hpp"
 #include "core/parallel_engine.hpp"
 #include "core/scheduler_factory.hpp"
@@ -28,6 +29,7 @@
 #include "paging/cache_sim.hpp"
 #include "trace/generators.hpp"
 #include "trace/stack_distance.hpp"
+#include "trace/trace.hpp"
 #include "trace/workload.hpp"
 #include "util/lru_set.hpp"
 #include "util/rng.hpp"
@@ -49,6 +51,32 @@ void BM_LruSetAccess(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_LruSetAccess)->Arg(16)->Arg(256)->Arg(4096);
+
+/// The LRU set on the structured ids a shared cache sees: 128 processors'
+/// make_page(proc, local) requests interleaved round-robin, each cycling
+/// over capacity/96 locals with every 4th request a fresh polluter id
+/// (local 2^32 + n). Sequential Zipf ranks (above) hide index clustering
+/// that these ids expose.
+void BM_LruSetAccessStructured(benchmark::State& state) {
+  constexpr ProcId kProcs = 128;
+  const auto capacity = static_cast<Height>(state.range(0));
+  const std::uint64_t cycle = std::max<std::uint64_t>(1, capacity / 96);
+  std::vector<PageId> trace(std::size_t{1} << 16);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const auto proc = static_cast<ProcId>(i % kProcs);
+    const std::uint64_t n = i / kProcs;
+    trace[i] = make_page(proc, n % 4 == 3 ? (std::uint64_t{1} << 32) + n
+                                          : n % cycle);
+  }
+  LruSet set(capacity);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(set.access(trace[i]));
+    i = (i + 1) % trace.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LruSetAccessStructured)->Arg(1024)->Arg(4096);
 
 // Sequential simulator throughput via the policy fast path
 // (touch_if_resident — one lookup per hit).
@@ -147,10 +175,11 @@ WorkloadParams sweep_cell(ProcId p) {
   return wp;
 }
 
-/// The shared-pool GLOBAL-LRU baseline on a sweep cell; items = requests.
-void BM_GlobalLru(benchmark::State& state) {
+/// The shared-pool GLOBAL-LRU baseline on a sweep cell of `kind`;
+/// items = requests.
+void global_lru_cell(benchmark::State& state, WorkloadKind kind) {
   const WorkloadParams wp = sweep_cell(static_cast<ProcId>(state.range(0)));
-  const MultiTrace mt = make_workload(WorkloadKind::kHeterogeneousMix, wp);
+  const MultiTrace mt = make_workload(kind, wp);
   GlobalLruConfig gc;
   gc.cache_size = wp.cache_size;
   gc.miss_cost = kSweepMissCost;
@@ -161,7 +190,17 @@ void BM_GlobalLru(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(mt.total_requests()));
 }
+void BM_GlobalLru(benchmark::State& state) {
+  global_lru_cell(state, WorkloadKind::kHeterogeneousMix);
+}
 BENCHMARK(BM_GlobalLru)->Arg(32)->Arg(128);
+
+/// Polluted cycles: the sweep's longest GLOBAL-LRU cell, whose shared
+/// cache holds structured ids from every processor plus polluter streams.
+void BM_GlobalLruPolluted(benchmark::State& state) {
+  global_lru_cell(state, WorkloadKind::kPollutedCycles);
+}
+BENCHMARK(BM_GlobalLruPolluted)->Arg(128);
 
 /// The OPT lower bounds (Belady and stack-distance impact terms) on a
 /// sweep cell; items = requests.
@@ -223,6 +262,34 @@ void BM_ParallelEngineStreamed(benchmark::State& state) {
       static_cast<std::int64_t>(sources.total_requests()));
 }
 BENCHMARK(BM_ParallelEngineStreamed)->Arg(8)->Arg(32)->Arg(128);
+
+/// DET-PAR on a hetero-mix cell (k = 8p, s = 64, 1000 requests per
+/// processor), run through ValidatingScheduler or bare; items = boxes, so
+/// the pair's ratio is the contract check's cost per box as p grows.
+void engine_boxes(benchmark::State& state, bool validated) {
+  const auto p = static_cast<ProcId>(state.range(0));
+  WorkloadParams wp = sweep_cell(p);
+  wp.requests_per_proc = 1000;
+  const MultiTrace mt = make_workload(WorkloadKind::kHeterogeneousMix, wp);
+  EngineConfig ec;
+  ec.cache_size = wp.cache_size;
+  ec.miss_cost = kSweepMissCost;
+  std::uint64_t boxes = 0;
+  for (auto _ : state) {
+    std::unique_ptr<BoxScheduler> scheduler =
+        make_scheduler(SchedulerKind::kDetPar);
+    if (validated) scheduler = make_validating(std::move(scheduler));
+    const ParallelRunResult result = run_parallel(mt, *scheduler, ec);
+    boxes += result.num_boxes;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(boxes));
+}
+void BM_ValidatedEngine(benchmark::State& state) { engine_boxes(state, true); }
+void BM_PlainEngine(benchmark::State& state) { engine_boxes(state, false); }
+BENCHMARK(BM_ValidatedEngine)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlainEngine)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
 
 /// Trace layer alone: one cursor drained through next_span() in the box
 /// runner's 256-page spans, with no cache and no scheduler. Items =

@@ -72,44 +72,81 @@ void ValidatingScheduler::start(const SchedulerContext& ctx,
                 : 0;
   frontier_.assign(ctx.num_procs, 0);
   has_box_.assign(ctx.num_procs, false);
-  live_.clear();
+  running_.clear();
+  pending_.clear();
+  running_height_ = 0;
   observed_peak_ = 0;
   violations_.clear();
   inner_->start(ctx, view);
 }
 
+namespace {
+
+// Heap orders (std::*_heap keep the largest element at the front, so
+// "greater" comparators make min-heaps).
+constexpr auto kEndsLater = [](const auto& a, const auto& b) {
+  return a.end > b.end;
+};
+constexpr auto kStartsLater = [](const auto& a, const auto& b) {
+  return a.start > b.start;
+};
+
+}  // namespace
+
+void ValidatingScheduler::advance_ledger(Time now) {
+  while (!pending_.empty() && pending_.front().start <= now) {
+    std::pop_heap(pending_.begin(), pending_.end(), kStartsLater);
+    running_height_ += pending_.back().height;
+    running_.push_back(pending_.back());
+    pending_.pop_back();
+    std::push_heap(running_.begin(), running_.end(), kEndsLater);
+  }
+  // Boxes that ended at or before `now` can never overlap a later box
+  // (next_box is only called with non-decreasing `now`).
+  while (!running_.empty() && running_.front().end <= now) {
+    running_height_ -= running_.front().height;
+    std::pop_heap(running_.begin(), running_.end(), kEndsLater);
+    running_.pop_back();
+  }
+}
+
 std::uint64_t ValidatingScheduler::peak_concurrent(const BoxAssignment& box,
                                                    Time now) {
-  // Boxes that ended at or before `now` can never overlap a future box
-  // (next_box is only called with non-decreasing `now`).
-  live_.erase(std::remove_if(live_.begin(), live_.end(),
-                             [now](const LiveBox& b) { return b.end <= now; }),
-              live_.end());
-  // One pass sums the height live at box.start and collects the window's
-  // later events: +height where a live box starts after box.start, -height
-  // where one ends before box.end. Only a later start can raise the sum,
-  // so without one (the common case: boxes start when requested) the peak
-  // is at box.start; otherwise one sorted sweep finds it. At equal times
-  // ends sort first, as a box ending at t is not live at t.
+  advance_ledger(now);
+  // Common case (every box unless RAND-PAR stalls between waves): the box
+  // starts at the request time, so every running box is live at its
+  // start, and no pending box starts inside its window to raise the sum.
+  if (box.start == now &&
+      (pending_.empty() || pending_.front().start >= box.end))
+    return box.height + running_height_;
+
+  // A stalled start: one pass over the live boxes sums the height live at
+  // box.start and collects the window's later events: +height where a
+  // live box starts after box.start, -height where one ends before
+  // box.end. Only a later start can raise the sum, so without one the
+  // peak is at box.start; otherwise one sorted sweep finds it. At equal
+  // times ends sort first, as a box ending at t is not live at t.
   std::uint64_t at_start = 0;
   bool later_start = false;
-  sweep_.clear();
-  for (const LiveBox& b : live_) {
-    if (b.start >= box.end || b.end <= box.start) continue;
+  std::vector<std::pair<Time, std::int64_t>> events;
+  const auto collect = [&](const LiveBox& b) {
+    if (b.start >= box.end || b.end <= box.start) return;
     const auto height = static_cast<std::int64_t>(b.height);
     if (b.start <= box.start) {
       at_start += b.height;
     } else {
       later_start = true;
-      sweep_.emplace_back(b.start, height);
+      events.emplace_back(b.start, height);
     }
-    if (b.end < box.end) sweep_.emplace_back(b.end, -height);
-  }
+    if (b.end < box.end) events.emplace_back(b.end, -height);
+  };
+  for (const LiveBox& b : running_) collect(b);
+  for (const LiveBox& b : pending_) collect(b);
   std::uint64_t peak = at_start;
   if (later_start) {
-    std::sort(sweep_.begin(), sweep_.end());
+    std::sort(events.begin(), events.end());
     auto current = static_cast<std::int64_t>(at_start);
-    for (const auto& [t, delta] : sweep_) {
+    for (const auto& [t, delta] : events) {
       current += delta;
       peak = std::max(peak, static_cast<std::uint64_t>(current));
     }
@@ -168,7 +205,15 @@ BoxAssignment ValidatingScheduler::next_box(ProcId proc, Time now,
   if (box.end > box.start) {
     frontier_[proc] = std::max(frontier_[proc], box.end);
     has_box_[proc] = true;
-    live_.push_back(LiveBox{box.start, box.end, box.height});
+    const LiveBox live{box.start, box.end, box.height};
+    if (box.start <= now) {
+      running_.push_back(live);
+      std::push_heap(running_.begin(), running_.end(), kEndsLater);
+      running_height_ += box.height;
+    } else {
+      pending_.push_back(live);
+      std::push_heap(pending_.begin(), pending_.end(), kStartsLater);
+    }
   }
   return box;
 }

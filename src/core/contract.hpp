@@ -100,9 +100,14 @@ class ValidatingScheduler final : public BoxScheduler {
   void report(ViolationKind kind, ProcId proc, Time now,
               const BoxAssignment& box, std::uint64_t detail);
   /// Peak concurrent allocated height over [box.start, box.end) including
-  /// `box` itself; prunes boxes ending at or before `now`. O(live), plus a
-  /// sort of the window's events when a live box starts after box.start.
+  /// `box` itself. O(1) plus the ledger's amortized O(log live) heap
+  /// upkeep when the box starts at `now` and no pending box starts inside
+  /// its window; otherwise a sorted sweep over the live boxes (a stalled
+  /// start, e.g. RAND-PAR between waves).
   std::uint64_t peak_concurrent(const BoxAssignment& box, Time now);
+  /// Moves pending boxes that have started by `now` into the running
+  /// ledger and drops running boxes that ended at or before it.
+  void advance_ledger(Time now);
 
   struct LiveBox {
     Time start;
@@ -117,9 +122,13 @@ class ValidatingScheduler final : public BoxScheduler {
   std::uint64_t budget_ = 0;          ///< ceil(max_augmentation * k); 0 = off.
   std::vector<Time> frontier_;        ///< End of last box issued, per proc.
   std::vector<bool> has_box_;         ///< Whether any box was issued, per proc.
-  std::vector<LiveBox> live_;         ///< Issued boxes not yet known expired.
-  /// peak_concurrent's (time, height delta) event scratch, reused.
-  std::vector<std::pair<Time, std::int64_t>> sweep_;
+  /// The running ledger of issued boxes not yet known expired, split at
+  /// the latest request time: boxes already started, a min-heap on end
+  /// whose heights sum to running_height_, and boxes that start later, a
+  /// min-heap on start.
+  std::vector<LiveBox> running_;
+  std::vector<LiveBox> pending_;
+  std::uint64_t running_height_ = 0;
   std::uint64_t observed_peak_ = 0;
   std::vector<ContractViolation> violations_;
 };

@@ -4,9 +4,11 @@
 // compartmentalized box runs one LruSet, and the box runner touches it once
 // per request. It combines an intrusive doubly-linked list over a slot
 // vector (recency order) with an open-addressing page->slot index
-// (LruFlatIndex), so all operations are O(1) and both the recency links and
-// the index probes walk flat arrays rather than pointers. PageIds are
-// arbitrary 64-bit values.
+// (LruFlatIndex), so all operations are O(1) expected and both the recency
+// links and the index probes walk flat arrays rather than pointers. PageIds
+// are arbitrary 64-bit values; the index's multiplicative hash keeps a find
+// to about one occupied cell even on the structured ids the workloads emit
+// (proc << 48 | local, polluter locals counting up from 2^32).
 //
 // The hot path is the fused pair try_touch()/insert_absent(): a single
 // index lookup classifies hit vs miss, and the miss path never repeats it.
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/math_util.hpp"
 #include "util/types.hpp"
 
 namespace ppg {
@@ -25,9 +28,9 @@ namespace ppg {
 inline constexpr std::uint32_t kLruNilSlot = UINT32_MAX;
 
 /// Open-addressing page->slot index for arbitrary (sparse) PageIds: one
-/// mixed hash, then a linear probe over a flat power-of-two table at load
-/// factor <= 1/2. No per-node allocation, no bucket pointers — the probe
-/// walks contiguous memory. Deletion backward-shifts displaced entries
+/// multiplicative hash, then a linear probe over a flat power-of-two table
+/// at load factor <= 1/2. No per-node allocation, no bucket pointers — the
+/// probe walks contiguous memory. Deletion backward-shifts displaced entries
 /// instead of leaving tombstones, so probe lengths stay short however many
 /// evictions a long box run performs. clear() is O(1): every cell carries
 /// the epoch it was written in, and bumping the epoch empties the table —
@@ -87,6 +90,16 @@ class LruFlatIndex {
 
   void clear() { ++epoch_; }
 
+  /// Cells past its home cell that find(page) walks before it stops: the
+  /// displacement of a present page, the run length ahead of an absent
+  /// one. A read-only diagnostic for the probe-length tests.
+  std::size_t probe_distance(PageId page) const {
+    const std::size_t home = probe_start(page);
+    std::size_t i = home;
+    while (occupied(i) && pages_[i] != page) i = (i + 1) & mask_;
+    return (i - home) & mask_;
+  }
+
   void on_reset(Height capacity) {
     if (static_cast<std::size_t>(capacity) * 2 > mask_ + 1) rebuild(capacity);
   }
@@ -95,13 +108,12 @@ class LruFlatIndex {
   bool occupied(std::size_t i) const { return epochs_[i] == epoch_; }
 
   std::size_t probe_start(PageId page) const {
-    // splitmix64-style finalizer: PageIds are structured (proc<<48|local),
-    // so the raw low bits would collide badly under a power-of-two mask.
-    std::uint64_t x = page;
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    return static_cast<std::size_t>(x) & mask_;
+    // Fibonacci hashing: the top bits of page * 2^64/phi depend on every
+    // bit of the page, so both halves of a structured id (proc << 48 |
+    // local) spread, and runs of sequential locals or polluter ids fan out
+    // across the table instead of clustering (DESIGN.md §6 has the
+    // measured probe counts).
+    return static_cast<std::size_t>((page * 0x9e3779b97f4a7c15ULL) >> shift_);
   }
 
   void rebuild(Height capacity) {
@@ -111,6 +123,7 @@ class LruFlatIndex {
     slots_.assign(size, 0);
     epochs_.assign(size, 0);
     mask_ = size - 1;
+    shift_ = 64 - ilog2_floor(size);
     epoch_ = 1;  // entries start stale (epochs_ filled with 0)
   }
 
@@ -118,6 +131,7 @@ class LruFlatIndex {
   std::vector<std::uint32_t> slots_;
   std::vector<std::uint64_t> epochs_;
   std::size_t mask_ = 0;
+  std::uint32_t shift_ = 64;  ///< 64 - log2(table size).
   std::uint64_t epoch_ = 1;
 };
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -301,6 +303,82 @@ TEST(Contract, RealSchedulersValidateClean) {
         << (observer->violations().empty()
                 ? ""
                 : observer->violations()[0].describe());
+  }
+}
+
+void fnv_mix(std::uint64_t& digest, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    digest ^= (word >> (8 * byte)) & 0xff;
+    digest *= 0x100000001b3ull;
+  }
+}
+
+/// FNV-1a over every ParallelRunResult field, so two runs compare by value.
+std::uint64_t result_digest(const ParallelRunResult& r) {
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  fnv_mix(digest, r.makespan);
+  for (const Time t : r.completion) fnv_mix(digest, t);
+  fnv_mix(digest, std::bit_cast<std::uint64_t>(r.mean_completion));
+  fnv_mix(digest, r.hits);
+  fnv_mix(digest, r.misses);
+  fnv_mix(digest, r.num_boxes);
+  fnv_mix(digest, r.total_stall);
+  fnv_mix(digest, r.total_impact);
+  fnv_mix(digest, r.peak_concurrent_height);
+  fnv_mix(digest, std::bit_cast<std::uint64_t>(r.effective_augmentation));
+  return digest;
+}
+
+// The validator's running ledger against the engine's own peak tracker at
+// p = 1024: clean at the default budget, never below the engine's peak
+// (the engine frees a box's height when its processor finishes early, the
+// validator holds it to the box's end), and invisible to the run — the
+// validated result and box stream are the unvalidated ones, bit for bit.
+TEST(Contract, LedgerAgreesWithEngineAtScale) {
+  constexpr ProcId kProcs = 1024;
+  WorkloadParams wp;
+  wp.num_procs = kProcs;
+  wp.cache_size = 8 * kProcs;
+  wp.requests_per_proc = 200;
+  wp.seed = 5;
+  const MultiTrace mt = make_workload(WorkloadKind::kHeterogeneousMix, wp);
+
+  for (const SchedulerKind kind :
+       {SchedulerKind::kStatic, SchedulerKind::kRandPar,
+        SchedulerKind::kDetPar}) {
+    std::uint64_t box_digest = 0xcbf29ce484222325ull;
+    EngineConfig ec;
+    ec.cache_size = wp.cache_size;
+    ec.miss_cost = 16;
+    ec.on_box = [&box_digest](ProcId proc, const BoxAssignment& box) {
+      fnv_mix(box_digest, proc);
+      fnv_mix(box_digest, box.height);
+      fnv_mix(box_digest, box.start);
+      fnv_mix(box_digest, box.end);
+      fnv_mix(box_digest, box.fresh ? 1 : 0);
+    };
+
+    auto plain = make_scheduler(kind, 7);
+    const CheckedRun bare = run_parallel_checked(mt, *plain, ec);
+    ASSERT_TRUE(bare.status.ok()) << bare.status.error.to_string();
+    const std::uint64_t bare_boxes = box_digest;
+
+    box_digest = 0xcbf29ce484222325ull;
+    ValidatorConfig config;
+    config.require_pow2_heights = kind != SchedulerKind::kStatic;
+    auto validator = make_validating(make_scheduler(kind, 7), config);
+    const CheckedRun checked = run_parallel_checked(mt, *validator, ec);
+    const char* name = validator->name();
+    ASSERT_TRUE(checked.status.ok())
+        << name << ": " << checked.status.error.to_string();
+    EXPECT_TRUE(validator->violations().empty()) << name;
+    EXPECT_GE(validator->peak_concurrent_observed(),
+              checked.result.peak_concurrent_height)
+        << name;
+    EXPECT_EQ(result_digest(checked.result), result_digest(bare.result))
+        << name;
+    EXPECT_EQ(box_digest, bare_boxes) << name;
+    EXPECT_GT(checked.result.num_boxes, std::uint64_t{kProcs}) << name;
   }
 }
 

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <ostream>
 #include <vector>
 
+#include "trace/trace.hpp"
 #include "util/lru_set.hpp"
 #include "util/rng.hpp"
 
@@ -176,6 +178,49 @@ INSTANTIATE_TEST_SUITE_P(
                       ReferenceCase{33, false}, ReferenceCase{1, true},
                       ReferenceCase{2, true}, ReferenceCase{5, true},
                       ReferenceCase{16, true}, ReferenceCase{33, true}));
+
+// Mean successful-probe length (cells a find inspects, 1 = home cell) of
+// the keys live in an index kept at load 1/2: filled with `capacity` keys,
+// then slid forward as a FIFO window so backward-shift deletions run too.
+// A random hash gives 1.5 at this load; the structured ids the workloads
+// emit (proc << 48 | local, polluter locals from 2^32, dense sequential
+// ids) must do no worse, or every simulated request pays for clustering.
+double mean_probe_length(Height capacity,
+                         const std::function<PageId(std::uint64_t)>& key) {
+  LruFlatIndex index(capacity);
+  std::uint64_t next = 0;
+  for (; next < capacity; ++next)
+    index.set(key(next), static_cast<std::uint32_t>(next));
+  for (; next < 3 * std::uint64_t{capacity}; ++next) {
+    index.erase(key(next - capacity));
+    index.set(key(next), static_cast<std::uint32_t>(next % capacity));
+  }
+  double total = 0;
+  for (std::uint64_t i = next - capacity; i < next; ++i) {
+    EXPECT_NE(index.find(key(i)), kLruNilSlot) << "key " << i;
+    total += 1.0 + static_cast<double>(index.probe_distance(key(i)));
+  }
+  return total / capacity;
+}
+
+TEST(LruSet, StructuredKeysProbeShort) {
+  constexpr ProcId kProcs = 128;
+  const auto procs_locals = [](std::uint64_t i) {
+    return make_page(static_cast<ProcId>(i % kProcs), i / kProcs);
+  };
+  const auto polluters = [](std::uint64_t i) {
+    return (PageId{1} << 32) + i;
+  };
+  const auto sequential = [](std::uint64_t i) { return PageId{i}; };
+  for (const Height capacity : {Height{1024}, Height{4096}}) {
+    EXPECT_LE(mean_probe_length(capacity, procs_locals), 1.5)
+        << "128 procs x sequential locals, capacity " << capacity;
+    EXPECT_LE(mean_probe_length(capacity, polluters), 1.5)
+        << "polluter ids, capacity " << capacity;
+    EXPECT_LE(mean_probe_length(capacity, sequential), 1.5)
+        << "sequential ids, capacity " << capacity;
+  }
+}
 
 TEST(LruSet, FusedPairMatchesAccess) {
   // try_touch + insert_absent must be exactly access() split in two.

@@ -16,6 +16,7 @@
 //   --faulty-every N  give every N-th cell a corrupt trace (via the
 //                  INJECT-TRACE spec decorator); its row reports a
 //                  structured [corrupt-trace] status — failure as data
+#include <cstdint>
 #include <iostream>
 #include <new>
 #include <stdexcept>
@@ -32,12 +33,20 @@
 int run_chaos(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
-  const std::size_t num_cells =
-      static_cast<std::size_t>(args.get_int("cells", 48));
-  const std::uint64_t budget =
-      static_cast<std::uint64_t>(args.get_int("budget", 0));
-  const std::uint64_t faulty_every =
-      static_cast<std::uint64_t>(args.get_int("faulty-every", 0));
+  // A negative count would wrap to a huge unsigned value and fail far from
+  // its cause (an oversized allocation), so it is rejected as bad input.
+  const auto count = [&args](const std::string& key, std::int64_t fallback) {
+    const std::int64_t value = args.get_int(key, fallback);
+    if (value < 0)
+      throw_error(ErrorCode::kBadInput, "--" + key +
+                                            " expects a non-negative "
+                                            "integer, got " +
+                                            std::to_string(value));
+    return static_cast<std::uint64_t>(value);
+  };
+  const std::size_t num_cells = count("cells", 48);
+  const std::uint64_t budget = count("budget", 0);
+  const std::uint64_t faulty_every = count("faulty-every", 0);
   const std::size_t jobs = jobs_from_args(args);
   if (const auto unused = args.unused_keys(); !unused.empty())
     throw std::invalid_argument("unknown option --" + unused.front());

@@ -1,20 +1,18 @@
 #!/usr/bin/env bash
-# Static-analysis gate (DESIGN.md §8). Six layers, strictest first:
+# Static-analysis gate (DESIGN.md §8). Five layers, strictest first:
 #
 #   1. ppg_lint        — project-invariant linter (always available: built
 #                        from tools/ppg_lint by this repo's own CMake).
 #   2. ppg_analyze     — include-graph layering vs tools/ppg_analyze/
-#                        layers.txt, thread-safety annotation coverage,
-#                        determinism taints (built from tools/ppg_analyze).
+#                        layers.txt and determinism taints (built from
+#                        tools/ppg_analyze).
 #   3. header check    — every src/ and bench/ header must compile stand-
 #                        alone (self-contained headers, g++ -fsyntax-only).
-#   4. clang TSA       — clang++ -Wthread-safety over src/, checking the
-#                        PPG_GUARDED_BY claims against actual lock use.
-#   5. clang-tidy      — bugprone/performance/modernize profile from
+#   4. clang-tidy      — bugprone/performance/modernize profile from
 #                        .clang-tidy, over compile_commands.json.
-#   6. cppcheck        — secondary opinion, warning-and-above.
+#   5. cppcheck        — secondary opinion, warning-and-above.
 #
-# Layers 4–6 skip gracefully when the tool is absent (this container only
+# Layers 4–5 skip gracefully when the tool is absent (this container only
 # ships g++); the gate still fails on layers 1–3, so `static.sh` passing
 # means the project invariants hold everywhere.
 #
@@ -90,34 +88,7 @@ else
   echo "header check: ${HEADER_COUNT} headers OK"
 fi
 
-# --- 4. clang thread-safety analysis (graceful skip) ----------------------
-# The PPG_GUARDED_BY / PPG_ACQUIRE / ... macros in util/thread_annotations.hpp
-# expand to Clang's thread-safety attributes under clang and to nothing under
-# other compilers, so the annotations are only *checked* here. ppg_analyze
-# (layer 2) still enforces annotation *coverage* on every compiler.
-if command -v clang++ >/dev/null 2>&1; then
-  echo "== clang -Wthread-safety =="
-  TSA_FAILS=0
-  TSA_COUNT=0
-  while IFS= read -r tu; do
-    TSA_COUNT=$((TSA_COUNT + 1))
-    if ! clang++ -std=c++20 -fsyntax-only -Isrc \
-         -Wthread-safety -Werror=thread-safety "${tu}"; then
-      echo "thread-safety violation in: ${tu}"
-      TSA_FAILS=$((TSA_FAILS + 1))
-    fi
-  done < <(find src -name '*.cpp' | sort)
-  if [[ "${TSA_FAILS}" -gt 0 ]]; then
-    echo "clang thread-safety: ${TSA_FAILS}/${TSA_COUNT} TUs failed"
-    FAILED=1
-  else
-    echo "clang thread-safety: ${TSA_COUNT} TUs OK"
-  fi
-else
-  echo "== clang -Wthread-safety: clang++ not available, skipping =="
-fi
-
-# --- 5. clang-tidy (graceful skip) ----------------------------------------
+# --- 4. clang-tidy (graceful skip) ----------------------------------------
 if [[ "${SKIP_TIDY}" -eq 0 ]] && command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy =="
   if [[ ! -f "${BUILD_DIR}/compile_commands.json" ]]; then
@@ -135,7 +106,7 @@ else
   echo "== clang-tidy: not available, skipping =="
 fi
 
-# --- 6. cppcheck (graceful skip) ------------------------------------------
+# --- 5. cppcheck (graceful skip) ------------------------------------------
 if [[ "${SKIP_CPPCHECK}" -eq 0 ]] && command -v cppcheck >/dev/null 2>&1; then
   echo "== cppcheck =="
   cppcheck --enable=warning,performance,portability --inline-suppr \

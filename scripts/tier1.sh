@@ -5,9 +5,9 @@
 #  - the file-backed suites again at ctest -j8 for three rounds (hermetic
 #    temp paths);
 #  - the static-analysis gate (scripts/static.sh: ppg_lint, ppg_analyze
-#    layering / annotation / determinism rules, header self-containedness,
-#    clang -Wthread-safety / clang-tidy / cppcheck when available) plus a
-#    hard check that both emitted JSON reports are empty;
+#    layering / determinism rules, header self-containedness, clang-tidy /
+#    cppcheck when available) plus a hard check that both emitted JSON
+#    reports are empty;
 #  - the robustness tests (fault injection, trace corruption, replay), the
 #    engine stepper, the scheduler goldens, the generators and the LRU set
 #    again under ASan/UBSan (the event queue's buckets, the Zipf guide
@@ -82,8 +82,9 @@ if [[ "${SAN}" != "none" ]]; then
   # Race parallel_for_index and the sweep executor under TSan: the
   # determinism suites run every sweep at --jobs 1/2/hardware, so a data
   # race in the parallel path surfaces here even on a single-core host. The
-  # engine and service suites stay in the filter, so a thread added there is
-  # raced too.
+  # engine and service suites stay in the filter because this leg is the
+  # only check that would catch a parallel_for_index call added to the
+  # engine or the service.
   cmake -B build-thread -S . -DPPG_SANITIZE=thread -DPPG_WERROR=ON \
         -DPPG_BUILD_BENCH=OFF -DPPG_BUILD_EXAMPLES=ON >/dev/null
   cmake --build build-thread -j "$(nproc)"

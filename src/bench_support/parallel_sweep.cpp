@@ -1,5 +1,7 @@
 #include "bench_support/parallel_sweep.hpp"
 
+#include <string>
+
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -15,10 +17,12 @@ std::size_t jobs_from_args(const ArgParser& args) {
   } catch (const std::exception&) {
     pos = 0;
   }
-  if (pos != value.size() || parsed < 0) {
+  if (pos != value.size() || parsed < 0 ||
+      static_cast<unsigned long long>(parsed) > kMaxJobs) {
     throw_error(ErrorCode::kBadInput,
-                "--jobs expects a non-negative integer or 'max', got '" +
-                    value + "'");
+                "--jobs expects an integer in [0, " +
+                    std::to_string(kMaxJobs) + "] or 'max', got '" + value +
+                    "'");
   }
   return parsed == 0 ? hardware_jobs()
                      : static_cast<std::size_t>(parsed);

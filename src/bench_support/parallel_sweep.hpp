@@ -22,12 +22,16 @@
 
 #include "bench_support/experiment.hpp"
 #include "util/arg_parse.hpp"
-#include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ppg {
 
-/// Resolves the shared `--jobs` flag: a positive thread count, or
+/// Largest explicit `--jobs` count. Each job beyond the first is an OS
+/// thread, and sweep cells are CPU-bound, so a count far above any core
+/// count is a typo that would only spawn threads; use "max" for all cores.
+inline constexpr std::size_t kMaxJobs = 256;
+
+/// Resolves the shared `--jobs` flag: a thread count in [1, kMaxJobs], or
 /// "max" / "0" for one thread per hardware core. Default 1.
 std::size_t jobs_from_args(const ArgParser& args);
 
@@ -42,7 +46,7 @@ template <typename Fn>
 auto sweep_cells(std::size_t jobs, std::size_t num_cells, Fn&& fn)
     -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
   using R = std::invoke_result_t<Fn&, std::size_t>;
-  std::vector<R> out PPG_SHARDED_BY(cell index i)(num_cells);
+  std::vector<R> out(num_cells);
   parallel_for_index(jobs, num_cells,
                      [&](std::size_t i) { out[i] = fn(i); });
   return out;

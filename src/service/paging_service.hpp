@@ -47,7 +47,6 @@
 #include "trace/trace_source.hpp"
 #include "util/error.hpp"
 #include "util/histogram.hpp"
-#include "util/thread_annotations.hpp"
 #include "util/types.hpp"
 
 namespace ppg {
@@ -258,37 +257,33 @@ class PagingService {
   /// now()). Fires the completion callback from inside submit().
   void shed_queued(std::size_t index);
 
-  // The service is driven by one external thread (submit/depart/step are
-  // never called concurrently), and the engine underneath runs on that
-  // thread too. Hence caller-synchronized annotations, not a mutex: adding
-  // one here would imply a concurrency the API does not offer.
+  // submit(), depart() and step() must not be called concurrently.
   ServiceConfig config_;
   EngineStepper stepper_;
   bool started_ = false;
 
   /// Bounded FIFO admission queue (backpressure surface).
-  std::deque<QueuedTenant> queue_ PPG_CALLER_SYNCHRONIZED(driver thread);
+  std::deque<QueuedTenant> queue_;
   /// Tenant table: every tenant ever submitted, indexed by TenantId.
-  std::vector<TenantRecord> records_ PPG_CALLER_SYNCHRONIZED(driver thread);
+  std::vector<TenantRecord> records_;
   /// Engine proc -> tenant.
-  std::vector<TenantId> proc_tenant_ PPG_CALLER_SYNCHRONIZED(driver thread);
+  std::vector<TenantId> proc_tenant_;
   std::function<void(const TenantOutcome&)> callback_;
 
   // Metrics counters, folded in deterministic engine order during step().
-  std::uint64_t rejected_ PPG_CALLER_SYNCHRONIZED(driver thread) = 0;
-  std::uint64_t admitted_ PPG_CALLER_SYNCHRONIZED(driver thread) = 0;
-  std::uint64_t completed_ PPG_CALLER_SYNCHRONIZED(driver thread) = 0;
-  std::uint64_t departed_ PPG_CALLER_SYNCHRONIZED(driver thread) = 0;
-  std::uint64_t quarantined_ PPG_CALLER_SYNCHRONIZED(driver thread) = 0;
-  std::uint64_t shed_ PPG_CALLER_SYNCHRONIZED(driver thread) = 0;
+  std::uint64_t rejected_ = 0;
+  std::uint64_t admitted_ = 0;
+  std::uint64_t completed_ = 0;
+  std::uint64_t departed_ = 0;
+  std::uint64_t quarantined_ = 0;
+  std::uint64_t shed_ = 0;
   /// Quarantines by structured cause (ordered map: metrics() exposes it
   /// sorted without re-sorting, and iteration order is deterministic).
-  std::map<ErrorCode, std::uint64_t> quarantine_codes_
-      PPG_CALLER_SYNCHRONIZED(driver thread);
-  std::uint64_t max_faults_ PPG_CALLER_SYNCHRONIZED(driver thread) = 0;
-  double latency_sum_ PPG_CALLER_SYNCHRONIZED(driver thread) = 0.0;
-  Log2Histogram completion_latency_ PPG_CALLER_SYNCHRONIZED(driver thread);
-  Log2Histogram fault_counts_ PPG_CALLER_SYNCHRONIZED(driver thread);
+  std::map<ErrorCode, std::uint64_t> quarantine_codes_;
+  std::uint64_t max_faults_ = 0;
+  double latency_sum_ = 0.0;
+  Log2Histogram completion_latency_;
+  Log2Histogram fault_counts_;
 };
 
 }  // namespace ppg

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <mutex>
 #include <thread>
 #include <vector>
-
-#include "util/thread_annotations.hpp"
 
 namespace ppg {
 
@@ -15,24 +14,24 @@ namespace {
 /// The first exception thrown by any claiming thread.
 class FirstError {
  public:
-  void capture() PPG_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
+  void capture() {
+    std::lock_guard<std::mutex> lock(mutex_);
     if (!error_) error_ = std::current_exception();
   }
 
   /// Called after the join, when no claiming thread is left.
-  void rethrow() PPG_EXCLUDES(mutex_) {
+  void rethrow() {
     std::exception_ptr error;
     {
-      MutexLock lock(mutex_);
+      std::lock_guard<std::mutex> lock(mutex_);
       error = error_;
     }
     if (error) std::rethrow_exception(error);
   }
 
  private:
-  Mutex mutex_;
-  std::exception_ptr error_ PPG_GUARDED_BY(mutex_);
+  std::mutex mutex_;
+  std::exception_ptr error_;  // Guarded by mutex_.
 };
 
 }  // namespace

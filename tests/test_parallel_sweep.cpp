@@ -30,6 +30,10 @@ TEST(ParallelSweep, JobsFromArgsParsesFlagForms) {
   EXPECT_EQ(parse({"--jobs", "0"}), hardware_jobs());
   EXPECT_THROW(parse({"--jobs", "-1"}), PpgException);
   EXPECT_THROW(parse({"--jobs", "many"}), PpgException);
+  // An explicit count is capped; parsing it starts no thread.
+  const std::string ceiling = std::to_string(kMaxJobs);
+  EXPECT_EQ(parse({"--jobs", ceiling.c_str()}), kMaxJobs);
+  EXPECT_THROW(parse({"--jobs", "1000000"}), PpgException);
 }
 
 TEST(ParallelSweep, CellSeedIsPureAndSpreads) {

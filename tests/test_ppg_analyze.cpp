@@ -60,8 +60,6 @@ struct AnalyzeRuleCase {
 };
 
 const AnalyzeRuleCase kCases[] = {
-    {"guard-annotation", "guard_annotation", ".hpp"},
-    {"pool-shared-state", "pool_shared_state", ".cpp"},
     {"static-mutable", "static_mutable", ".cpp"},
     {"unseeded-rng", "unseeded_rng", ".cpp"},
 };
@@ -175,53 +173,20 @@ TEST(AnalyzeScan, CommentsAndStringsNeverFire) {
   EXPECT_TRUE(findings.empty());
 }
 
-TEST(AnalyzeScan, MutexLockMemberIsNotAMutex) {
-  // MutexLock holds a Mutex reference by design; a class holding only a
-  // lock object (no mutex) owes no annotations.
-  const auto findings = analyze_snippet(
-      "#include <mutex>\n"
-      "namespace ppg {\n"
-      "class Guarded {\n"
-      " public:\n"
-      "  void run();\n"
-      " private:\n"
-      "  MutexLock lock_;\n"
-      "  int value_ = 0;\n"
-      "};\n"
-      "}\n");
-  EXPECT_TRUE(findings.empty());
-}
-
-TEST(AnalyzeScan, AnnotatedAndConstMembersSatisfyTheGuardRule) {
-  const auto findings = analyze_snippet(
-      "#include <mutex>\n"
-      "namespace ppg {\n"
-      "class Guarded {\n"
-      " private:\n"
-      "  std::mutex mutex_;\n"
-      "  int hits_ PPG_GUARDED_BY(mutex_) = 0;\n"
-      "  const int limit_ = 8;\n"
-      "  int leaked_ = 0;\n"
-      "};\n"
-      "}\n");
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "guard-annotation");
-  EXPECT_EQ(findings[0].line, 8u);
-  EXPECT_NE(findings[0].message.find("leaked_"), std::string::npos);
-}
-
 TEST(AnalyzeScan, DesignatedExemptionsApplyByPathSuffix) {
   // static-mutable has no exemptions: a process global is a finding in
   // every file.
   const std::string global = "namespace ppg {\nint g_flag = 0;\n}\n";
   EXPECT_EQ(analyze_snippet(global, "src/util/interrupt.cpp").size(), 1u);
   EXPECT_EQ(analyze_snippet(global, "src/util/other.cpp").size(), 1u);
-  // The pool defines the fan-out primitives, so only it may call them
-  // without a shared-state annotation.
-  const std::string fan_out =
-      "namespace ppg {\nvoid f() { parallel_for_index(2, 8, g); }\n}\n";
-  EXPECT_TRUE(analyze_snippet(fan_out, "src/util/thread_pool.cpp").empty());
-  EXPECT_EQ(analyze_snippet(fan_out, "src/util/other.cpp").size(), 1u);
+  // The generator's own header defines Rng, so only it may spell a
+  // seedless construction.
+  const std::string unseeded =
+      "namespace ppg {\nvoid f() { auto r = Rng{}; }\n}\n";
+  EXPECT_TRUE(analyze_snippet(unseeded, "src/util/rng.hpp").empty());
+  const auto flagged = analyze_snippet(unseeded, "src/util/other.cpp");
+  ASSERT_EQ(flagged.size(), 1u);
+  EXPECT_EQ(flagged[0].rule, "unseeded-rng");
 }
 
 // ---------------------------------------------------------------------------

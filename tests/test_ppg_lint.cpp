@@ -321,7 +321,7 @@ TEST(LintStaleSuppressions, UnknownRuleIdsBelongToTheOtherTool) {
   // The suppression grammar is shared with ppg_analyze: a directive for a
   // rule this tool does not know must never be reported as stale.
   ScannedFile scanned("f.cpp",
-                      "// ppg-lint: allow(guard-annotation): analyzer-owned\n"
+                      "// ppg-lint: allow(static-mutable): analyzer-owned\n"
                       "int x;\n");
   FileInfo info;
   info.realm = Realm::kApp;

@@ -21,15 +21,6 @@ const std::vector<RuleDesc>& all_rules() {
        "(tools/ppg_analyze/layers.txt)",
        {}},
       {"layer-cycle", "cycle in the file-level include graph", {}},
-      {"guard-annotation",
-       "mutable member of a mutex-holding class lacks a PPG_GUARDED_BY / "
-       "PPG_SHARDED_BY / PPG_CALLER_SYNCHRONIZED annotation",
-       {}},
-      {"pool-shared-state",
-       "file fans out via parallel_for_index but declares no shared-state "
-       "annotation",
-       // util/thread_pool itself defines the fan-out primitive.
-       {"util/thread_pool.hpp", "util/thread_pool.cpp"}},
       {"static-mutable",
        "namespace-scope / static / thread_local mutable state (breaks "
        "run-to-run determinism)",
@@ -118,42 +109,16 @@ bool lhs_is_const(const std::string& lhs) {
   return has_word(lhs, "const") || has_word(lhs, "constexpr");
 }
 
-const std::regex& mutex_decl_re() {
-  // std::mutex family, or the project's annotated ppg::Mutex wrapper
-  // (word-bounded, so MutexLock members do not count as mutexes).
-  static const std::regex re(
-      R"(\b(?:std\s*::\s*)?(?:mutex|recursive_mutex|shared_mutex|timed_mutex|shared_timed_mutex)\b|\b(?:ppg\s*::\s*)?Mutex\b)");
-  return re;
-}
-
-const std::regex& cv_decl_re() {
-  static const std::regex re(R"(\bcondition_variable(?:_any)?\b)");
-  return re;
-}
-
-const std::regex& annotation_re() {
-  static const std::regex re(
-      R"(\bPPG_(?:GUARDED_BY|PT_GUARDED_BY|SHARDED_BY|CALLER_SYNCHRONIZED|NO_THREAD_SAFETY_ANALYSIS|ACQUIRE|RELEASE|TRY_ACQUIRE|REQUIRES|EXCLUDES|CAPABILITY|SCOPED_CAPABILITY|ASSERT_CAPABILITY|RETURN_CAPABILITY)\b)");
-  return re;
-}
-
 // ---------------------------------------------------------------------------
 // Scope scanner: brace matching over the code channel, with preprocessor
 // lines blanked so macro definitions cannot unbalance the walk.
 
 enum class ScopeKind { kNamespace, kClass, kFunction, kInit, kOther };
 
-struct Member {
-  std::string text;
-  std::size_t start = 0;  ///< Offset into joined_code.
-};
-
 struct Scope {
   ScopeKind kind = ScopeKind::kNamespace;
   std::string buffer;  ///< Current statement, whitespace-collapsed.
   std::size_t stmt_start = std::string::npos;
-  bool has_mutex = false;       ///< Class scopes only.
-  std::vector<Member> members;  ///< Class scopes only.
 };
 
 /// joined_code with preprocessor directives (and their backslash
@@ -215,8 +180,6 @@ ScopeKind classify_brace(const Scope& parent) {
 struct ScopeScan {
   const ScannedFile& file;
   std::vector<Finding>& out;
-  bool want_static_mutable;
-  bool want_guard_annotation;
 
   bool skip_decl_keyword(const std::string& text) const {
     static const char* kSkip[] = {"using",  "typedef",  "friend",
@@ -228,13 +191,12 @@ struct ScopeScan {
     return has_word(text, "operator");
   }
 
-  void flag(const char* rule, std::size_t offset, std::string message) const {
-    out.push_back(Finding{rule, file.line_of_offset(offset),
+  void flag(std::size_t offset, std::string message) const {
+    out.push_back(Finding{"static-mutable", file.line_of_offset(offset),
                           std::move(message)});
   }
 
   void eval_namespace_stmt(const std::string& text, std::size_t start) const {
-    if (!want_static_mutable) return;
     if (skip_decl_keyword(text) || has_word(text, "namespace")) return;
     const std::string word = first_word(text);
     if (word == "class" || word == "struct" || word == "union" ||
@@ -245,72 +207,30 @@ struct ScopeScan {
     if (lhs_is_const(lhs)) return;
     const std::string name = last_identifier(lhs);
     if (name.empty()) return;
-    flag("static-mutable", start,
+    flag(start,
          "namespace-scope mutable state '" + name +
              "' — process-global state breaks run-to-run determinism; make "
              "it const/constexpr, pass it explicitly, or suppress with a "
              "rationale");
   }
 
-  void eval_block_stmt(const std::string& text, std::size_t start) const {
-    if (!want_static_mutable) return;
+  /// A `static` / `thread_local` declaration in a function or class body.
+  void eval_static_stmt(const std::string& text, std::size_t start,
+                        bool in_class) const {
     const std::string word = first_word(text);
     if (word != "static" && word != "thread_local") return;
     const std::string lhs = decl_lhs(text);
-    if (lhs.find('(') != std::string::npos) return;  // Local fn declaration.
+    if (lhs.find('(') != std::string::npos) return;  // Function declaration.
     if (lhs_is_const(lhs)) return;
     const std::string name = last_identifier(lhs);
     if (name.empty()) return;
-    flag("static-mutable", start,
-         "function-local " + word + " mutable state '" + name +
-             "' persists across calls — hidden state breaks determinism");
-  }
-
-  void eval_class_stmt(Scope& scope, const std::string& text,
-                       std::size_t start) const {
-    if (std::regex_search(text, mutex_decl_re())) scope.has_mutex = true;
-    const std::string word = first_word(text);
-    if (word == "static" || word == "thread_local") {
-      if (want_static_mutable) {
-        const std::string lhs = decl_lhs(text);
-        if (lhs.find('(') == std::string::npos && !lhs_is_const(lhs)) {
-          const std::string name = last_identifier(lhs);
-          if (!name.empty())
-            flag("static-mutable", start,
-                 "class-static mutable state '" + name +
-                     "' is process-global — breaks determinism and tenant "
-                     "isolation");
-        }
-      }
-      return;  // Statics are static-mutable's concern, not a guard's.
-    }
-    scope.members.push_back(Member{text, start});
-  }
-
-  void eval_guard_members(const Scope& scope) const {
-    if (!want_guard_annotation || !scope.has_mutex) return;
-    for (const Member& m : scope.members) {
-      if (std::regex_search(m.text, mutex_decl_re())) continue;
-      if (std::regex_search(m.text, cv_decl_re())) continue;
-      if (std::regex_search(m.text, annotation_re())) continue;
-      if (skip_decl_keyword(m.text)) continue;
-      const std::string word = first_word(m.text);
-      if (word == "class" || word == "struct" || word == "union" ||
-          word == "enum" || word == "public" || word == "private" ||
-          word == "protected")
-        continue;
-      const std::string lhs = decl_lhs(m.text);
-      if (lhs.find('(') != std::string::npos) continue;  // Method decl.
-      if (lhs_is_const(lhs)) continue;
-      const std::string name = last_identifier(lhs);
-      if (name.empty()) continue;
-      flag("guard-annotation", m.start,
-           "member '" + name +
-               "' of a mutex-holding class has no thread-safety annotation "
-               "— add PPG_GUARDED_BY(<mutex>) (or PPG_SHARDED_BY / "
-               "PPG_CALLER_SYNCHRONIZED with the discipline in a comment), "
-               "or suppress with a rationale");
-    }
+    flag(start, in_class
+                    ? "class-static mutable state '" + name +
+                          "' is process-global — breaks determinism and "
+                          "tenant isolation"
+                    : "function-local " + word + " mutable state '" + name +
+                          "' persists across calls — hidden state breaks "
+                          "determinism");
   }
 
   void run() const {
@@ -331,11 +251,11 @@ struct ScopeScan {
           eval_namespace_stmt(text, start);
           break;
         case ScopeKind::kClass:
-          eval_class_stmt(cur, text, start);
+          eval_static_stmt(text, start, /*in_class=*/true);
           break;
         case ScopeKind::kFunction:
         case ScopeKind::kOther:
-          eval_block_stmt(text, start);
+          eval_static_stmt(text, start, /*in_class=*/false);
           break;
         case ScopeKind::kInit:
           break;
@@ -355,7 +275,6 @@ struct ScopeScan {
         if (scopes.size() == 1) continue;  // Unbalanced; keep walking.
         Scope closed = std::move(scopes.back());
         scopes.pop_back();
-        if (closed.kind == ScopeKind::kClass) eval_guard_members(closed);
         Scope& parent = scopes.back();
         if (parent.kind == ScopeKind::kInit) continue;
         if (closed.kind == ScopeKind::kInit) {
@@ -417,24 +336,6 @@ void run_unseeded_rng(const ScannedFile& file, std::vector<Finding>& out) {
   }
 }
 
-void run_pool_shared_state(const ScannedFile& file,
-                           std::vector<Finding>& out) {
-  static const std::regex kFanOut(R"(\bparallel_for_index\s*\()");
-  static const std::regex kSharedAnno(
-      R"(\bPPG_(?:GUARDED_BY|SHARDED_BY|CALLER_SYNCHRONIZED)\b)");
-  const std::string& code = file.joined_code();
-  std::smatch m;
-  if (!std::regex_search(code, m, kFanOut)) return;
-  if (std::regex_search(code, kSharedAnno)) return;
-  out.push_back(Finding{
-      "pool-shared-state",
-      file.line_of_offset(static_cast<std::size_t>(m.position(0))),
-      "file fans work out via parallel_for_index but declares no "
-      "shared-state annotation — mark the result slots "
-      "PPG_SHARDED_BY(index), guard shared state with PPG_GUARDED_BY, or "
-      "document the discipline with PPG_CALLER_SYNCHRONIZED"});
-}
-
 const RuleDesc& rule_by_id(const char* id) {
   for (const RuleDesc& rule : all_rules())
     if (std::string(rule.id) == id) return rule;
@@ -450,11 +351,8 @@ bool exempt(const char* rule_id, const std::string& path) {
 std::vector<Finding> run_file_rules_raw(const ScannedFile& file) {
   std::vector<Finding> out;
   const std::string& path = file.path();
-  ScopeScan scan{file, out, !exempt("static-mutable", path),
-                 !exempt("guard-annotation", path)};
-  if (scan.want_static_mutable || scan.want_guard_annotation) scan.run();
+  if (!exempt("static-mutable", path)) ScopeScan{file, out}.run();
   if (!exempt("unseeded-rng", path)) run_unseeded_rng(file, out);
-  if (!exempt("pool-shared-state", path)) run_pool_shared_state(file, out);
   return out;
 }
 

@@ -3,16 +3,10 @@
 // ppg_lint (tools/ppg_lint) checks line-local invariants; this tool checks
 // the ones that need structure — the include graph against the declared
 // layer DAG (include_graph.hpp), and a brace-matching scope scan of each
-// file for thread-safety and determinism taints:
+// file for determinism taints:
 //
 //   layer-upward      include edge not allowed by tools/ppg_analyze/layers.txt
 //   layer-cycle       cycle in the file-level include graph
-//   guard-annotation  a mutex-holding class has a mutable member with no
-//                     PPG_GUARDED_BY / PPG_SHARDED_BY /
-//                     PPG_CALLER_SYNCHRONIZED annotation (or suppression)
-//   pool-shared-state a file fans out via parallel_for_index but declares
-//                     no shared-state annotation at all — the result slots
-//                     are undocumented
 //   static-mutable    namespace-scope / static / thread_local mutable state
 //                     (process-global state breaks run-to-run determinism
 //                     and the multi-tenant service's isolation story)

@@ -1,5 +1,5 @@
-// ppg_analyze — architectural static analysis: include-graph layering,
-// thread-safety annotation coverage, and determinism taints. See
+// ppg_analyze — architectural static analysis: include-graph layering and
+// determinism taints. See
 // analyze.hpp for the rule set and DESIGN.md §8 for the rationale.
 //
 // Usage:

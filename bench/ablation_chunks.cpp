@@ -8,8 +8,6 @@
 // boxes from the augmentation budget.
 //
 //   --jobs N|max   run sweep cells on N threads (default 1)
-//   --stream       pull each instance lazily from generator sources instead
-//                  of materializing it (output is byte-identical)
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -22,7 +20,6 @@
 int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
-  const bool stream = args.get_bool("stream", false);
   const std::size_t jobs = jobs_from_args(args);
   bench::reject_unknown_options(args);
 
@@ -46,8 +43,7 @@ int run_bench(int argc, char** argv) {
     for (ProcId p : {16u, 64u}) inst_params.push_back({wkind, p});
 
   struct InstCell {
-    MultiTrace mt;             ///< Empty under --stream.
-    MultiTraceSource sources;  ///< Views mt, or generator-backed.
+    MultiTrace mt;
     Height k = 0;
     OptBounds bounds;
   };
@@ -60,17 +56,12 @@ int run_bench(int argc, char** argv) {
         wp.requests_per_proc = 4000;
         wp.seed = 61 + p;
         InstCell cell;
-        if (stream) {
-          cell.sources = make_workload_source(wkind, wp);
-        } else {
-          cell.mt = make_workload(wkind, wp);
-          cell.sources = MultiTraceSource::view_of(cell.mt);
-        }
+        cell.mt = make_workload(wkind, wp);
         cell.k = wp.cache_size;
         OptBoundsConfig oc;
         oc.cache_size = wp.cache_size;
         oc.miss_cost = s;
-        cell.bounds = compute_opt_bounds(cell.sources, oc);
+        cell.bounds = compute_opt_bounds(cell.mt, oc);
         return cell;
       });
 
@@ -108,8 +99,7 @@ int run_bench(int argc, char** argv) {
           EngineConfig ec;
           ec.cache_size = inst.k;
           ec.miss_cost = s;
-          const ParallelRunResult r =
-              run_parallel(inst.sources, *scheduler, ec);
+          const ParallelRunResult r = run_parallel(inst.mt, *scheduler, ec);
           makespan_sum += static_cast<double>(r.makespan);
           stall_sum += static_cast<double>(r.total_stall) /
                        (static_cast<double>(r.makespan) * p);

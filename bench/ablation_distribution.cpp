@@ -8,10 +8,6 @@
 // that need them.
 //
 //   --jobs N|max   run sweep cells on N threads (default 1)
-//   --stream       pull the RAND-PAR instances lazily from generator
-//                  sources instead of materializing them (output is
-//                  byte-identical; the green-paging traces are a few
-//                  thousand requests and stay materialized)
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -29,7 +25,6 @@
 int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
-  const bool stream = args.get_bool("stream", false);
   const std::size_t jobs = jobs_from_args(args);
   bench::reject_unknown_options(args);
 
@@ -117,18 +112,12 @@ int run_bench(int argc, char** argv) {
         wp.cache_size = 8 * p;
         wp.requests_per_proc = 4000;
         wp.seed = 41 + p;
-        MultiTrace mt;
-        MultiTraceSource sources;
-        if (stream) {
-          sources = make_workload_source(WorkloadKind::kPollutedCycles, wp);
-        } else {
-          mt = make_workload(WorkloadKind::kPollutedCycles, wp);
-          sources = MultiTraceSource::view_of(mt);
-        }
+        const MultiTrace mt =
+            make_workload(WorkloadKind::kPollutedCycles, wp);
         OptBoundsConfig oc;
         oc.cache_size = wp.cache_size;
         oc.miss_cost = s;
-        const OptBounds bounds = compute_opt_bounds(sources, oc);
+        const OptBounds bounds = compute_opt_bounds(mt, oc);
         ParResult res;
         for (const double exponent : exponents) {
           double sum = 0;
@@ -142,7 +131,7 @@ int run_bench(int argc, char** argv) {
             ec.cache_size = wp.cache_size;
             ec.miss_cost = s;
             sum += static_cast<double>(
-                run_parallel(sources, *scheduler, ec).makespan);
+                run_parallel(mt, *scheduler, ec).makespan);
           }
           res.ratios.push_back(sum / trials /
                                static_cast<double>(bounds.lower_bound()));

@@ -21,10 +21,6 @@
 // construction is otherwise verbatim.
 //
 //   --jobs N|max   run sweep cells on N threads (default 1)
-//   --stream       run the schedulers from lazy per-processor sources
-//                  instead of the materialized instance (output is
-//                  byte-identical; the constructed OPT is clairvoyant and
-//                  still materializes inside its stage-A cell)
 #include <cmath>
 #include <iostream>
 #include <memory>
@@ -40,7 +36,6 @@
 int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
-  const bool stream = args.get_bool("stream", false);
   const std::size_t jobs = jobs_from_args(args);
   bench::reject_unknown_options(args);
 
@@ -59,8 +54,7 @@ int run_bench(int argc, char** argv) {
   // Stage A: one cell per ell — build the instance and run the constructed
   // OPT schedule (shared by every scheduler at that scale).
   struct EllCell {
-    AdversarialInstance inst;  ///< Materialized traces (empty under --stream).
-    MultiTraceSource sources;  ///< What stage B pulls from.
+    AdversarialInstance inst;
     Height k = 0;
     ProcId p = 0;
     Time s = 0;
@@ -80,7 +74,7 @@ int run_bench(int argc, char** argv) {
         params.alpha = ells[i] >= 6 ? 0.5 : 1.0;
         params.suffix_phase_factor = 0.5;
         EllCell cell;
-        AdversarialInstance inst = make_adversarial_instance(params);
+        cell.inst = make_adversarial_instance(params);
         cell.k = params.cache_size();
         cell.p = params.num_procs();
         // The construction requires s large relative to k (s > ck in the
@@ -89,13 +83,7 @@ int run_bench(int argc, char** argv) {
         cell.s = 2 * cell.k;
         cell.era = static_cast<double>(cell.s) *
                    static_cast<double>(params.phase_length());
-        cell.opt = run_constructed_opt(inst, cell.s);
-        if (stream) {
-          cell.sources = make_adversarial_source(params).sources;
-        } else {
-          cell.inst = std::move(inst);
-          cell.sources = MultiTraceSource::view_of(cell.inst.traces);
-        }
+        cell.opt = run_constructed_opt(cell.inst, cell.s);
         return cell;
       });
 
@@ -117,7 +105,7 @@ int run_bench(int argc, char** argv) {
         EngineConfig ec;
         ec.cache_size = cell.k;
         ec.miss_cost = cell.s;
-        return run_parallel(cell.sources, *scheduler, ec).makespan;
+        return run_parallel(cell.inst.traces, *scheduler, ec).makespan;
       });
 
   Table table({"ell", "p", "k", "T_opt", "opt_eras", "scheduler", "makespan",

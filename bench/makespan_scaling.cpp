@@ -9,9 +9,6 @@
 //   --jobs N|max   run sweep cells on N threads (default 1; output is
 //                  byte-identical at every value)
 //   --quick        reduced sweep (p <= 16) for CI smoke runs
-//   --stream       pull each instance lazily from generator sources instead
-//                  of materializing it (output is byte-identical; peak
-//                  memory drops to O(active window))
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -25,7 +22,6 @@ int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
   const bool quick = args.get_bool("quick", false);
-  const bool stream = args.get_bool("stream", false);
   const std::size_t jobs = jobs_from_args(args);
   bench::reject_unknown_options(args);
 
@@ -68,16 +64,7 @@ int run_bench(int argc, char** argv) {
         wp.requests_per_proc = 4000;
         wp.seed = 7 + p;
         wp.miss_cost = s;
-        // Same instance either way; --stream just defers generation to the
-        // cursors inside the engine.
-        MultiTrace mt;
-        MultiTraceSource sources;
-        if (stream) {
-          sources = make_workload_source(wkind, wp);
-        } else {
-          mt = make_workload(wkind, wp);
-          sources = MultiTraceSource::view_of(mt);
-        }
+        const MultiTrace mt = make_workload(wkind, wp);
 
         ExperimentConfig config;
         config.cache_size = wp.cache_size;
@@ -87,7 +74,7 @@ int run_bench(int argc, char** argv) {
 
         CellResult cell;
         cell.k = wp.cache_size;
-        cell.outcome = run_instance(sources, kinds, config);
+        cell.outcome = run_instance(mt, kinds, config);
 
         // Achievable upper bound on T_OPT from offline strip packing of
         // per-processor profiles (fixed-height fallback: the exact DP is
@@ -96,7 +83,7 @@ int run_bench(int argc, char** argv) {
         pc.cache_size = wp.cache_size;
         pc.miss_cost = s;
         pc.exact_profile_max_requests = 1;
-        cell.t_ub = pack_offline(sources, pc).makespan;
+        cell.t_ub = pack_offline(mt, pc).makespan;
         return cell;
       });
 

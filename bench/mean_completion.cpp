@@ -6,8 +6,6 @@
 // lower bound and the max/min completion spread per scheduler.
 //
 //   --jobs N|max   run sweep cells on N threads (default 1)
-//   --stream       pull each instance lazily from generator sources
-//                  (byte-identical output, O(active window) peak memory)
 #include <algorithm>
 #include <iostream>
 #include <limits>
@@ -21,7 +19,6 @@
 int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
-  const bool stream = args.get_bool("stream", false);
   const std::size_t jobs = jobs_from_args(args);
   bench::reject_unknown_options(args);
 
@@ -52,24 +49,18 @@ int run_bench(int argc, char** argv) {
         wp.seed = 11 + p;
         CellResult cell;
         cell.k = wp.cache_size;
-        MultiTrace mt;
-        MultiTraceSource sources;
-        if (stream) {
-          sources = make_workload_source(WorkloadKind::kSkewedLengths, wp);
-        } else {
-          mt = make_workload(WorkloadKind::kSkewedLengths, wp);
-          sources = MultiTraceSource::view_of(mt);
-        }
+        const MultiTrace mt =
+            make_workload(WorkloadKind::kSkewedLengths, wp);
 
         ExperimentConfig config;
         config.cache_size = wp.cache_size;
         config.miss_cost = s;
         config.trace_spec =
             workload_trace_spec(WorkloadKind::kSkewedLengths, wp);
-        cell.outcome = run_instance(sources, all_scheduler_kinds(), config);
+        cell.outcome = run_instance(mt, all_scheduler_kinds(), config);
         for (const SchedulerOutcome& so : cell.outcome.outcomes) {
           const std::vector<double> stretch =
-              per_proc_stretch(sources, so.result.completion, cell.k, s);
+              per_proc_stretch(mt, so.result.completion, cell.k, s);
           double max_stretch = 0.0;
           for (double v : stretch) max_stretch = std::max(max_stretch, v);
           cell.max_stretch.push_back(max_stretch);

@@ -8,8 +8,6 @@
 // curve would detach from DET-PAR's as p grows; it does not.
 //
 //   --jobs N|max   run sweep cells on N threads (default 1)
-//   --stream       pull each instance lazily from generator sources instead
-//                  of materializing it (output is byte-identical)
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -21,7 +19,6 @@
 int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
-  const bool stream = args.get_bool("stream", false);
   const std::size_t jobs = jobs_from_args(args);
   bench::reject_unknown_options(args);
 
@@ -56,14 +53,7 @@ int run_bench(int argc, char** argv) {
         wp.requests_per_proc = 4000;
         wp.seed = 17 + p;
         wp.miss_cost = s;
-        MultiTrace mt;
-        MultiTraceSource sources;
-        if (stream) {
-          sources = make_workload_source(wkind, wp);
-        } else {
-          mt = make_workload(wkind, wp);
-          sources = MultiTraceSource::view_of(mt);
-        }
+        const MultiTrace mt = make_workload(wkind, wp);
 
         ExperimentConfig config;
         config.cache_size = wp.cache_size;
@@ -73,11 +63,11 @@ int run_bench(int argc, char** argv) {
         oc.miss_cost = s;
         CellResult cell;
         cell.lb = static_cast<double>(
-            std::max<Time>(1, compute_opt_bounds(sources, oc).lower_bound()));
+            std::max<Time>(1, compute_opt_bounds(mt, oc).lower_bound()));
         cell.det =
-            makespan_over_seeds(sources, SchedulerKind::kDetPar, config, 1);
+            makespan_over_seeds(mt, SchedulerKind::kDetPar, config, 1);
         cell.rand =
-            makespan_over_seeds(sources, SchedulerKind::kRandPar, config, 11);
+            makespan_over_seeds(mt, SchedulerKind::kRandPar, config, 11);
         return cell;
       });
 

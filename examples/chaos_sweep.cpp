@@ -33,20 +33,9 @@
 int run_chaos(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
-  // A negative count would wrap to a huge unsigned value and fail far from
-  // its cause (an oversized allocation), so it is rejected as bad input.
-  const auto count = [&args](const std::string& key, std::int64_t fallback) {
-    const std::int64_t value = args.get_int(key, fallback);
-    if (value < 0)
-      throw_error(ErrorCode::kBadInput, "--" + key +
-                                            " expects a non-negative "
-                                            "integer, got " +
-                                            std::to_string(value));
-    return static_cast<std::uint64_t>(value);
-  };
-  const std::size_t num_cells = count("cells", 48);
-  const std::uint64_t budget = count("budget", 0);
-  const std::uint64_t faulty_every = count("faulty-every", 0);
+  const std::size_t num_cells = args.get_count("cells", 48);
+  const std::uint64_t budget = args.get_count("budget", 0);
+  const std::uint64_t faulty_every = args.get_count("faulty-every", 0);
   const std::size_t jobs = jobs_from_args(args);
   if (const auto unused = args.unused_keys(); !unused.empty())
     throw std::invalid_argument("unknown option --" + unused.front());

@@ -26,6 +26,7 @@
 #include "trace/trace_io.hpp"
 #include "trace/workload.hpp"
 #include "util/arg_parse.hpp"
+#include "util/error.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -59,10 +60,10 @@ struct RunSpec {
 
 std::optional<RunSpec> build_instance(const ArgParser& args) {
   RunSpec spec;
-  const auto p = static_cast<ProcId>(args.get_int("p", 16));
-  spec.k = static_cast<Height>(args.get_int("k", 8 * p));
-  spec.s = static_cast<Time>(args.get_int("s", 16));
-  const auto n = static_cast<std::size_t>(args.get_int("n", 10000));
+  const auto p = static_cast<ProcId>(args.get_count("p", 16, 1));
+  spec.k = static_cast<Height>(args.get_count("k", 8 * std::uint64_t{p}, 1));
+  spec.s = args.get_count("s", 16, 1);
+  const std::size_t n = args.get_count("n", 10000);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
   if (args.has("trace-in")) {
@@ -73,7 +74,7 @@ std::optional<RunSpec> build_instance(const ArgParser& args) {
   const std::string wname = args.get_string("workload", "hetero-mix");
   if (wname == "adversarial") {
     AdversarialParams ap;
-    ap.ell = static_cast<std::uint32_t>(args.get_int("ell", 4));
+    ap.ell = static_cast<std::uint32_t>(args.get_count("ell", 4, 2));
     ap.alpha = args.get_double("alpha", 1.0);
     ap.suffix_phase_factor = args.get_double("suffix-factor", 0.5);
     const AdversarialInstance inst = make_adversarial_instance(ap);
@@ -97,6 +98,8 @@ std::optional<RunSpec> build_instance(const ArgParser& args) {
     std::cerr << "unknown workload '" << wname << "'\n";
     return std::nullopt;
   }
+  if (spec.k < p)
+    throw_error(ErrorCode::kBadInput, "--k must be at least --p (k >= p)");
   WorkloadParams wp;
   wp.num_procs = p;
   wp.cache_size = spec.k;

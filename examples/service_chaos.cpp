@@ -149,13 +149,12 @@ int main(int argc, char** argv) {
   try {
     const ArgParser args(argc, argv);
     Options opt;
-    opt.tenants = static_cast<std::uint64_t>(args.get_int("tenants", 2000));
-    opt.n = static_cast<std::size_t>(args.get_int("n", 48));
-    opt.k = static_cast<Height>(args.get_int("k", 32));
-    opt.s = static_cast<Time>(args.get_int("s", 8));
-    opt.faulty_permille =
-        static_cast<std::uint64_t>(args.get_int("faulty-permille", 100));
-    opt.gap = static_cast<Time>(args.get_int("gap", 2));
+    opt.tenants = args.get_count("tenants", 2000);
+    opt.n = args.get_count("n", 48);
+    opt.k = static_cast<Height>(args.get_count("k", 32, 1));
+    opt.s = args.get_count("s", 8, 1);
+    opt.faulty_permille = args.get_count("faulty-permille", 100);
+    opt.gap = args.get_count("gap", 2);
     opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     if (const auto unused = args.unused_keys(); !unused.empty()) {
       std::fprintf(stderr, "service_chaos: unknown option --%s\n",

@@ -99,14 +99,13 @@ std::optional<TenantId> submit_with_backoff(
 int main(int argc, char** argv) {
   try {
     const ArgParser args(argc, argv);
-    const auto tenants = static_cast<std::uint64_t>(args.get_int("tenants", 2000));
-    const auto n = static_cast<std::size_t>(args.get_int("n", 64));
-    const auto mean_gap = static_cast<double>(args.get_int("mean-gap", 4));
-    const auto burst = static_cast<std::uint64_t>(args.get_int("burst", 256));
-    const auto depart_every =
-        static_cast<std::uint64_t>(args.get_int("depart-every", 0));
+    const std::uint64_t tenants = args.get_count("tenants", 2000);
+    const std::size_t n = args.get_count("n", 64);
+    const auto mean_gap = static_cast<double>(args.get_count("mean-gap", 4));
+    const std::uint64_t burst = args.get_count("burst", 256, 1);
+    const std::uint64_t depart_every = args.get_count("depart-every", 0);
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    const long max_rss_mb = args.get_int("max-rss-mb", 0);
+    const auto max_rss_mb = static_cast<long>(args.get_count("max-rss-mb", 0));
     const std::string arrivals_name = args.get_string("arrivals", "poisson");
 
     ArrivalModel model = ArrivalModel::kPoisson;
@@ -124,10 +123,9 @@ int main(int argc, char** argv) {
     const auto scheduler = make_scheduler(*kind, seed);
 
     ServiceConfig sc;
-    sc.cache_size = static_cast<Height>(args.get_int("k", 64));
-    sc.miss_cost = static_cast<Time>(args.get_int("s", 8));
-    sc.admission_queue_limit =
-        static_cast<std::size_t>(args.get_int("queue-limit", 4096));
+    sc.cache_size = static_cast<Height>(args.get_count("k", 64, 1));
+    sc.miss_cost = args.get_count("s", 8, 1);
+    sc.admission_queue_limit = args.get_count("queue-limit", 4096, 1);
     const std::string policy_name =
         args.get_string("admission-policy", "fifo-reject");
     if (const auto policy = parse_admission_policy(policy_name))

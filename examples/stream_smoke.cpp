@@ -10,8 +10,9 @@
 // Usage: stream_smoke [--n REQUESTS] [--p PROCS] [--k CACHE] [--s COST]
 //                     [--max-rss-mb LIMIT] [--materialize]
 //
-// --materialize drains the sources into vectors first and runs the dense
-// path — the "before" case scripts/bench_perf.sh measures against.
+// --materialize drains the sources into vectors first and runs the engine
+// over that resident copy (the same engine path, through the MultiTrace
+// view) — the "before" case scripts/bench_perf.sh measures against.
 //
 // Exits 0 when the run completes (and peak RSS is within --max-rss-mb if
 // given), 1 otherwise.
@@ -41,13 +42,13 @@ int main(int argc, char** argv) {
   try {
     const ArgParser args(argc, argv);
     WorkloadParams wp;
-    wp.num_procs = static_cast<ProcId>(args.get_int("p", 1));
-    wp.cache_size = static_cast<Height>(args.get_int("k", 64));
-    wp.requests_per_proc =
-        static_cast<std::size_t>(args.get_int("n", 100000000));
+    wp.num_procs = static_cast<ProcId>(args.get_count("p", 1, 1));
+    wp.cache_size =
+        static_cast<Height>(args.get_count("k", 64, wp.num_procs));
+    wp.requests_per_proc = args.get_count("n", 100000000);
     wp.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    wp.miss_cost = static_cast<Time>(args.get_int("s", 8));
-    const long max_rss_mb = args.get_int("max-rss-mb", 0);
+    wp.miss_cost = args.get_count("s", 8, 1);
+    const auto max_rss_mb = static_cast<long>(args.get_count("max-rss-mb", 0));
     const bool materialize = args.get_bool("materialize", false);
     if (const auto unused = args.unused_keys(); !unused.empty())
       throw_error(ErrorCode::kBadInput,

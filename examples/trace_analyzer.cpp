@@ -23,13 +23,14 @@ int main(int argc, char** argv) {
   using namespace ppg;
   try {
     const ArgParser args(argc, argv);
+    const std::size_t window = args.get_count("window", 1000, 1);
     MultiTrace traces;
     if (args.get_bool("demo")) {
       WorkloadParams wp;
-      wp.num_procs = static_cast<ProcId>(args.get_int("p", 8));
-      wp.cache_size = static_cast<Height>(args.get_int("k", 64));
-      wp.requests_per_proc =
-          static_cast<std::size_t>(args.get_int("n", 5000));
+      wp.num_procs = static_cast<ProcId>(args.get_count("p", 8, 1));
+      wp.cache_size =
+          static_cast<Height>(args.get_count("k", 64, wp.num_procs));
+      wp.requests_per_proc = args.get_count("n", 5000);
       traces = make_workload(WorkloadKind::kHeterogeneousMix, wp);
     } else if (args.has("trace-in")) {
       const std::string path = args.get_string("trace-in", "");
@@ -50,8 +51,6 @@ int main(int argc, char** argv) {
     const std::uint32_t max_lg = 12;
     Table table({"proc", "requests", "distinct", "reuse", "median_sd",
                  "faults@8", "faults@64", "faults@1024", "ws_peak"});
-    const auto window =
-        static_cast<std::size_t>(args.get_int("window", 1000));
     for (ProcId i = 0; i < traces.num_procs(); ++i) {
       const Trace& t = traces.trace(i);
       if (t.empty()) {

@@ -119,12 +119,6 @@ InstanceOutcome run_instance(const MultiTraceSource& sources,
   return out;
 }
 
-InstanceOutcome run_instance(const MultiTrace& traces,
-                             const std::vector<SchedulerKind>& kinds,
-                             const ExperimentConfig& config) {
-  return run_instance(MultiTraceSource::view_of(traces), kinds, config);
-}
-
 Summary makespan_over_seeds(const MultiTraceSource& sources,
                             SchedulerKind kind,
                             const ExperimentConfig& config,
@@ -140,13 +134,6 @@ Summary makespan_over_seeds(const MultiTraceSource& sources,
         run_parallel(sources, *scheduler, ec).makespan));
   }
   return summary;
-}
-
-Summary makespan_over_seeds(const MultiTrace& traces, SchedulerKind kind,
-                            const ExperimentConfig& config,
-                            std::size_t num_seeds) {
-  return makespan_over_seeds(MultiTraceSource::view_of(traces), kind, config,
-                             num_seeds);
 }
 
 void ScalingCollector::add(const std::string& scheduler, double p,

@@ -18,7 +18,6 @@
 #include "core/metrics.hpp"
 #include "core/scheduler_factory.hpp"
 #include "opt/opt_bounds.hpp"
-#include "trace/trace.hpp"
 #include "trace/trace_source.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -68,21 +67,13 @@ struct InstanceOutcome {
 };
 
 /// Runs every scheduler in `kinds` (plus GLOBAL-LRU if configured) on the
-/// instance and computes ratios against the OPT lower bound. The
-/// MultiTrace overload delegates to the source overload (one code path),
-/// so streamed and materialized instances produce identical outcomes.
-InstanceOutcome run_instance(const MultiTrace& traces,
-                             const std::vector<SchedulerKind>& kinds,
-                             const ExperimentConfig& config);
+/// instance and computes ratios against the OPT lower bound.
 InstanceOutcome run_instance(const MultiTraceSource& sources,
                              const std::vector<SchedulerKind>& kinds,
                              const ExperimentConfig& config);
 
 /// Makespan distribution of one scheduler across seeds (randomized
 /// schedulers need aggregation; deterministic ones return a point mass).
-Summary makespan_over_seeds(const MultiTrace& traces, SchedulerKind kind,
-                            const ExperimentConfig& config,
-                            std::size_t num_seeds);
 Summary makespan_over_seeds(const MultiTraceSource& sources,
                             SchedulerKind kind,
                             const ExperimentConfig& config,

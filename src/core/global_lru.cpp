@@ -137,11 +137,6 @@ ParallelRunResult run_global_lru(const MultiTraceSource& sources,
   return result;
 }
 
-ParallelRunResult run_global_lru(const MultiTrace& traces,
-                                 const GlobalLruConfig& config) {
-  return run_global_lru(MultiTraceSource::view_of(traces), config);
-}
-
 namespace {
 
 class GlobalLruBoxFacade final : public BoxScheduler {

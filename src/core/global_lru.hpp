@@ -24,7 +24,6 @@
 
 #include "core/metrics.hpp"
 #include "core/scheduler.hpp"
-#include "trace/trace.hpp"
 #include "trace/trace_source.hpp"
 #include "util/types.hpp"
 
@@ -36,11 +35,8 @@ struct GlobalLruConfig {
 };
 
 /// Streams each processor's requests; memory is O(k + p) regardless of
-/// trace length. Requires at least one processor. The MultiTrace overload
-/// delegates here and produces byte-identical results.
+/// trace length. Requires at least one processor.
 ParallelRunResult run_global_lru(const MultiTraceSource& sources,
-                                 const GlobalLruConfig& config);
-ParallelRunResult run_global_lru(const MultiTrace& traces,
                                  const GlobalLruConfig& config);
 
 /// Box-model facade of the shared-pool baseline, for the robustness layer:

@@ -660,27 +660,12 @@ const std::vector<StepCompletion>& EngineStepper::last_completions() const {
 
 CheckedRun EngineStepper::finish() { return impl_->finish(); }
 
-ParallelEngine::ParallelEngine(MultiTraceSource sources,
-                               BoxScheduler& scheduler,
-                               const EngineConfig& config)
-    : sources_(std::move(sources)), scheduler_(&scheduler), config_(config) {
-  PPG_CHECK(sources_.num_procs() >= 1);
-  PPG_CHECK(config.cache_size >= 1);
-  PPG_CHECK(config.miss_cost >= 1);
-}
+namespace {
 
-CheckedRun ParallelEngine::run_impl() {
-  EngineStepper stepper(*scheduler_, config_);
-  const ProcId p = sources_.num_procs();
-  for (ProcId i = 0; i < p; ++i) stepper.add_processor(sources_.source_ptr(i));
-  stepper.start();
-  while (stepper.step()) {
-  }
-  return stepper.finish();
-}
-
-void ParallelEngine::maybe_write_dump(CheckedRun& out) {
-  if (out.status.ok() || config_.replay_dump_path.empty()) return;
+void maybe_write_dump(const MultiTraceSource& sources,
+                      const BoxScheduler& scheduler,
+                      const EngineConfig& config, CheckedRun& out) {
+  if (out.status.ok() || config.replay_dump_path.empty()) return;
   // Streamed runs without a generator spec can be arbitrarily long;
   // embedding the vectors above this cap would defeat constant-memory
   // execution, so such dumps record the failure but skip the traces. Runs
@@ -688,26 +673,26 @@ void ParallelEngine::maybe_write_dump(CheckedRun& out) {
   // vectors are embedded at any size.
   constexpr std::uint64_t kMaxDumpRequests = std::uint64_t{1} << 22;
   ReplayDump dump;
-  dump.cache_size = config_.cache_size;
-  dump.miss_cost = config_.miss_cost;
-  dump.max_time = config_.max_time;
-  dump.seed = config_.seed;
-  dump.scheduler_spec = config_.scheduler_spec.empty() ? scheduler_->name()
-                                                       : config_.scheduler_spec;
+  dump.cache_size = config.cache_size;
+  dump.miss_cost = config.miss_cost;
+  dump.max_time = config.max_time;
+  dump.seed = config.seed;
+  dump.scheduler_spec = config.scheduler_spec.empty() ? scheduler.name()
+                                                      : config.scheduler_spec;
   dump.reason = out.status.error;
-  dump.trace_spec = config_.trace_spec;
-  if (!config_.trace_spec.empty()) {
+  dump.trace_spec = config.trace_spec;
+  if (!config.trace_spec.empty()) {
     // The spec regenerates the exact traces; no need to embed vectors.
     dump.has_traces = false;
-  } else if (sources_.all_materialized() ||
-             sources_.total_requests() <= kMaxDumpRequests) {
-    dump.traces = sources_.materialize();
+  } else if (sources.all_materialized() ||
+             sources.total_requests() <= kMaxDumpRequests) {
+    dump.traces = sources.materialize();
   } else {
     dump.has_traces = false;
   }
   try {
-    save_replay_dump(config_.replay_dump_path, dump);
-    out.status.replay_dump_path = config_.replay_dump_path;
+    save_replay_dump(config.replay_dump_path, dump);
+    out.status.replay_dump_path = config.replay_dump_path;
     // Not a containment decision: the run already failed with a structured
     // Error, and a dump-write failure (filesystem, not simulation) must not
     // mask that cause.
@@ -718,46 +703,32 @@ void ParallelEngine::maybe_write_dump(CheckedRun& out) {
   }
 }
 
-CheckedRun ParallelEngine::run_checked() {
-  CheckedRun out = run_impl();
-  maybe_write_dump(out);
-  return out;
-}
+}  // namespace
 
-ParallelRunResult ParallelEngine::run() {
-  CheckedRun out = run_impl();
-  if (!out.status.ok()) {
-    const std::string text = out.status.error.to_string();
-    PPG_CHECK_FMT(false, "%s", text.c_str());
+CheckedRun run_parallel_checked(const MultiTraceSource& sources,
+                                BoxScheduler& scheduler,
+                                const EngineConfig& config) {
+  PPG_CHECK(sources.num_procs() >= 1);
+  EngineStepper stepper(scheduler, config);
+  for (ProcId i = 0; i < sources.num_procs(); ++i)
+    stepper.add_processor(sources.source_ptr(i));
+  stepper.start();
+  while (stepper.step()) {
   }
-  return out.result;
-}
-
-ParallelRunResult run_parallel(const MultiTrace& traces,
-                               BoxScheduler& scheduler,
-                               const EngineConfig& config) {
-  return run_parallel(MultiTraceSource::view_of(traces), scheduler, config);
+  CheckedRun out = stepper.finish();
+  maybe_write_dump(sources, scheduler, config, out);
+  return out;
 }
 
 ParallelRunResult run_parallel(const MultiTraceSource& sources,
                                BoxScheduler& scheduler,
                                const EngineConfig& config) {
-  ParallelEngine engine(sources, scheduler, config);
-  return engine.run();
-}
-
-CheckedRun run_parallel_checked(const MultiTrace& traces,
-                                BoxScheduler& scheduler,
-                                const EngineConfig& config) {
-  return run_parallel_checked(MultiTraceSource::view_of(traces), scheduler,
-                              config);
-}
-
-CheckedRun run_parallel_checked(const MultiTraceSource& sources,
-                                BoxScheduler& scheduler,
-                                const EngineConfig& config) {
-  ParallelEngine engine(sources, scheduler, config);
-  return engine.run_checked();
+  CheckedRun out = run_parallel_checked(sources, scheduler, config);
+  if (!out.status.ok()) {
+    const std::string text = out.status.error.to_string();
+    PPG_CHECK_FMT(false, "%s", text.c_str());
+  }
+  return out.result;
 }
 
 }  // namespace ppg

@@ -16,13 +16,12 @@
 // batch first, then each granted box's fast-forward and fold (see
 // DESIGN.md §10). The engine runs on the calling thread.
 //
-// Two entry points share the same loop:
-//  - run() treats any scheduler misbehaviour or watchdog trip as fatal
-//    (PPG_CHECK abort), matching the original engine semantics.
-//  - run_checked() returns a structured RunStatus instead, and — when
-//    EngineConfig::replay_dump_path is set — serializes a replay dump
-//    (trace spec or full traces, plus config + scheduler spec + seed) so
-//    the failure can be re-executed offline by examples/replay_dump.
+// One batch driver, run_parallel_checked(), loops over EngineStepper and
+// returns a structured RunStatus; when EngineConfig::replay_dump_path is
+// set, a failed run also serializes a replay dump (trace spec or full
+// traces, plus config + scheduler spec + seed) so the failure can be
+// re-executed offline by examples/replay_dump. run_parallel() is the same
+// driver with any failure made fatal (PPG_CHECK abort).
 #pragma once
 
 #include <cstddef>
@@ -34,7 +33,6 @@
 
 #include "core/metrics.hpp"
 #include "core/scheduler.hpp"
-#include "trace/trace.hpp"
 #include "trace/trace_source.hpp"
 #include "util/error.hpp"
 #include "util/types.hpp"
@@ -44,8 +42,9 @@ namespace ppg {
 struct EngineConfig {
   Height cache_size = 0;  ///< k.
   Time miss_cost = 2;     ///< s.
-  /// Watchdog against misbehaving schedulers: run() aborts (PPG_CHECK) and
-  /// run_checked() returns kWatchdogTimeout if simulated time passes this.
+  /// Watchdog against misbehaving schedulers: run_parallel() aborts
+  /// (PPG_CHECK) and run_parallel_checked() returns kWatchdogTimeout if
+  /// simulated time passes this.
   Time max_time = Time{1} << 60;
   /// Per-run budget on processed engine *events* — the sweep layer's
   /// per-cell deadline. One unit is charged per event the engine pops: a
@@ -57,10 +56,11 @@ struct EngineConfig {
   /// (pinned by EngineStepperTest.EventBudgetCountsEventsNotRequests).
   /// Counted in simulated steps, not wall-clock, so exhausting it is
   /// deterministic and reproducible from the seed. 0 means unlimited;
-  /// run_checked() returns kCellBudgetExceeded when the budget is spent,
-  /// run() aborts (PPG_CHECK) like any other fatal engine condition. The
-  /// units consumed are surfaced in CheckedRun::events_consumed so
-  /// admission layers (PagingService) can account against the budget.
+  /// run_parallel_checked() returns kCellBudgetExceeded when the budget is
+  /// spent, run_parallel() aborts (PPG_CHECK) like any other fatal engine
+  /// condition. The units consumed are surfaced in
+  /// CheckedRun::events_consumed so admission layers (PagingService) can
+  /// account against the budget.
   std::uint64_t max_events = 0;
   /// Per-processor event budget: the number of boxes one processor may be
   /// granted before it is quarantined with kTenantBudgetExceeded (forced
@@ -96,8 +96,9 @@ struct EngineConfig {
   /// properties such as DET-PAR's well-roundedness.
   std::function<void(ProcId, const BoxAssignment&)> on_box;
 
-  // --- failure-replay metadata (used by run_checked only) ---
-  /// When non-empty, run_checked writes a replay dump here on any failure.
+  // --- failure-replay metadata (used by the batch driver only) ---
+  /// When non-empty, the batch driver writes a replay dump here on any
+  /// failure.
   std::string replay_dump_path;
   /// Scheduler factory spec recorded in the dump (see
   /// make_scheduler_from_spec); when empty the scheduler's name() is
@@ -111,7 +112,7 @@ struct EngineConfig {
   std::string trace_spec;
 };
 
-/// Result of run_checked: `result` is complete when status.ok(), partial
+/// Result of a checked run: `result` is complete when status.ok(), partial
 /// (metrics up to the failure point) otherwise.
 struct CheckedRun {
   RunStatus status;
@@ -139,14 +140,14 @@ struct StepCompletion {
 
 /// The engine's event loop, inverted into a resumable state machine.
 ///
-/// ParallelEngine::run()/run_checked() are thin loops over this class, so
-/// a batch run and a stepped run are the same code path and produce
-/// byte-identical output. On top of the batch contract the stepper adds
-/// what a long-lived service needs:
+/// run_parallel_checked() is a thin loop over this class, so a batch run
+/// and a stepped run are the same code path and produce byte-identical
+/// output. On top of the batch contract the stepper adds what a
+/// long-lived service needs:
 ///
 ///  - start() seeds the initial cohort's events after the scheduler sees
 ///    the instance geometry; processors added before start() form that
-///    cohort exactly as ParallelEngine's constructor arguments would.
+///    cohort exactly as the sources passed to run_parallel_checked would.
 ///  - step() drains exactly one global-time event batch (scheduler pass,
 ///    then box simulation and fold, both in event order — see DESIGN.md
 ///    §10) and returns false once the run is complete or failed. Between steps the
@@ -226,47 +227,22 @@ class EngineStepper {
   std::unique_ptr<Impl> impl_;
 };
 
-class ParallelEngine {
- public:
-  /// Each processor pulls its requests from a TraceCursor opened on
-  /// `sources`, so peak memory is O(p * box height) plus whatever the
-  /// sources themselves buffer — independent of trace length. A
-  /// materialized MultiTrace runs through MultiTraceSource::view_of (see
-  /// run_parallel); it must outlive the engine.
-  ParallelEngine(MultiTraceSource sources, BoxScheduler& scheduler,
-                 const EngineConfig& config);
-
-  /// Runs to completion of all processors and returns the metrics. Aborts
-  /// on scheduler contract breakage or watchdog timeout (legacy behavior).
-  ParallelRunResult run();
-
-  /// As run(), but scheduler misbehaviour — a malformed box, a
-  /// PpgException thrown by a decorator such as ValidatingScheduler, or a
-  /// watchdog trip — comes back as a structured RunStatus, with a replay
-  /// dump written if configured.
-  CheckedRun run_checked();
-
- private:
-  CheckedRun run_impl();
-  void maybe_write_dump(CheckedRun& out);
-
-  MultiTraceSource sources_;
-  BoxScheduler* scheduler_;
-  EngineConfig config_;
-};
-
-/// Convenience wrappers: build, run, return.
-ParallelRunResult run_parallel(const MultiTrace& traces,
-                               BoxScheduler& scheduler,
-                               const EngineConfig& config);
-ParallelRunResult run_parallel(const MultiTraceSource& sources,
-                               BoxScheduler& scheduler,
-                               const EngineConfig& config);
-CheckedRun run_parallel_checked(const MultiTrace& traces,
-                                BoxScheduler& scheduler,
-                                const EngineConfig& config);
+/// The batch driver: runs every processor of `sources` from t = 0 to
+/// completion on one EngineStepper. Each processor pulls its requests from
+/// a TraceCursor, so peak memory is O(p * box height) plus whatever the
+/// sources buffer, independent of trace length; a materialized MultiTrace
+/// converts to a non-owning view and must outlive the call. Requires at
+/// least one processor. Scheduler misbehaviour (a malformed box, a
+/// PpgException thrown by a decorator such as ValidatingScheduler) or a
+/// watchdog trip comes back as a structured RunStatus, with a replay dump
+/// written if configured.
 CheckedRun run_parallel_checked(const MultiTraceSource& sources,
                                 BoxScheduler& scheduler,
                                 const EngineConfig& config);
+
+/// As run_parallel_checked, but any failure is fatal (PPG_CHECK abort).
+ParallelRunResult run_parallel(const MultiTraceSource& sources,
+                               BoxScheduler& scheduler,
+                               const EngineConfig& config);
 
 }  // namespace ppg

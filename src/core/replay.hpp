@@ -53,8 +53,9 @@ ReplayDump load_replay_dump(const std::string& path);
 
 /// Rebuilds the scheduler from the dump's spec (wrapped in a
 /// ValidatingScheduler so contract violations are re-detected, not
-/// re-crashed) and re-executes the run with run_checked. The returned
-/// status reproduces the recorded failure when the run is deterministic.
+/// re-crashed) and re-executes the run with run_parallel_checked. The
+/// returned status reproduces the recorded failure when the run is
+/// deterministic.
 CheckedRun run_replay(const ReplayDump& dump,
                       const ValidatorConfig& validator = {});
 

@@ -15,10 +15,10 @@ double WellRoundedReport::worst_normalized() const {
   return worst;
 }
 
-WellRoundedReport check_well_rounded(const MultiTrace& traces,
+WellRoundedReport check_well_rounded(const MultiTraceSource& sources,
                                      BoxScheduler& scheduler,
                                      const EngineConfig& config) {
-  const ProcId p = traces.num_procs();
+  const ProcId p = sources.num_procs();
   PPG_CHECK(p >= 1);
   WellRoundedReport report;
   const Height h_max = std::max<Height>(
@@ -46,7 +46,7 @@ WellRoundedReport check_well_rounded(const MultiTrace& traces,
       last_end[proc][r] = std::max(last_end[proc][r], box.end);
     }
   };
-  run_parallel(traces, scheduler, instrumented);
+  run_parallel(sources, scheduler, instrumented);
 
   const double logp =
       std::max(1.0, std::log2(static_cast<double>(p)));

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "core/parallel_engine.hpp"
-#include "trace/trace.hpp"
+#include "trace/trace_source.hpp"
 #include "util/types.hpp"
 
 namespace ppg {
@@ -43,11 +43,11 @@ struct WellRoundedReport {
   double worst_normalized() const;
 };
 
-/// Runs `scheduler` on `traces` and measures the well-rounded property
+/// Runs `scheduler` on `sources` and measures the well-rounded property
 /// against base height b = 2k/p (the phase-start value; phases that shrink
 /// the active set only make the real bound looser, so normalizing by the
 /// initial b is conservative in the strict direction).
-WellRoundedReport check_well_rounded(const MultiTrace& traces,
+WellRoundedReport check_well_rounded(const MultiTraceSource& sources,
                                      BoxScheduler& scheduler,
                                      const EngineConfig& config);
 

@@ -261,9 +261,4 @@ OfflinePackResult pack_offline(const MultiTraceSource& sources,
   return result;
 }
 
-OfflinePackResult pack_offline(const MultiTrace& traces,
-                               const OfflinePackConfig& config) {
-  return pack_offline(MultiTraceSource::view_of(traces), config);
-}
-
 }  // namespace ppg

@@ -77,14 +77,9 @@ std::vector<CandidateProfile> fixed_height_candidates(const Trace& trace,
                                                       Time miss_cost);
 
 /// Packs per-processor optimal green profiles; returns the witness
-/// schedule and its (achievable) makespan.
-OfflinePackResult pack_offline(const MultiTrace& traces,
-                               const OfflinePackConfig& config);
-
-/// Streamed instance: the per-processor DP needs random access, so lazy
-/// sources are materialized one processor at a time (peak memory = the
-/// largest single trace). Results are identical to the MultiTrace overload,
-/// which delegates here.
+/// schedule and its (achievable) makespan. The per-processor DP needs
+/// random access, so lazy sources are materialized one processor at a time
+/// (peak memory = the largest single trace).
 OfflinePackResult pack_offline(const MultiTraceSource& sources,
                                const OfflinePackConfig& config);
 

@@ -114,13 +114,6 @@ std::vector<double> per_proc_stretch(const MultiTraceSource& sources,
   return stretch;
 }
 
-std::vector<double> per_proc_stretch(const MultiTrace& traces,
-                                     const std::vector<Time>& completion,
-                                     Height cache_size, Time miss_cost) {
-  return per_proc_stretch(MultiTraceSource::view_of(traces), completion,
-                          cache_size, miss_cost);
-}
-
 OptBounds compute_opt_bounds(const MultiTraceSource& sources,
                              const OptBoundsConfig& config) {
   PPG_CHECK(config.cache_size >= 1);
@@ -146,11 +139,6 @@ OptBounds compute_opt_bounds(const MultiTraceSource& sources,
   }
   bounds.lb_impact = impact_sum / config.cache_size;
   return bounds;
-}
-
-OptBounds compute_opt_bounds(const MultiTrace& traces,
-                             const OptBoundsConfig& config) {
-  return compute_opt_bounds(MultiTraceSource::view_of(traces), config);
 }
 
 }  // namespace ppg

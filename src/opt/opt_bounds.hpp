@@ -66,25 +66,17 @@ struct OptBoundsConfig {
   std::size_t exact_impact_max_requests = 0;
 };
 
-OptBounds compute_opt_bounds(const MultiTrace& traces,
-                             const OptBoundsConfig& config);
-
-/// Streamed instance. The Belady term is clairvoyant, so each lazy source
-/// is materialized one processor at a time — peak memory is the largest
-/// single trace, not the whole instance — keeping the bounds exact and
-/// identical to the MultiTrace overload (which delegates here).
+/// The Belady term is clairvoyant, so each lazy source is materialized one
+/// processor at a time: peak memory is the largest single trace, not the
+/// whole instance, and the bounds stay exact.
 OptBounds compute_opt_bounds(const MultiTraceSource& sources,
                              const OptBoundsConfig& config);
 
 /// Per-processor stretch (slowdown): completion time divided by the
 /// processor's dedicated-cache minimum busy time (Belady at capacity k).
 /// Stretch 1 means "as fast as running alone on the whole cache"; large
-/// stretches expose starvation. Empty traces report stretch 1.
-std::vector<double> per_proc_stretch(const MultiTrace& traces,
-                                     const std::vector<Time>& completion,
-                                     Height cache_size, Time miss_cost);
-
-/// Streamed instance; materializes per processor like compute_opt_bounds.
+/// stretches expose starvation. Empty traces report stretch 1. Lazy
+/// sources are materialized per processor like compute_opt_bounds.
 std::vector<double> per_proc_stretch(const MultiTraceSource& sources,
                                      const std::vector<Time>& completion,
                                      Height cache_size, Time miss_cost);

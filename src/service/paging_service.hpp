@@ -14,7 +14,7 @@
 // same contract the batch engine has. And a
 // service whose tenants all arrive at t = 0 admits them as the engine's
 // initial cohort, so its engine run is byte-identical to
-// ParallelEngine::run() over the same sources (pinned by
+// run_parallel() over the same sources (pinned by
 // tests/test_paging_service.cpp).
 //
 // Fault isolation: with contain_tenant_failures (the default), a tenant
@@ -174,7 +174,7 @@ class PagingService {
   ///
   /// Tenants submitted with arrival 0 before the first step() become the
   /// engine's initial cohort: the run is then byte-identical to a batch
-  /// ParallelEngine::run() over the same sources.
+  /// run_parallel() over the same sources.
   std::optional<TenantId> submit(std::shared_ptr<const TraceSource> trace,
                                  Time arrival);
 

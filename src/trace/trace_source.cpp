@@ -400,12 +400,10 @@ std::unique_ptr<TraceCursor> VectorTraceSource::cursor() const {
   return std::make_unique<VectorTraceCursor>(trace_);
 }
 
-MultiTraceSource MultiTraceSource::view_of(const MultiTrace& traces) {
-  std::vector<std::shared_ptr<const TraceSource>> sources;
-  sources.reserve(traces.num_procs());
+MultiTraceSource::MultiTraceSource(const MultiTrace& traces) {
+  sources_.reserve(traces.num_procs());
   for (ProcId i = 0; i < traces.num_procs(); ++i)
-    sources.push_back(VectorTraceSource::view(traces.trace(i)));
-  return MultiTraceSource(std::move(sources));
+    sources_.push_back(VectorTraceSource::view(traces.trace(i)));
 }
 
 std::uint64_t MultiTraceSource::total_requests() const {

@@ -144,8 +144,15 @@ class MultiTraceSource {
       : sources_(std::move(sources)) {}
 
   /// Non-owning view over a materialized MultiTrace; the caller guarantees
-  /// `traces` outlives the view and every cursor taken from it.
-  static MultiTraceSource view_of(const MultiTrace& traces);
+  /// `traces` outlives the view and every cursor taken from it. Implicit,
+  /// so every instance-level API takes a MultiTrace through its one
+  /// MultiTraceSource signature.
+  MultiTraceSource(const MultiTrace& traces);
+  /// A temporary would leave the view dangling.
+  MultiTraceSource(MultiTrace&&) = delete;
+
+  /// Alias of the converting constructor, kept for perfbench/.
+  static MultiTraceSource view_of(const MultiTrace& traces) { return traces; }
 
   ProcId num_procs() const { return static_cast<ProcId>(sources_.size()); }
   const TraceSource& source(ProcId i) const {

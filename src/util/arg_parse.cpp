@@ -60,6 +60,19 @@ std::int64_t ArgParser::get_int(const std::string& key,
   return value;
 }
 
+std::uint64_t ArgParser::get_count(const std::string& key,
+                                   std::uint64_t fallback,
+                                   std::uint64_t min) const {
+  const std::int64_t value =
+      get_int(key, static_cast<std::int64_t>(fallback));
+  if (value < 0 || static_cast<std::uint64_t>(value) < min) {
+    throw_error(ErrorCode::kBadInput,
+                "--" + key + " expects an integer >= " + std::to_string(min) +
+                    ", got " + std::to_string(value));
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
 double ArgParser::get_double(const std::string& key, double fallback) const {
   queried_[key] = true;
   const auto it = options_.find(key);

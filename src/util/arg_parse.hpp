@@ -23,6 +23,11 @@ class ArgParser {
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// A count or size: get_int, then kBadInput when the value is below
+  /// `min` (a negative value would wrap to a huge unsigned one and fail
+  /// far from its cause).
+  std::uint64_t get_count(const std::string& key, std::uint64_t fallback,
+                          std::uint64_t min = 0) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback = false) const;
 

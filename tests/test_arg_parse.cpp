@@ -19,6 +19,7 @@ ArgParser parse(std::initializer_list<const char*> args) {
 TEST(ArgParser, EqualsForm) {
   const ArgParser args = parse({"--p=32", "--name=det"});
   EXPECT_EQ(args.get_int("p", 0), 32);
+  EXPECT_EQ(args.get_count("p", 0, 32), 32u);  // min is inclusive
   EXPECT_EQ(args.get_string("name", ""), "det");
 }
 
@@ -46,6 +47,7 @@ TEST(ArgParser, ExplicitBooleanValues) {
 TEST(ArgParser, FallbacksWhenAbsent) {
   const ArgParser args = parse({});
   EXPECT_EQ(args.get_int("p", 7), 7);
+  EXPECT_EQ(args.get_count("p", 7, 1), 7u);
   EXPECT_EQ(args.get_string("w", "x"), "x");
   EXPECT_DOUBLE_EQ(args.get_double("d", 2.5), 2.5);
 }
@@ -57,10 +59,13 @@ TEST(ArgParser, PositionalArguments) {
 }
 
 TEST(ArgParser, RejectsMalformedNumbers) {
-  const ArgParser args = parse({"--p=12x", "--d=1.2.3", "--b=maybe"});
+  const ArgParser args = parse(
+      {"--p=12x", "--d=1.2.3", "--b=maybe", "--n=-1", "--k=0"});
   EXPECT_THROW(args.get_int("p", 0), PpgException);
   EXPECT_THROW(args.get_double("d", 0.0), PpgException);
   EXPECT_THROW(args.get_bool("b"), PpgException);
+  EXPECT_THROW(args.get_count("n", 0), PpgException);      // negative
+  EXPECT_THROW(args.get_count("k", 64, 1), PpgException);  // below min
 }
 
 TEST(ArgParser, MalformedNumberCarriesStructuredError) {

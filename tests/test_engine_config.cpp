@@ -46,12 +46,17 @@ TEST(EngineConfig, RejectsZeroCacheOrMissCost) {
   EngineConfig bad_cache;
   bad_cache.cache_size = 0;
   bad_cache.miss_cost = 2;
-  const MultiTraceSource sources = MultiTraceSource::view_of(mt);
-  EXPECT_DEATH(ParallelEngine(sources, *scheduler, bad_cache), "");
+  EXPECT_DEATH(run_parallel(mt, *scheduler, bad_cache), "");
   EngineConfig bad_cost;
   bad_cost.cache_size = 4;
   bad_cost.miss_cost = 0;
-  EXPECT_DEATH(ParallelEngine(sources, *scheduler, bad_cost), "");
+  EXPECT_DEATH(run_parallel(mt, *scheduler, bad_cost), "");
+  EngineConfig good;
+  good.cache_size = 4;
+  good.miss_cost = 2;
+  const MultiTrace no_procs;
+  EXPECT_DEATH(run_parallel(no_procs, *scheduler, good),
+               "num_procs\\(\\) >= 1");
 }
 
 TEST(WorkloadCacheHungry, HasHungryAndModestProcessors) {

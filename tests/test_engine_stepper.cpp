@@ -1,8 +1,8 @@
 // EngineStepper is the engine's event loop inverted into a resumable
-// state machine, and ParallelEngine::run()/run_checked() are thin loops
-// over it. These tests pin the three contracts that inversion added:
+// state machine, and the batch driver run_parallel_checked() is a thin
+// loop over it. These tests pin the three contracts that inversion added:
 //
-//  - equivalence: batch run(), a manual step-until-done loop, and a
+//  - equivalence: a batch run, a manual step-until-done loop, and a
 //    PagingService-style interleaving of accessor calls between steps all
 //    produce byte-identical results;
 //  - the event budget counts *events* (box grants + completions +
@@ -93,8 +93,7 @@ TEST(EngineStepperTest, StepUntilDoneMatchesBatchRun) {
     ec.cache_size = study_params().cache_size;
     ec.miss_cost = 8;
     const auto batch_sched = build(name, 7);
-    ParallelEngine engine(sources, *batch_sched, ec);
-    const CheckedRun batch = engine.run_checked();
+    const CheckedRun batch = run_parallel_checked(sources, *batch_sched, ec);
     ASSERT_TRUE(batch.status.ok()) << name;
 
     for (const bool poke : {false, true}) {
@@ -123,8 +122,7 @@ TEST(EngineStepperTest, EventBudgetCountsEventsNotRequests) {
   ec.miss_cost = 8;
 
   auto sched = build("DET-PAR", 3);
-  ParallelEngine engine(sources, *sched, ec);
-  const CheckedRun clean = engine.run_checked();
+  const CheckedRun clean = run_parallel_checked(sources, *sched, ec);
   ASSERT_TRUE(clean.status.ok());
   EXPECT_EQ(clean.events_consumed,
             clean.result.num_boxes + wp.num_procs);
@@ -134,8 +132,7 @@ TEST(EngineStepperTest, EventBudgetCountsEventsNotRequests) {
   // An exact budget passes...
   ec.max_events = clean.events_consumed;
   auto sched_exact = build("DET-PAR", 3);
-  ParallelEngine exact(sources, *sched_exact, ec);
-  const CheckedRun at_budget = exact.run_checked();
+  const CheckedRun at_budget = run_parallel_checked(sources, *sched_exact, ec);
   EXPECT_TRUE(at_budget.status.ok());
   EXPECT_EQ(at_budget.events_consumed, clean.events_consumed);
 
@@ -143,8 +140,7 @@ TEST(EngineStepperTest, EventBudgetCountsEventsNotRequests) {
   // count includes the charge that tripped the limit.
   ec.max_events = clean.events_consumed - 1;
   auto sched_short = build("DET-PAR", 3);
-  ParallelEngine short_run(sources, *sched_short, ec);
-  const CheckedRun over = short_run.run_checked();
+  const CheckedRun over = run_parallel_checked(sources, *sched_short, ec);
   ASSERT_FALSE(over.status.ok());
   EXPECT_EQ(over.status.error.code, ErrorCode::kCellBudgetExceeded);
   EXPECT_EQ(over.events_consumed, ec.max_events + 1);

@@ -90,7 +90,8 @@ TEST(GlobalLru, EmptyTraceCompletesImmediately) {
 }
 
 TEST(GlobalLru, ZeroProcessorsIsRejected) {
-  EXPECT_DEATH(run_global_lru(MultiTrace{}, config_for(4, 2)), "p >= 1");
+  const MultiTrace no_procs;
+  EXPECT_DEATH(run_global_lru(no_procs, config_for(4, 2)), "p >= 1");
 }
 
 // The order oracle: a (ready time, proc) min-heap, one cursor per
@@ -183,8 +184,8 @@ TEST(GlobalLruOrder, MatchesHeapOnGeneratorSources) {
         const GlobalLruConfig config = config_for(wp.cache_size, s);
         const ParallelRunResult oracle = heap_global_lru(lazy, config);
         expect_same_run(run_global_lru(lazy, config), oracle);
-        expect_same_run(run_global_lru(make_workload(kind, wp), config),
-                        oracle);
+        const MultiTrace mt = make_workload(kind, wp);
+        expect_same_run(run_global_lru(mt, config), oracle);
       }
 }
 

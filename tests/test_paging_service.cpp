@@ -1,5 +1,5 @@
 // PagingService contracts: the all-at-t0 cohort is byte-identical to a
-// batch ParallelEngine::run() over the same sources; any fixed submission
+// batch run_parallel() over the same sources; any fixed submission
 // schedule is deterministic (same seed + schedule => identical metrics);
 // admission is FIFO with bounded-queue
 // backpressure; depart() works in every tenant state; completion

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "test_helpers.hpp"
@@ -218,6 +219,12 @@ TEST(TraceSource, MultiTraceSourceViewAndMaterialize) {
   EXPECT_EQ(view.total_requests(), 7u);
   EXPECT_TRUE(view.materialize().traces() == mt.traces());
   EXPECT_EQ(view.source(1).num_requests(), 4u);
+  // A MultiTrace converts implicitly to a non-owning view of the same
+  // vectors; a temporary cannot be bound, so no view can dangle.
+  static_assert(std::is_convertible_v<const MultiTrace&, MultiTraceSource>);
+  static_assert(!std::is_constructible_v<MultiTraceSource, MultiTrace&&>);
+  const MultiTraceSource implicit = mt;
+  EXPECT_EQ(implicit.source(1).materialized(), &mt.trace(1));
 }
 
 TEST(TraceSource, WorkloadSourceMatchesMakeWorkload) {

@@ -2,12 +2,12 @@
 //
 // Throughput of the structures every experiment leans on: the LRU set, the
 // box runner, the sequential cache simulator, the stack-distance profiler,
-// the green-OPT DP, the offline packer, GLOBAL-LRU and the OPT bounds on a
-// sweep cell, the schedulers' next_box alone (a p-sweep), the trace
-// generators' next_span alone, and the full parallel engine. These keep
-// the harness honest about simulator cost and catch performance
-// regressions —
-// scripts/bench_perf.sh snapshots them into BENCH_PERF.json.
+// the green-OPT DP, the offline packer, GLOBAL-LRU, the OPT bounds and a
+// whole run_instance on a sweep cell, the schedulers' next_box alone (a
+// p-sweep), the trace generators' next_span alone, and the full parallel
+// engine. These keep the harness honest about simulator cost and catch
+// performance regressions — scripts/bench_perf.sh snapshots them into
+// BENCH_PERF.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_support/experiment.hpp"
 #include "core/contract.hpp"
 #include "core/global_lru.hpp"
 #include "core/parallel_engine.hpp"
@@ -30,6 +31,7 @@
 #include "trace/generators.hpp"
 #include "trace/stack_distance.hpp"
 #include "trace/trace.hpp"
+#include "trace/trace_source.hpp"
 #include "trace/workload.hpp"
 #include "util/lru_set.hpp"
 #include "util/rng.hpp"
@@ -94,13 +96,19 @@ void BM_CacheSimLru(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheSimLru)->Arg(256);
 
-void BM_BoxRunnerCanonicalBoxes(benchmark::State& state) {
+/// Canonical boxes of height range(0), s = 8, over a 2^15-request Zipf
+/// trace until it ends; on its stack distances (attached once, outside the
+/// timed loop) when `distances`, else through the LRU loop. items =
+/// requests.
+void box_runner_canonical(benchmark::State& state, bool distances) {
   const auto height = static_cast<Height>(state.range(0));
   const Time s = 8;
   Rng rng(2);
   const Trace trace = gen::zipf(512, 1 << 15, 0.9, rng);
+  std::shared_ptr<const TraceSource> source = VectorTraceSource::view(trace);
+  if (distances) source = with_stack_distances(std::move(source));
   for (auto _ : state) {
-    BoxRunner runner(trace, s);
+    BoxRunner runner(*source, s);
     while (!runner.finished())
       runner.run_box(height, s * static_cast<Time>(height));
     benchmark::DoNotOptimize(runner.total_misses());
@@ -109,7 +117,15 @@ void BM_BoxRunnerCanonicalBoxes(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(trace.size()));
 }
+void BM_BoxRunnerCanonicalBoxes(benchmark::State& state) {
+  box_runner_canonical(state, false);
+}
 BENCHMARK(BM_BoxRunnerCanonicalBoxes)->Arg(8)->Arg(64)->Arg(512);
+
+void BM_BoxRunnerDistances(benchmark::State& state) {
+  box_runner_canonical(state, true);
+}
+BENCHMARK(BM_BoxRunnerDistances)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_StackDistances(benchmark::State& state) {
   Rng rng(3);
@@ -218,6 +234,26 @@ void BM_OptBounds(benchmark::State& state) {
       static_cast<std::int64_t>(mt.total_requests()));
 }
 BENCHMARK(BM_OptBounds)->Arg(32)->Arg(128);
+
+/// One E3/E4 sweep cell through run_instance, as the sweep benches run
+/// it: attach stack distances, OPT bounds, every box scheduler validated,
+/// and GLOBAL-LRU. items = requests x schedulers (GLOBAL-LRU included).
+void BM_RunInstance(benchmark::State& state) {
+  const WorkloadParams wp = sweep_cell(static_cast<ProcId>(state.range(0)));
+  const MultiTrace mt = make_workload(WorkloadKind::kHeterogeneousMix, wp);
+  ExperimentConfig config;
+  config.cache_size = wp.cache_size;
+  config.miss_cost = kSweepMissCost;
+  const std::vector<SchedulerKind> kinds = all_scheduler_kinds();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        run_instance(mt, kinds, config).outcomes.front().result.makespan);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(mt.total_requests()) *
+                          static_cast<std::int64_t>(kinds.size() + 1));
+}
+BENCHMARK(BM_RunInstance)->Arg(32)->Arg(128)->Unit(benchmark::kMillisecond);
 
 void BM_ParallelEngine(benchmark::State& state) {
   const auto p = static_cast<ProcId>(state.range(0));

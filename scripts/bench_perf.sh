@@ -180,8 +180,9 @@ trap 'rm -f "${MICRO_JSON}" "${SERVICE_JSON}" "${SWEEP_J1}" "${SWEEP_JMAX}"' EXI
 MIN_TIME=0.5
 [[ "${QUICK}" == "1" ]] && MIN_TIME=0.05
 # (BM_SchedulerNextBox and the BM_ValidatedEngine / BM_PlainEngine pair
-# count boxes, not requests, as their items.)
-BENCH_FILTER='BM_(LruSetAccess|LruSetAccessStructured|CacheSimLru|BoxRunnerCanonicalBoxes|StackDistances|PackOffline|GlobalLru|GlobalLruPolluted|OptBounds|SchedulerNextBox|TraceSpan|ParallelEngine|ValidatedEngine|PlainEngine)'
+# count boxes, not requests, as their items; BM_RunInstance counts
+# requests x schedulers.)
+BENCH_FILTER='BM_(LruSetAccess|LruSetAccessStructured|CacheSimLru|BoxRunnerCanonicalBoxes|BoxRunnerDistances|RunInstance|StackDistances|PackOffline|GlobalLru|GlobalLruPolluted|OptBounds|SchedulerNextBox|TraceSpan|ParallelEngine|ValidatedEngine|PlainEngine)'
 ./build/bench/engine_micro \
   --benchmark_filter="${BENCH_FILTER}" \
   --benchmark_min_time="${MIN_TIME}" \

@@ -15,17 +15,27 @@ constexpr std::size_t kStreamSpan = 256;
 }  // namespace
 
 BoxRunner::BoxRunner(std::unique_ptr<TraceCursor> cursor, Time miss_cost)
-    : cursor_(std::move(cursor)), span_(kStreamSpan), miss_cost_(miss_cost) {
+    : miss_cost_(miss_cost) {
   PPG_CHECK(miss_cost >= 1);
-  PPG_CHECK(cursor_ != nullptr);
-  start_ = cursor_->checkpoint();
+  open_cursor(std::move(cursor));
 }
 
 BoxRunner::BoxRunner(const TraceSource& source, Time miss_cost)
-    : BoxRunner(source.cursor(), miss_cost) {}
+    : distances_(source.stack_distances()), miss_cost_(miss_cost) {
+  PPG_CHECK(miss_cost >= 1);
+  if (distances_ == nullptr) open_cursor(source.cursor());
+}
 
 BoxRunner::BoxRunner(const Trace& trace, Time miss_cost)
     : BoxRunner(VectorTraceSource::view(trace)->cursor(), miss_cost) {}
+
+void BoxRunner::open_cursor(std::unique_ptr<TraceCursor> cursor) {
+  PPG_CHECK(cursor != nullptr);
+  cursor_ = std::move(cursor);
+  start_ = cursor_->checkpoint();
+  cache_.emplace(1);
+  span_.resize(kStreamSpan);
+}
 
 BoxStepResult BoxRunner::run_box(Height height, Time duration, bool fresh) {
   PPG_CHECK(height >= 1);
@@ -33,10 +43,51 @@ BoxStepResult BoxRunner::run_box(Height height, Time duration, bool fresh) {
   if (fresh || height != cache_height_) {
     // A height change is always a fresh compartment: the model has no
     // notion of carrying LRU state across differently-sized boxes.
-    cache_.reset(height);
+    if (distances_ != nullptr)
+      filled_ = 0;
+    else
+      cache_->reset(height);
     cache_height_ = height;
   }
   Time remaining = duration;
+  if (distances_ != nullptr)
+    serve_distances(step, remaining);
+  else
+    serve_lru(step, remaining);
+  step.stall_time = remaining;
+  step.finished = finished();
+  total_hits_ += step.hits;
+  total_misses_ += step.misses;
+  return step;
+}
+
+void BoxRunner::serve_distances(BoxStepResult& step, Time& remaining) {
+  const std::uint32_t* const distance = distances_->data();
+  const std::size_t n = distances_->size();
+  const Height height = cache_height_;
+  Height filled = filled_;
+  std::size_t i = next_;
+  Time left = remaining;
+  while (i < n && left > 0) {
+    if (distance[i] < filled) {
+      ++step.hits;  // a hit always fits: left >= 1 here
+      --left;
+    } else {
+      if (miss_cost_ > left) break;  // stall; request i opens the next box
+      ++step.misses;
+      left -= miss_cost_;
+      if (filled < height) ++filled;
+    }
+    ++i;
+  }
+  step.requests_completed = i - next_;
+  step.busy_time = remaining - left;
+  remaining = left;
+  next_ = i;
+  filled_ = filled;
+}
+
+void BoxRunner::serve_lru(BoxStepResult& step, Time& remaining) {
   while (remaining > 0) {
     if (span_pos_ >= span_len_) {
       span_len_ = cursor_->next_span(span_.data(), span_.size());
@@ -57,24 +108,19 @@ BoxStepResult BoxRunner::run_box(Height height, Time duration, bool fresh) {
     }
     if (!advance_span(step, remaining)) break;  // stall to box end
   }
-  step.stall_time = remaining;
-  step.finished = finished();
-  total_hits_ += step.hits;
-  total_misses_ += step.misses;
-  return step;
 }
 
 bool BoxRunner::advance_span(BoxStepResult& step, Time& remaining) {
   while (span_pos_ < span_len_ && remaining > 0) {
     const PageId page = span_[span_pos_];
     Time cost;
-    if (cache_.try_touch(page)) {
+    if (cache_->try_touch(page)) {
       cost = 1;  // a hit always fits: remaining >= 1 here
       ++step.hits;
     } else {
       cost = miss_cost_;
       if (cost > remaining) return false;  // stall; request stays buffered
-      cache_.insert_absent(page);
+      cache_->insert_absent(page);
       ++step.misses;
     }
     remaining -= cost;
@@ -88,8 +134,13 @@ bool BoxRunner::advance_span(BoxStepResult& step, Time& remaining) {
 void BoxRunner::reset() {
   total_hits_ = 0;
   total_misses_ = 0;
+  if (distances_ != nullptr) {
+    next_ = 0;
+    filled_ = 0;
+    return;
+  }
   cursor_->rewind(start_);
-  cache_.clear();
+  cache_->clear();
   span_pos_ = 0;
   span_len_ = 0;
 }

@@ -7,23 +7,33 @@
 // processor stalls to the box boundary and retries in the next box (a
 // height-z canonical box therefore always completes at least z requests).
 //
-// Requests are pulled from a TraceCursor in bulk spans (TraceCursor::
-// next_span into a small resident buffer, one virtual call per span instead
-// of two per request), and the box cache is an LruSet over raw PageIds —
-// one open-addressing probe per request, O(height) memory regardless of
-// trace length. A materialized trace is read through a VectorTraceSource
-// cursor like any other source. A stalled box leaves the request in the
-// span buffer unconsumed, so the next box resumes at the same logical
-// position without any rewind. Every refilled span is screened for the
-// reserved kInvalidPage sentinel, which must never enter a cache.
+// Two loops serve a box, chosen by the input alone:
 //
-// A hit always fits (cost 1, remaining >= 1), so try_touch commits it
-// directly; a miss checks the remaining budget before insert_absent
-// commits the fault.
+//   - Distance loop, for a source that carries its stack distances
+//     (TraceSource::stack_distances(), attached by with_stack_distances()).
+//     LRU is a stack algorithm, so in a compartment that opened empty and
+//     has taken m misses, request i hits iff d[i] < min(m, h): nothing is
+//     evicted before the compartment fills, and after that the inclusion
+//     property holds. The loop's whole state is the position and min(m, h),
+//     reset when a box opens fresh or changes height.
+//   - LRU loop, for every other source. Requests are pulled from a
+//     TraceCursor in bulk spans (TraceCursor::next_span into a small
+//     resident buffer, one virtual call per span instead of two per
+//     request), and the box cache is an LruSet over raw PageIds — one
+//     open-addressing probe per request, O(height) memory regardless of
+//     trace length. A stalled box leaves the request in the span buffer
+//     unconsumed, so the next box resumes at the same logical position
+//     without any rewind. Every refilled span is screened for the reserved
+//     kInvalidPage sentinel, which must never enter a cache (a trace holding
+//     it never carries distances, so it always takes this loop).
+//
+// In both loops a hit always fits (cost 1, remaining >= 1) and commits
+// directly; a miss checks the remaining budget before committing the fault.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "green/box.hpp"
@@ -49,7 +59,8 @@ class BoxRunner {
   /// Runs over a cursor: O(height) memory, any trace length.
   BoxRunner(std::unique_ptr<TraceCursor> cursor, Time miss_cost);
 
-  /// Runs over a fresh cursor on `source`.
+  /// Runs over `source`: on its stack distances when it carries them,
+  /// otherwise over a fresh cursor.
   BoxRunner(const TraceSource& source, Time miss_cost);
 
   /// Runs over a materialized trace without copying it; the trace must
@@ -62,8 +73,12 @@ class BoxRunner {
   /// false to model a continuation at the same height.
   BoxStepResult run_box(Height height, Time duration, bool fresh = true);
 
-  bool finished() const { return span_pos_ >= span_len_ && cursor_->done(); }
+  bool finished() const {
+    if (distances_ != nullptr) return next_ >= distances_->size();
+    return span_pos_ >= span_len_ && cursor_->done();
+  }
   std::size_t position() const {
+    if (distances_ != nullptr) return next_;
     // The cursor has over-consumed by the unprocessed tail of the span
     // buffer; the logical position discounts it.
     return static_cast<std::size_t>(cursor_->position()) -
@@ -75,15 +90,33 @@ class BoxRunner {
   void reset();
 
  private:
+  /// Takes `cursor` for the LRU loop.
+  void open_cursor(std::unique_ptr<TraceCursor> cursor);
+
+  /// Distance loop: serves requests until the trace ends, the box budget
+  /// runs out, or a miss no longer fits.
+  void serve_distances(BoxStepResult& step, Time& remaining);
+
+  /// LRU loop: refills and screens the span buffer and drains it through
+  /// advance_span until the box budget runs out or a miss no longer fits.
+  void serve_lru(BoxStepResult& step, Time& remaining);
+
   /// Hot loop: serves requests from the resident span buffer until the
   /// buffer drains, the box budget runs out, or a miss no longer fits.
   /// Returns false on a stall (the request stays buffered for the next
   /// box), true otherwise.
   bool advance_span(BoxStepResult& step, Time& remaining);
 
+  // Distance loop state; distances_ is null on the LRU loop.
+  std::shared_ptr<const std::vector<std::uint32_t>> distances_;
+  std::size_t next_ = 0;  ///< Next request to serve.
+  Height filled_ = 0;     ///< min(misses since the compartment opened, h).
+
+  // LRU loop state; the cursor is null and the cache empty on the distance
+  // loop.
   std::unique_ptr<TraceCursor> cursor_;
   CursorCheckpoint start_;  ///< For reset(): the cursor's initial state.
-  LruSet cache_{1};
+  std::optional<LruSet> cache_;
   std::vector<PageId> span_;    ///< Bulk-pull buffer (kStreamSpan pages).
   std::size_t span_pos_ = 0;    ///< Next unprocessed entry in span_.
   std::size_t span_len_ = 0;    ///< Valid prefix of span_.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -69,18 +70,25 @@ std::uint64_t belady_faults(const std::vector<std::size_t>& previous,
   return faults;
 }
 
-Time busy_time(const std::vector<std::size_t>& previous, Height cache,
-               Time miss_cost) {
-  return previous.size() + (miss_cost - 1) * belady_faults(previous, cache);
+Time busy_time(std::size_t requests, std::uint64_t faults, Time miss_cost) {
+  return requests + (miss_cost - 1) * faults;
 }
 
-/// sum_r min(s, d_r + 1), cold requests counting s (see the header).
-Impact stack_impact(const std::vector<std::uint64_t>& distances,
-                    Time miss_cost) {
+Time busy_time(const std::vector<std::size_t>& previous, Height cache,
+               Time miss_cost) {
+  return busy_time(previous.size(), belady_faults(previous, cache),
+                   miss_cost);
+}
+
+/// sum_r min(s, d_r + 1), cold requests (D's maximum: kInfiniteDistance or
+/// kColdDistance) counting s (see the header).
+template <typename D>
+Impact stack_impact(const std::vector<D>& distances, Time miss_cost) {
   Impact total = 0;
-  for (const std::uint64_t d : distances)
-    total += d == kInfiniteDistance ? miss_cost
-                                    : std::min<Impact>(miss_cost, d + 1);
+  for (const D d : distances)
+    total += d == std::numeric_limits<D>::max()
+                 ? miss_cost
+                 : std::min<Impact>(miss_cost, Impact{d} + 1);
   return total;
 }
 
@@ -124,18 +132,34 @@ OptBounds compute_opt_bounds(const MultiTraceSource& sources,
   const HeightLadder full_ladder{1, h_max};
 
   for (ProcId i = 0; i < sources.num_procs(); ++i) {
+    const TraceSource& source = sources.source(i);
     Trace storage;
-    const Trace& t = materialized_view(sources.source(i), storage);
+    const Trace& t = materialized_view(source, storage);
     bounds.lb_max_length =
         std::max<Time>(bounds.lb_max_length, t.size());
-    const std::vector<std::size_t> previous = previous_accesses(t);
-    bounds.lb_max_single =
-        std::max(bounds.lb_max_single,
-                 busy_time(previous, config.cache_size, config.miss_cost));
-    if (t.size() <= config.exact_impact_max_requests)
+    const bool exact = t.size() <= config.exact_impact_max_requests;
+    if (exact)
       impact_sum += green_opt_impact(t, full_ladder, config.miss_cost);
-    else
-      impact_sum += stack_impact(stack_distances(previous), config.miss_cost);
+
+    Time single = 0;
+    if (const auto attached = source.stack_distances()) {
+      // The attached distances count the distinct pages, so the hash pass
+      // runs only when Belady has to evict, and there is no Fenwick pass.
+      const auto distinct = static_cast<std::uint64_t>(
+          std::count(attached->begin(), attached->end(), kColdDistance));
+      single = distinct <= config.cache_size
+                   ? busy_time(t.size(), distinct, config.miss_cost)
+                   : busy_time(previous_accesses(t), config.cache_size,
+                               config.miss_cost);
+      if (!exact) impact_sum += stack_impact(*attached, config.miss_cost);
+    } else {
+      const std::vector<std::size_t> previous = previous_accesses(t);
+      single = busy_time(previous, config.cache_size, config.miss_cost);
+      if (!exact)
+        impact_sum +=
+            stack_impact(stack_distances(previous), config.miss_cost);
+    }
+    bounds.lb_max_single = std::max(bounds.lb_max_single, single);
   }
   bounds.lb_impact = impact_sum / config.cache_size;
   return bounds;

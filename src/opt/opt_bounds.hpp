@@ -25,10 +25,12 @@
 //
 // Both per-trace terms come from one previous_accesses() hash pass
 // (trace/stack_distance.hpp). The stack distances are the Fenwick pass
-// over it. Belady needs no cache simulator: with at most k distinct pages
-// its faults are the distinct count, and otherwise it is one scan with a
-// flat max-heap of (next use, position), next uses read off the same
-// previous-access array.
+// over it, or, on a source that carries them (with_stack_distances() in
+// trace/trace_source.hpp), are read off the source: there the hash pass
+// runs only when Belady has to evict. Belady needs no cache simulator:
+// with at most k distinct pages its faults are the distinct count, and
+// otherwise it is one scan with a flat max-heap of (next use, position),
+// next uses read off the same previous-access array.
 #pragma once
 
 #include <cstdint>

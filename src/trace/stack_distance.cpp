@@ -1,6 +1,7 @@
 #include "trace/stack_distance.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -11,26 +12,53 @@ namespace ppg {
 namespace {
 
 /// Fenwick (binary indexed) tree over [0, n) with point update and prefix
-/// count queries.
+/// count queries; counts never exceed n, so T only has to hold n.
+template <typename T>
 class Fenwick {
  public:
   explicit Fenwick(std::size_t n) : tree_(n + 1, 0) {}
 
   void add(std::size_t pos, int delta) {
     for (std::size_t i = pos + 1; i < tree_.size(); i += i & (~i + 1))
-      tree_[i] = static_cast<std::uint64_t>(static_cast<std::int64_t>(tree_[i]) + delta);
+      tree_[i] = static_cast<T>(static_cast<std::int64_t>(tree_[i]) + delta);
   }
 
   /// Sum of entries in [0, pos].
-  std::uint64_t prefix(std::size_t pos) const {
-    std::uint64_t sum = 0;
+  T prefix(std::size_t pos) const {
+    T sum = 0;
     for (std::size_t i = pos + 1; i > 0; i -= i & (~i + 1)) sum += tree_[i];
     return sum;
   }
 
  private:
-  std::vector<std::uint64_t> tree_;
+  std::vector<T> tree_;
 };
+
+/// The Fenwick pass over previous_accesses(), distances of type D with
+/// D's maximum for first accesses. D must hold previous.size().
+template <typename D>
+std::vector<D> fenwick_distances(const std::vector<std::size_t>& previous) {
+  const std::size_t n = previous.size();
+  std::vector<D> out(n, std::numeric_limits<D>::max());
+  if (n == 0) return out;
+
+  // A 1 at the latest access of every page seen so far.
+  Fenwick<D> live(n);
+  D distinct = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t prev = previous[i];
+    if (prev == kNoPrevious) {
+      ++distinct;
+    } else {
+      // Distinct pages accessed strictly between prev and i = live markers
+      // in (prev, i); every distinct page seen so far holds exactly one.
+      out[i] = static_cast<D>(distinct - live.prefix(prev));
+      live.add(prev, -1);
+    }
+    live.add(i, +1);
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -107,26 +135,12 @@ std::vector<std::uint64_t> stack_distances(const Trace& trace) {
 
 std::vector<std::uint64_t> stack_distances(
     const std::vector<std::size_t>& previous) {
-  const std::size_t n = previous.size();
-  std::vector<std::uint64_t> out(n, kInfiniteDistance);
-  if (n == 0) return out;
+  return fenwick_distances<std::uint64_t>(previous);
+}
 
-  // A 1 at the latest access of every page seen so far.
-  Fenwick live(n);
-  std::uint64_t distinct = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t prev = previous[i];
-    if (prev == kNoPrevious) {
-      ++distinct;
-    } else {
-      // Distinct pages accessed strictly between prev and i = live markers
-      // in (prev, i); every distinct page seen so far holds exactly one.
-      out[i] = distinct - live.prefix(prev);
-      live.add(prev, -1);
-    }
-    live.add(i, +1);
-  }
-  return out;
+std::vector<std::uint32_t> packed_stack_distances(const Trace& trace) {
+  PPG_CHECK(trace.size() < kColdDistance);
+  return fenwick_distances<std::uint32_t>(previous_accesses(trace));
 }
 
 StackDistanceProfile stack_distance_profile(TraceCursor& cursor,

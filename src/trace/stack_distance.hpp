@@ -70,6 +70,12 @@ std::vector<std::uint64_t> stack_distances(const Trace& trace);
 std::vector<std::uint64_t> stack_distances(
     const std::vector<std::size_t>& previous);
 
+/// stack_distances() in 32 bits, kColdDistance for a first access: the
+/// form a source carries once with_stack_distances() attached it (see
+/// trace_source.hpp). A finite distance is below the trace length, so this
+/// requires trace.size() < kColdDistance and then loses nothing.
+std::vector<std::uint32_t> packed_stack_distances(const Trace& trace);
+
 /// Aggregated profile: counts[d] = number of requests with stack distance
 /// exactly d (d < max_tracked); cold_misses counts first accesses;
 /// far counts distances >= max_tracked.

@@ -5,6 +5,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "trace/stack_distance.hpp"
+
 namespace ppg {
 
 namespace {
@@ -378,6 +380,34 @@ class RebaseSource final : public TraceSource {
   ProcId proc_;
 };
 
+// A resident source plus its packed stack distances; everything else is
+// forwarded, so cursors, checkpoints and materialized() are the inner
+// source's own.
+class StackDistanceSource final : public TraceSource {
+ public:
+  StackDistanceSource(std::shared_ptr<const TraceSource> inner,
+                      std::vector<std::uint32_t> distances)
+      : inner_(std::move(inner)),
+        distances_(std::make_shared<const std::vector<std::uint32_t>>(
+            std::move(distances))) {}
+
+  std::uint64_t num_requests() const override {
+    return inner_->num_requests();
+  }
+  std::unique_ptr<TraceCursor> cursor() const override {
+    return inner_->cursor();
+  }
+  const Trace* materialized() const override { return inner_->materialized(); }
+  std::shared_ptr<const std::vector<std::uint32_t>> stack_distances()
+      const override {
+    return distances_;
+  }
+
+ private:
+  std::shared_ptr<const TraceSource> inner_;
+  std::shared_ptr<const std::vector<std::uint32_t>> distances_;
+};
+
 }  // namespace
 
 Trace materialize(TraceCursor& cursor, std::size_t size_hint) {
@@ -422,6 +452,27 @@ MultiTrace MultiTraceSource::materialize() const {
   MultiTrace traces;
   for (const auto& source : sources_) traces.add(ppg::materialize(*source));
   return traces;
+}
+
+MultiTraceSource MultiTraceSource::with_stack_distances() const {
+  MultiTraceSource out;
+  out.sources_.reserve(sources_.size());
+  for (const auto& source : sources_)
+    out.sources_.push_back(ppg::with_stack_distances(source));
+  return out;
+}
+
+std::shared_ptr<const TraceSource> with_stack_distances(
+    std::shared_ptr<const TraceSource> source) {
+  PPG_CHECK(source != nullptr);
+  const Trace* trace = source->materialized();
+  if (trace == nullptr || source->stack_distances() != nullptr ||
+      trace->size() >= kColdDistance ||
+      std::find(trace->begin(), trace->end(), kInvalidPage) != trace->end())
+    return source;
+  std::vector<std::uint32_t> distances = packed_stack_distances(*trace);
+  return std::make_shared<StackDistanceSource>(std::move(source),
+                                               std::move(distances));
 }
 
 std::shared_ptr<const TraceSource> concat_source(

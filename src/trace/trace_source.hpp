@@ -81,6 +81,10 @@ class TraceCursor {
   }
 };
 
+/// Stack distance of a first access in a 32-bit distance array (see
+/// TraceSource::stack_distances()).
+inline constexpr std::uint32_t kColdDistance = UINT32_MAX;
+
 /// A (re-)iterable request sequence of known length.
 class TraceSource {
  public:
@@ -98,6 +102,17 @@ class TraceSource {
   /// sequence at once use it: clairvoyant ones (Belady, green-OPT, the OPT
   /// bounds, the offline packer) and copies (replay dumps).
   virtual const Trace* materialized() const { return nullptr; }
+
+  /// Per-request LRU stack distances of a materialized sequence, when
+  /// with_stack_distances() attached them: entry i counts the distinct
+  /// pages requested since the previous request for request i's page
+  /// (kColdDistance for a first access). Null for every other source. The
+  /// box runner serves boxes from them instead of replaying LRU, and the
+  /// OPT bounds read them instead of recomputing them.
+  virtual std::shared_ptr<const std::vector<std::uint32_t>> stack_distances()
+      const {
+    return nullptr;
+  }
 };
 
 /// Drains a cursor into a materialized Trace. `size_hint` pre-reserves.
@@ -177,9 +192,25 @@ class MultiTraceSource {
   /// Drains every source into a materialized MultiTrace.
   MultiTrace materialize() const;
 
+  /// A copy whose sources carry their stack distances (ppg::
+  /// with_stack_distances applied to each): one Fenwick pass per resident
+  /// trace, 4 B per request held for as long as the copy lives. Meant for
+  /// the span of one multi-run call (see bench_support/experiment.cpp);
+  /// never cache it on a MultiTrace.
+  MultiTraceSource with_stack_distances() const;
+
  private:
   std::vector<std::shared_ptr<const TraceSource>> sources_;
 };
+
+/// `source` decorated with its stack distances (packed_stack_distances in
+/// trace/stack_distance.hpp), or `source` itself when it is lazy, already
+/// carries them, holds the reserved kInvalidPage (the LRU loop reports it
+/// as a corrupt trace) or is too long for 32-bit distances. The decorator
+/// forwards materialized() and cursor(), so every consumer but the two
+/// that read stack_distances() sees the undecorated source.
+std::shared_ptr<const TraceSource> with_stack_distances(
+    std::shared_ptr<const TraceSource> source);
 
 /// Concatenation of several sources, in order. Used by the adversarial
 /// builder to chain prefix phases and the single-use suffix lazily.

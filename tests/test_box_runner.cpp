@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "green/box_runner.hpp"
 #include "test_helpers.hpp"
 #include "trace/generators.hpp"
+#include "trace/trace_source.hpp"
+#include "util/rng.hpp"
 
 namespace ppg {
 namespace {
@@ -98,6 +104,82 @@ TEST(BoxRunner, ResetRestartsFromBeginning) {
   runner.reset();
   EXPECT_FALSE(runner.finished());
   EXPECT_EQ(runner.position(), 0u);
+}
+
+/// `trace` with its stack distances attached, so a BoxRunner built on it
+/// takes the distance loop.
+std::shared_ptr<const TraceSource> distance_source(const Trace& trace) {
+  auto source = with_stack_distances(VectorTraceSource::view(trace));
+  EXPECT_NE(source->stack_distances(), nullptr);
+  return source;
+}
+
+// The distance loop against the LRU loop on seeded random traces whose
+// small page universes force evictions, through random box sequences:
+// fresh and continuation boxes, height changes, durations up to 3*s*h (so
+// stalls happen), s in 1..8, and reset() part-way.
+TEST(BoxRunner, DistanceLoopMatchesLruLoopOnRandomBoxes) {
+  Rng rng(0xb0c5);
+  std::uint64_t boxes = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const std::uint64_t universe = rng.next_in(1, 40);
+    std::vector<PageId> pages(rng.next_in(0, 300));
+    for (PageId& page : pages) page = rng.next_below(universe);
+    const Trace t(std::move(pages));
+    const Time s = rng.next_in(1, 8);
+    const auto source = distance_source(t);
+    BoxRunner lru(t, s);
+    BoxRunner dist(*source, s);
+    Height height = static_cast<Height>(rng.next_in(1, 16));
+    bool reset_done = false;
+    for (int box = 0; box < 400 && !lru.finished(); ++box) {
+      if (rng.next_bool(0.3))
+        height = static_cast<Height>(rng.next_in(1, 16));
+      const bool fresh = rng.next_bool(0.5);
+      const Time duration = rng.next_in(1, 3 * s * height);
+      const BoxStepResult a = lru.run_box(height, duration, fresh);
+      const BoxStepResult b = dist.run_box(height, duration, fresh);
+      const std::string where = "round " + std::to_string(round) + " box " +
+                                std::to_string(box);
+      ASSERT_EQ(b.requests_completed, a.requests_completed) << where;
+      ASSERT_EQ(b.hits, a.hits) << where;
+      ASSERT_EQ(b.misses, a.misses) << where;
+      ASSERT_EQ(b.busy_time, a.busy_time) << where;
+      ASSERT_EQ(b.stall_time, a.stall_time) << where;
+      ASSERT_EQ(b.finished, a.finished) << where;
+      ASSERT_EQ(dist.position(), lru.position()) << where;
+      ASSERT_EQ(dist.finished(), lru.finished()) << where;
+      ++boxes;
+      if (!reset_done && rng.next_bool(0.05)) {
+        lru.reset();
+        dist.reset();
+        reset_done = true;
+        ASSERT_EQ(dist.position(), 0u);
+        ASSERT_EQ(dist.finished(), lru.finished());
+      }
+    }
+    EXPECT_EQ(dist.total_hits(), lru.total_hits());
+    EXPECT_EQ(dist.total_misses(), lru.total_misses());
+  }
+  EXPECT_GT(boxes, 40000u);
+}
+
+TEST(BoxRunner, DistanceLoopResetRestartsFromBeginning) {
+  const Trace t = test::make_trace({1, 2, 3, 1});
+  const auto source = distance_source(t);
+  BoxRunner runner(*source, 2);
+  runner.run_box(4, 100);
+  EXPECT_TRUE(runner.finished());
+  EXPECT_EQ(runner.total_hits(), 1u);
+  runner.reset();
+  EXPECT_FALSE(runner.finished());
+  EXPECT_EQ(runner.position(), 0u);
+  EXPECT_EQ(runner.total_hits(), 0u);
+  // The compartment is empty again: the repeat of page 1 at position 3
+  // hits only after a fresh box has loaded it.
+  const BoxStepResult step = runner.run_box(4, 100, /*fresh=*/false);
+  EXPECT_EQ(step.misses, 3u);
+  EXPECT_EQ(step.hits, 1u);
 }
 
 TEST(RunProfile, AccountsImpactExactly) {

@@ -3,6 +3,8 @@
 #include <cmath>
 
 #include "bench_support/experiment.hpp"
+#include "core/contract.hpp"
+#include "core/parallel_engine.hpp"
 #include "core/replay.hpp"
 #include "trace/workload.hpp"
 
@@ -90,6 +92,49 @@ TEST(RunInstance, CapturesPerCellFailuresFromInjectedFaults) {
     ASSERT_FALSE(rerun.status.ok()) << so.name;
     EXPECT_EQ(rerun.status.error.code, ErrorCode::kContractViolation)
         << so.name;
+  }
+}
+
+// A resident trace holding the reserved kInvalidPage gets no stack
+// distances, so every box-scheduler cell still fails on the box runner's
+// corrupt-trace screen, at the same proc, position and time as a run on
+// the plain view; the traces around it keep the distance loop.
+TEST(RunInstance, HostilePageInMaterializedTraceIsCorrupt) {
+  WorkloadParams wp;
+  wp.num_procs = 4;
+  wp.cache_size = 16;
+  wp.requests_per_proc = 300;
+  std::vector<Trace> traces =
+      make_workload(WorkloadKind::kHeterogeneousMix, wp).traces();
+  traces[2].mutable_requests()[123] = kInvalidPage;
+  const MultiTrace mt(std::move(traces));
+
+  ExperimentConfig config;
+  config.cache_size = 16;
+  config.miss_cost = 4;
+  config.include_global_lru = false;
+  const InstanceOutcome outcome =
+      run_instance(mt, all_scheduler_kinds(), config);
+  ASSERT_EQ(outcome.outcomes.size(), all_scheduler_kinds().size());
+  EXPECT_EQ(outcome.num_failed(), all_scheduler_kinds().size());
+
+  EngineConfig ec;
+  ec.cache_size = 16;
+  ec.miss_cost = 4;
+  for (std::size_t i = 0; i < outcome.outcomes.size(); ++i) {
+    const SchedulerOutcome& so = outcome.outcomes[i];
+    const auto scheduler =
+        make_validating(make_scheduler(all_scheduler_kinds()[i], config.seed));
+    const CheckedRun plain = run_parallel_checked(mt, *scheduler, ec);
+    ASSERT_FALSE(plain.status.ok()) << so.name;
+    const Error& got = so.status.error;
+    EXPECT_EQ(got.code, ErrorCode::kCorruptTrace) << so.name;
+    EXPECT_EQ(got.proc, 2u) << so.name;
+    EXPECT_EQ(got.byte_offset, 123u) << so.name;
+    EXPECT_EQ(got.code, plain.status.error.code) << so.name;
+    EXPECT_EQ(got.proc, plain.status.error.proc) << so.name;
+    EXPECT_EQ(got.byte_offset, plain.status.error.byte_offset) << so.name;
+    EXPECT_EQ(got.time, plain.status.error.time) << so.name;
   }
 }
 

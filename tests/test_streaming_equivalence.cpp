@@ -9,10 +9,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/global_lru.hpp"
 #include "core/parallel_engine.hpp"
+#include "core/contract.hpp"
 #include "core/replay.hpp"
 #include "core/scheduler_factory.hpp"
 #include "bench_support/experiment.hpp"
@@ -130,6 +132,123 @@ TEST(StreamingEquivalence, OptBoundsMatchMaterialized) {
   EXPECT_EQ(a.lb_max_length, b.lb_max_length);
   EXPECT_EQ(a.lb_max_single, b.lb_max_single);
   EXPECT_EQ(a.lb_impact, b.lb_impact);
+}
+
+// --- Stack-distance view -------------------------------------------------
+//
+// with_stack_distances() switches the box runner to its distance loop and
+// the OPT bounds to the attached distances; neither may change an output.
+
+struct BoxRecord {
+  ProcId proc;
+  BoxAssignment box;
+};
+
+std::vector<BoxRecord> record_run(const MultiTraceSource& sources,
+                                  SchedulerKind kind, EngineConfig ec,
+                                  CheckedRun& run) {
+  std::vector<BoxRecord> boxes;
+  ec.on_box = [&boxes](ProcId proc, const BoxAssignment& box) {
+    boxes.push_back({proc, box});
+  };
+  const auto scheduler = make_validating(make_scheduler(kind, /*seed=*/9));
+  run = run_parallel_checked(sources, *scheduler, ec);
+  return boxes;
+}
+
+TEST(StreamingEquivalence, StackDistanceViewMatchesPlainView) {
+  for (const ProcId p : {ProcId{4}, ProcId{32}}) {
+    WorkloadParams wp = small_params();
+    wp.num_procs = p;
+    wp.cache_size = 8 * p;
+    wp.requests_per_proc = 400;
+    for (const WorkloadKind wkind :
+         {WorkloadKind::kHeterogeneousMix, WorkloadKind::kCacheHungry,
+          WorkloadKind::kPollutedCycles}) {
+      const MultiTrace traces = make_workload(wkind, wp);
+      const MultiTraceSource plain = traces;
+      const MultiTraceSource view = plain.with_stack_distances();
+      for (ProcId i = 0; i < p; ++i)
+        ASSERT_NE(view.source(i).stack_distances(), nullptr);
+
+      EngineConfig ec;
+      ec.cache_size = wp.cache_size;
+      ec.miss_cost = wp.miss_cost;
+      ec.seed = 9;
+      for (const SchedulerKind kind : all_scheduler_kinds()) {
+        const std::string label = std::string(scheduler_kind_name(kind)) +
+                                  "/" + workload_kind_name(wkind) + "/p=" +
+                                  std::to_string(p);
+        CheckedRun a;
+        CheckedRun b;
+        const std::vector<BoxRecord> boxes_a = record_run(plain, kind, ec, a);
+        const std::vector<BoxRecord> boxes_b = record_run(view, kind, ec, b);
+        ASSERT_TRUE(a.status.ok()) << label << a.status.error.to_string();
+        ASSERT_TRUE(b.status.ok()) << label << b.status.error.to_string();
+        expect_same_result(a.result, b.result, label);
+        EXPECT_EQ(a.events_consumed, b.events_consumed) << label;
+        ASSERT_EQ(boxes_a.size(), boxes_b.size()) << label;
+        for (std::size_t j = 0; j < boxes_a.size(); ++j) {
+          EXPECT_EQ(boxes_a[j].proc, boxes_b[j].proc) << label << " box " << j;
+          EXPECT_EQ(boxes_a[j].box.height, boxes_b[j].box.height) << label;
+          EXPECT_EQ(boxes_a[j].box.start, boxes_b[j].box.start) << label;
+          EXPECT_EQ(boxes_a[j].box.end, boxes_b[j].box.end) << label;
+          EXPECT_EQ(boxes_a[j].box.fresh, boxes_b[j].box.fresh) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(StreamingEquivalence, OptBoundsMatchOnStackDistanceView) {
+  for (const WorkloadKind wkind :
+       {WorkloadKind::kHeterogeneousMix, WorkloadKind::kCacheHungry,
+        WorkloadKind::kPollutedCycles, WorkloadKind::kZipf}) {
+    const MultiTrace traces = make_workload(wkind, small_params());
+    const MultiTraceSource plain = traces;
+    const MultiTraceSource view = plain.with_stack_distances();
+    // Caches below and above the distinct counts: Belady with and without
+    // evictions. At k = 16 the exact green-OPT impact term replaces the
+    // stack-distance one as well.
+    const std::pair<Height, std::size_t> cases[] = {
+        {2, 0}, {16, 0}, {16, 500}, {4096, 0}};
+    for (const auto& [cache, exact_max] : cases) {
+      OptBoundsConfig bc;
+      bc.cache_size = cache;
+      bc.miss_cost = 4;
+      bc.exact_impact_max_requests = exact_max;
+      const OptBounds a = compute_opt_bounds(plain, bc);
+      const OptBounds b = compute_opt_bounds(view, bc);
+      EXPECT_EQ(a.lb_max_length, b.lb_max_length) << cache;
+      EXPECT_EQ(a.lb_max_single, b.lb_max_single) << cache;
+      EXPECT_EQ(a.lb_impact, b.lb_impact) << cache << "/" << exact_max;
+    }
+  }
+}
+
+TEST(StreamingEquivalence, StackDistancesPassLazySourcesThrough) {
+  const WorkloadParams wp = small_params();
+  const MultiTraceSource lazy =
+      make_workload_source(WorkloadKind::kHeterogeneousMix, wp);
+  const MultiTraceSource view = lazy.with_stack_distances();
+  ASSERT_EQ(view.num_procs(), lazy.num_procs());
+  for (ProcId i = 0; i < lazy.num_procs(); ++i) {
+    EXPECT_EQ(view.source_ptr(i), lazy.source_ptr(i));
+    EXPECT_EQ(view.source(i).stack_distances(), nullptr);
+  }
+
+  // A resident trace holding the reserved sentinel keeps its LRU loop (and
+  // with it the corrupt-trace screen); so does a source already carrying
+  // distances.
+  Trace hostile = gen::cyclic(4, 20);
+  hostile.mutable_requests()[7] = kInvalidPage;
+  const auto plain = VectorTraceSource::view(hostile);
+  EXPECT_EQ(with_stack_distances(plain), plain);
+  const Trace clean = gen::cyclic(4, 20);
+  const auto attached = with_stack_distances(VectorTraceSource::view(clean));
+  ASSERT_NE(attached->stack_distances(), nullptr);
+  EXPECT_EQ(with_stack_distances(attached), attached);
+  EXPECT_EQ(attached->materialized(), &clean);
 }
 
 TEST(StreamingEquivalence, RunProfileMatchesOverGeneratorSource) {

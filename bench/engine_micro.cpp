@@ -155,16 +155,17 @@ void BM_GreenOptDp(benchmark::State& state) {
 BENCHMARK(BM_GreenOptDp)->Arg(1 << 10)->Arg(1 << 12);
 
 /// The offline packer as the sweeps call it (fixed-height fallback, no
-/// exact DP): candidates for every rung of every processor, selection, and
-/// skyline packing. k = 8p, s = 64, 4000 requests per processor; items =
-/// requests.
-void BM_PackOffline(benchmark::State& state) {
+/// exact DP) on `kind` traffic: cost scans for every rung of every
+/// processor, selection, the chosen rung's box list, and skyline packing.
+/// k = 8p, s = 64, 4000 requests per processor (generated at the default
+/// WorkloadParams::miss_cost); items = requests.
+void pack_offline_cell(benchmark::State& state, WorkloadKind kind) {
   const auto p = static_cast<ProcId>(state.range(0));
   WorkloadParams wp;
   wp.num_procs = p;
   wp.cache_size = 8 * p;
   wp.requests_per_proc = 4000;
-  const MultiTrace mt = make_workload(WorkloadKind::kHeterogeneousMix, wp);
+  const MultiTrace mt = make_workload(kind, wp);
   OfflinePackConfig pc;
   pc.cache_size = wp.cache_size;
   pc.miss_cost = 64;
@@ -176,7 +177,17 @@ void BM_PackOffline(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(mt.total_requests()));
 }
+void BM_PackOffline(benchmark::State& state) {
+  pack_offline_cell(state, WorkloadKind::kHeterogeneousMix);
+}
 BENCHMARK(BM_PackOffline)->Arg(16)->Arg(64)->Arg(128);
+
+/// Polluted cycles: every processor falls back to height-1 boxes (4000 per
+/// processor), the many-box case that loads the skyline.
+void BM_PackOfflinePolluted(benchmark::State& state) {
+  pack_offline_cell(state, WorkloadKind::kPollutedCycles);
+}
+BENCHMARK(BM_PackOfflinePolluted)->Arg(16)->Arg(32);
 
 constexpr Time kSweepMissCost = 64;
 

@@ -10,12 +10,14 @@
 #    reports are empty;
 #  - the robustness tests (fault injection, trace corruption, replay), the
 #    engine stepper, the scheduler goldens, the generators, the LRU set,
-#    the box runner and the stack-distance view (StreamingEquivalence,
-#    RunInstance) again under ASan/UBSan (the event queue's buckets, the
-#    Zipf guide table, the LRU index's hashed probe start and
-#    backward-shift deletion, and the distance loop's raw pointer are
-#    indexed there), then parallel_for_index and the sweep executor raced
-#    under ThreadSanitizer;
+#    the box runner, the stack-distance view (StreamingEquivalence,
+#    RunInstance) and the offline packer (OfflinePacker,
+#    FixedHeightCandidates) again under ASan/UBSan (the event queue's
+#    buckets, the Zipf guide table, the LRU index's hashed probe start and
+#    backward-shift deletion, the distance loop's raw pointer, the rung
+#    scan's signed positions and the skyline's range erase are exercised
+#    there), then parallel_for_index and the sweep executor raced under
+#    ThreadSanitizer;
 #  - the failure-as-data drill (scripts/chaos.sh: corrupt-trace rows
 #    byte-identical at --jobs 1 and max, budget rows structured);
 #  - the constant-memory gates (a 10^8-request streamed run and a
@@ -71,7 +73,7 @@ if [[ "${SAN}" != "none" ]]; then
   cmake --build "build-${SAN}" -j "$(nproc)"
   (cd "build-${SAN}" &&
    ctest --output-on-failure -j "$(nproc)" --no-tests=error \
-         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|AtomicFile|EngineStepper|PagingService|DetParGolden|RandParGolden|Generators|LruSet|BoxRunner|StreamingEquivalence|RunInstance')
+         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|AtomicFile|EngineStepper|PagingService|DetParGolden|RandParGolden|Generators|LruSet|BoxRunner|StreamingEquivalence|RunInstance|OfflinePacker|FixedHeightCandidates')
 
   # Fault-isolation gate under ASan: injected trace faults (fail,
   # hostile-page, torn-span, stall) must quarantine only their own tenant

@@ -1,10 +1,13 @@
 #include "opt/offline_packer.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <queue>
 #include <utility>
+#include <vector>
 
 #include "green/green_opt.hpp"
 #include "trace/stack_distance.hpp"
@@ -17,7 +20,8 @@ namespace {
 
 /// Piecewise-constant height usage over time ("skyline"): key = segment
 /// start, value = total allocated height from that instant until the next
-/// key. Supports earliest-fit queries and box placement.
+/// key. Supports earliest-fit queries, box placement, and forgetting the
+/// segments behind a monotone query frontier.
 class Skyline {
  public:
   explicit Skyline(Height budget) : budget_(budget) { level_[0] = 0; }
@@ -43,14 +47,19 @@ class Skyline {
          it != level_.end() && it->first < start + duration; ++it) {
       it->second += height;
       PPG_CHECK_MSG(it->second <= budget_, "skyline overflow");
+      peak_ = std::max(peak_, it->second);
     }
   }
 
-  Height peak() const {
-    Height peak = 0;
-    for (const auto& [t, h] : level_) peak = std::max(peak, h);
-    return peak;
+  /// Erases every segment that ends at or before t, keeping the one that
+  /// contains t. Valid once no later find_slot or place starts before t.
+  void forget_before(Time t) {
+    level_.erase(level_.begin(), std::prev(level_.upper_bound(t)));
   }
+
+  /// Max level ever placed. Levels only grow, so this is the peak of the
+  /// whole schedule, forgotten segments included.
+  Height peak() const { return peak_; }
 
  private:
   /// Start time of the first segment in [t, t+duration) whose level would
@@ -75,6 +84,7 @@ class Skyline {
   }
 
   Height budget_;
+  Height peak_ = 0;
   std::map<Time, Height> level_;
 };
 
@@ -87,7 +97,7 @@ class Skyline {
 /// over all caps is the optimum. Only candidate durations change the
 /// choice, so every distinct duration is tried as T and the best kept.
 std::vector<std::size_t> select_profiles(
-    const std::vector<std::vector<CandidateProfile>>& candidates,
+    const std::vector<std::vector<ProfileCost>>& candidates,
     Height cache_size) {
   const std::size_t n = candidates.size();
   std::vector<std::size_t> selection(n, 0);
@@ -96,7 +106,7 @@ std::vector<std::size_t> select_profiles(
   // impact term is evaluated exactly per threshold.
   std::vector<Time> thresholds;
   for (const auto& cands : candidates)
-    for (const CandidateProfile& c : cands) thresholds.push_back(c.duration);
+    for (const ProfileCost& c : cands) thresholds.push_back(c.duration);
   if (thresholds.empty()) return selection;
   std::sort(thresholds.begin(), thresholds.end());
   thresholds.erase(std::unique(thresholds.begin(), thresholds.end()),
@@ -141,40 +151,69 @@ std::vector<std::size_t> select_profiles(
   return selection;
 }
 
+/// The one rung scan: back-to-back fresh canonical boxes of height h from
+/// the start of the trace, the last box charged only its busy time.
+/// Appends every box to `boxes` when given; returns the profile's cost.
+ProfileCost scan_rung(const std::vector<std::size_t>& previous, Height h,
+                      Time miss_cost, BoxProfile* boxes) {
+  PPG_CHECK(miss_cost >= 1);
+  const Time duration = canonical_box(h, miss_cost).duration;
+  // Positions are compared signed: kNoPrevious (SIZE_MAX) reads as -1, so
+  // a first access fails the hit test below with no separate branch.
+  static_assert(static_cast<std::ptrdiff_t>(kNoPrevious) == -1);
+  const auto n = static_cast<std::ptrdiff_t>(previous.size());
+  const std::size_t* prev = previous.data();
+  ProfileCost cost;
+  std::ptrdiff_t i = 0;
+  while (i < n) {
+    // One fresh box from b. Its s*h ticks pay for at most h misses, so it
+    // touches at most h distinct pages and LRU never evicts inside it:
+    // request i hits iff its page was already touched in this box.
+    const std::ptrdiff_t b = i;
+    Time remaining = duration;
+    for (; i < n; ++i) {
+      const Time step =
+          static_cast<std::ptrdiff_t>(prev[i]) >= b ? 1 : miss_cost;
+      if (step > remaining) break;  // stall to the box boundary
+      remaining -= step;
+    }
+    const Time used = i < n ? duration : duration - remaining;
+    if (boxes != nullptr) boxes->push_back(Box{h, used});
+    cost.impact += static_cast<Impact>(h) * used;
+    cost.duration += used;
+  }
+  return cost;
+}
+
 }  // namespace
 
-std::vector<CandidateProfile> fixed_height_candidates(const Trace& trace,
-                                                      Height h_max,
-                                                      Time miss_cost) {
-  PPG_CHECK(miss_cost >= 1);
-  const std::vector<std::size_t> previous = previous_accesses(trace);
-  const std::size_t n = trace.size();
-  std::vector<CandidateProfile> out;
+std::vector<ProfileCost> fixed_height_costs(
+    const std::vector<std::size_t>& previous, Height h_max, Time miss_cost) {
+  std::vector<ProfileCost> out;
+  // Set once a rung's first box covers the whole trace (a fresh box serves
+  // at least one request, so a total within one box's ticks means one
+  // box). Every taller rung's single box then serves the same requests
+  // with the same hits — those with previous[i] >= 0 — in the same busy
+  // time n + (s - 1) * distinct.
+  bool covered = false;
+  Time busy = 0;
   for (Height h = 1; h <= h_max; h *= 2) {
-    const Time duration = canonical_box(h, miss_cost).duration;
-    CandidateProfile cand;
-    std::size_t i = 0;
-    while (i < n) {
-      // One fresh box from b. Its s*h ticks pay for at most h misses, so it
-      // touches at most h distinct pages and LRU never evicts inside it:
-      // request i hits iff its page was already touched in this box.
-      const std::size_t b = i;
-      Time remaining = duration;
-      while (remaining > 0 && i < n) {
-        const bool hit = previous[i] != kNoPrevious && previous[i] >= b;
-        const Time cost = hit ? 1 : miss_cost;
-        if (cost > remaining) break;  // stall to the box boundary
-        remaining -= cost;
-        ++i;
-      }
-      const Time used = i < n ? duration : duration - remaining;
-      cand.profile.push_back(Box{h, used});
-      cand.impact += static_cast<Impact>(h) * used;
-      cand.duration += used;
+    if (covered) {
+      out.push_back(ProfileCost{static_cast<Impact>(h) * busy, busy});
+      continue;
     }
-    out.push_back(std::move(cand));
+    out.push_back(scan_rung(previous, h, miss_cost, nullptr));
+    busy = out.back().duration;
+    covered = busy <= canonical_box(h, miss_cost).duration;
   }
   return out;
+}
+
+BoxProfile fixed_height_profile(const std::vector<std::size_t>& previous,
+                                Height h, Time miss_cost) {
+  BoxProfile boxes;
+  scan_rung(previous, h, miss_cost, &boxes);
+  return boxes;
 }
 
 OfflinePackResult pack_offline(const MultiTraceSource& sources,
@@ -185,12 +224,16 @@ OfflinePackResult pack_offline(const MultiTraceSource& sources,
       1, static_cast<Height>(pow2_floor(config.cache_size)));
   const HeightLadder ladder{1, h_max};
 
-  // Candidate profiles per processor: the fixed-height family always, plus
-  // the exact minimum-impact DP profile when affordable. The global
-  // selection pass then trades duration against impact across processors.
-  // Lazy sources are drained one processor at a time — the DP needs random
+  // Candidate costs per processor: every fixed-height rung always, plus
+  // the exact minimum-impact DP profile (cost at index `rungs`, box list
+  // kept in `profiles`) when affordable. The global selection pass then
+  // trades duration against impact across processors. Lazy sources are
+  // drained one processor at a time — the scans and the DP need random
   // access, but never more than one trace's worth of it.
-  std::vector<std::vector<CandidateProfile>> candidates(num_procs);
+  const auto rungs = std::size_t{ilog2_floor(h_max)} + 1;
+  std::vector<std::vector<ProfileCost>> candidates(num_procs);
+  std::vector<std::vector<std::size_t>> previous(num_procs);
+  std::vector<BoxProfile> profiles(num_procs);
   for (ProcId i = 0; i < num_procs; ++i) {
     Trace storage;
     const Trace* mat = sources.source(i).materialized();
@@ -200,27 +243,36 @@ OfflinePackResult pack_offline(const MultiTraceSource& sources,
     }
     const Trace& t = *mat;
     if (t.empty()) continue;
-    candidates[i] = fixed_height_candidates(t, h_max, config.miss_cost);
+    previous[i] = previous_accesses(t);
+    candidates[i] = fixed_height_costs(previous[i], h_max, config.miss_cost);
     const bool exact = config.exact_profile_max_requests == 0 ||
                        t.size() <= config.exact_profile_max_requests;
     if (exact) {
-      const GreenOptResult opt = green_opt(t, ladder, config.miss_cost);
-      candidates[i].push_back(
-          CandidateProfile{opt.profile, opt.impact, opt.time});
+      GreenOptResult opt = green_opt(t, ladder, config.miss_cost);
+      candidates[i].push_back(ProfileCost{opt.impact, opt.time});
+      profiles[i] = std::move(opt.profile);
     }
   }
+  // Only the chosen rung becomes a box list; the DP profile, when chosen,
+  // is already in place.
   const std::vector<std::size_t> selection =
       select_profiles(candidates, config.cache_size);
-  std::vector<BoxProfile> profiles(num_procs);
-  for (ProcId i = 0; i < num_procs; ++i)
-    if (!candidates[i].empty())
-      profiles[i] = candidates[i][selection[i]].profile;
+  std::size_t total_boxes = 0;
+  for (ProcId i = 0; i < num_procs; ++i) {
+    if (candidates[i].empty()) continue;
+    if (selection[i] < rungs)
+      profiles[i] = fixed_height_profile(
+          previous[i], Height{1} << selection[i], config.miss_cost);
+    std::vector<std::size_t>().swap(previous[i]);
+    total_boxes += profiles[i].size();
+  }
 
   // Greedy earliest-fit packing; processors are interleaved by their
   // current frontier so nobody races far ahead (keeps mean completion
   // reasonable and the makespan near the impact bound).
   OfflinePackResult result;
   result.completion.assign(num_procs, 0);
+  result.schedule.reserve(total_boxes);
   Skyline skyline(config.cache_size);
 
   struct Frontier {
@@ -236,9 +288,13 @@ OfflinePackResult pack_offline(const MultiTraceSource& sources,
   for (ProcId i = 0; i < num_procs; ++i)
     if (!profiles[i].empty()) queue.push(Frontier{0, i, 0});
 
+  // Every push is a box end, no earlier than the ready time just popped,
+  // so ready times pop in nondecreasing order and nothing before the
+  // popped one is queried again.
   while (!queue.empty()) {
     const Frontier f = queue.top();
     queue.pop();
+    skyline.forget_before(f.ready);
     const Box& box = profiles[f.proc][f.next_box];
     const Time start = skyline.find_slot(f.ready, box.duration, box.height);
     skyline.place(start, box.duration, box.height);

@@ -1,32 +1,40 @@
 // Offline box packing: an achievable schedule that upper-bounds T_OPT.
 //
-// Pipeline: compute each processor's exact minimum-impact box profile
-// (green_opt over the full ladder 1..k), then pack those boxes into the
-// shared cache — preserving each processor's box order — with a greedy
-// earliest-fit strip-packing pass over the height timeline. The result is
-// a legal schedule (total height <= k at every tick; every processor's
-// requests complete inside its boxes, which compartmentalization makes
-// insensitive to when the boxes run), so its makespan is a TRUE upper
-// bound on the offline optimum. Together with opt_bounds' certified lower
-// bound this brackets the unknowable T_OPT from both sides:
+// Pipeline: for each processor, score the canonical-LRU profile at every
+// fixed height 1, 2, 4, ..., pow2_floor(k) by its cost alone (total impact
+// and total duration), plus — when the trace is short enough — the exact
+// minimum-impact profile from green_opt. A global selection then picks one
+// candidate per processor, trading duration against impact across
+// processors, and only the chosen fixed-height rung is expanded into a box
+// list. The boxes are packed into the shared cache — preserving each
+// processor's box order — with a greedy earliest-fit strip-packing pass
+// over the height timeline. The result is a legal schedule (total height
+// <= k at every tick; every processor's requests complete inside its
+// boxes, which compartmentalization makes insensitive to when the boxes
+// run), so its makespan is a TRUE upper bound on the offline optimum.
+// Together with opt_bounds' certified lower bound this brackets the
+// unknowable T_OPT from both sides:
 //
 //     T_LB  <=  T_OPT  <=  T_pack
 //
 // and every experiment can report how tight its denominator is.
 //
-// Cost: the fixed-height candidates of an n-request trace take one O(n)
-// pass recording each request's previous-access position
-// (trace/stack_distance) plus one O(n) scan per ladder rung — log2(k) + 1
-// scans, no LRU simulation. The exact minimum-impact profile, when
-// enabled, adds one green-OPT DP per processor (O(n * s * k) each).
-// Packing B boxes is an earliest-fit pass over the skyline, O(B^2) in the
-// worst case — intended for analysis-time use, not inner loops.
+// Cost: per n-request trace, one O(n) previous-access pass
+// (trace/stack_distance), then one cost-only O(n) scan per rung until a
+// rung's first box covers the whole trace; every taller rung then has the
+// same busy time and costs O(1). After selection, one more scan builds the
+// chosen rung's box list. The exact profile, when enabled, adds one
+// green-OPT DP per processor (O(n * s * k) each). Packing B boxes pops the
+// processors' frontiers in nondecreasing ready time, so the skyline drops
+// every segment that ends before the current frontier: it holds only the
+// boxes still ahead of it, and each box costs a walk over the segments its
+// earliest fit has to skip (O(B^2) in the adversarial worst case).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "green/box.hpp"
-#include "trace/trace.hpp"
 #include "trace/trace_source.hpp"
 #include "util/types.hpp"
 
@@ -56,30 +64,38 @@ struct OfflinePackConfig {
   std::size_t exact_profile_max_requests = 0;
 };
 
-/// A candidate profile for one processor: a legal box sequence plus its
-/// cost coordinates (total impact and total duration).
-struct CandidateProfile {
-  BoxProfile profile;
+/// Cost coordinates of one candidate profile: total impact and total
+/// duration, the only two numbers the selection reads.
+struct ProfileCost {
   Impact impact = 0;
   Time duration = 0;
+
+  bool operator==(const ProfileCost&) const = default;
 };
 
-/// The canonical-LRU profile at each fixed height 1, 2, 4, ..., h_max, in
-/// that order: back-to-back fresh canonical boxes (height h, duration s*h)
-/// until the trace completes, the last box charged only its busy time.
-/// Built from one previous-access pass, not an LRU replay per height: a
-/// canonical box affords at most h misses, so LRU never evicts inside it,
-/// and a box starting empty at position b hits request i iff
-/// previous[i] >= b. Each height is then one flat scan. Declared here for
-/// tests; pack_offline uses it for every processor.
-std::vector<CandidateProfile> fixed_height_candidates(const Trace& trace,
-                                                      Height h_max,
-                                                      Time miss_cost);
+/// Costs of the canonical-LRU profile at each fixed height 1, 2, 4, ...,
+/// h_max, in that order: back-to-back fresh canonical boxes (height h,
+/// duration s*h) until the trace completes, the last box charged only its
+/// busy time. `previous` is previous_accesses(trace): a canonical box
+/// affords at most h misses, so LRU never evicts inside it, and a box
+/// starting empty at position b hits request i iff previous[i] >= b. Each
+/// rung is one flat scan, and once a rung's first box covers the whole
+/// trace every taller rung costs O(1). pack_offline scores every processor
+/// with it; declared here for tests.
+std::vector<ProfileCost> fixed_height_costs(
+    const std::vector<std::size_t>& previous, Height h_max, Time miss_cost);
 
-/// Packs per-processor optimal green profiles; returns the witness
-/// schedule and its (achievable) makespan. The per-processor DP needs
-/// random access, so lazy sources are materialized one processor at a time
-/// (peak memory = the largest single trace).
+/// The box list of the canonical-LRU profile at fixed height h (any rung
+/// fixed_height_costs() scored), from the same scan. pack_offline builds it
+/// once per processor, for the rung the selection chose.
+BoxProfile fixed_height_profile(const std::vector<std::size_t>& previous,
+                                Height h, Time miss_cost);
+
+/// Packs one selected profile per processor; returns the witness schedule
+/// and its (achievable) makespan. The scans and the DP need random access,
+/// so lazy sources are materialized one processor at a time; each
+/// processor's previous-access positions (8 B per request) are held from
+/// its scan until its chosen box list is built.
 OfflinePackResult pack_offline(const MultiTraceSource& sources,
                                const OfflinePackConfig& config);
 

@@ -2,6 +2,9 @@
 # Tier-1 verification, in order:
 #  - a warnings-as-errors build and the full test suite (which includes
 #    the PpgLint.Repo and PpgAnalyze.Repo gates);
+#  - the benchmark harness's self-test (perfbench/run.py --selftest), which
+#    builds perfbench/ in Release: perfbench subclasses library classes,
+#    so a library change that breaks it fails here, not at benchmark time;
 #  - the file-backed suites again at ctest -j8 for three rounds (hermetic
 #    temp paths);
 #  - the static-analysis gate (scripts/static.sh: ppg_lint, ppg_analyze
@@ -45,6 +48,8 @@ SAN="${1:-address}"
 cmake -B build -S . -DPPG_WERROR=ON >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
+
+python3 perfbench/run.py --selftest
 
 # Hermeticity leg: the file-backed suites eight at a time, three rounds,
 # whatever the core count. gtest_discover_tests runs every case as its own

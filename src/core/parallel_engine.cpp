@@ -686,7 +686,14 @@ void maybe_write_dump(const MultiTraceSource& sources,
     dump.has_traces = false;
   } else if (sources.all_materialized() ||
              sources.total_requests() <= kMaxDumpRequests) {
-    dump.traces = sources.materialize();
+    try {
+      dump.traces = sources.materialize();
+    } catch (const PpgException&) {
+      // A source that fails, or stalls, while being drained (often the
+      // very fault the run reports) cannot be embedded: dump without
+      // vectors, and keep the run's own status.
+      dump.has_traces = false;
+    }
   } else {
     dump.has_traces = false;
   }

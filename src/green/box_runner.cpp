@@ -14,6 +14,20 @@ namespace {
 constexpr std::size_t kStreamSpan = 256;
 }  // namespace
 
+void screen_span(const PageId* pages, std::size_t count,
+                 std::uint64_t first_position) {
+  // One pass over an L1-resident span, branch never taken on clean traces.
+  // File traces are also screened by trace_io; this screen covers every
+  // source, generated and caller-materialized ones included.
+  for (std::size_t i = 0; i < count; ++i) {
+    if (pages[i] == kInvalidPage) {
+      throw_error(ErrorCode::kCorruptTrace,
+                  "hostile page id (reserved sentinel) in trace stream",
+                  first_position + i);
+    }
+  }
+}
+
 BoxRunner::BoxRunner(std::unique_ptr<TraceCursor> cursor, Time miss_cost)
     : miss_cost_(miss_cost) {
   PPG_CHECK(miss_cost >= 1);
@@ -32,7 +46,6 @@ BoxRunner::BoxRunner(const Trace& trace, Time miss_cost)
 void BoxRunner::open_cursor(std::unique_ptr<TraceCursor> cursor) {
   PPG_CHECK(cursor != nullptr);
   cursor_ = std::move(cursor);
-  start_ = cursor_->checkpoint();
   cache_.emplace(1);
   span_.resize(kStreamSpan);
 }
@@ -93,18 +106,7 @@ void BoxRunner::serve_lru(BoxStepResult& step, Time& remaining) {
       span_len_ = cursor_->next_span(span_.data(), span_.size());
       span_pos_ = 0;
       if (span_len_ == 0) break;  // source exhausted
-      // Validate the refilled chunk in one pass (L1-resident, branch never
-      // taken on clean traces): the kInvalidPage sentinel is reserved by
-      // the LRU layer and must never enter a cache. File traces are also
-      // screened by trace_io; this screen covers every source, generated
-      // and caller-materialized ones included.
-      for (std::size_t i = 0; i < span_len_; ++i) {
-        if (span_[i] == kInvalidPage) {
-          throw_error(ErrorCode::kCorruptTrace,
-                      "hostile page id (reserved sentinel) in trace stream",
-                      cursor_->position() - span_len_ + i);
-        }
-      }
+      screen_span(span_.data(), span_len_, cursor_->position() - span_len_);
     }
     if (!advance_span(step, remaining)) break;  // stall to box end
   }
@@ -129,20 +131,6 @@ bool BoxRunner::advance_span(BoxStepResult& step, Time& remaining) {
     ++step.requests_completed;
   }
   return true;
-}
-
-void BoxRunner::reset() {
-  total_hits_ = 0;
-  total_misses_ = 0;
-  if (distances_ != nullptr) {
-    next_ = 0;
-    filled_ = 0;
-    return;
-  }
-  cursor_->rewind(start_);
-  cache_->clear();
-  span_pos_ = 0;
-  span_len_ = 0;
 }
 
 namespace {

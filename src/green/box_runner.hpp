@@ -18,14 +18,14 @@
 //     reset when a box opens fresh or changes height.
 //   - LRU loop, for every other source. Requests are pulled from a
 //     TraceCursor in bulk spans (TraceCursor::next_span into a small
-//     resident buffer, one virtual call per span instead of two per
-//     request), and the box cache is an LruSet over raw PageIds — one
-//     open-addressing probe per request, O(height) memory regardless of
-//     trace length. A stalled box leaves the request in the span buffer
-//     unconsumed, so the next box resumes at the same logical position
-//     without any rewind. Every refilled span is screened for the reserved
-//     kInvalidPage sentinel, which must never enter a cache (a trace holding
-//     it never carries distances, so it always takes this loop).
+//     resident buffer, one virtual call per span), and the box cache is an
+//     LruSet over raw PageIds — one open-addressing probe per request,
+//     O(height) memory regardless of trace length. A stalled box leaves the
+//     request in the span buffer unconsumed, so the next box resumes at the
+//     same logical position. Every refilled span is screened for the
+//     reserved kInvalidPage sentinel, which must never enter a cache (a
+//     trace holding it never carries distances, so it always takes this
+//     loop).
 //
 // In both loops a hit always fits (cost 1, remaining >= 1) and commits
 // directly; a miss checks the remaining budget before committing the fault.
@@ -53,6 +53,12 @@ struct BoxStepResult {
   Time stall_time = 0;  ///< Ticks wasted at the end of the box.
   bool finished = false;  ///< Sequence completed within this box.
 };
+
+/// Throws kCorruptTrace at the position of the first kInvalidPage in a
+/// freshly pulled span whose first page sits at `first_position`: the
+/// sentinel is reserved by the cache layer and must never enter a cache.
+void screen_span(const PageId* pages, std::size_t count,
+                 std::uint64_t first_position);
 
 class BoxRunner {
  public:
@@ -87,8 +93,6 @@ class BoxRunner {
   std::uint64_t total_hits() const { return total_hits_; }
   std::uint64_t total_misses() const { return total_misses_; }
 
-  void reset();
-
  private:
   /// Takes `cursor` for the LRU loop.
   void open_cursor(std::unique_ptr<TraceCursor> cursor);
@@ -115,7 +119,6 @@ class BoxRunner {
   // LRU loop state; the cursor is null and the cache empty on the distance
   // loop.
   std::unique_ptr<TraceCursor> cursor_;
-  CursorCheckpoint start_;  ///< For reset(): the cursor's initial state.
   std::optional<LruSet> cache_;
   std::vector<PageId> span_;    ///< Bulk-pull buffer (kStreamSpan pages).
   std::size_t span_pos_ = 0;    ///< Next unprocessed entry in span_.

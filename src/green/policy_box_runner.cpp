@@ -4,9 +4,18 @@
 
 namespace ppg {
 
+namespace {
+// Span-buffer size, as BoxRunner's: amortizes the next_span call and stays
+// L1-resident.
+constexpr std::size_t kSpan = 256;
+}  // namespace
+
 PolicyBoxRunner::PolicyBoxRunner(const TraceSource& source, Time miss_cost,
                                  PolicyKind kind, std::uint64_t seed)
-    : cursor_(source.cursor()), miss_cost_(miss_cost), kind_(kind),
+    : cursor_(source.cursor()),
+      span_(kSpan),
+      miss_cost_(miss_cost),
+      kind_(kind),
       seed_(seed) {
   PPG_CHECK(miss_cost >= 1);
   if (kind_ == PolicyKind::kBelady) {
@@ -47,12 +56,18 @@ BoxStepResult PolicyBoxRunner::run_box(Height height, Time duration,
 
   BoxStepResult step;
   Time remaining = duration;
-  while (remaining > 0 && !cursor_->done()) {
-    const PageId page = cursor_->peek();
+  while (remaining > 0) {
+    if (span_pos_ >= span_len_) {
+      span_len_ = cursor_->next_span(span_.data(), span_.size());
+      span_pos_ = 0;
+      if (span_len_ == 0) break;  // source exhausted
+      screen_span(span_.data(), span_len_, cursor_->position() - span_len_);
+    }
+    const PageId page = span_[span_pos_];
     // advance() before the probe so offline policies see the request
     // index when the probe touches; repeating it after a stall retry is
     // harmless (it only records the position).
-    policy_->advance(static_cast<std::size_t>(cursor_->position()));
+    policy_->advance(position());
     if (policy_->touch_if_resident(page)) {
       // A hit costs 1 tick and remaining >= 1 here, so it always fits.
       remaining -= 1;
@@ -72,11 +87,11 @@ BoxStepResult PolicyBoxRunner::run_box(Height height, Time duration,
       step.busy_time += miss_cost_;
       ++step.misses;
     }
-    cursor_->advance();
+    ++span_pos_;
     ++step.requests_completed;
   }
   step.stall_time = remaining;
-  step.finished = cursor_->done();
+  step.finished = finished();
   return step;
 }
 

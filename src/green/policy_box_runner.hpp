@@ -9,14 +9,17 @@
 // class trades speed for generality — though residency routes through the
 // policy's own index (touch_if_resident) instead of a second hash set.
 //
-// Requests are pulled from a TraceCursor on every source, so any online
-// policy also runs over lazy (generator / file) sources in O(height)
-// memory. The exception is kBelady: it is clairvoyant — its next-use table
-// requires the whole trace up front — so it takes that table from
-// source.materialized() and rejects lazy sources.
+// Requests are pulled from a TraceCursor in spans on every source, as in
+// BoxRunner's LRU loop: a stalled request stays buffered for the next box,
+// and every refill passes the same kInvalidPage screen (screen_span). So
+// any online policy also runs over lazy (generator / file) sources in
+// O(height) memory. The exception is kBelady: it is clairvoyant — its
+// next-use table requires the whole trace up front — so it takes that
+// table from source.materialized() and rejects lazy sources.
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "green/box.hpp"
 #include "green/green_algorithm.hpp"
@@ -44,15 +47,20 @@ class PolicyBoxRunner {
   /// stall the remainder, reset the compartment when `fresh`.
   BoxStepResult run_box(Height height, Time duration, bool fresh = true);
 
-  bool finished() const { return cursor_->done(); }
+  bool finished() const { return span_pos_ >= span_len_ && cursor_->done(); }
   std::size_t position() const {
-    return static_cast<std::size_t>(cursor_->position());
+    // The cursor has over-consumed by the unserved tail of the span buffer.
+    return static_cast<std::size_t>(cursor_->position()) -
+           (span_len_ - span_pos_);
   }
 
  private:
   void reset_compartment(Height height);
 
   std::unique_ptr<TraceCursor> cursor_;
+  std::vector<PageId> span_;  ///< Bulk-pull buffer.
+  std::size_t span_pos_ = 0;  ///< Next unserved entry in span_.
+  std::size_t span_len_ = 0;  ///< Valid prefix of span_.
   Time miss_cost_;
   PolicyKind kind_;
   std::uint64_t seed_;

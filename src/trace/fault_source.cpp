@@ -34,35 +34,6 @@ class FaultCursor final : public TraceCursor {
     return inner_->done();
   }
 
-  PageId peek() override {
-    if (spec_.fault == TraceFaultClass::kFail &&
-        inner_->position() >= spec_.at) {
-      throw_fault();
-    }
-    if (spec_.fault == TraceFaultClass::kHostilePage &&
-        inner_->position() == spec_.at) {
-      return kInvalidPage;
-    }
-    return inner_->peek();
-  }
-
-  void advance() override {
-    switch (spec_.fault) {
-      case TraceFaultClass::kFail:
-        if (inner_->position() >= spec_.at) throw_fault();
-        break;
-      case TraceFaultClass::kStall:
-        // The stream is stuck, silently: the request at the stall point is
-        // never consumed and done() never turns true.
-        if (inner_->position() >= spec_.at) return;
-        break;
-      case TraceFaultClass::kHostilePage:
-      case TraceFaultClass::kTornSpan:
-        break;
-    }
-    inner_->advance();
-  }
-
   std::size_t next_span(PageId* out, std::size_t max) override {
     const std::uint64_t pos = inner_->position();
     switch (spec_.fault) {
@@ -84,12 +55,6 @@ class FaultCursor final : public TraceCursor {
     }
     return 0;
   }
-
-  CursorCheckpoint checkpoint() const override {
-    return inner_->checkpoint();
-  }
-
-  void rewind(const CursorCheckpoint& cp) override { inner_->rewind(cp); }
 
  private:
   [[noreturn]] void throw_fault() const {

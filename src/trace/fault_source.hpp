@@ -19,12 +19,11 @@
 //   stall@N         the stream stops producing at position N without ever
 //                   reporting done(): next_span returns 0 forever. Only a
 //                   per-tenant budget/deadline watchdog can evict such a
-//                   tenant. Never materialize a stalled source (the drain
-//                   loop would spin); it is streaming-only by construction.
+//                   tenant; single-pass drains (materialize, the trace
+//                   stats) throw kCorruptTrace at N instead of spinning.
 //
 // The decorator hides materialized() so no consumer can bypass the cursor —
-// faults must flow through the same validation as every other request. Checkpoints and rewind pass through, so
-// resumable sweeps replay the fault byte-identically.
+// faults must flow through the same validation as every other request.
 //
 // Spec grammar (trace/trace_spec.hpp registry):
 //   INJECT-TRACE(<class>@<N>,<inner-spec>)

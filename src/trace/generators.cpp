@@ -12,11 +12,10 @@ namespace ppg::gen {
 
 namespace {
 
-// Shared scaffolding for generator cursors: generate-ahead-by-one, so
-// peek() is a plain load and the total number of produce() calls (and thus
-// RNG draws) equals the number of requests exactly — the same draw order
-// the materialized loop performs. Checkpoints carry [current, extra...]
-// after the position.
+// Shared scaffolding for generator cursors: the base clamps each span to
+// the requests left and advances the position; each generator emits a span
+// through one produce_span, drawing its RNG exactly once per request in
+// stream order, so the stream is independent of how it is split into spans.
 class GenCursor : public TraceCursor {
  public:
   explicit GenCursor(std::uint64_t num_requests)
@@ -24,96 +23,37 @@ class GenCursor : public TraceCursor {
 
   std::uint64_t position() const final { return position_; }
   bool done() const final { return position_ >= num_requests_; }
-  PageId peek() final {
-    PPG_DCHECK(!done());
-    return current_;
-  }
-  void advance() final {
-    PPG_DCHECK(!done());
-    ++position_;
-    if (position_ < num_requests_) current_ = produce();
-  }
-  CursorCheckpoint checkpoint() const final {
-    CursorCheckpoint cp;
-    cp.position = position_;
-    cp.words.push_back(current_);
-    save_extra(cp.words);
-    return cp;
-  }
-  void rewind(const CursorCheckpoint& cp) final {
-    PPG_CHECK(cp.position <= num_requests_ && !cp.words.empty());
-    position_ = cp.position;
-    current_ = cp.words[0];
-    load_extra(cp.words.data() + 1, cp.words.size() - 1);
-  }
   std::size_t next_span(PageId* out, std::size_t max) final {
-    // Same produce() sequence as peek()/advance() pairs, but one virtual
-    // produce_span() call per span instead of one produce() per request.
-    if (max == 0 || position_ >= num_requests_) return 0;
-    out[0] = current_;
-    ++position_;
-    const std::size_t extra = static_cast<std::size_t>(
-        std::min<std::uint64_t>(max - 1, num_requests_ - position_));
-    produce_span(out + 1, extra);
-    if (position_ < num_requests_) current_ = produce();
-    return 1 + extra;
+    const auto count = static_cast<std::size_t>(
+        std::min<std::uint64_t>(max, num_requests_ - position_));
+    produce_span(out, count);
+    position_ += count;
+    return count;
   }
 
  protected:
-  /// Derived constructors call this once their state is ready (produce()
-  /// is virtual, so it cannot run from the base constructor).
-  void prime() {
-    if (!done()) current_ = produce();
-  }
-  /// Emits the request at position(); called exactly once per request.
-  virtual PageId produce() = 0;
-  /// Bulk produce(): emits `count` requests, advancing position_ past
-  /// each — request p is generated with position_ == p, exactly as the
-  /// scalar produce() path does, so RNG draw order (and thus checkpoints)
-  /// cannot diverge between the two. Hot generators override this with
-  /// non-virtual tight loops; the default is the scalar fallback.
-  virtual void produce_span(PageId* out, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = produce();
-      ++position_;
-    }
-  }
-  virtual void save_extra(std::vector<std::uint64_t>& /*words*/) const {}
-  virtual void load_extra(const std::uint64_t* /*words*/,
-                          std::size_t /*count*/) {}
-
-  std::uint64_t num_requests_;
-  std::uint64_t position_ = 0;
+  /// Emits requests position() .. position() + count - 1 into `out`.
+  virtual void produce_span(PageId* out, std::size_t count) = 0;
 
  private:
-  PageId current_ = kInvalidPage;
+  std::uint64_t num_requests_;
+  std::uint64_t position_ = 0;
 };
-
-void save_rng(const Rng& rng, std::vector<std::uint64_t>& words) {
-  for (std::uint64_t word : rng.save_state()) words.push_back(word);
-}
-
-void load_rng(Rng& rng, const std::uint64_t* words) {
-  rng.restore_state({words[0], words[1], words[2], words[3]});
-}
 
 class CyclicCursor final : public GenCursor {
  public:
   CyclicCursor(std::uint64_t num_pages, std::uint64_t num_requests)
       : GenCursor(num_requests), num_pages_(num_pages) {
     PPG_CHECK(num_pages >= 1);
-    prime();
   }
 
  protected:
-  PageId produce() override { return position() % num_pages_; }
   void produce_span(PageId* out, std::size_t count) override {
-    PageId page = position_ % num_pages_;
+    PageId page = position() % num_pages_;
     for (std::size_t i = 0; i < count; ++i) {
       out[i] = page;
       if (++page == num_pages_) page = 0;
     }
-    position_ += count;
   }
 
  private:
@@ -123,15 +63,12 @@ class CyclicCursor final : public GenCursor {
 class SingleUseCursor final : public GenCursor {
  public:
   SingleUseCursor(std::uint64_t num_requests, std::uint64_t first_page)
-      : GenCursor(num_requests), first_page_(first_page) {
-    prime();
-  }
+      : GenCursor(num_requests), first_page_(first_page) {}
 
  protected:
-  PageId produce() override { return first_page_ + position(); }
   void produce_span(PageId* out, std::size_t count) override {
-    for (std::size_t i = 0; i < count; ++i) out[i] = first_page_ + position_ + i;
-    position_ += count;
+    const PageId first = first_page_ + position();
+    for (std::size_t i = 0; i < count; ++i) out[i] = first + i;
   }
 
  private:
@@ -152,37 +89,19 @@ class PollutedCycleCursor final : public GenCursor {
     PPG_CHECK_MSG(repeater_base + num_repeaters <= polluter_base ||
                       polluter_base + num_requests <= repeater_base,
                   "repeater and polluter id ranges overlap");
-    prime();
   }
 
  protected:
-  PageId produce() override {
-    const std::uint64_t i = position() + 1;  // 1-indexed within the stream
-    if (pollute_every_ != 0 && i % pollute_every_ == 0) return polluter_++;
-    const PageId page = repeater_base_ + cycle_pos_;
-    cycle_pos_ = (cycle_pos_ + 1) % num_repeaters_;
-    return page;
-  }
   void produce_span(PageId* out, std::size_t count) override {
+    const std::uint64_t first = position() + 1;  // 1-indexed within stream
     for (std::size_t i = 0; i < count; ++i) {
-      const std::uint64_t idx = position_ + 1;  // 1-indexed within stream
-      ++position_;
-      if (pollute_every_ != 0 && idx % pollute_every_ == 0) {
+      if (pollute_every_ != 0 && (first + i) % pollute_every_ == 0) {
         out[i] = polluter_++;
         continue;
       }
       out[i] = repeater_base_ + cycle_pos_;
       if (++cycle_pos_ == num_repeaters_) cycle_pos_ = 0;
     }
-  }
-  void save_extra(std::vector<std::uint64_t>& words) const override {
-    words.push_back(cycle_pos_);
-    words.push_back(polluter_);
-  }
-  void load_extra(const std::uint64_t* words, std::size_t count) override {
-    PPG_CHECK(count == 2);
-    cycle_pos_ = words[0];
-    polluter_ = words[1];
   }
 
  private:
@@ -199,23 +118,13 @@ class UniformCursor final : public GenCursor {
                 const Rng& rng)
       : GenCursor(num_requests), num_pages_(num_pages), rng_(rng) {
     PPG_CHECK(num_pages >= 1);
-    prime();
   }
 
   const Rng& rng() const { return rng_; }
 
  protected:
-  PageId produce() override { return rng_.next_below(num_pages_); }
   void produce_span(PageId* out, std::size_t count) override {
     for (std::size_t i = 0; i < count; ++i) out[i] = rng_.next_below(num_pages_);
-    position_ += count;
-  }
-  void save_extra(std::vector<std::uint64_t>& words) const override {
-    save_rng(rng_, words);
-  }
-  void load_extra(const std::uint64_t* words, std::size_t count) override {
-    PPG_CHECK(count == 4);
-    load_rng(rng_, words);
   }
 
  private:
@@ -227,25 +136,14 @@ class ZipfCursor final : public GenCursor {
  public:
   ZipfCursor(std::shared_ptr<const std::vector<double>> cdf,
              std::uint64_t num_requests, const Rng& rng)
-      : GenCursor(num_requests), sampler_(std::move(cdf)), rng_(rng) {
-    prime();
-  }
+      : GenCursor(num_requests), sampler_(std::move(cdf)), rng_(rng) {}
 
   const Rng& rng() const { return rng_; }
 
  protected:
-  PageId produce() override { return sampler_.draw(rng_.next_double()); }
   void produce_span(PageId* out, std::size_t count) override {
     for (std::size_t i = 0; i < count; ++i)
       out[i] = sampler_.draw(rng_.next_double());
-    position_ += count;
-  }
-  void save_extra(std::vector<std::uint64_t>& words) const override {
-    save_rng(rng_, words);
-  }
-  void load_extra(const std::uint64_t* words, std::size_t count) override {
-    PPG_CHECK(count == 4);
-    load_rng(rng_, words);
   }
 
  private:
@@ -270,32 +168,18 @@ class PhasedCursor final : public GenCursor {
         phases_(std::move(phases)),
         rng_(rng) {
     for (const auto& ph : *phases_) PPG_CHECK(ph.working_set_size >= 1);
-    prime();
   }
 
   const Rng& rng() const { return rng_; }
 
  protected:
-  PageId produce() override {
-    while (in_phase_ == (*phases_)[phase_].length) {
-      base_ += (*phases_)[phase_].working_set_size;  // fresh set each phase
-      ++phase_;
-      in_phase_ = 0;
-    }
-    const WorkingSetPhase& ph = (*phases_)[phase_];
-    const std::uint64_t offset = ph.random_order
-                                     ? rng_.next_below(ph.working_set_size)
-                                     : in_phase_ % ph.working_set_size;
-    ++in_phase_;
-    return base_ + offset;
-  }
   void produce_span(PageId* out, std::size_t count) override {
     // Phase lookup hoisted out of the per-request loop: requests are
     // emitted one phase segment at a time.
     std::size_t i = 0;
     while (i < count) {
       while (in_phase_ == (*phases_)[phase_].length) {
-        base_ += (*phases_)[phase_].working_set_size;
+        base_ += (*phases_)[phase_].working_set_size;  // fresh set each phase
         ++phase_;
         in_phase_ = 0;
       }
@@ -312,20 +196,6 @@ class PhasedCursor final : public GenCursor {
       in_phase_ += run;
       i += run;
     }
-    position_ += count;
-  }
-  void save_extra(std::vector<std::uint64_t>& words) const override {
-    words.push_back(phase_);
-    words.push_back(in_phase_);
-    words.push_back(base_);
-    save_rng(rng_, words);
-  }
-  void load_extra(const std::uint64_t* words, std::size_t count) override {
-    PPG_CHECK(count == 7);
-    phase_ = static_cast<std::size_t>(words[0]);
-    in_phase_ = words[1];
-    base_ = words[2];
-    load_rng(rng_, words + 3);
   }
 
  private:

@@ -143,38 +143,6 @@ std::vector<std::uint32_t> packed_stack_distances(const Trace& trace) {
   return fenwick_distances<std::uint32_t>(previous_accesses(trace));
 }
 
-StackDistanceProfile stack_distance_profile(TraceCursor& cursor,
-                                            std::uint64_t max_tracked) {
-  PPG_CHECK(max_tracked >= 1);
-  StackDistanceProfile profile;
-  profile.counts.assign(max_tracked, 0);
-  OnlineStackDistance online;
-  while (!cursor.done()) {
-    const std::uint64_t d = online.access(cursor.peek());
-    cursor.advance();
-    if (d == kInfiniteDistance)
-      ++profile.cold_misses;
-    else if (d < max_tracked)
-      ++profile.counts[d];
-    else
-      ++profile.far;
-  }
-  return profile;
-}
-
-StackDistanceProfile stack_distance_profile(const Trace& trace,
-                                            std::uint64_t max_tracked) {
-  const auto cursor = VectorTraceSource::view(trace)->cursor();
-  return stack_distance_profile(*cursor, max_tracked);
-}
-
-std::uint64_t StackDistanceProfile::lru_faults(std::uint64_t capacity) const {
-  PPG_CHECK(capacity <= counts.size());
-  std::uint64_t faults = cold_misses + far;
-  for (std::size_t d = capacity; d < counts.size(); ++d) faults += counts[d];
-  return faults;
-}
-
 std::vector<std::uint64_t> stack_distances_naive(const Trace& trace) {
   std::vector<std::uint64_t> out(trace.size(), kInfiniteDistance);
   std::vector<PageId> stack;  // MRU at back

@@ -31,7 +31,7 @@ inline constexpr std::uint64_t kInfiniteDistance = UINT64_MAX;
 /// Online Mattson distances: feed requests one at a time, get the stack
 /// distance of each. Memory is O(distinct pages seen), independent of how
 /// many requests have been fed — the streaming building block behind the
-/// cursor-based profile/stats/impact folds.
+/// cursor-based trace-stats fold.
 class OnlineStackDistance {
  public:
   /// Returns the stack distance of this access (kInfiniteDistance for the
@@ -75,27 +75,6 @@ std::vector<std::uint64_t> stack_distances(
 /// trace_source.hpp). A finite distance is below the trace length, so this
 /// requires trace.size() < kColdDistance and then loses nothing.
 std::vector<std::uint32_t> packed_stack_distances(const Trace& trace);
-
-/// Aggregated profile: counts[d] = number of requests with stack distance
-/// exactly d (d < max_tracked); cold_misses counts first accesses;
-/// far counts distances >= max_tracked.
-struct StackDistanceProfile {
-  std::vector<std::uint64_t> counts;
-  std::uint64_t cold_misses = 0;
-  std::uint64_t far = 0;
-
-  /// LRU faults with capacity c: cold misses + requests with distance >= c.
-  /// Requires c <= counts.size().
-  std::uint64_t lru_faults(std::uint64_t capacity) const;
-};
-
-StackDistanceProfile stack_distance_profile(const Trace& trace,
-                                            std::uint64_t max_tracked);
-
-/// Single-pass profile over a cursor in O(distinct pages) memory; the Trace
-/// overload delegates here, so the two are identical by construction.
-StackDistanceProfile stack_distance_profile(TraceCursor& cursor,
-                                            std::uint64_t max_tracked);
 
 /// Reference O(n * m) implementation (explicit LRU stack) for testing.
 std::vector<std::uint64_t> stack_distances_naive(const Trace& trace);

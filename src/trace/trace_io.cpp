@@ -100,15 +100,6 @@ class FileTraceCursor final : public TraceCursor {
 
   std::uint64_t position() const override { return position_; }
   bool done() const override { return position_ >= num_requests_; }
-  PageId peek() override {
-    PPG_DCHECK(!done());
-    if (position_ - base_ >= buffer_.size()) refill();
-    return buffer_[static_cast<std::size_t>(position_ - base_)];
-  }
-  void advance() override {
-    PPG_DCHECK(!done());
-    ++position_;
-  }
   std::size_t next_span(PageId* out, std::size_t max) override {
     std::size_t n = 0;
     while (n < max && !done()) {
@@ -124,20 +115,6 @@ class FileTraceCursor final : public TraceCursor {
     }
     return n;
   }
-  CursorCheckpoint checkpoint() const override {
-    return CursorCheckpoint{position_, {}};
-  }
-  void rewind(const CursorCheckpoint& cp) override {
-    PPG_CHECK(cp.position <= num_requests_);
-    position_ = cp.position;
-    // Invalidate the buffer unless the target is still inside it; the next
-    // peek seeks and refills.
-    if (position_ < base_ || position_ - base_ >= buffer_.size()) {
-      base_ = position_;
-      buffer_.clear();
-    }
-  }
-
  private:
   void refill() {
     base_ = position_;

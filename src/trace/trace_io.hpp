@@ -33,7 +33,7 @@ MultiTrace load_multitrace(const std::string& path);
 /// with the offending byte offset), then each cursor streams its payload
 /// chunk by chunk through a fixed-size buffer, so peak memory is
 /// O(chunk * open cursors) regardless of file size. Each cursor owns an
-/// independent file handle; rewind seeks. `chunk_requests` sets the buffer
+/// independent file handle. `chunk_requests` sets the buffer
 /// granularity in requests (0 = default, 1<<16). A file truncated *after*
 /// opening surfaces as PpgException(kCorruptTrace) from the cursor.
 MultiTraceSource open_multitrace_source(const std::string& path,

@@ -8,16 +8,17 @@
 // VectorTraceSource). Every simulator consumes cursors, so peak memory is
 // O(active window) instead of O(total requests).
 //
-// Cursor contract:
-//   - peek() returns the request at position() without consuming it and is
-//     repeatable; advance() consumes it. Both require !done().
-//   - checkpoint() captures the full cursor state in O(1) words;
-//     rewind(checkpoint) restores it exactly, including any generator RNG
-//     state, so the replayed suffix is byte-identical. Checkpoints taken
-//     from one cursor may be rewound on any cursor of the same source.
-//   - Boxes never rewind: a stalled box leaves the peeked request
-//     unconsumed, and the next box resumes at the same position. Rewind
-//     exists for multi-pass analyses and tests.
+// Cursor contract: a cursor is a span stream, read strictly in order.
+//   - next_span(out, max) consumes up to `max` requests into `out` and
+//     returns how many it copied; position() counts the requests consumed
+//     so far and done() turns true once all of them are.
+//   - A return of 0 (for max > 0) before done() means one thing only: a
+//     stalled stream (see the stall@N fault in fault_source.hpp), which
+//     will produce nothing more. Single-pass drains (for_each_span,
+//     materialize) report it as kCorruptTrace instead of spinning.
+//   - Nothing rewinds. A box that stalls keeps the unserved request in its
+//     own span buffer and the next box resumes from there; a second pass
+//     takes a fresh cursor from the source.
 #pragma once
 
 #include <cstdint>
@@ -30,15 +31,11 @@
 
 namespace ppg {
 
-/// Opaque snapshot of a cursor's state. `position` is the request index the
-/// cursor will emit next; `words` carries implementation-defined extra state
-/// (generator counters, RNG words). Cheap to take: no trace data is copied.
-struct CursorCheckpoint {
-  std::uint64_t position = 0;
-  std::vector<std::uint64_t> words;
-};
+/// Empty; kept only for the overrides in perfbench/src/layers.cpp (ROADMAP
+/// item 5's benchmark change deletes it with the stubs below).
+struct CursorCheckpoint {};
 
-/// One independent pass over a request sequence.
+/// One independent, forward-only pass over a request sequence.
 class TraceCursor {
  public:
   virtual ~TraceCursor() = default;
@@ -49,37 +46,40 @@ class TraceCursor {
   /// True once every request has been consumed.
   virtual bool done() const = 0;
 
-  /// The request at position(), without consuming it. Requires !done().
-  /// Repeatable: consecutive peeks return the same page. Non-const because
-  /// lazy implementations may fault in a buffer or assign a page id.
-  virtual PageId peek() = 0;
-
-  /// Consumes the current request. Requires !done().
-  virtual void advance() = 0;
-
-  /// Snapshots the cursor state for rewind().
-  virtual CursorCheckpoint checkpoint() const = 0;
-
-  /// Restores a state previously captured by checkpoint() on a cursor of
-  /// the same source. The replayed stream is byte-identical.
-  virtual void rewind(const CursorCheckpoint& cp) = 0;
-
   /// Bulk pull: consumes up to `max` requests into `out` and returns the
-  /// number copied (0 only when done()). Equivalent to that many
-  /// peek()/advance() pairs — same stream, same RNG draws, same checkpoint
-  /// state afterwards — but one virtual call per span instead of two per
-  /// request, which is what keeps the box runner's per-request cost down
-  /// to one LRU probe. Implementations with cheap bulk access
-  /// (vectors, files, generators) override the default loop.
-  virtual std::size_t next_span(PageId* out, std::size_t max) {
-    std::size_t n = 0;
-    while (n < max && !done()) {
-      out[n++] = peek();
-      advance();
-    }
-    return n;
-  }
+  /// number copied; 0 only when done() or when the stream has stalled.
+  /// One virtual call per span, which keeps the box runner's per-request
+  /// cost down to one LRU probe.
+  virtual std::size_t next_span(PageId* out, std::size_t max) = 0;
+
+  // kInternal stub kept only for perfbench/src/layers.cpp (ROADMAP item 5).
+  virtual PageId peek();
+  // kInternal stub kept only for perfbench/src/layers.cpp (ROADMAP item 5).
+  virtual void advance();
+  // kInternal stub kept only for perfbench/src/layers.cpp (ROADMAP item 5).
+  virtual CursorCheckpoint checkpoint() const;
+  // kInternal stub kept only for perfbench/src/layers.cpp (ROADMAP item 5).
+  virtual void rewind(const CursorCheckpoint& cp);
 };
+
+/// Size of the on-stack span for_each_span pulls through.
+inline constexpr std::size_t kDrainSpan = 1024;
+
+/// Throws kCorruptTrace for a stream that stalled at `position`.
+[[noreturn]] void throw_stalled_stream(std::uint64_t position);
+
+/// Drains `cursor` span by span, calling `consume(const PageId* pages,
+/// std::size_t count)` once per span. A stalled stream (next_span returns
+/// 0 before done()) throws kCorruptTrace at the stall position.
+template <typename Consume>
+void for_each_span(TraceCursor& cursor, Consume&& consume) {
+  PageId span[kDrainSpan];
+  while (!cursor.done()) {
+    const std::size_t count = cursor.next_span(span, kDrainSpan);
+    if (count == 0) throw_stalled_stream(cursor.position());
+    consume(static_cast<const PageId*>(span), count);
+  }
+}
 
 /// Stack distance of a first access in a 32-bit distance array (see
 /// TraceSource::stack_distances()).
@@ -116,6 +116,7 @@ class TraceSource {
 };
 
 /// Drains a cursor into a materialized Trace. `size_hint` pre-reserves.
+/// Throws kCorruptTrace if the stream stalls before its end.
 Trace materialize(TraceCursor& cursor, std::size_t size_hint = 0);
 
 /// Materializes a source (returns a copy of the backing vector when the
@@ -216,16 +217,6 @@ std::shared_ptr<const TraceSource> with_stack_distances(
 /// builder to chain prefix phases and the single-use suffix lazily.
 std::shared_ptr<const TraceSource> concat_source(
     std::vector<std::shared_ptr<const TraceSource>> parts);
-
-/// Chunked read-ahead decorator: cursors pull `chunk`-sized spans from the
-/// inner cursor through next_span() into a pair of swap buffers, refilling
-/// the back buffer one chunk ahead of consumption. peek()/advance()/
-/// next_span() are then served from resident memory, so the inner source's
-/// per-request cost (generator arithmetic, file reads, virtual dispatch)
-/// is paid in chunk-sized bursts. The stream, checkpoints, and rewind
-/// behaviour are byte-identical to the undecorated source.
-std::shared_ptr<const TraceSource> read_ahead_source(
-    std::shared_ptr<const TraceSource> inner, std::size_t chunk = 4096);
 
 /// Streaming counterpart of gen::rebase_to_proc: remaps every page of
 /// `inner` into processor `proc`'s disjoint id space, assigning compact

@@ -19,18 +19,19 @@ TraceStats compute_trace_stats(TraceCursor& cursor,
   std::uint64_t cold = 0;
   std::uint64_t total_finite = 0;
   std::size_t n = 0;
-  while (!cursor.done()) {
-    const std::uint64_t d = online.access(cursor.peek());
-    cursor.advance();
-    ++n;
-    if (d == kInfiniteDistance) {
-      ++cold;
-      continue;
+  for_each_span(cursor, [&](const PageId* pages, std::size_t count) {
+    n += count;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint64_t d = online.access(pages[i]);
+      if (d == kInfiniteDistance) {
+        ++cold;
+        continue;
+      }
+      if (d >= hist.size()) hist.resize(static_cast<std::size_t>(d) + 1, 0);
+      ++hist[static_cast<std::size_t>(d)];
+      ++total_finite;
     }
-    if (d >= hist.size()) hist.resize(static_cast<std::size_t>(d) + 1, 0);
-    ++hist[static_cast<std::size_t>(d)];
-    ++total_finite;
-  }
+  });
   stats.num_requests = n;
   stats.distinct_pages = static_cast<std::size_t>(online.num_distinct());
   if (n == 0) return stats;
@@ -80,14 +81,18 @@ std::vector<std::size_t> working_set_profile(TraceCursor& cursor,
   PPG_CHECK(window >= 1);
   std::vector<std::size_t> out;
   std::unordered_set<PageId> seen;
-  while (!cursor.done()) {
-    seen.clear();
-    for (std::size_t i = 0; i < window && !cursor.done(); ++i) {
-      seen.insert(cursor.peek());
-      cursor.advance();
+  std::size_t in_window = 0;
+  for_each_span(cursor, [&](const PageId* pages, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      seen.insert(pages[i]);
+      if (++in_window == window) {
+        out.push_back(seen.size());
+        seen.clear();
+        in_window = 0;
+      }
     }
-    out.push_back(seen.size());
-  }
+  });
+  if (in_window > 0) out.push_back(seen.size());  // partial tail window
   return out;
 }
 

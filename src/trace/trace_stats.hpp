@@ -28,7 +28,7 @@ TraceStats compute_trace_stats(const Trace& trace,
 /// Single-pass fold over a cursor in O(distinct pages) memory: the median
 /// and fault curve are derived from a distance histogram instead of the
 /// raw per-request vector. The Trace overload delegates here, so the two
-/// agree exactly.
+/// agree exactly. A stalled stream throws kCorruptTrace.
 TraceStats compute_trace_stats(TraceCursor& cursor,
                                std::uint32_t max_capacity_log2 = 16);
 
@@ -37,7 +37,8 @@ TraceStats compute_trace_stats(TraceCursor& cursor,
 std::vector<std::size_t> working_set_profile(const Trace& trace,
                                              std::size_t window);
 
-/// Streaming counterpart: O(window) transient memory per window.
+/// Streaming counterpart: O(window) transient memory per window. A stalled
+/// stream throws kCorruptTrace.
 std::vector<std::size_t> working_set_profile(TraceCursor& cursor,
                                              std::size_t window);
 

@@ -6,7 +6,6 @@
 // recommend. No wall-clock or std::random_device anywhere.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "util/assert.hpp"
@@ -82,15 +81,6 @@ class Rng {
 
   /// Derive an independent child generator (for per-processor streams).
   Rng fork() { return Rng((*this)() ^ 0xd1b54a32d192ed03ULL); }
-
-  /// Snapshot / restore the full generator state. Used by trace cursors to
-  /// implement cheap rewind-to-checkpoint without replaying draws.
-  std::array<std::uint64_t, 4> save_state() const {
-    return {state_[0], state_[1], state_[2], state_[3]};
-  }
-  void restore_state(const std::array<std::uint64_t, 4>& state) {
-    for (int i = 0; i < 4; ++i) state_[i] = state[static_cast<std::size_t>(i)];
-  }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

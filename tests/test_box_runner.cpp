@@ -96,16 +96,6 @@ TEST(BoxRunner, CanonicalBoxCompletesAtLeastHeightRequests) {
   }
 }
 
-TEST(BoxRunner, ResetRestartsFromBeginning) {
-  const Trace t = test::make_trace({1, 2, 3});
-  BoxRunner runner(t, 2);
-  runner.run_box(4, 100);
-  EXPECT_TRUE(runner.finished());
-  runner.reset();
-  EXPECT_FALSE(runner.finished());
-  EXPECT_EQ(runner.position(), 0u);
-}
-
 /// `trace` with its stack distances attached, so a BoxRunner built on it
 /// takes the distance loop.
 std::shared_ptr<const TraceSource> distance_source(const Trace& trace) {
@@ -117,7 +107,7 @@ std::shared_ptr<const TraceSource> distance_source(const Trace& trace) {
 // The distance loop against the LRU loop on seeded random traces whose
 // small page universes force evictions, through random box sequences:
 // fresh and continuation boxes, height changes, durations up to 3*s*h (so
-// stalls happen), s in 1..8, and reset() part-way.
+// stalls happen), s in 1..8, and a restart on fresh runners part-way.
 TEST(BoxRunner, DistanceLoopMatchesLruLoopOnRandomBoxes) {
   Rng rng(0xb0c5);
   std::uint64_t boxes = 0;
@@ -131,7 +121,7 @@ TEST(BoxRunner, DistanceLoopMatchesLruLoopOnRandomBoxes) {
     BoxRunner lru(t, s);
     BoxRunner dist(*source, s);
     Height height = static_cast<Height>(rng.next_in(1, 16));
-    bool reset_done = false;
+    bool restarted = false;
     for (int box = 0; box < 400 && !lru.finished(); ++box) {
       if (rng.next_bool(0.3))
         height = static_cast<Height>(rng.next_in(1, 16));
@@ -150,10 +140,10 @@ TEST(BoxRunner, DistanceLoopMatchesLruLoopOnRandomBoxes) {
       ASSERT_EQ(dist.position(), lru.position()) << where;
       ASSERT_EQ(dist.finished(), lru.finished()) << where;
       ++boxes;
-      if (!reset_done && rng.next_bool(0.05)) {
-        lru.reset();
-        dist.reset();
-        reset_done = true;
+      if (!restarted && rng.next_bool(0.05)) {
+        lru = BoxRunner(t, s);
+        dist = BoxRunner(*source, s);
+        restarted = true;
         ASSERT_EQ(dist.position(), 0u);
         ASSERT_EQ(dist.finished(), lru.finished());
       }
@@ -162,24 +152,6 @@ TEST(BoxRunner, DistanceLoopMatchesLruLoopOnRandomBoxes) {
     EXPECT_EQ(dist.total_misses(), lru.total_misses());
   }
   EXPECT_GT(boxes, 40000u);
-}
-
-TEST(BoxRunner, DistanceLoopResetRestartsFromBeginning) {
-  const Trace t = test::make_trace({1, 2, 3, 1});
-  const auto source = distance_source(t);
-  BoxRunner runner(*source, 2);
-  runner.run_box(4, 100);
-  EXPECT_TRUE(runner.finished());
-  EXPECT_EQ(runner.total_hits(), 1u);
-  runner.reset();
-  EXPECT_FALSE(runner.finished());
-  EXPECT_EQ(runner.position(), 0u);
-  EXPECT_EQ(runner.total_hits(), 0u);
-  // The compartment is empty again: the repeat of page 1 at position 3
-  // hits only after a fresh box has loaded it.
-  const BoxStepResult step = runner.run_box(4, 100, /*fresh=*/false);
-  EXPECT_EQ(step.misses, 3u);
-  EXPECT_EQ(step.hits, 1u);
 }
 
 TEST(RunProfile, AccountsImpactExactly) {

@@ -139,39 +139,6 @@ TEST(Generators, ZipfGuidedDrawMatchesLowerBound) {
   EXPECT_GT(probes, 600000u);
 }
 
-// A Zipf cursor checkpointed between spans and rewound replays the same
-// pages, on itself and on a fresh cursor, and both match the materialized
-// stream.
-TEST(Generators, ZipfCursorRewindReplaysMidStream) {
-  const std::size_t n = 500;
-  Rng rng(41);
-  const Trace reference = gen::zipf(64, n, 0.9, rng);
-  const auto source = gen::zipf_source(64, n, 0.9, Rng(41));
-  auto cursor = source->cursor();
-
-  std::vector<PageId> head(37);
-  ASSERT_EQ(cursor->next_span(head.data(), head.size()), head.size());
-  const CursorCheckpoint cp = cursor->checkpoint();
-  std::vector<PageId> first(200);
-  ASSERT_EQ(cursor->next_span(first.data(), first.size()), first.size());
-
-  cursor->rewind(cp);
-  std::vector<PageId> again(200);
-  ASSERT_EQ(cursor->next_span(again.data(), again.size()), again.size());
-  EXPECT_EQ(again, first);
-
-  auto fresh = source->cursor();
-  fresh->rewind(cp);
-  std::vector<PageId> ported(200);
-  ASSERT_EQ(fresh->next_span(ported.data(), ported.size()), ported.size());
-  EXPECT_EQ(ported, first);
-
-  for (std::size_t i = 0; i < head.size(); ++i)
-    EXPECT_EQ(head[i], reference[i]) << i;
-  for (std::size_t i = 0; i < first.size(); ++i)
-    EXPECT_EQ(first[i], reference[head.size() + i]) << i;
-}
-
 TEST(Generators, PhasedWorkingSetUsesFreshSets) {
   Rng rng(4);
   const Trace t = gen::phased_working_set(

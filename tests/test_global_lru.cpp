@@ -113,11 +113,12 @@ ParallelRunResult heap_global_lru(const MultiTraceSource& sources,
     const auto [now, proc] = queue.top();
     queue.pop();
     TraceCursor& cursor = *cursors[proc];
-    const bool hit = cache.contains(cursor.peek());
-    cache.access(cursor.peek());
+    PageId page = kInvalidPage;
+    cursor.next_span(&page, 1);
+    const bool hit = cache.contains(page);
+    cache.access(page);
     const Time done = now + (hit ? 1 : config.miss_cost);
     ++(hit ? result.hits : result.misses);
-    cursor.advance();
     if (cursor.done())
       result.completion[proc] = done;
     else

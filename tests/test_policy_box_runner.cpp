@@ -4,6 +4,7 @@
 #include "green/policy_box_runner.hpp"
 #include "test_helpers.hpp"
 #include "trace/generators.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace ppg {
@@ -56,6 +57,23 @@ TEST_P(InBoxPolicyConservation, CompletesAndConserves) {
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, InBoxPolicyConservation,
                          ::testing::ValuesIn(all_policy_kinds()));
+
+TEST(PolicyBoxRunner, HostilePageIsCorruptTrace) {
+  // The reserved sentinel is rejected at the span screen, as in BoxRunner,
+  // before any policy's bookkeeping sees it.
+  Trace t = gen::cyclic(4, 40);
+  t.mutable_requests()[5] = kInvalidPage;
+  for (const PolicyKind kind : all_policy_kinds()) {
+    PolicyBoxRunner runner(t, 2, kind);
+    try {
+      while (!runner.finished()) runner.run_box(4, 100);
+      ADD_FAILURE() << "served a hostile page";
+    } catch (const PpgException& e) {
+      EXPECT_EQ(e.error().code, ErrorCode::kCorruptTrace);
+      EXPECT_EQ(e.error().byte_offset, 5u);
+    }
+  }
+}
 
 TEST(PolicyBoxRunner, InBoxBeladyNeverLosesToInBoxLru) {
   // Clairvoyant eviction inside the same box stream can only reduce

@@ -1,8 +1,10 @@
 // Failure replay dumps: lossless round-trip, engine-written dumps on
-// violations and watchdog trips, re-execution reproducing the recorded
-// failure, and rejection of corrupt dumps.
+// violations and watchdog trips, dumps of runs whose own streams break,
+// re-execution reproducing the recorded failure, and rejection of corrupt
+// dumps.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 
@@ -10,6 +12,8 @@
 #include "core/replay.hpp"
 #include "core/scheduler_factory.hpp"
 #include "test_helpers.hpp"
+#include "trace/fault_source.hpp"
+#include "trace/generators.hpp"
 #include "trace/workload.hpp"
 
 namespace ppg {
@@ -130,6 +134,55 @@ TEST(Replay, DumpWriteFailureDoesNotMaskTheRunFailure) {
   ASSERT_FALSE(run.status.ok());
   EXPECT_EQ(run.status.error.code, ErrorCode::kContractViolation);
   EXPECT_TRUE(run.status.replay_dump_path.empty());
+}
+
+/// Runs STATIC over a healthy tenant plus one carrying `fault`, with a
+/// replay dump requested and no trace spec, so the dump must drain the
+/// sources themselves. run_parallel_checked must come back with the run's
+/// own structured status: the drain may neither throw nor spin.
+CheckedRun run_with_broken_stream(const TraceFaultSpec& fault,
+                                  std::uint64_t max_events,
+                                  const std::string& dump_path) {
+  MultiTraceSource sources;
+  sources.add(gen::cyclic_source(6, 80));
+  sources.add(
+      make_fault_injecting_source(gen::cyclic_source(8, 100), fault));
+  auto scheduler = make_scheduler(SchedulerKind::kStatic, 0);
+  EngineConfig ec;
+  ec.cache_size = 16;
+  ec.miss_cost = 2;
+  ec.max_events = max_events;
+  ec.replay_dump_path = dump_path;
+  return run_parallel_checked(sources, *scheduler, ec);
+}
+
+TEST(Replay, DumpOfFailingStreamKeepsTheRunStatus) {
+  const std::string path = test::unique_temp_path("fail.ppgreplay");
+  CheckedRun run;
+  ASSERT_NO_THROW(run = run_with_broken_stream(
+                      {TraceFaultClass::kFail, 10}, 0, path));
+  ASSERT_FALSE(run.status.ok());
+  EXPECT_EQ(run.status.error.code, ErrorCode::kCorruptTrace);
+  EXPECT_EQ(run.status.error.proc, 1);
+  ASSERT_EQ(run.status.replay_dump_path, path);
+  const ReplayDump dump = load_replay_dump(path);
+  EXPECT_FALSE(dump.has_traces);  // the failing source cannot be embedded
+  EXPECT_EQ(dump.reason.code, ErrorCode::kCorruptTrace);
+  std::remove(path.c_str());
+}
+
+TEST(Replay, DumpOfStalledStreamKeepsTheRunStatus) {
+  const std::string path = test::unique_temp_path("stall.ppgreplay");
+  CheckedRun run;
+  ASSERT_NO_THROW(run = run_with_broken_stream(
+                      {TraceFaultClass::kStall, 10}, 200, path));
+  ASSERT_FALSE(run.status.ok());
+  EXPECT_EQ(run.status.error.code, ErrorCode::kCellBudgetExceeded);
+  ASSERT_EQ(run.status.replay_dump_path, path);
+  const ReplayDump dump = load_replay_dump(path);
+  EXPECT_FALSE(dump.has_traces);  // the stalled source cannot be drained
+  EXPECT_EQ(dump.reason.code, ErrorCode::kCellBudgetExceeded);
+  std::remove(path.c_str());
 }
 
 TEST(Replay, CorruptDumpsAreRejectedStructurally) {

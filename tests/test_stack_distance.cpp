@@ -6,6 +6,7 @@
 #include "test_helpers.hpp"
 #include "trace/generators.hpp"
 #include "trace/stack_distance.hpp"
+#include "trace/trace_stats.hpp"
 #include "util/rng.hpp"
 
 namespace ppg {
@@ -85,40 +86,40 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StackDistanceMatchesNaive,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 // The defining property: LRU(c) hits exactly the requests with stack
-// distance < c. Cross-check the profile against the actual LRU simulator
-// for a sweep of capacities.
+// distance < c. Cross-check the distances, and the fault curve the trace
+// stats fold from their histogram, against the actual LRU simulator for a
+// sweep of power-of-two capacities.
 class ProfilePredictsLruFaults : public ::testing::TestWithParam<Height> {};
 
 TEST_P(ProfilePredictsLruFaults, MatchesCacheSim) {
   const Height capacity = GetParam();
   Rng rng(99);
   const Trace t = gen::zipf(64, 5000, 0.9, rng);
-  const StackDistanceProfile profile = stack_distance_profile(t, 256);
+  std::uint64_t faults = 0;
+  for (const std::uint64_t d : stack_distances(t))
+    faults += (d == kInfiniteDistance || d >= capacity) ? 1 : 0;
   const CacheSimResult sim =
       simulate_policy(PolicyKind::kLru, t, capacity, /*miss_cost=*/2);
-  EXPECT_EQ(profile.lru_faults(capacity), sim.misses);
+  EXPECT_EQ(faults, sim.misses);
+  const TraceStats stats = compute_trace_stats(t, /*max_capacity_log2=*/8);
+  std::size_t lg = 0;
+  while ((Height{1} << lg) < capacity) ++lg;
+  ASSERT_LT(lg, stats.lru_fault_curve.size());
+  EXPECT_EQ(stats.lru_fault_curve[lg], sim.misses);
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, ProfilePredictsLruFaults,
                          ::testing::Values(1, 2, 4, 8, 16, 32, 64, 128));
 
-TEST(StackDistanceProfile, CountsPartition) {
-  Rng rng(7);
-  const Trace t = gen::uniform_random(30, 1000, rng);
-  const StackDistanceProfile p = stack_distance_profile(t, 64);
-  std::uint64_t total = p.cold_misses + p.far;
-  for (std::uint64_t c : p.counts) total += c;
-  EXPECT_EQ(total, t.size());
-}
-
-TEST(StackDistanceProfile, CyclicTraceDistances) {
+TEST(StackDistance, CyclicTraceDistances) {
   // Cycling m pages gives every warm request distance m-1.
   const Trace t = gen::cyclic(8, 64);
-  const StackDistanceProfile p = stack_distance_profile(t, 16);
-  EXPECT_EQ(p.cold_misses, 8u);
-  EXPECT_EQ(p.counts[7], 64u - 8u);
-  EXPECT_EQ(p.lru_faults(7), 64u);  // LRU thrashes below the set size
-  EXPECT_EQ(p.lru_faults(8), 8u);   // the whole cycle fits: cold misses only
+  const std::vector<std::uint64_t> d = stack_distances(t);
+  for (std::size_t i = 0; i < d.size(); ++i)
+    EXPECT_EQ(d[i], i < 8 ? kInfiniteDistance : 7u) << "request " << i;
+  const TraceStats stats = compute_trace_stats(t, /*max_capacity_log2=*/3);
+  EXPECT_EQ(stats.lru_fault_curve[2], 64u);  // LRU thrashes below the set
+  EXPECT_EQ(stats.lru_fault_curve[3], 8u);   // the whole cycle fits
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Cursor-contract and streaming-equivalence suite for the trace pipeline.
 //
 // Every lazy source must synthesize exactly the stream its materialized
-// counterpart produces, and every cursor must honour the checkpoint/rewind
-// contract: a rewound cursor replays a byte-identical suffix, and a
-// checkpoint taken on one cursor restores correctly on any cursor of the
-// same source.
+// counterpart produces, and every cursor must honour the span contract:
+// position() counts what next_span consumed, the stream does not depend on
+// how it is split into spans, and done() turns true exactly at the end.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,6 +14,7 @@
 
 #include "test_helpers.hpp"
 #include "trace/adversarial.hpp"
+#include "trace/fault_source.hpp"
 #include "trace/generators.hpp"
 #include "trace/stack_distance.hpp"
 #include "trace/trace_io.hpp"
@@ -28,64 +28,41 @@
 namespace ppg {
 namespace {
 
-std::vector<PageId> drain(TraceCursor& cursor) {
+/// Drains `cursor` through next_span calls of at most `span` pages.
+std::vector<PageId> drain_spans(TraceCursor& cursor, std::size_t span) {
   std::vector<PageId> out;
-  while (!cursor.done()) {
-    out.push_back(cursor.peek());
-    cursor.advance();
+  std::vector<PageId> buffer(span);
+  for (;;) {
+    const std::size_t n = cursor.next_span(buffer.data(), span);
+    if (n == 0) break;
+    out.insert(out.end(), buffer.begin(),
+               buffer.begin() + static_cast<std::ptrdiff_t>(n));
   }
   return out;
 }
 
-/// Exercises the full cursor contract against the source's materialized
-/// reference stream: peek repeatability, position bookkeeping, rewind from
-/// every 7th position, and checkpoint portability across cursors.
+/// Exercises the cursor contract against the source's materialized
+/// reference stream: one request per next_span call, position() tracking
+/// every one, an empty pull consuming nothing, and a finished cursor that
+/// stays finished.
 void check_cursor_contract(const TraceSource& source) {
   const Trace reference = materialize(source);
   ASSERT_EQ(reference.size(), source.num_requests());
 
-  // Pass 1: peek is repeatable and position tracks consumption.
   auto cursor = source.cursor();
+  PageId page = kInvalidPage;
   for (std::size_t i = 0; i < reference.size(); ++i) {
     ASSERT_FALSE(cursor->done());
     ASSERT_EQ(cursor->position(), i);
-    const PageId first = cursor->peek();
-    ASSERT_EQ(cursor->peek(), first) << "peek not repeatable at " << i;
-    ASSERT_EQ(first, reference[i]);
-    cursor->advance();
+    ASSERT_EQ(cursor->next_span(&page, 0), 0u);
+    ASSERT_EQ(cursor->position(), i) << "an empty pull consumed at " << i;
+    ASSERT_EQ(cursor->next_span(&page, 1), 1u);
+    ASSERT_EQ(page, reference[i]) << "diverged at " << i;
   }
   ASSERT_TRUE(cursor->done());
   ASSERT_EQ(cursor->position(), reference.size());
-
-  // Pass 2: checkpoints taken mid-stream rewind to a byte-identical suffix,
-  // both on the same cursor and on a fresh cursor of the same source.
-  auto walker = source.cursor();
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    if (i % 7 == 0) {
-      const CursorCheckpoint cp = walker->checkpoint();
-      ASSERT_EQ(cp.position, i);
-
-      // Run the walker a few steps ahead, then rewind it.
-      for (std::size_t j = i; j < std::min(i + 5, reference.size()); ++j)
-        walker->advance();
-      walker->rewind(cp);
-      ASSERT_EQ(walker->position(), i);
-      if (i < reference.size()) {
-        ASSERT_EQ(walker->peek(), reference[i]);
-      }
-
-      // Portability: the same checkpoint restores a fresh cursor.
-      auto fresh = source.cursor();
-      fresh->rewind(cp);
-      for (std::size_t j = i; j < reference.size(); ++j) {
-        ASSERT_EQ(fresh->peek(), reference[j]) << "diverged at " << j
-                                               << " after rewind to " << i;
-        fresh->advance();
-      }
-      ASSERT_TRUE(fresh->done());
-    }
-    walker->advance();
-  }
+  ASSERT_EQ(cursor->next_span(&page, 1), 0u);
+  ASSERT_EQ(cursor->position(), reference.size());
 }
 
 TEST(TraceSource, VectorSourceContract) {
@@ -101,7 +78,7 @@ TEST(TraceSource, OwningVectorSourceSharesStorage) {
   VectorTraceSource owning(test::make_trace({1, 2, 3}));
   auto c1 = owning.cursor();
   auto c2 = owning.cursor();
-  EXPECT_EQ(drain(*c1), drain(*c2));
+  EXPECT_EQ(drain_spans(*c1, 2), drain_spans(*c2, 2));
 }
 
 TEST(TraceSource, EmptySource) {
@@ -143,15 +120,32 @@ TEST(TraceSource, UniformSourceMatchesMaterializedAndAdvancesRng) {
   EXPECT_EQ(materialize(*source), reference);
   check_cursor_contract(*source);
 
-  // The materialized function advanced the caller's rng past its draws: a
-  // second call produces a different trace, while the snapshot-backed
-  // source keeps replaying the first.
+  // The materialized function advanced the caller's rng past exactly its
+  // 50 draws: a second call produces a different trace, while the
+  // snapshot-backed source keeps replaying the first.
   Rng rng2(42);
   Trace second = gen::uniform_random(11, 50, rng2);
   EXPECT_EQ(second, reference);
+  Rng expected(42);
+  for (int i = 0; i < 50; ++i) expected.next_below(11);
+  EXPECT_EQ(rng2(), expected());
   second = gen::uniform_random(11, 50, rng2);
   EXPECT_NE(second, reference);
   EXPECT_EQ(materialize(*source), reference);
+
+  // The same for the other RNG-driven generators: zipf draws one double
+  // per request, the phased generators one bounded draw per random-order
+  // request.
+  Rng zipf_rng(43);
+  gen::zipf(20, 30, 0.9, zipf_rng);
+  Rng zipf_expected(43);
+  for (int i = 0; i < 30; ++i) zipf_expected.next_double();
+  EXPECT_EQ(zipf_rng(), zipf_expected());
+  Rng saw_rng(44);
+  gen::sawtooth(4, 30, 20, 3, saw_rng);  // hot, cold, hot: 40 random draws
+  Rng saw_expected(44);
+  for (int i = 0; i < 40; ++i) saw_expected.next_below(4);
+  EXPECT_EQ(saw_rng(), saw_expected());
 }
 
 TEST(TraceSource, ZipfSourceMatchesMaterialized) {
@@ -204,9 +198,6 @@ TEST(TraceSource, RebaseSourceMatchesRebaseToProc) {
   const auto source =
       rebase_source(gen::zipf_source(15, 70, 1.1, rng2), /*proc=*/3);
   EXPECT_EQ(materialize(*source), gen::rebase_to_proc(inner, 3));
-  // Rewind must preserve the first-appearance id assignment: the remap
-  // table is keyed by page, not by position, so a replayed suffix reuses
-  // the ids assigned on the first pass.
   check_cursor_contract(*source);
 }
 
@@ -314,7 +305,7 @@ TEST(TraceSource, MalformedSpecThrowsBadInput) {
   }
 }
 
-TEST(TraceSource, FileSourceStreamsChunksAndRewinds) {
+TEST(TraceSource, FileSourceStreamsChunks) {
   MultiTrace mt;
   mt.add(gen::cyclic(5, 37));   // Deliberately not a multiple of the chunk.
   mt.add(gen::single_use(16));  // Exactly chunk-aligned length.
@@ -334,108 +325,84 @@ TEST(TraceSource, FileSourceStreamsChunksAndRewinds) {
   std::remove(path.c_str());
 }
 
-// --- Bulk spans and read-ahead ---------------------------------------------
+// --- Span-size independence and stalled streams ---------------------------
 
-std::vector<PageId> drain_spans(TraceCursor& cursor, std::size_t span) {
-  std::vector<PageId> out;
-  std::vector<PageId> buffer(span);
-  for (;;) {
-    const std::size_t n = cursor.next_span(buffer.data(), span);
-    if (n == 0) break;
-    out.insert(out.end(), buffer.begin(),
-               buffer.begin() + static_cast<std::ptrdiff_t>(n));
-  }
-  return out;
-}
-
-TEST(TraceSource, NextSpanMatchesPeekAdvance) {
+TEST(TraceSource, NextSpanIsIndependentOfSpanSize) {
+  MultiTrace file_traces;
+  file_traces.add(gen::cyclic(5, 37));
+  const std::string path = test::unique_temp_path("span_sizes.ppgtrace");
+  save_multitrace(path, file_traces);
   const std::vector<std::shared_ptr<const TraceSource>> sources = {
       std::make_shared<VectorTraceSource>(
           test::make_trace({5, 6, 5, 7, 7, 6, 5, 8, 9, 5, 6})),
       gen::cyclic_source(5, 37),
-      gen::zipf_source(64, 333, 1.1, Rng(17)),
-      gen::sawtooth_source(4, 24, 50, 4, Rng(29)),
       gen::polluted_cycle_source(6, 100, 7),
+      gen::single_use_source(29, 3),
+      gen::uniform_random_source(9, 150, Rng(11)),
+      // RNG draws cross span boundaries mid-sequence in these two.
+      gen::zipf_source(64, 333, 1.1, Rng(17)),
+      gen::phased_working_set_source(
+          {{6, 25, true}, {3, 10, false}, {9, 30, true}}, Rng(99)),
+      gen::sawtooth_source(4, 24, 50, 4, Rng(29)),
       rebase_source(gen::zipf_source(15, 70, 1.1, Rng(21)), /*proc=*/3),
       concat_source({gen::cyclic_source(3, 10), gen::single_use_source(7),
                      gen::cyclic_source(4, 5)}),
+      open_multitrace_source(path, /*chunk_requests=*/4).source_ptr(0),
+      make_fault_injecting_source(gen::cyclic_source(5, 40),
+                                  {TraceFaultClass::kHostilePage, 17}),
   };
-  for (const auto& source : sources) {
-    const Trace reference = materialize(*source);
-    // Odd span sizes cross every internal boundary (chunk, segment).
+  for (std::size_t k = 0; k < sources.size(); ++k) {
+    const Trace reference = materialize(*sources[k]);
+    ASSERT_EQ(reference.size(), sources[k]->num_requests()) << "source " << k;
+    // Odd span sizes cross every internal boundary (chunk, segment, phase).
     for (const std::size_t span : {std::size_t{1}, std::size_t{3},
                                    std::size_t{16}, std::size_t{1000}}) {
-      auto cursor = source->cursor();
+      auto cursor = sources[k]->cursor();
       EXPECT_EQ(drain_spans(*cursor, span), reference.requests())
-          << "span=" << span;
+          << "source " << k << " span=" << span;
       EXPECT_TRUE(cursor->done());
       EXPECT_EQ(cursor->position(), reference.size());
     }
   }
+  std::remove(path.c_str());
 }
 
-TEST(TraceSource, NextSpanLeavesIdenticalCursorState) {
-  // A cursor advanced by next_span must be indistinguishable — position,
-  // checkpoint words (incl. RNG state), and remaining stream — from one
-  // advanced request by request.
-  const auto source = gen::zipf_source(64, 200, 1.1, Rng(23));
-  auto bulk = source->cursor();
-  auto stepper = source->cursor();
-  std::vector<PageId> buffer(13);
-  const std::size_t n = bulk->next_span(buffer.data(), buffer.size());
-  ASSERT_EQ(n, buffer.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(stepper->peek(), buffer[i]);
-    stepper->advance();
-  }
-  const CursorCheckpoint a = bulk->checkpoint();
-  const CursorCheckpoint b = stepper->checkpoint();
-  EXPECT_EQ(a.position, b.position);
-  EXPECT_EQ(a.words, b.words);
-  EXPECT_EQ(drain(*bulk), drain(*stepper));
-}
-
-TEST(TraceSource, NextSpanAfterPeekEmitsPeekedRequestFirst) {
-  // Decorators that cache the peeked request (rebase) must hand it out at
-  // the head of the next bulk span, not drop or double-emit it.
-  const auto source =
-      rebase_source(gen::zipf_source(15, 70, 1.1, Rng(21)), /*proc=*/3);
-  const Trace reference = materialize(*source);
+TEST(TraceSource, ConcatStopsOnStalledPart) {
+  // A part that stalls ends the span with what was gathered; the concat
+  // then reports the stall (0 before done()) instead of spinning on it.
+  const auto cyclic = gen::cyclic_source(4, 20);
+  const auto source = concat_source(
+      {make_fault_injecting_source(cyclic, {TraceFaultClass::kStall, 3}),
+       cyclic});
   auto cursor = source->cursor();
-  std::vector<PageId> got;
-  std::vector<PageId> buffer(9);
-  while (!cursor->done()) {
-    const PageId peeked = cursor->peek();
-    const std::size_t n = cursor->next_span(buffer.data(), buffer.size());
-    ASSERT_GE(n, 1u);
-    ASSERT_EQ(buffer[0], peeked);
-    got.insert(got.end(), buffer.begin(),
-               buffer.begin() + static_cast<std::ptrdiff_t>(n));
-  }
-  EXPECT_EQ(got, reference.requests());
+  std::vector<PageId> buffer(100);
+  EXPECT_EQ(cursor->next_span(buffer.data(), buffer.size()), 3u);
+  EXPECT_EQ(cursor->next_span(buffer.data(), buffer.size()), 0u);
+  EXPECT_FALSE(cursor->done());
+  EXPECT_EQ(cursor->position(), 3u);
 }
 
-TEST(TraceSource, ReadAheadSourceHonoursCursorContract) {
-  // Chunk sizes around the stream length force every buffer shape: many
-  // swaps, one partial chunk, and a single oversized chunk.
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{16}, std::size_t{4096}}) {
-    const auto inner = gen::zipf_source(32, 100, 1.2, Rng(9));
-    const auto decorated = read_ahead_source(inner, chunk);
-    ASSERT_EQ(decorated->num_requests(), inner->num_requests());
-    EXPECT_EQ(materialize(*decorated), materialize(*inner))
-        << "chunk=" << chunk;
-    check_cursor_contract(*decorated);
-  }
-}
-
-TEST(TraceSource, ReadAheadSourceBulkAndConcatCompose) {
-  const auto inner = concat_source(
-      {gen::cyclic_source(5, 37), gen::single_use_source(16)});
-  const auto decorated = read_ahead_source(inner, 8);
-  const Trace reference = materialize(*inner);
-  auto cursor = decorated->cursor();
-  EXPECT_EQ(drain_spans(*cursor, 11), reference.requests());
+TEST(TraceSource, DrainsReportAStalledStreamAsCorrupt) {
+  const auto source = make_fault_injecting_source(
+      gen::cyclic_source(4, 20), {TraceFaultClass::kStall, 7});
+  const auto expect_stall = [](auto&& drain) {
+    try {
+      drain();
+      FAIL() << "a stalled stream drained without error";
+    } catch (const PpgException& e) {
+      EXPECT_EQ(e.error().code, ErrorCode::kCorruptTrace);
+      EXPECT_EQ(e.error().byte_offset, 7u);
+    }
+  };
+  expect_stall([&] { materialize(*source); });
+  expect_stall([&] {
+    auto cursor = source->cursor();
+    compute_trace_stats(*cursor);
+  });
+  expect_stall([&] {
+    auto cursor = source->cursor();
+    working_set_profile(*cursor, 4);
+  });
 }
 
 // --- Streaming one-pass consumers -----------------------------------------
@@ -457,15 +424,6 @@ TEST(StreamingConsumers, ProfileStatsAndWorkingSetMatchMaterialized) {
   const auto source = gen::sawtooth_source(6, 40, 50, 4, rng);
   const Trace trace = materialize(*source);
 
-  {
-    auto cursor = source->cursor();
-    const StackDistanceProfile streamed =
-        stack_distance_profile(*cursor, /*max_tracked=*/64);
-    const StackDistanceProfile direct = stack_distance_profile(trace, 64);
-    EXPECT_EQ(streamed.counts, direct.counts);
-    EXPECT_EQ(streamed.cold_misses, direct.cold_misses);
-    EXPECT_EQ(streamed.far, direct.far);
-  }
   {
     auto cursor = source->cursor();
     const TraceStats streamed = compute_trace_stats(*cursor, 8);

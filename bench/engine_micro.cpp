@@ -52,7 +52,8 @@ void BM_LruSetAccess(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_LruSetAccess)->Arg(16)->Arg(256)->Arg(4096);
+BENCHMARK(BM_LruSetAccess)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(256)
+    ->Arg(4096);
 
 /// The LRU set on the structured ids a shared cache sees: 128 processors'
 /// make_page(proc, local) requests interleaved round-robin, each cycling
@@ -120,7 +121,8 @@ void box_runner_canonical(benchmark::State& state, bool distances) {
 void BM_BoxRunnerCanonicalBoxes(benchmark::State& state) {
   box_runner_canonical(state, false);
 }
-BENCHMARK(BM_BoxRunnerCanonicalBoxes)->Arg(8)->Arg(64)->Arg(512);
+BENCHMARK(BM_BoxRunnerCanonicalBoxes)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
+    ->Arg(512);
 
 void BM_BoxRunnerDistances(benchmark::State& state) {
   box_runner_canonical(state, true);

@@ -19,13 +19,14 @@
 //   - LRU loop, for every other source. Requests are pulled from a
 //     TraceCursor in bulk spans (TraceCursor::next_span into a small
 //     resident buffer, one virtual call per span), and the box cache is an
-//     LruSet over raw PageIds — one open-addressing probe per request,
-//     O(height) memory regardless of trace length. A stalled box leaves the
-//     request in the span buffer unconsumed, so the next box resumes at the
-//     same logical position. Every refilled span is screened for the
-//     reserved kInvalidPage sentinel, which must never enter a cache (a
-//     trace holding it never carries distances, so it always takes this
-//     loop).
+//     LruSet over raw PageIds — one lookup per request (a linear scan of
+//     an inline array up to LruSet::kArrayCapacity pages, where most boxes
+//     are; an open-addressing probe above), O(height) memory regardless of
+//     trace length. A stalled box leaves the request in the span buffer
+//     unconsumed, so the next box resumes at the same logical position.
+//     Every refilled span is screened for the reserved kInvalidPage
+//     sentinel, which must never enter a cache (a trace holding it never
+//     carries distances, so it always takes this loop).
 //
 // In both loops a hit always fits (cost 1, remaining >= 1) and commits
 // directly; a miss checks the remaining budget before committing the fault.

@@ -105,6 +105,10 @@ ProfileRunResult run_green_paging_with_policy_impl(PolicyBoxRunner& runner,
     const Height h = pager.next_height();
     const Box box = canonical_box(h, miss_cost);
     const BoxStepResult step = runner.run_box(box.height, box.duration);
+    // A canonical box (duration s*h) always fits a request, so an empty
+    // one on an unfinished runner is a stalled stream, not a full box.
+    if (step.requests_completed == 0 && !runner.finished())
+      throw_stalled_stream(runner.position());
     Impact impact = box.impact();
     Time time = box.duration;
     if (step.finished) {

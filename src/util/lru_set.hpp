@@ -2,20 +2,36 @@
 //
 // This is the hot data structure of every simulator in the library: each
 // compartmentalized box runs one LruSet, and the box runner touches it once
-// per request. It combines an intrusive doubly-linked list over a slot
-// vector (recency order) with an open-addressing page->slot index
-// (LruFlatIndex), so all operations are O(1) expected and both the recency
-// links and the index probes walk flat arrays rather than pointers. PageIds
-// are arbitrary 64-bit values; the index's multiplicative hash keeps a find
-// to about one occupied cell even on the structured ids the workloads emit
-// (proc << 48 | local, polluter locals counting up from 2^32).
+// per request. It has two representations, chosen by capacity whenever the
+// capacity is set (construction and reset()); both are exact LRU, so every
+// hit, miss and victim is the same whichever one serves a set.
+//
+//   - Array, for capacity <= kArrayCapacity: the pages sit in one inline
+//     array in recency order, least recent first. A lookup is an
+//     early-exit linear scan from the most recent end; a hit closes the
+//     page's gap and appends it, an insert appends (dropping the first
+//     entry when full). Nothing is allocated. Most boxes are this small
+//     (DET-PAR's base height is 16 on the service path), open empty and
+//     serve a few dozen requests, so they rarely fill: most inserts are a
+//     plain append, and a scan over a few cache lines beats hashing.
+//   - List, above it: an intrusive doubly-linked list over a slot vector
+//     (recency order) with an open-addressing page->slot index
+//     (LruFlatIndex), so all operations are O(1) expected and both the
+//     recency links and the index probes walk flat arrays rather than
+//     pointers. PageIds are arbitrary 64-bit values; the index's
+//     multiplicative hash keeps a find to about one occupied cell even on
+//     the structured ids the workloads emit (proc << 48 | local, polluter
+//     locals counting up from 2^32). The index and the slot vector are
+//     allocated only once the capacity first exceeds the array's.
 //
 // The hot path is the fused pair try_touch()/insert_absent(): a single
-// index lookup classifies hit vs miss, and the miss path never repeats it.
+// lookup classifies hit vs miss, and the miss path never repeats it.
 // The access() entry points are built on the fused pair for callers that
 // don't need to peek the cost before committing.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -40,6 +56,9 @@ inline constexpr std::uint32_t kLruNilSlot = UINT32_MAX;
 /// cell (stamp 0) would then read as occupied.
 class LruFlatIndex {
  public:
+  /// An index with no table; on_reset() builds one. Nothing may be looked
+  /// up before that.
+  LruFlatIndex() = default;
   explicit LruFlatIndex(Height capacity) { rebuild(capacity); }
 
   std::uint32_t find(PageId page) const {
@@ -137,27 +156,43 @@ class LruFlatIndex {
 
 class LruSet {
  public:
+  /// Largest capacity served by the array representation, chosen by
+  /// measurement (DESIGN.md §6): at 32 the array still beats the hash
+  /// index, at 64 it ran boxes at two thirds of the index's speed.
+  static constexpr Height kArrayCapacity = 32;
+
   /// Creates an empty set holding at most `capacity` pages (capacity >= 1).
-  explicit LruSet(Height capacity) : capacity_(capacity), index_(capacity) {
+  explicit LruSet(Height capacity) : capacity_(capacity) {
     PPG_CHECK(capacity >= 1);
-    slots_.reserve(capacity);
+    if (!on_array()) grow_list(capacity);
   }
 
   Height capacity() const { return capacity_; }
   Height size() const {
+    if (on_array()) return array_size_;
     return static_cast<Height>(slots_.size() - free_.size());
   }
   bool full() const { return size() == capacity_; }
   bool empty() const { return size() == 0; }
 
   bool contains(PageId page) const {
+    if (on_array()) {
+      const auto end = array_.begin() + array_size_ + 1;
+      return std::find(array_.begin() + 1, end, page) != end;
+    }
     return index_.find(page) != kLruNilSlot;
   }
 
-  /// Fused hot-path probe: one index lookup. On a hit the page moves to the
-  /// MRU position and the call returns true; on a miss the set is left
+  /// Fused hot-path probe: one lookup. On a hit the page moves to the MRU
+  /// position and the call returns true; on a miss the set is left
   /// untouched (call insert_absent to commit the fault).
   bool try_touch(PageId page) {
+    if (on_array()) {
+      const Height i = array_find(page);
+      if (i == 0) return false;
+      move_to_back(i, page);
+      return true;
+    }
     const std::uint32_t slot = index_.find(page);
     if (slot == kLruNilSlot) return false;
     touch(slot);
@@ -169,6 +204,15 @@ class LruSet {
   /// kInvalidPage otherwise.
   PageId insert_absent(PageId page) {
     PPG_DCHECK(!contains(page));
+    if (on_array()) {
+      if (array_size_ < capacity_) {
+        array_[++array_size_] = page;
+        return kInvalidPage;
+      }
+      const PageId evicted = array_[1];
+      move_to_back(1, page);
+      return evicted;
+    }
     if (full()) {
       const std::uint32_t victim = lru_;
       const PageId evicted = slots_[victim].page;
@@ -214,6 +258,14 @@ class LruSet {
 
   /// Removes a specific page; returns false if it was not present.
   bool erase(PageId page) {
+    if (on_array()) {
+      const Height i = array_find(page);
+      if (i == 0) return false;
+      std::copy(array_.begin() + i + 1, array_.begin() + array_size_ + 1,
+                array_.begin() + i);
+      --array_size_;
+      return true;
+    }
     const std::uint32_t slot = index_.find(page);
     if (slot == kLruNilSlot) return false;
     index_.erase(page);
@@ -222,9 +274,11 @@ class LruSet {
     return true;
   }
 
-  /// Removes every page (compartmentalized box reset); the index clears
-  /// in O(1) by an epoch bump.
+  /// Removes every page (compartmentalized box reset). The array empties
+  /// by its count; the index clears in O(1) by an epoch bump.
   void clear() {
+    array_size_ = 0;
+    if (on_array()) return;
     index_.clear();
     slots_.clear();
     free_.clear();
@@ -232,29 +286,37 @@ class LruSet {
     lru_ = kLruNilSlot;
   }
 
-  /// clear() plus a capacity change. The index is rebuilt only when the new
-  /// capacity outgrows its table — the box runner resizes compartments once
-  /// per height switch and must not pay an index reallocation each time.
+  /// clear() plus a capacity change, which also picks the representation.
+  /// The index is rebuilt only when the new capacity outgrows its table —
+  /// the box runner resizes compartments once per height switch and must
+  /// not pay an index reallocation each time. The list state a set leaves
+  /// behind when it drops onto the array is cleared when it next grows
+  /// past it.
   void reset(Height capacity) {
     PPG_CHECK(capacity >= 1);
-    clear();
     capacity_ = capacity;
-    slots_.reserve(capacity);
-    index_.on_reset(capacity);
+    clear();
+    if (!on_array()) grow_list(capacity);
   }
 
   /// Page that would be evicted next, or kInvalidPage when empty.
   PageId lru_page() const {
+    if (on_array()) return array_size_ == 0 ? kInvalidPage : array_[1];
     return lru_ == kLruNilSlot ? kInvalidPage : slots_[lru_].page;
   }
 
   /// Most recently used page, or kInvalidPage when empty.
   PageId mru_page() const {
+    if (on_array())
+      return array_size_ == 0 ? kInvalidPage : array_[array_size_];
     return mru_ == kLruNilSlot ? kInvalidPage : slots_[mru_].page;
   }
 
   /// Pages in most-recent-first order (for tests and diagnostics).
   std::vector<PageId> pages_mru_order() const {
+    if (on_array())
+      return std::vector<PageId>(array_.rend() - array_size_ - 1,
+                                 array_.rend() - 1);
     std::vector<PageId> out;
     out.reserve(size());
     for (std::uint32_t cur = mru_; cur != kLruNilSlot; cur = slots_[cur].next)
@@ -268,6 +330,33 @@ class LruSet {
     std::uint32_t prev;  // toward MRU
     std::uint32_t next;  // toward LRU
   };
+
+  bool on_array() const { return capacity_ <= kArrayCapacity; }
+
+  /// Array position of `page`, or 0 when absent. Scans from the MRU end,
+  /// so a recently used page is found after few compares; the page is
+  /// first written to the spare slot 0 as a sentinel, so the scan needs no
+  /// bound check.
+  Height array_find(PageId page) {
+    array_[0] = page;
+    Height i = array_size_;
+    while (array_[i] != page) --i;
+    return i;
+  }
+
+  /// Removes the array entry at `i` (>= 1), closes the gap, and writes
+  /// `page` as the MRU entry; the count is unchanged.
+  void move_to_back(Height i, PageId page) {
+    std::copy(array_.begin() + i + 1, array_.begin() + array_size_ + 1,
+              array_.begin() + i);
+    array_[array_size_] = page;
+  }
+
+  /// Sizes the list representation for `capacity` (> kArrayCapacity).
+  void grow_list(Height capacity) {
+    slots_.reserve(capacity);
+    index_.on_reset(capacity);
+  }
 
   void link_front(std::uint32_t slot) {
     slots_[slot].prev = kLruNilSlot;
@@ -296,6 +385,12 @@ class LruSet {
   }
 
   Height capacity_;
+  // Array representation: pages in [1, array_size_], least recent first;
+  // slot 0 is array_find's sentinel.
+  Height array_size_ = 0;
+  std::array<PageId, kArrayCapacity + 1> array_{};
+  // List representation: empty until the capacity first exceeds the
+  // array's.
   LruFlatIndex index_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;

@@ -108,23 +108,26 @@ std::shared_ptr<const TraceSource> distance_source(const Trace& trace) {
 // small page universes force evictions, through random box sequences:
 // fresh and continuation boxes, height changes, durations up to 3*s*h (so
 // stalls happen), s in 1..8, and a restart on fresh runners part-way.
+// Heights run to twice LruSet's array threshold, so the LRU loop's cache
+// serves boxes on both of its representations and switches between them.
 TEST(BoxRunner, DistanceLoopMatchesLruLoopOnRandomBoxes) {
+  constexpr Height kMaxHeight = 2 * LruSet::kArrayCapacity;
   Rng rng(0xb0c5);
   std::uint64_t boxes = 0;
   for (int round = 0; round < 4000; ++round) {
-    const std::uint64_t universe = rng.next_in(1, 40);
-    std::vector<PageId> pages(rng.next_in(0, 300));
+    const std::uint64_t universe = rng.next_in(1, 100);
+    std::vector<PageId> pages(rng.next_in(0, 1500));
     for (PageId& page : pages) page = rng.next_below(universe);
     const Trace t(std::move(pages));
     const Time s = rng.next_in(1, 8);
     const auto source = distance_source(t);
     BoxRunner lru(t, s);
     BoxRunner dist(*source, s);
-    Height height = static_cast<Height>(rng.next_in(1, 16));
+    Height height = static_cast<Height>(rng.next_in(1, kMaxHeight));
     bool restarted = false;
     for (int box = 0; box < 400 && !lru.finished(); ++box) {
       if (rng.next_bool(0.3))
-        height = static_cast<Height>(rng.next_in(1, 16));
+        height = static_cast<Height>(rng.next_in(1, kMaxHeight));
       const bool fresh = rng.next_bool(0.5);
       const Time duration = rng.next_in(1, 3 * s * height);
       const BoxStepResult a = lru.run_box(height, duration, fresh);
@@ -151,7 +154,7 @@ TEST(BoxRunner, DistanceLoopMatchesLruLoopOnRandomBoxes) {
     EXPECT_EQ(dist.total_hits(), lru.total_hits());
     EXPECT_EQ(dist.total_misses(), lru.total_misses());
   }
-  EXPECT_GT(boxes, 40000u);
+  EXPECT_GT(boxes, 40000u) << boxes;
 }
 
 TEST(RunProfile, AccountsImpactExactly) {

@@ -3,6 +3,7 @@
 #include "green/box_runner.hpp"
 #include "green/policy_box_runner.hpp"
 #include "test_helpers.hpp"
+#include "trace/fault_source.hpp"
 #include "trace/generators.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -71,6 +72,27 @@ TEST(PolicyBoxRunner, HostilePageIsCorruptTrace) {
     } catch (const PpgException& e) {
       EXPECT_EQ(e.error().code, ErrorCode::kCorruptTrace);
       EXPECT_EQ(e.error().byte_offset, 5u);
+    }
+  }
+}
+
+TEST(PolicyBoxRunner, StalledSourceIsCorruptTrace) {
+  // A stalled stream serves no request and never reports done(): the
+  // green-paging loop must fail at the stall instead of opening boxes
+  // forever.
+  const auto source = make_fault_injecting_source(
+      gen::cyclic_source(4, 40), TraceFaultSpec{TraceFaultClass::kStall, 5});
+  const HeightLadder ladder{2, 16};
+  for (const PolicyKind kind : all_policy_kinds()) {
+    if (kind == PolicyKind::kBelady) continue;  // needs a materialized trace
+    auto pager = make_det_green(ladder);
+    try {
+      run_green_paging_with_policy(*source, *pager, 2, kind, 3);
+      ADD_FAILURE() << "finished a stalled stream: " << policy_kind_name(kind);
+    } catch (const PpgException& e) {
+      EXPECT_EQ(e.error().code, ErrorCode::kCorruptTrace)
+          << policy_kind_name(kind);
+      EXPECT_EQ(e.error().byte_offset, 5u) << policy_kind_name(kind);
     }
   }
 }

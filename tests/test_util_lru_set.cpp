@@ -108,76 +108,122 @@ TEST(LruSet, CapacityOneAlwaysReplaces) {
 }
 
 // Cross-check against a straightforward reference implementation on random
-// access streams, for a sweep of capacities. The sparse cases draw
-// structured ids (proc << 48 | local), whose raw low bits collide under a
-// power-of-two mask unless the index mixes them, and sprinkle clears and
-// growing resets that force the index to rebuild mid-stream.
+// operation streams (access, the fused try_touch/insert_absent pair, and
+// erase), for a sweep of capacities on both sides of the array/list
+// threshold. The sparse cases draw structured ids (proc << 48 | local),
+// whose raw low bits collide under a power-of-two mask unless the index
+// mixes them, and sprinkle clears and growing resets that force the index
+// to rebuild mid-stream. The crossing cases reset back and forth across
+// the threshold, so each representation is re-entered with the other's
+// leftovers behind it.
+enum class ReferenceMode { kPlain, kSparse, kCrossing };
+
 struct ReferenceCase {
   Height capacity;
-  bool sparse;  ///< Structured ids plus clears and growing resets.
+  ReferenceMode mode;
 };
 
 // Plain cases print as their bare capacity, so their test names are the
-// capacity alone; sparse ones get a suffix.
+// capacity alone; the others get a suffix.
 void PrintTo(const ReferenceCase& c, std::ostream* os) {
-  *os << c.capacity << (c.sparse ? "_sparse" : "");
+  *os << c.capacity;
+  if (c.mode == ReferenceMode::kSparse) *os << "_sparse";
+  if (c.mode == ReferenceMode::kCrossing) *os << "_crossing";
 }
 
 class LruSetReference : public ::testing::TestWithParam<ReferenceCase> {};
 
 TEST_P(LruSetReference, MatchesNaiveModel) {
-  const auto [initial_capacity, sparse] = GetParam();
+  const auto [initial_capacity, mode] = GetParam();
+  constexpr Height kThreshold = LruSet::kArrayCapacity;
   Height capacity = initial_capacity;
-  const PageId tag = sparse ? PageId{3} << 48 : 0;
+  const PageId tag = mode == ReferenceMode::kSparse ? PageId{3} << 48 : 0;
   LruSet set(capacity);
   std::vector<PageId> model;  // MRU at front
-  Rng rng(1234 + capacity + (sparse ? 1000 : 0));
+  Rng rng(1234 + capacity + 1000 * static_cast<Height>(mode));
 
   for (int i = 0; i < 5000; ++i) {
-    const PageId page = tag | rng.next_below(initial_capacity * 3 + 1);
-    // Model step.
+    const PageId page = tag | rng.next_below(capacity * 3 + 1);
     const auto it = std::find(model.begin(), model.end(), page);
     const bool model_hit = it != model.end();
-    PageId model_evicted = kInvalidPage;
-    if (model_hit) {
-      model.erase(it);
-    } else if (model.size() == capacity) {
-      model_evicted = model.back();
-      model.pop_back();
+    const std::uint64_t op = rng.next_below(10);
+    if (op == 0) {
+      // Erase: present or not.
+      if (model_hit) model.erase(it);
+      ASSERT_EQ(set.erase(page), model_hit) << "iteration " << i;
+    } else {
+      PageId model_evicted = kInvalidPage;
+      if (model_hit) {
+        model.erase(it);
+      } else if (model.size() == capacity) {
+        model_evicted = model.back();
+        model.pop_back();
+      }
+      model.insert(model.begin(), page);
+      PageId evicted = kInvalidPage;
+      bool hit = false;
+      if (op < 6) {
+        hit = set.access(page, evicted);
+      } else {
+        hit = set.try_touch(page);
+        if (!hit) evicted = set.insert_absent(page);
+      }
+      ASSERT_EQ(hit, model_hit) << "iteration " << i;
+      ASSERT_EQ(evicted, model_evicted) << "iteration " << i;
     }
-    model.insert(model.begin(), page);
-    // DUT step.
-    PageId evicted;
-    const bool hit = set.access(page, evicted);
-    ASSERT_EQ(hit, model_hit) << "iteration " << i;
-    ASSERT_EQ(evicted, model_evicted) << "iteration " << i;
     ASSERT_EQ(set.size(), model.size());
     ASSERT_EQ(set.pages_mru_order(), model);
-    if (!sparse) continue;
-    if (i % 701 == 700) {
-      set.clear();
-      model.clear();
-    }
-    if (i % 1301 == 1300) {
+    ASSERT_EQ(set.mru_page(), model.empty() ? kInvalidPage : model.front());
+    ASSERT_EQ(set.lru_page(), model.empty() ? kInvalidPage : model.back());
+    const PageId probe = tag | rng.next_below(capacity * 3 + 1);
+    ASSERT_EQ(set.contains(probe),
+              std::find(model.begin(), model.end(), probe) != model.end())
+        << "iteration " << i;
+    if (mode == ReferenceMode::kPlain) continue;
+    if (mode == ReferenceMode::kSparse) {
+      if (i % 701 == 700) {
+        set.clear();
+        model.clear();
+      }
+      if (i % 1301 != 1300) continue;
       // Up to twice the initial capacity: the index table must grow.
       capacity = 1 + (initial_capacity + static_cast<Height>(i)) %
                          (2 * initial_capacity);
-      set.reset(capacity);
-      model.clear();
-      ASSERT_TRUE(set.empty());
-      ASSERT_EQ(set.capacity(), capacity);
+    } else {
+      if (i % 257 != 256) continue;
+      // Alternate sides of the threshold: small -> large -> small ...
+      capacity = capacity > kThreshold
+                     ? static_cast<Height>(rng.next_in(1, kThreshold))
+                     : static_cast<Height>(
+                           rng.next_in(kThreshold + 1, 3 * kThreshold));
     }
+    set.reset(capacity);
+    model.clear();
+    ASSERT_TRUE(set.empty());
+    ASSERT_EQ(set.capacity(), capacity);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Capacities, LruSetReference,
-    ::testing::Values(ReferenceCase{1, false}, ReferenceCase{2, false},
-                      ReferenceCase{3, false}, ReferenceCase{4, false},
-                      ReferenceCase{7, false}, ReferenceCase{16, false},
-                      ReferenceCase{33, false}, ReferenceCase{1, true},
-                      ReferenceCase{2, true}, ReferenceCase{5, true},
-                      ReferenceCase{16, true}, ReferenceCase{33, true}));
+    ::testing::Values(
+        ReferenceCase{1, ReferenceMode::kPlain},
+        ReferenceCase{2, ReferenceMode::kPlain},
+        ReferenceCase{3, ReferenceMode::kPlain},
+        ReferenceCase{4, ReferenceMode::kPlain},
+        ReferenceCase{7, ReferenceMode::kPlain},
+        ReferenceCase{16, ReferenceMode::kPlain},
+        ReferenceCase{31, ReferenceMode::kPlain},
+        ReferenceCase{32, ReferenceMode::kPlain},
+        ReferenceCase{33, ReferenceMode::kPlain},
+        ReferenceCase{1, ReferenceMode::kSparse},
+        ReferenceCase{2, ReferenceMode::kSparse},
+        ReferenceCase{5, ReferenceMode::kSparse},
+        ReferenceCase{16, ReferenceMode::kSparse},
+        ReferenceCase{32, ReferenceMode::kSparse},
+        ReferenceCase{33, ReferenceMode::kSparse},
+        ReferenceCase{LruSet::kArrayCapacity, ReferenceMode::kCrossing},
+        ReferenceCase{LruSet::kArrayCapacity + 1, ReferenceMode::kCrossing}));
 
 // Mean successful-probe length (cells a find inspects, 1 = home cell) of
 // the keys live in an index kept at load 1/2: filled with `capacity` keys,

@@ -1,13 +1,13 @@
 // E10 — Microbenchmarks of the simulation substrates (google-benchmark).
 //
 // Throughput of the structures every experiment leans on: the LRU set, the
-// box runner, the sequential cache simulator, the stack-distance profiler,
-// the green-OPT DP, the offline packer, GLOBAL-LRU, the OPT bounds and a
-// whole run_instance on a sweep cell, the schedulers' next_box alone (a
-// p-sweep), the trace generators' next_span alone, and the full parallel
-// engine. These keep the harness honest about simulator cost and catch
-// performance regressions — scripts/bench_perf.sh snapshots them into
-// BENCH_PERF.json.
+// box runner, the sequential cache simulator, the stack-distance and
+// previous-access passes, the green-OPT DP, the offline packer, GLOBAL-LRU,
+// the OPT bounds and a whole run_instance on a sweep cell, the schedulers'
+// next_box alone (a p-sweep), the trace generators' next_span alone, and
+// the full parallel engine. These keep the harness honest about simulator
+// cost and catch performance regressions — scripts/bench_perf.sh snapshots
+// them into BENCH_PERF.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -48,7 +48,7 @@ void BM_LruSetAccess(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(set.access(trace[i]));
-    i = (i + 1) % trace.size();
+    if (++i == trace.size()) i = 0;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -75,7 +75,7 @@ void BM_LruSetAccessStructured(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(set.access(trace[i]));
-    i = (i + 1) % trace.size();
+    if (++i == trace.size()) i = 0;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -141,6 +141,21 @@ void BM_StackDistances(benchmark::State& state) {
       static_cast<std::int64_t>(trace.size()));
 }
 BENCHMARK(BM_StackDistances)->Arg(1 << 12)->Arg(1 << 15);
+
+/// The long-window regime: every warm request of a cycle over range(0)
+/// pages reuses a page range(0) requests back, far beyond the recent
+/// groups the distance pass counts word by word (200000 requests).
+void BM_StackDistancesLongWindow(benchmark::State& state) {
+  const Trace trace =
+      gen::cyclic(static_cast<std::uint64_t>(state.range(0)), 200000);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stack_distances(trace));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(trace.size()));
+}
+BENCHMARK(BM_StackDistancesLongWindow)->Arg(30000);
 
 void BM_GreenOptDp(benchmark::State& state) {
   Rng rng(4);
@@ -247,6 +262,40 @@ void BM_OptBounds(benchmark::State& state) {
       static_cast<std::int64_t>(mt.total_requests()));
 }
 BENCHMARK(BM_OptBounds)->Arg(32)->Arg(128);
+
+/// The distance pass run_instance runs on a cache-hungry sweep cell
+/// (packed_stack_distances over each processor's 4000-request trace):
+/// cycles over small working sets, so nearly every window is short.
+/// items = requests.
+void BM_StackDistancesSweepCell(benchmark::State& state) {
+  const MultiTrace mt = make_workload(
+      WorkloadKind::kCacheHungry,
+      sweep_cell(static_cast<ProcId>(state.range(0))));
+  for (auto _ : state) {
+    for (const Trace& trace : mt.traces())
+      benchmark::DoNotOptimize(packed_stack_distances(trace));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(mt.total_requests()));
+}
+BENCHMARK(BM_StackDistancesSweepCell)->Arg(16);
+
+/// previous_accesses over each trace of a hetero-mix sweep cell, the pass
+/// the offline packer and the Belady bound run. items = requests.
+void BM_PreviousAccesses(benchmark::State& state) {
+  const MultiTrace mt =
+      make_workload(WorkloadKind::kHeterogeneousMix,
+                    sweep_cell(static_cast<ProcId>(state.range(0))));
+  for (auto _ : state) {
+    for (const Trace& trace : mt.traces())
+      benchmark::DoNotOptimize(previous_accesses(trace));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(mt.total_requests()));
+}
+BENCHMARK(BM_PreviousAccesses)->Arg(16)->Arg(128);
 
 /// One E3/E4 sweep cell through run_instance, as the sweep benches run
 /// it: attach stack distances, OPT bounds, every box scheduler validated,

@@ -15,13 +15,16 @@
 #    engine stepper, the scheduler goldens, the generators, the LRU set
 #    and every other LruSet user (box runner, green OPT, dynamic green,
 #    the LRU policy and its cache-sim equivalence and inclusion suites),
-#    the stack-distance view (StreamingEquivalence, RunInstance) and the
+#    the stack-distance passes (StackDistance*, PreviousAccesses), the
+#    stack-distance view (StreamingEquivalence, RunInstance) and the
 #    offline packer (OfflinePacker, FixedHeightCandidates) again under
 #    ASan/UBSan (the event queue's buckets, the Zipf guide table, the LRU
 #    set's small-capacity array with its sentinel scan and in-place
 #    shifts, the LRU index's hashed probe start and backward-shift
-#    deletion, the distance loop's raw pointer, the rung scan's signed
-#    positions and the skyline's range erase are exercised there), then
+#    deletion, the previous-access table's probe and growth, the live-
+#    marker shifts and masks on `pos & 63` and their group-index math, the
+#    distance loop's raw pointer, the rung scan's signed positions and the
+#    skyline's range erase are exercised there), then
 #    parallel_for_index and the sweep executor raced under
 #    ThreadSanitizer;
 #  - the failure-as-data drill (scripts/chaos.sh: corrupt-trace rows
@@ -81,7 +84,7 @@ if [[ "${SAN}" != "none" ]]; then
   cmake --build "build-${SAN}" -j "$(nproc)"
   (cd "build-${SAN}" &&
    ctest --output-on-failure -j "$(nproc)" --no-tests=error \
-         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|AtomicFile|EngineStepper|PagingService|DetParGolden|RandParGolden|Generators|LruSet|BoxRunner|GreenOpt|DynamicGreen|CacheSimEquivalence|LruPolicyTest|LruInclusion|StreamingEquivalence|RunInstance|OfflinePacker|FixedHeightCandidates')
+         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|AtomicFile|EngineStepper|PagingService|DetParGolden|RandParGolden|Generators|LruSet|BoxRunner|GreenOpt|DynamicGreen|CacheSimEquivalence|LruPolicyTest|LruInclusion|StackDistance|PreviousAccesses|StreamingEquivalence|RunInstance|OfflinePacker|FixedHeightCandidates')
 
   # Fault-isolation gate under ASan: injected trace faults (fail,
   # hostile-page, torn-span, stall) must quarantine only their own tenant

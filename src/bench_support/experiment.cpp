@@ -33,7 +33,7 @@ std::string cell_spec(SchedulerKind kind, const ExperimentConfig& config) {
 InstanceOutcome run_instance(const MultiTraceSource& instance,
                              const std::vector<SchedulerKind>& kinds,
                              const ExperimentConfig& config) {
-  // One Fenwick pass per resident trace, shared by the bounds and every
+  // One distance pass per resident trace, shared by the bounds and every
   // box-scheduler run; the distances die with this call.
   const MultiTraceSource sources = instance.with_stack_distances();
   InstanceOutcome out;

@@ -70,7 +70,7 @@ struct InstanceOutcome {
 /// instance and computes ratios against the OPT lower bound. Resident
 /// traces get their stack distances attached for the length of the call
 /// (MultiTraceSource::with_stack_distances), so the bounds and the box
-/// runners share one Fenwick pass per trace.
+/// runners share one distance pass per trace.
 InstanceOutcome run_instance(const MultiTraceSource& instance,
                              const std::vector<SchedulerKind>& kinds,
                              const ExperimentConfig& config);

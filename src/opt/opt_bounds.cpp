@@ -143,8 +143,9 @@ OptBounds compute_opt_bounds(const MultiTraceSource& sources,
 
     Time single = 0;
     if (const auto attached = source.stack_distances()) {
-      // The attached distances count the distinct pages, so the hash pass
-      // runs only when Belady has to evict, and there is no Fenwick pass.
+      // The attached distances count the distinct pages, so the previous-
+      // access pass runs only when Belady has to evict, and no distance
+      // pass runs here.
       const auto distinct = static_cast<std::uint64_t>(
           std::count(attached->begin(), attached->end(), kColdDistance));
       single = distinct <= config.cache_size

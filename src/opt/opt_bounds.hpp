@@ -23,14 +23,14 @@
 //   * green_opt_impact — the exact DP of green_opt.hpp (tight, but costs
 //     O(n * s * k); used when traces are small).
 //
-// Both per-trace terms come from one previous_accesses() hash pass
-// (trace/stack_distance.hpp). The stack distances are the Fenwick pass
-// over it, or, on a source that carries them (with_stack_distances() in
-// trace/trace_source.hpp), are read off the source: there the hash pass
-// runs only when Belady has to evict. Belady needs no cache simulator:
-// with at most k distinct pages its faults are the distinct count, and
-// otherwise it is one scan with a flat max-heap of (next use, position),
-// next uses read off the same previous-access array.
+// Both per-trace terms come from one previous_accesses() pass over a flat
+// table (trace/stack_distance.hpp). The stack distances are the live-marker
+// count over it, or, on a source that carries them (with_stack_distances()
+// in trace/trace_source.hpp), are read off the source: there the
+// previous-access pass runs only when Belady has to evict. Belady needs no
+// cache simulator: with at most k distinct pages its faults are the
+// distinct count, and otherwise it is one scan with a flat max-heap of
+// (next use, position), next uses read off the same previous-access array.
 #pragma once
 
 #include <cstdint>

@@ -259,10 +259,12 @@ std::shared_ptr<const TraceSource> with_stack_distances(
   PPG_CHECK(source != nullptr);
   const Trace* trace = source->materialized();
   if (trace == nullptr || source->stack_distances() != nullptr ||
-      trace->size() >= kColdDistance ||
-      std::find(trace->begin(), trace->end(), kInvalidPage) != trace->end())
+      trace->size() >= kColdDistance)
     return source;
-  std::vector<std::uint32_t> distances = packed_stack_distances(*trace);
+  bool holds_invalid_page = false;
+  std::vector<std::uint32_t> distances =
+      packed_stack_distances(*trace, &holds_invalid_page);
+  if (holds_invalid_page) return source;
   return std::make_shared<StackDistanceSource>(std::move(source),
                                                std::move(distances));
 }

@@ -194,7 +194,7 @@ class MultiTraceSource {
   MultiTrace materialize() const;
 
   /// A copy whose sources carry their stack distances (ppg::
-  /// with_stack_distances applied to each): one Fenwick pass per resident
+  /// with_stack_distances applied to each): one distance pass per resident
   /// trace, 4 B per request held for as long as the copy lives. Meant for
   /// the span of one multi-run call (see bench_support/experiment.cpp);
   /// never cache it on a MultiTrace.

@@ -73,7 +73,7 @@ int run_bench(int argc, char** argv) {
         const GreenCase& gc = cases[i];
         const Height k = 4 * gc.p;
         const HeightLadder ladder = HeightLadder::for_cache(k, gc.p);
-        const Impact opt = green_opt_impact(gc.trace, ladder, gc.miss_cost);
+        const Impact opt = green_opt(gc.trace, ladder, gc.miss_cost).impact;
         GreenResult res;
         for (const double exponent : exponents) {
           double sum = 0;

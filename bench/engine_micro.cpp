@@ -163,7 +163,7 @@ void BM_GreenOptDp(benchmark::State& state) {
       gen::zipf(128, static_cast<std::size_t>(state.range(0)), 0.9, rng);
   const HeightLadder ladder{4, 64};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(green_opt_impact(trace, ladder, 8));
+    benchmark::DoNotOptimize(green_opt(trace, ladder, 8).impact);
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *

@@ -16,7 +16,6 @@
 #include "bench_support/experiment.hpp"
 #include "bench_support/parallel_sweep.hpp"
 #include "green/green_algorithm.hpp"
-#include "green/dynamic_green.hpp"
 #include "green/greedy_check.hpp"
 #include "green/green_opt.hpp"
 #include "trace/generators.hpp"
@@ -94,7 +93,7 @@ int run_bench(int argc, char** argv) {
             std::move(make_cases(k, p, s, /*seed=*/1000 + p)[case_idx]);
         MainResult res;
         res.case_name = gc.name;
-        res.opt = green_opt_impact(gc.trace, ladder, s);
+        res.opt = green_opt(gc.trace, ladder, s).impact;
         for (const GreenKind kind : pagers) {
           // Average randomized pagers over a few seeds.
           const int trials = kind == GreenKind::kRand ? 5 : 1;
@@ -168,7 +167,7 @@ int run_bench(int argc, char** argv) {
         const EpochSchedule schedule = EpochSchedule::doubling_min(
             h_min, static_cast<Height>(pow2_floor(k)),
             {quarter, 2 * quarter, 3 * quarter});
-        const Impact opt = green_opt_impact_dynamic(gc.trace, schedule, s);
+        const Impact opt = green_opt(gc.trace, schedule, s).impact;
         DynResult res;
         res.case_name = gc.name;
         res.epochs = schedule.num_epochs();

@@ -6,7 +6,10 @@
 // LRU starts empty.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -72,6 +75,82 @@ struct HeightLadder {
                             pow2_floor(h_min))),
                         static_cast<Height>(pow2_floor(k))};
   }
+};
+
+/// Piecewise-constant ladder over request positions (paper Section 4): with
+/// v sequences still alive each may claim k/v, so the ladder's bottom rises
+/// as processors finish. A box's allowed heights are those of the ladder in
+/// force at its STARTING position; it may finish in a later epoch (boxes
+/// are short, so this matches the paper's constant-factor slack).
+class EpochSchedule {
+ public:
+  struct Epoch {
+    std::size_t start_position;
+    HeightLadder ladder;
+  };
+
+  /// Epochs must start at position 0 and be strictly increasing; every
+  /// ladder must be valid.
+  explicit EpochSchedule(std::vector<Epoch> epochs)
+      : epochs_(std::move(epochs)) {
+    PPG_CHECK_MSG(!epochs_.empty(), "schedule needs at least one epoch");
+    PPG_CHECK_MSG(epochs_.front().start_position == 0,
+                  "first epoch must start at position 0");
+    for (std::size_t i = 0; i < epochs_.size(); ++i) {
+      PPG_CHECK(epochs_[i].ladder.valid());
+      if (i > 0)
+        PPG_CHECK_MSG(
+            epochs_[i].start_position > epochs_[i - 1].start_position,
+            "epoch starts must be strictly increasing");
+    }
+  }
+
+  /// Single-epoch schedule: classic green paging on one ladder, so a
+  /// HeightLadder passes wherever a schedule is taken.
+  EpochSchedule(const HeightLadder& ladder)
+      : EpochSchedule({Epoch{0, ladder}}) {}
+
+  const HeightLadder& ladder_at(std::size_t position) const {
+    return epochs_[epoch_at(position)].ladder;
+  }
+
+  /// Index of the epoch in force at `position`.
+  std::size_t epoch_at(std::size_t position) const {
+    std::size_t lo = 0;
+    std::size_t hi = epochs_.size();
+    while (lo + 1 < hi) {
+      const std::size_t mid = (lo + hi) / 2;
+      if (epochs_[mid].start_position <= position)
+        lo = mid;
+      else
+        hi = mid;
+    }
+    return lo;
+  }
+
+  std::size_t num_epochs() const { return epochs_.size(); }
+  const Epoch& epoch(std::size_t i) const {
+    PPG_CHECK(i < epochs_.size());
+    return epochs_[i];
+  }
+
+  /// The parallel-paging shape: the minimum threshold doubles at each
+  /// given position while the top stays at h_max (the "reboot whenever
+  /// the minimum threshold doubles" regime of Section 4).
+  static EpochSchedule doubling_min(Height h_min, Height h_max,
+                                    const std::vector<std::size_t>& steps) {
+    std::vector<Epoch> epochs;
+    Height current = h_min;
+    epochs.push_back(Epoch{0, HeightLadder{current, h_max}});
+    for (const std::size_t step : steps) {
+      current = std::min<Height>(h_max, current * 2);
+      epochs.push_back(Epoch{step, HeightLadder{current, h_max}});
+    }
+    return EpochSchedule(std::move(epochs));
+  }
+
+ private:
+  std::vector<Epoch> epochs_;
 };
 
 /// A box profile: the sequence of boxes a green-paging algorithm allocates.

@@ -141,17 +141,8 @@ ProfileRunResult run_profile_impl(BoxRunner& runner,
   for (const Box& box : profile) {
     if (runner.finished()) break;
     const BoxStepResult step = runner.run_box(box.height, box.duration);
-    result.impact += box.impact();
-    result.time += box.duration;
-    result.hits += step.hits;
-    result.misses += step.misses;
-    ++result.boxes_used;
-    if (step.finished) {
-      // Don't charge the unused tail of the final box.
-      result.time -= step.stall_time;
-      result.impact -= static_cast<Impact>(box.height) * step.stall_time;
-      break;
-    }
+    result.charge(box, step);
+    if (step.finished) break;
   }
   PPG_CHECK_MSG(runner.finished(), "profile too short to finish trace");
   return result;

@@ -140,6 +140,20 @@ struct ProfileRunResult {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::size_t boxes_used = 0;
+
+  /// Adds one box that ran as `step`: its whole duration, except that the
+  /// final box (the trace finished inside it) is charged only up to its
+  /// last request, not for its stalled tail. Returns the ticks charged.
+  Time charge(const Box& box, const BoxStepResult& step) {
+    const Time used =
+        step.finished ? box.duration - step.stall_time : box.duration;
+    time += used;
+    impact += static_cast<Impact>(box.height) * used;
+    hits += step.hits;
+    misses += step.misses;
+    ++boxes_used;
+    return used;
+  }
 };
 
 ProfileRunResult run_profile(const Trace& trace, const BoxProfile& profile,

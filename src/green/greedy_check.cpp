@@ -1,9 +1,12 @@
 #include "green/greedy_check.hpp"
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "green/box_runner.hpp"
 #include "green/green_opt.hpp"
+#include "trace/stack_distance.hpp"
 #include "util/assert.hpp"
 
 namespace ppg {
@@ -32,27 +35,27 @@ GreedyCheckResult check_greedily_green(const Trace& trace, GreenPager& pager,
   for (std::size_t c = 1; c <= num_checkpoints; ++c)
     targets.push_back(trace.size() * c / num_checkpoints);
 
+  // One previous-access table serves every checkpoint: a prefix's table
+  // is the same-length prefix of the whole trace's.
+  const std::vector<std::size_t> previous = previous_accesses(trace);
+  const EpochSchedule schedule(ladder);
   BoxRunner runner(trace, miss_cost);
-  Impact spent = 0;
+  ProfileRunResult run;
   std::size_t next_target = 0;
   while (!runner.finished()) {
     const Height h = pager.next_height();
     PPG_CHECK_MSG(ladder.contains(h), "pager left the ladder");
     const Box box = canonical_box(h, miss_cost);
-    const BoxStepResult step = runner.run_box(box.height, box.duration);
-    spent += step.finished
-                 ? static_cast<Impact>(box.height) * step.busy_time
-                 : box.impact();
+    run.charge(box, runner.run_box(box.height, box.duration));
     while (next_target < targets.size() &&
            runner.position() >= targets[next_target]) {
       GreedyCheckpoint cp;
       cp.prefix_requests = runner.position();
-      cp.pager_impact = spent;
-      const Trace prefix(std::vector<PageId>(
-          trace.requests().begin(),
-          trace.requests().begin() +
-              static_cast<std::ptrdiff_t>(cp.prefix_requests)));
-      cp.opt_impact = green_opt_impact(prefix, ladder, miss_cost);
+      cp.pager_impact = run.impact;
+      cp.opt_impact =
+          green_opt(std::span(previous).first(cp.prefix_requests), schedule,
+                    miss_cost)
+              .impact;
       cp.ratio = static_cast<double>(cp.pager_impact) /
                  static_cast<double>(std::max<Impact>(1, cp.opt_impact));
       result.max_ratio = std::max(result.max_ratio, cp.ratio);

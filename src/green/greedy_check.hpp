@@ -9,8 +9,9 @@
 // against a trace, snapshots the impact at every prefix boundary it
 // crosses, and compares with the exact green-OPT DP value of that prefix.
 //
-// Cost: one DP per checkpoint (O(n * s * h_max) each) — choose
-// num_checkpoints accordingly.
+// Cost: one previous-access pass, then one DP per checkpoint on that
+// table's prefix (O(n * s * h_max) each) — choose num_checkpoints
+// accordingly.
 #pragma once
 
 #include <cstddef>

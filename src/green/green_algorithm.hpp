@@ -4,9 +4,12 @@
 // sense — it never sees the request sequence, only the instance geometry
 // (the height ladder) — which is exactly what lets the parallel schedulers
 // reuse it as a black box. run_green_paging() couples a pager with a
-// BoxRunner to service a concrete trace and measure memory impact.
+// BoxRunner to service a concrete trace and measure memory impact;
+// run_green_paging_dynamic() does the same under an epoch schedule,
+// rebooting the pager whenever the ladder changes.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 
 #include "green/box.hpp"
@@ -61,5 +64,18 @@ std::unique_ptr<GreenPager> make_green_pager(GreenKind kind,
 ProfileRunResult run_green_paging(const Trace& trace, GreenPager& pager,
                                   Time miss_cost,
                                   BoxProfile* profile_out = nullptr);
+
+/// Section 4's evolving thresholds: services `trace` with canonical boxes
+/// from `pager`, rebooting it with the new ladder whenever a box starts in
+/// a new epoch of `schedule`. Returns totals plus the reboots performed.
+struct DynamicGreenResult {
+  ProfileRunResult run;
+  std::size_t reboots = 0;
+};
+
+DynamicGreenResult run_green_paging_dynamic(const Trace& trace,
+                                            GreenPager& pager,
+                                            const EpochSchedule& schedule,
+                                            Time miss_cost);
 
 }  // namespace ppg

@@ -149,22 +149,34 @@ ProfileRunResult run_green_paging(const Trace& trace, GreenPager& pager,
   BoxRunner runner(trace, miss_cost);
   ProfileRunResult result;
   while (!runner.finished()) {
-    const Height h = pager.next_height();
-    const Box box = canonical_box(h, miss_cost);
+    const Box box = canonical_box(pager.next_height(), miss_cost);
     const BoxStepResult step = runner.run_box(box.height, box.duration);
-    Impact impact = box.impact();
-    Time time = box.duration;
-    if (step.finished) {
-      impact -= static_cast<Impact>(box.height) * step.stall_time;
-      time -= step.stall_time;
+    const Time used = result.charge(box, step);
+    if (profile_out != nullptr) profile_out->push_back(Box{box.height, used});
+  }
+  return result;
+}
+
+DynamicGreenResult run_green_paging_dynamic(const Trace& trace,
+                                            GreenPager& pager,
+                                            const EpochSchedule& schedule,
+                                            Time miss_cost) {
+  DynamicGreenResult result;
+  BoxRunner runner(trace, miss_cost);
+  std::size_t current_epoch = 0;
+  pager.reboot(schedule.epoch(0).ladder);
+  while (!runner.finished()) {
+    const std::size_t epoch = schedule.epoch_at(runner.position());
+    if (epoch != current_epoch) {
+      current_epoch = epoch;
+      pager.reboot(schedule.epoch(epoch).ladder);
+      ++result.reboots;
     }
-    result.impact += impact;
-    result.time += time;
-    result.hits += step.hits;
-    result.misses += step.misses;
-    ++result.boxes_used;
-    if (profile_out != nullptr)
-      profile_out->push_back(Box{box.height, time});
+    const Height h = pager.next_height();
+    PPG_CHECK_MSG(schedule.epoch(current_epoch).ladder.contains(h),
+                  "pager left the epoch's ladder");
+    const Box box = canonical_box(h, miss_cost);
+    result.run.charge(box, runner.run_box(box.height, box.duration));
   }
   return result;
 }

@@ -2,119 +2,63 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
-#include "green/box_runner.hpp"
 #include "util/assert.hpp"
 #include "util/lru_set.hpp"
 
 namespace ppg {
 
 namespace {
-
 constexpr Impact kInf = std::numeric_limits<Impact>::max();
+}  // namespace
 
-/// Advances through `trace` from `pos` inside one canonical box of height
-/// `h`: returns the new position and the busy ticks consumed.
-struct BoxAdvance {
-  std::size_t next_pos;
-  Time busy;
-};
-
-BoxAdvance advance_box(const Trace& trace, std::size_t pos, Height h,
-                       Time miss_cost, LruSet& cache) {
-  cache.clear();
-  Time remaining = static_cast<Time>(h) * miss_cost;
-  Time busy = 0;
-  while (pos < trace.size()) {
-    const PageId page = trace[pos];
-    const Time cost = cache.contains(page) ? 1 : miss_cost;
-    if (cost > remaining) break;
-    cache.access(page);
-    remaining -= cost;
-    busy += cost;
-    ++pos;
-  }
-  return BoxAdvance{pos, busy};
+GreenOptResult green_opt(const Trace& trace, const EpochSchedule& schedule,
+                         Time miss_cost) {
+  return green_opt(previous_accesses(trace), schedule, miss_cost);
 }
 
-struct DpTables {
-  std::vector<Impact> dist;
-  std::vector<std::uint32_t> best_rung;   // edge used to *leave* position
-  std::vector<std::size_t> best_prev;     // predecessor position
-  std::vector<Time> final_busy;           // busy time of the final box, if
-                                          // this position reaches the end
-};
-
-DpTables run_dp(const Trace& trace, const HeightLadder& ladder,
-                Time miss_cost, bool want_profile) {
-  PPG_CHECK(ladder.valid());
+GreenOptResult green_opt(std::span<const std::size_t> previous,
+                         const EpochSchedule& schedule, Time miss_cost) {
   PPG_CHECK(miss_cost >= 1);
-  const std::size_t n = trace.size();
-  const std::uint32_t rungs = ladder.num_heights();
+  GreenOptResult result;
+  const std::size_t n = previous.size();
+  if (n == 0) return result;
 
-  DpTables t;
-  t.dist.assign(n + 1, kInf);
-  if (want_profile) {
-    t.best_rung.assign(n + 1, 0);
-    t.best_prev.assign(n + 1, 0);
-    t.final_busy.assign(n + 1, 0);
-  }
-  t.dist[0] = 0;
-
-  // One reusable cache per rung avoids re-allocating hash tables in the
-  // innermost loop.
-  std::vector<LruSet> caches;
-  caches.reserve(rungs);
-  for (std::uint32_t r = 0; r < rungs; ++r)
-    caches.emplace_back(ladder.height(r));
-
+  std::vector<Impact> dist(n + 1, kInf);
+  std::vector<Height> best_height(n + 1, 0);  // box that reaches a position
+  std::vector<std::size_t> best_prev(n + 1, 0);  // where that box started
+  Time final_busy = 0;  // busy time of the best box that reaches n
+  dist[0] = 0;
   for (std::size_t pos = 0; pos < n; ++pos) {
-    if (t.dist[pos] == kInf) continue;
-    for (std::uint32_t r = 0; r < rungs; ++r) {
+    if (dist[pos] == kInf) continue;
+    const HeightLadder& ladder = schedule.ladder_at(pos);
+    for (std::uint32_t r = 0; r < ladder.num_heights(); ++r) {
       const Height h = ladder.height(r);
-      const BoxAdvance adv = advance_box(trace, pos, h, miss_cost, caches[r]);
-      PPG_CHECK_MSG(adv.next_pos > pos, "box made no progress");
+      const BoxAdvance adv = canonical_box_advance(previous, pos, h, miss_cost);
+      PPG_DCHECK(adv.end > pos);  // a canonical box fits any request
       // Final box is charged for its busy ticks only; interior boxes for
       // their full canonical duration.
-      const Time charged =
-          adv.next_pos == n ? adv.busy : static_cast<Time>(h) * miss_cost;
-      const Impact cost = static_cast<Impact>(h) * charged;
-      const Impact cand = t.dist[pos] + cost;
-      if (cand < t.dist[adv.next_pos]) {
-        t.dist[adv.next_pos] = cand;
-        if (want_profile) {
-          t.best_rung[adv.next_pos] = r;
-          t.best_prev[adv.next_pos] = pos;
-          t.final_busy[adv.next_pos] = adv.busy;
-        }
+      const Time duration = canonical_box(h, miss_cost).duration;
+      const Time charged = adv.end == n ? duration - adv.stall : duration;
+      const Impact cand = dist[pos] + static_cast<Impact>(h) * charged;
+      if (cand < dist[adv.end]) {
+        dist[adv.end] = cand;
+        best_height[adv.end] = h;
+        best_prev[adv.end] = pos;
+        if (adv.end == n) final_busy = charged;
       }
     }
   }
-  PPG_CHECK_MSG(n == 0 || t.dist[n] != kInf, "DP failed to reach end");
-  return t;
-}
-
-}  // namespace
-
-GreenOptResult green_opt(const Trace& trace, const HeightLadder& ladder,
-                         Time miss_cost) {
-  GreenOptResult result;
-  if (trace.empty()) return result;
-  const DpTables t = run_dp(trace, ladder, miss_cost, /*want_profile=*/true);
-  const std::size_t n = trace.size();
-  result.impact = t.dist[n];
+  PPG_CHECK_MSG(dist[n] != kInf, "DP failed to reach end");
+  result.impact = dist[n];
 
   // Reconstruct the box chain back from position n.
   std::vector<Box> boxes;
-  std::size_t pos = n;
-  bool final_box = true;
-  while (pos != 0) {
-    const Height h = ladder.height(t.best_rung[pos]);
-    const Time duration = final_box ? t.final_busy[pos]
-                                    : static_cast<Time>(h) * miss_cost;
-    boxes.push_back(Box{h, duration});
-    pos = t.best_prev[pos];
-    final_box = false;
+  for (std::size_t pos = n; pos != 0; pos = best_prev[pos]) {
+    const Height h = best_height[pos];
+    boxes.push_back(
+        Box{h, pos == n ? final_busy : canonical_box(h, miss_cost).duration});
   }
   std::reverse(boxes.begin(), boxes.end());
   result.profile = BoxProfile(std::move(boxes));
@@ -123,30 +67,41 @@ GreenOptResult green_opt(const Trace& trace, const HeightLadder& ladder,
   return result;
 }
 
-Impact green_opt_impact(const Trace& trace, const HeightLadder& ladder,
-                        Time miss_cost) {
-  if (trace.empty()) return 0;
-  const DpTables t = run_dp(trace, ladder, miss_cost, /*want_profile=*/false);
-  return t.dist[trace.size()];
-}
-
 namespace {
 
-Impact brute_rec(const Trace& trace, const HeightLadder& ladder,
+/// Serves `trace` from `pos` inside one fresh canonical box of height h on
+/// a real LRU cache; returns the new position and the unused ticks.
+BoxAdvance simulate_box(const Trace& trace, std::size_t pos, Height h,
+                        Time miss_cost, LruSet& cache) {
+  cache.reset(h);
+  Time remaining = static_cast<Time>(h) * miss_cost;
+  while (pos < trace.size()) {
+    const PageId page = trace[pos];
+    const Time cost = cache.contains(page) ? 1 : miss_cost;
+    if (cost > remaining) break;
+    cache.access(page);
+    remaining -= cost;
+    ++pos;
+  }
+  return BoxAdvance{pos, remaining};
+}
+
+Impact brute_rec(const Trace& trace, const EpochSchedule& schedule,
                  Time miss_cost, std::size_t pos, std::uint32_t budget,
-                 std::vector<LruSet>& caches) {
+                 LruSet& cache) {
   if (pos >= trace.size()) return 0;
   if (budget == 0) return kInf;
   Impact best = kInf;
+  const HeightLadder& ladder = schedule.ladder_at(pos);
   for (std::uint32_t r = 0; r < ladder.num_heights(); ++r) {
     const Height h = ladder.height(r);
-    const BoxAdvance adv = advance_box(trace, pos, h, miss_cost, caches[r]);
-    const Time charged = adv.next_pos == trace.size()
-                             ? adv.busy
-                             : static_cast<Time>(h) * miss_cost;
+    const BoxAdvance adv = simulate_box(trace, pos, h, miss_cost, cache);
+    const Time duration = static_cast<Time>(h) * miss_cost;
+    const Time charged =
+        adv.end == trace.size() ? duration - adv.stall : duration;
     const Impact cost = static_cast<Impact>(h) * charged;
     const Impact rest =
-        brute_rec(trace, ladder, miss_cost, adv.next_pos, budget - 1, caches);
+        brute_rec(trace, schedule, miss_cost, adv.end, budget - 1, cache);
     if (rest != kInf) best = std::min(best, cost + rest);
   }
   return best;
@@ -155,12 +110,10 @@ Impact brute_rec(const Trace& trace, const HeightLadder& ladder,
 }  // namespace
 
 Impact green_opt_impact_bruteforce(const Trace& trace,
-                                   const HeightLadder& ladder, Time miss_cost,
-                                   std::uint32_t max_boxes) {
-  std::vector<LruSet> caches;
-  for (std::uint32_t r = 0; r < ladder.num_heights(); ++r)
-    caches.emplace_back(ladder.height(r));
-  return brute_rec(trace, ladder, miss_cost, 0, max_boxes, caches);
+                                   const EpochSchedule& schedule,
+                                   Time miss_cost, std::uint32_t max_boxes) {
+  LruSet cache(1);
+  return brute_rec(trace, schedule, miss_cost, 0, max_boxes, cache);
 }
 
 }  // namespace ppg

@@ -109,17 +109,7 @@ ProfileRunResult run_green_paging_with_policy_impl(PolicyBoxRunner& runner,
     // one on an unfinished runner is a stalled stream, not a full box.
     if (step.requests_completed == 0 && !runner.finished())
       throw_stalled_stream(runner.position());
-    Impact impact = box.impact();
-    Time time = box.duration;
-    if (step.finished) {
-      impact -= static_cast<Impact>(box.height) * step.stall_time;
-      time -= step.stall_time;
-    }
-    result.impact += impact;
-    result.time += time;
-    result.hits += step.hits;
-    result.misses += step.misses;
-    ++result.boxes_used;
+    result.charge(box, step);
   }
   return result;
 }

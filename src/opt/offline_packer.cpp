@@ -158,26 +158,12 @@ ProfileCost scan_rung(const std::vector<std::size_t>& previous, Height h,
                       Time miss_cost, BoxProfile* boxes) {
   PPG_CHECK(miss_cost >= 1);
   const Time duration = canonical_box(h, miss_cost).duration;
-  // Positions are compared signed: kNoPrevious (SIZE_MAX) reads as -1, so
-  // a first access fails the hit test below with no separate branch.
-  static_assert(static_cast<std::ptrdiff_t>(kNoPrevious) == -1);
-  const auto n = static_cast<std::ptrdiff_t>(previous.size());
-  const std::size_t* prev = previous.data();
+  const std::size_t n = previous.size();
   ProfileCost cost;
-  std::ptrdiff_t i = 0;
-  while (i < n) {
-    // One fresh box from b. Its s*h ticks pay for at most h misses, so it
-    // touches at most h distinct pages and LRU never evicts inside it:
-    // request i hits iff its page was already touched in this box.
-    const std::ptrdiff_t b = i;
-    Time remaining = duration;
-    for (; i < n; ++i) {
-      const Time step =
-          static_cast<std::ptrdiff_t>(prev[i]) >= b ? 1 : miss_cost;
-      if (step > remaining) break;  // stall to the box boundary
-      remaining -= step;
-    }
-    const Time used = i < n ? duration : duration - remaining;
+  for (std::size_t i = 0; i < n;) {
+    const BoxAdvance adv = canonical_box_advance(previous, i, h, miss_cost);
+    i = adv.end;
+    const Time used = i < n ? duration : duration - adv.stall;
     if (boxes != nullptr) boxes->push_back(Box{h, used});
     cost.impact += static_cast<Impact>(h) * used;
     cost.duration += used;
@@ -248,7 +234,7 @@ OfflinePackResult pack_offline(const MultiTraceSource& sources,
     const bool exact = config.exact_profile_max_requests == 0 ||
                        t.size() <= config.exact_profile_max_requests;
     if (exact) {
-      GreenOptResult opt = green_opt(t, ladder, config.miss_cost);
+      GreenOptResult opt = green_opt(previous[i], ladder, config.miss_cost);
       candidates[i].push_back(ProfileCost{opt.impact, opt.time});
       profiles[i] = std::move(opt.profile);
     }

@@ -24,11 +24,14 @@
 // rung's first box covers the whole trace; every taller rung then has the
 // same busy time and costs O(1). After selection, one more scan builds the
 // chosen rung's box list. The exact profile, when enabled, adds one
-// green-OPT DP per processor (O(n * s * k) each). Packing B boxes pops the
-// processors' frontiers in nondecreasing ready time, so the skyline drops
-// every segment that ends before the current frontier: it holds only the
-// boxes still ahead of it, and each box costs a walk over the segments its
-// earliest fit has to skip (O(B^2) in the adversarial worst case).
+// green-OPT DP per processor over the same previous-access table
+// (O(n * s * k) each). Every canonical box, in the scans and in the DP,
+// is one canonical_box_advance() (green/green_opt.hpp). Packing B boxes
+// pops the processors' frontiers in nondecreasing ready time, so the
+// skyline drops every segment that ends before the current frontier: it
+// holds only the boxes still ahead of it, and each box costs a walk over
+// the segments its earliest fit has to skip (O(B^2) in the adversarial
+// worst case).
 #pragma once
 
 #include <cstddef>

@@ -139,7 +139,7 @@ OptBounds compute_opt_bounds(const MultiTraceSource& sources,
         std::max<Time>(bounds.lb_max_length, t.size());
     const bool exact = t.size() <= config.exact_impact_max_requests;
     if (exact)
-      impact_sum += green_opt_impact(t, full_ladder, config.miss_cost);
+      impact_sum += green_opt(t, full_ladder, config.miss_cost).impact;
 
     Time single = 0;
     if (const auto attached = source.stack_distances()) {

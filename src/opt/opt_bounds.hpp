@@ -20,8 +20,8 @@
 //     box height to exceed its stack distance d (impact >= d+1 for that
 //     tick). Hence I >= sum_r min(s, d_r + 1), with cold requests counting
 //     as misses. Valid for every compartmentalized box profile.
-//   * green_opt_impact — the exact DP of green_opt.hpp (tight, but costs
-//     O(n * s * k); used when traces are small).
+//   * green_opt(...).impact — the exact DP of green_opt.hpp (tight, but
+//     costs O(n * s * k); used when traces are small).
 //
 // Both per-trace terms come from one previous_accesses() pass over a flat
 // table (trace/stack_distance.hpp). The stack distances are the live-marker

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "green/box.hpp"
 
 namespace ppg {
@@ -77,6 +79,46 @@ TEST(BoxProfileTest, Conformance) {
   EXPECT_TRUE(good.conforms_to(ladder));
   BoxProfile bad({Box{3, 4}});
   EXPECT_FALSE(bad.conforms_to(ladder));
+}
+
+TEST(EpochSchedule, LookupByPosition) {
+  const EpochSchedule schedule({{0, HeightLadder{2, 16}},
+                                {100, HeightLadder{4, 16}},
+                                {250, HeightLadder{8, 16}}});
+  EXPECT_EQ(schedule.num_epochs(), 3u);
+  EXPECT_EQ(schedule.ladder_at(0).h_min, 2u);
+  EXPECT_EQ(schedule.ladder_at(99).h_min, 2u);
+  EXPECT_EQ(schedule.ladder_at(100).h_min, 4u);
+  EXPECT_EQ(schedule.ladder_at(249).h_min, 4u);
+  EXPECT_EQ(schedule.ladder_at(1000000).h_min, 8u);
+}
+
+TEST(EpochSchedule, LadderIsASingleEpoch) {
+  const EpochSchedule schedule = HeightLadder{4, 32};
+  EXPECT_EQ(schedule.num_epochs(), 1u);
+  EXPECT_EQ(schedule.epoch(0).start_position, 0u);
+  EXPECT_EQ(schedule.ladder_at(123456).h_min, 4u);
+  EXPECT_EQ(schedule.ladder_at(123456).h_max, 32u);
+}
+
+TEST(EpochSchedule, DoublingMinBuilder) {
+  const EpochSchedule schedule =
+      EpochSchedule::doubling_min(2, 32, {100, 200, 300, 400});
+  EXPECT_EQ(schedule.num_epochs(), 5u);
+  EXPECT_EQ(schedule.ladder_at(0).h_min, 2u);
+  EXPECT_EQ(schedule.ladder_at(150).h_min, 4u);
+  EXPECT_EQ(schedule.ladder_at(450).h_min, 32u);  // clamped at h_max
+  EXPECT_EQ(schedule.ladder_at(450).h_max, 32u);
+}
+
+TEST(EpochSchedule, RejectsBadSchedules) {
+  EXPECT_DEATH(EpochSchedule(std::vector<EpochSchedule::Epoch>{}),
+               "at least one epoch");
+  EXPECT_DEATH(EpochSchedule({{5, HeightLadder{2, 8}}}), "position 0");
+  EXPECT_DEATH(EpochSchedule({{0, HeightLadder{2, 8}},
+                              {10, HeightLadder{2, 8}},
+                              {10, HeightLadder{4, 8}}}),
+               "strictly increasing");
 }
 
 }  // namespace

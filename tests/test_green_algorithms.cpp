@@ -143,5 +143,47 @@ TEST(RunGreenPaging, FixedMinIsGreenerOnSingleUseStream) {
   EXPECT_LT(rs.impact, rb.impact);
 }
 
+// Section 4's evolving thresholds: run_green_paging_dynamic reboots the
+// pager at each epoch boundary.
+constexpr Time kDynS = 8;
+
+TEST(DynamicGreen, SingleEpochMatchesStaticRunner) {
+  Rng rng(1);
+  const Trace t = gen::zipf(20, 1500, 0.9, rng);
+  const HeightLadder ladder{2, 16};
+  auto pager_a = make_det_green(ladder);
+  auto pager_b = make_det_green(ladder);
+  const ProfileRunResult stat = run_green_paging(t, *pager_a, kDynS);
+  const DynamicGreenResult dyn =
+      run_green_paging_dynamic(t, *pager_b, ladder, kDynS);
+  EXPECT_EQ(dyn.run.impact, stat.impact);
+  EXPECT_EQ(dyn.run.time, stat.time);
+  EXPECT_EQ(dyn.reboots, 0u);
+}
+
+TEST(DynamicGreen, RebootsFireAtEpochBoundaries) {
+  const Trace t = gen::single_use(600);
+  const EpochSchedule schedule =
+      EpochSchedule::doubling_min(2, 16, {200, 400});
+  auto pager = make_det_green(HeightLadder{2, 16});
+  const DynamicGreenResult r =
+      run_green_paging_dynamic(t, *pager, schedule, kDynS);
+  EXPECT_EQ(r.reboots, 2u);
+  EXPECT_EQ(r.run.hits + r.run.misses, t.size());
+}
+
+TEST(DynamicGreen, PagerHeightsConformPerEpoch) {
+  // After a reboot the pager must emit heights on the NEW ladder — the
+  // runner enforces it; this exercises the enforcement across epochs.
+  const Trace t = gen::single_use(500);
+  const EpochSchedule schedule =
+      EpochSchedule::doubling_min(4, 32, {100, 200, 300});
+  auto pager = make_rand_green(HeightLadder{4, 32}, Rng(11));
+  const DynamicGreenResult r =
+      run_green_paging_dynamic(t, *pager, schedule, kDynS);
+  EXPECT_EQ(r.run.hits + r.run.misses, t.size());
+  EXPECT_GE(r.reboots, 3u);
+}
+
 }  // namespace
 }  // namespace ppg

@@ -82,7 +82,8 @@ int run_bench(int argc, char** argv) {
             auto pager = make_rand_green(
                 ladder, Rng(31 + static_cast<std::uint64_t>(trial)), exponent);
             sum += static_cast<double>(
-                run_green_paging(gc.trace, *pager, gc.miss_cost).impact);
+                run_green_paging(gc.trace, *pager, ladder, gc.miss_cost)
+                    .impact);
           }
           res.ratios.push_back(
               sum / trials / static_cast<double>(std::max<Impact>(1, opt)));

@@ -12,6 +12,7 @@
 
 #include "bench_common.hpp"
 #include "bench_support/parallel_sweep.hpp"
+#include "green/green_algorithm.hpp"
 #include "green/policy_box_runner.hpp"
 #include "trace/generators.hpp"
 #include "util/rng.hpp"

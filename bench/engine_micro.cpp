@@ -200,7 +200,11 @@ void BM_PackOffline(benchmark::State& state) {
 BENCHMARK(BM_PackOffline)->Arg(16)->Arg(64)->Arg(128);
 
 /// Polluted cycles: every processor falls back to height-1 boxes (4000 per
-/// processor), the many-box case that loads the skyline.
+/// processor), the many-box case that loads the skyline. Its reading moves
+/// by about 25% with code placement alone (an unchanged packer linked into
+/// a binary whose other objects changed size), so a claim on it needs a
+/// same-binary comparison, or both sides built with offline_packer.cpp at
+/// -falign-loops=64.
 void BM_PackOfflinePolluted(benchmark::State& state) {
   pack_offline_cell(state, WorkloadKind::kPollutedCycles);
 }

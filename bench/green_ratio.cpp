@@ -101,8 +101,8 @@ int run_bench(int argc, char** argv) {
           for (int trial = 0; trial < trials; ++trial) {
             auto pager = make_green_pager(
                 kind, ladder, Rng(42 + static_cast<std::uint64_t>(trial)));
-            const ProfileRunResult r = run_green_paging(gc.trace, *pager, s);
-            sum += static_cast<double>(r.impact);
+            sum += static_cast<double>(
+                run_green_paging(gc.trace, *pager, ladder, s).impact);
           }
           res.ratios.push_back(
               sum / trials / static_cast<double>(std::max<Impact>(1, res.opt)));
@@ -178,9 +178,8 @@ int run_bench(int argc, char** argv) {
             auto pager = make_green_pager(
                 kind, schedule.epoch(0).ladder,
                 Rng(52 + static_cast<std::uint64_t>(trial)));
-            const DynamicGreenResult r =
-                run_green_paging_dynamic(gc.trace, *pager, schedule, s);
-            sum += static_cast<double>(r.run.impact);
+            sum += static_cast<double>(
+                run_green_paging(gc.trace, *pager, schedule, s).impact);
           }
           const double ratio =
               sum / trials / static_cast<double>(std::max<Impact>(1, opt));

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   for (const GreenKind kind : {GreenKind::kRand, GreenKind::kDet,
                                GreenKind::kFixedMin, GreenKind::kFixedMax}) {
     auto pager = make_green_pager(kind, ladder, Rng(13));
-    const ProfileRunResult r = run_green_paging(trace, *pager, s);
+    const ProfileRunResult r = run_green_paging(trace, *pager, ladder, s);
     table.row()
         .cell(green_kind_name(kind))
         .cell(r.impact)

@@ -19,18 +19,20 @@
 #    PreviousAccesses), the stack-distance view (StreamingEquivalence,
 #    RunInstance), the offline packer (OfflinePacker,
 #    FixedHeightCandidates), the green-OPT DP over epoch schedules
-#    (GreenOpt*, EpochSchedule, DynamicOpt*) and every loop that charges
-#    canonical boxes (RunProfile, RunGreenPaging, DynamicGreen,
-#    GreedyCheck, PolicyBoxRunner) again under
+#    (GreenOpt*, EpochSchedule, DynamicOpt*), the green pagers' and the
+#    greedy check's replays on the previous-access table (RunGreenPaging,
+#    DynamicGreen, GreedyCheck), the profile replay (RunProfile) and the
+#    policy runner with its canonical-box conservation test
+#    (PolicyBoxRunner, InBoxPolicyConservation) again under
 #    ASan/UBSan (the event queue's buckets, the Zipf guide table, the LRU
 #    set's small-capacity array with its sentinel scan and in-place
 #    shifts, the LRU index's hashed probe start and backward-shift
 #    deletion, the previous-access table's probe and growth, the live-
 #    marker shifts and masks on `pos & 63` and their group-index math, the
 #    distance loop's raw pointer, the canonical-box scan's signed
-#    positions (shared by the rung scans and the DP, which greedy checks
-#    run on prefixes of one previous-access table) and the skyline's range
-#    erase are exercised there), then
+#    positions (shared by the rung scans, the DP and the pager replays,
+#    which greedy checks run on prefixes of one previous-access table) and
+#    the skyline's range erase are exercised there), then
 #    parallel_for_index and the sweep executor raced under
 #    ThreadSanitizer;
 #  - the failure-as-data drill (scripts/chaos.sh: corrupt-trace rows
@@ -90,7 +92,7 @@ if [[ "${SAN}" != "none" ]]; then
   cmake --build "build-${SAN}" -j "$(nproc)"
   (cd "build-${SAN}" &&
    ctest --output-on-failure -j "$(nproc)" --no-tests=error \
-         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|AtomicFile|EngineStepper|PagingService|DetParGolden|RandParGolden|Generators|LruSet|BoxRunner|GreenOpt|DynamicGreen|DynamicOpt|EpochSchedule|RunProfile|RunGreenPaging|GreedyCheck|PolicyBoxRunner|CacheSimEquivalence|LruPolicyTest|LruInclusion|StackDistance|PreviousAccesses|StreamingEquivalence|RunInstance|OfflinePacker|FixedHeightCandidates')
+         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|AtomicFile|EngineStepper|PagingService|DetParGolden|RandParGolden|Generators|LruSet|BoxRunner|GreenOpt|DynamicGreen|DynamicOpt|EpochSchedule|RunProfile|RunGreenPaging|GreedyCheck|PolicyBoxRunner|InBoxPolicyConservation|CacheSimEquivalence|LruPolicyTest|LruInclusion|StackDistance|PreviousAccesses|StreamingEquivalence|RunInstance|OfflinePacker|FixedHeightCandidates')
 
   # Fault-isolation gate under ASan: injected trace faults (fail,
   # hostile-page, torn-span, stall) must quarantine only their own tenant

@@ -29,6 +29,39 @@ struct Box {
   bool operator==(const Box&) const = default;
 };
 
+/// Outcome of running a single box.
+struct BoxStepResult {
+  std::size_t requests_completed = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  Time busy_time = 0;   ///< Ticks spent serving requests.
+  Time stall_time = 0;  ///< Ticks wasted at the end of the box.
+  bool finished = false;  ///< Sequence completed within this box.
+};
+
+/// Totals of a whole trace served box by box.
+struct ProfileRunResult {
+  Time time = 0;
+  Impact impact = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::size_t boxes_used = 0;
+
+  /// Adds one box that ran as `step`: its whole duration, except that the
+  /// final box (the trace finished inside it) is charged only up to its
+  /// last request, not for its stalled tail. Returns the ticks charged.
+  Time charge(const Box& box, const BoxStepResult& step) {
+    const Time used =
+        step.finished ? box.duration - step.stall_time : box.duration;
+    time += used;
+    impact += static_cast<Impact>(box.height) * used;
+    hits += step.hits;
+    misses += step.misses;
+    ++boxes_used;
+    return used;
+  }
+};
+
 /// Canonical box of the paper: duration = s * height.
 inline Box canonical_box(Height height, Time s) {
   PPG_DCHECK(height >= 1);

@@ -1,9 +1,6 @@
 #include "green/box_runner.hpp"
 
-#include <utility>
-
 #include "util/assert.hpp"
-#include "util/error.hpp"
 
 namespace ppg {
 
@@ -14,41 +11,18 @@ namespace {
 constexpr std::size_t kStreamSpan = 256;
 }  // namespace
 
-void screen_span(const PageId* pages, std::size_t count,
-                 std::uint64_t first_position) {
-  // One pass over an L1-resident span, branch never taken on clean traces.
-  // File traces are also screened by trace_io; this screen covers every
-  // source, generated and caller-materialized ones included.
-  for (std::size_t i = 0; i < count; ++i) {
-    if (pages[i] == kInvalidPage) {
-      throw_error(ErrorCode::kCorruptTrace,
-                  "hostile page id (reserved sentinel) in trace stream",
-                  first_position + i);
-    }
-  }
-}
-
-BoxRunner::BoxRunner(std::unique_ptr<TraceCursor> cursor, Time miss_cost)
-    : miss_cost_(miss_cost) {
-  PPG_CHECK(miss_cost >= 1);
-  open_cursor(std::move(cursor));
-}
-
 BoxRunner::BoxRunner(const TraceSource& source, Time miss_cost)
     : distances_(source.stack_distances()), miss_cost_(miss_cost) {
   PPG_CHECK(miss_cost >= 1);
-  if (distances_ == nullptr) open_cursor(source.cursor());
-}
-
-BoxRunner::BoxRunner(const Trace& trace, Time miss_cost)
-    : BoxRunner(VectorTraceSource::view(trace)->cursor(), miss_cost) {}
-
-void BoxRunner::open_cursor(std::unique_ptr<TraceCursor> cursor) {
-  PPG_CHECK(cursor != nullptr);
-  cursor_ = std::move(cursor);
+  if (distances_ != nullptr) return;
+  cursor_ = source.cursor();
+  PPG_CHECK(cursor_ != nullptr);
   cache_.emplace(1);
   span_.resize(kStreamSpan);
 }
+
+BoxRunner::BoxRunner(const Trace& trace, Time miss_cost)
+    : BoxRunner(*VectorTraceSource::view(trace), miss_cost) {}
 
 BoxStepResult BoxRunner::run_box(Height height, Time duration, bool fresh) {
   PPG_CHECK(height >= 1);

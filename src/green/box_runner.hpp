@@ -7,6 +7,12 @@
 // processor stalls to the box boundary and retries in the next box (a
 // height-z canonical box therefore always completes at least z requests).
 //
+// BoxRunner serves boxes of any duration, fresh or continued, so its boxes
+// may evict: the engine's boxes and run_profile() replay through it. A
+// canonical box never evicts, so the green pagers and the greedy check
+// replay on the previous-access table instead (canonical_box_advance in
+// green_opt.hpp).
+//
 // Two loops serve a box, chosen by the input alone:
 //
 //   - Distance loop, for a source that carries its stack distances
@@ -24,9 +30,9 @@
 //     are; an open-addressing probe above), O(height) memory regardless of
 //     trace length. A stalled box leaves the request in the span buffer
 //     unconsumed, so the next box resumes at the same logical position.
-//     Every refilled span is screened for the reserved kInvalidPage
-//     sentinel, which must never enter a cache (a trace holding it never
-//     carries distances, so it always takes this loop).
+//     Every refilled span is screened (screen_span) for the reserved
+//     kInvalidPage sentinel, which must never enter a cache (a trace
+//     holding it never carries distances, so it always takes this loop).
 //
 // In both loops a hit always fits (cost 1, remaining >= 1) and commits
 // directly; a miss checks the remaining budget before committing the fault.
@@ -45,29 +51,10 @@
 
 namespace ppg {
 
-/// Outcome of running a single box.
-struct BoxStepResult {
-  std::size_t requests_completed = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  Time busy_time = 0;   ///< Ticks spent serving requests.
-  Time stall_time = 0;  ///< Ticks wasted at the end of the box.
-  bool finished = false;  ///< Sequence completed within this box.
-};
-
-/// Throws kCorruptTrace at the position of the first kInvalidPage in a
-/// freshly pulled span whose first page sits at `first_position`: the
-/// sentinel is reserved by the cache layer and must never enter a cache.
-void screen_span(const PageId* pages, std::size_t count,
-                 std::uint64_t first_position);
-
 class BoxRunner {
  public:
-  /// Runs over a cursor: O(height) memory, any trace length.
-  BoxRunner(std::unique_ptr<TraceCursor> cursor, Time miss_cost);
-
   /// Runs over `source`: on its stack distances when it carries them,
-  /// otherwise over a fresh cursor.
+  /// otherwise over a fresh cursor (O(height) memory, any trace length).
   BoxRunner(const TraceSource& source, Time miss_cost);
 
   /// Runs over a materialized trace without copying it; the trace must
@@ -95,9 +82,6 @@ class BoxRunner {
   std::uint64_t total_misses() const { return total_misses_; }
 
  private:
-  /// Takes `cursor` for the LRU loop.
-  void open_cursor(std::unique_ptr<TraceCursor> cursor);
-
   /// Distance loop: serves requests until the trace ends, the box budget
   /// runs out, or a miss no longer fits.
   void serve_distances(BoxStepResult& step, Time& remaining);
@@ -134,28 +118,6 @@ class BoxRunner {
 /// Runs the whole trace through a fixed profile; PPG_CHECKs that the
 /// profile is long enough to finish the trace. Returns total time and
 /// aggregate counters.
-struct ProfileRunResult {
-  Time time = 0;
-  Impact impact = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::size_t boxes_used = 0;
-
-  /// Adds one box that ran as `step`: its whole duration, except that the
-  /// final box (the trace finished inside it) is charged only up to its
-  /// last request, not for its stalled tail. Returns the ticks charged.
-  Time charge(const Box& box, const BoxStepResult& step) {
-    const Time used =
-        step.finished ? box.duration - step.stall_time : box.duration;
-    time += used;
-    impact += static_cast<Impact>(box.height) * used;
-    hits += step.hits;
-    misses += step.misses;
-    ++boxes_used;
-    return used;
-  }
-};
-
 ProfileRunResult run_profile(const Trace& trace, const BoxProfile& profile,
                              Time miss_cost);
 

@@ -4,9 +4,9 @@
 #include <span>
 #include <vector>
 
-#include "green/box_runner.hpp"
 #include "green/green_opt.hpp"
 #include "trace/stack_distance.hpp"
+#include "trace/trace_source.hpp"
 #include "util/assert.hpp"
 
 namespace ppg {
@@ -35,27 +35,29 @@ GreedyCheckResult check_greedily_green(const Trace& trace, GreenPager& pager,
   for (std::size_t c = 1; c <= num_checkpoints; ++c)
     targets.push_back(trace.size() * c / num_checkpoints);
 
-  // One previous-access table serves every checkpoint: a prefix's table
-  // is the same-length prefix of the whole trace's.
+  // One previous-access table serves the replay and every checkpoint: a
+  // prefix's table is the same-length prefix of the whole trace's.
+  screen_span(trace.requests().data(), trace.size(), 0);
   const std::vector<std::size_t> previous = previous_accesses(trace);
   const EpochSchedule schedule(ladder);
-  BoxRunner runner(trace, miss_cost);
   ProfileRunResult run;
   std::size_t next_target = 0;
-  while (!runner.finished()) {
-    const Height h = pager.next_height();
-    PPG_CHECK_MSG(ladder.contains(h), "pager left the ladder");
-    const Box box = canonical_box(h, miss_cost);
-    run.charge(box, runner.run_box(box.height, box.duration));
-    while (next_target < targets.size() &&
-           runner.position() >= targets[next_target]) {
+  for (std::size_t b = 0; b < previous.size();) {
+    const Box box = canonical_box(pager.next_height(), miss_cost);
+    PPG_CHECK_MSG(ladder.contains(box.height), "pager left the ladder");
+    const BoxAdvance adv =
+        canonical_box_advance(previous, b, box.height, miss_cost);
+    BoxStepResult step;
+    step.stall_time = adv.stall;
+    step.finished = adv.end == previous.size();
+    run.charge(box, step);
+    b = adv.end;
+    while (next_target < targets.size() && b >= targets[next_target]) {
       GreedyCheckpoint cp;
-      cp.prefix_requests = runner.position();
+      cp.prefix_requests = b;
       cp.pager_impact = run.impact;
       cp.opt_impact =
-          green_opt(std::span(previous).first(cp.prefix_requests), schedule,
-                    miss_cost)
-              .impact;
+          green_opt(std::span(previous).first(b), schedule, miss_cost).impact;
       cp.ratio = static_cast<double>(cp.pager_impact) /
                  static_cast<double>(std::max<Impact>(1, cp.opt_impact));
       result.max_ratio = std::max(result.max_ratio, cp.ratio);

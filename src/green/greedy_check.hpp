@@ -9,9 +9,9 @@
 // against a trace, snapshots the impact at every prefix boundary it
 // crosses, and compares with the exact green-OPT DP value of that prefix.
 //
-// Cost: one previous-access pass, then one DP per checkpoint on that
-// table's prefix (O(n * s * h_max) each) — choose num_checkpoints
-// accordingly.
+// Cost: one previous-access pass, which serves the replay (one
+// canonical_box_advance per box) and one DP per checkpoint on that table's
+// prefix (O(n * s * h_max) each) — choose num_checkpoints accordingly.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +39,8 @@ struct GreedyCheckResult {
 };
 
 /// Replays `pager` on `trace` with canonical boxes and evaluates Definition
-/// 1 at `num_checkpoints` (approximately) evenly spaced prefixes.
+/// 1 at `num_checkpoints` (approximately) evenly spaced prefixes. Throws
+/// kCorruptTrace at the first kInvalidPage in `trace`.
 GreedyCheckResult check_greedily_green(const Trace& trace, GreenPager& pager,
                                        const HeightLadder& ladder,
                                        Time miss_cost,

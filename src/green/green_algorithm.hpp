@@ -3,17 +3,17 @@
 // A green pager emits the next box height; it is *oblivious* in the paper's
 // sense — it never sees the request sequence, only the instance geometry
 // (the height ladder) — which is exactly what lets the parallel schedulers
-// reuse it as a black box. run_green_paging() couples a pager with a
-// BoxRunner to service a concrete trace and measure memory impact;
-// run_green_paging_dynamic() does the same under an epoch schedule,
-// rebooting the pager whenever the ladder changes.
+// reuse it as a black box. run_green_paging() services a concrete trace
+// with the pager's canonical boxes and measures memory impact, rebooting
+// the pager whenever a box starts in a new epoch of an EpochSchedule. A
+// height-h canonical box lasts s*h ticks, so it pays for at most h misses
+// and LRU never evicts inside it: the replay needs no cache, only the
+// trace's previous-access table (canonical_box_advance in green_opt.hpp).
 #pragma once
 
-#include <cstddef>
 #include <memory>
 
 #include "green/box.hpp"
-#include "green/box_runner.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 
@@ -59,23 +59,17 @@ std::unique_ptr<GreenPager> make_green_pager(GreenKind kind,
                                              Rng rng,
                                              double exponent = 2.0);
 
-/// Services `trace` with canonical boxes drawn from `pager`.
-/// Returns time/impact/fault totals.
+/// Services `trace` with canonical boxes drawn from `pager`, which must be
+/// on the schedule's first ladder. Each box takes its height from the
+/// ladder in force at its starting position; when that position lies in a
+/// new epoch, the pager is first rebooted with the epoch's ladder (Section
+/// 4's evolving thresholds). A HeightLadder is the one-epoch schedule.
+/// Returns time/impact/fault totals, and appends each box with the ticks
+/// it was charged to `profile_out` when given. Throws kCorruptTrace at the
+/// first kInvalidPage in `trace`.
 ProfileRunResult run_green_paging(const Trace& trace, GreenPager& pager,
+                                  const EpochSchedule& schedule,
                                   Time miss_cost,
                                   BoxProfile* profile_out = nullptr);
-
-/// Section 4's evolving thresholds: services `trace` with canonical boxes
-/// from `pager`, rebooting it with the new ladder whenever a box starts in
-/// a new epoch of `schedule`. Returns totals plus the reboots performed.
-struct DynamicGreenResult {
-  ProfileRunResult run;
-  std::size_t reboots = 0;
-};
-
-DynamicGreenResult run_green_paging_dynamic(const Trace& trace,
-                                            GreenPager& pager,
-                                            const EpochSchedule& schedule,
-                                            Time miss_cost);
 
 }  // namespace ppg

@@ -1,7 +1,12 @@
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "green/green_algorithm.hpp"
+#include "green/green_opt.hpp"
+#include "trace/stack_distance.hpp"
+#include "trace/trace_source.hpp"
 #include "util/assert.hpp"
 #include "util/discrete_distribution.hpp"
 
@@ -145,38 +150,39 @@ std::unique_ptr<GreenPager> make_green_pager(GreenKind kind,
 }
 
 ProfileRunResult run_green_paging(const Trace& trace, GreenPager& pager,
+                                  const EpochSchedule& schedule,
                                   Time miss_cost, BoxProfile* profile_out) {
-  BoxRunner runner(trace, miss_cost);
+  PPG_CHECK(miss_cost >= 1);
+  screen_span(trace.requests().data(), trace.size(), 0);
+  const std::vector<std::size_t> previous = previous_accesses(trace);
   ProfileRunResult result;
-  while (!runner.finished()) {
+  std::size_t epoch = 0;
+  for (std::size_t b = 0; b < previous.size();) {
+    if (const std::size_t e = schedule.epoch_at(b); e != epoch) {
+      epoch = e;
+      pager.reboot(schedule.epoch(epoch).ladder);
+    }
     const Box box = canonical_box(pager.next_height(), miss_cost);
-    const BoxStepResult step = runner.run_box(box.height, box.duration);
+    PPG_CHECK_MSG(schedule.epoch(epoch).ladder.contains(box.height),
+                  "pager left the epoch's ladder");
+    const BoxAdvance adv =
+        canonical_box_advance(previous, b, box.height, miss_cost);
+    // The box opened empty at b: request i missed iff its page was last
+    // touched before b (or never; kNoPrevious reads as -1 signed).
+    BoxStepResult step;
+    step.misses = static_cast<std::uint64_t>(std::count_if(
+        previous.begin() + static_cast<std::ptrdiff_t>(b),
+        previous.begin() + static_cast<std::ptrdiff_t>(adv.end),
+        [b](std::size_t prev) {
+          return static_cast<std::ptrdiff_t>(prev) <
+                 static_cast<std::ptrdiff_t>(b);
+        }));
+    step.hits = adv.end - b - step.misses;
+    step.stall_time = adv.stall;
+    step.finished = adv.end == previous.size();
     const Time used = result.charge(box, step);
     if (profile_out != nullptr) profile_out->push_back(Box{box.height, used});
-  }
-  return result;
-}
-
-DynamicGreenResult run_green_paging_dynamic(const Trace& trace,
-                                            GreenPager& pager,
-                                            const EpochSchedule& schedule,
-                                            Time miss_cost) {
-  DynamicGreenResult result;
-  BoxRunner runner(trace, miss_cost);
-  std::size_t current_epoch = 0;
-  pager.reboot(schedule.epoch(0).ladder);
-  while (!runner.finished()) {
-    const std::size_t epoch = schedule.epoch_at(runner.position());
-    if (epoch != current_epoch) {
-      current_epoch = epoch;
-      pager.reboot(schedule.epoch(epoch).ladder);
-      ++result.reboots;
-    }
-    const Height h = pager.next_height();
-    PPG_CHECK_MSG(schedule.epoch(current_epoch).ladder.contains(h),
-                  "pager left the epoch's ladder");
-    const Box box = canonical_box(h, miss_cost);
-    result.run.charge(box, runner.run_box(box.height, box.duration));
+    b = adv.end;
   }
   return result;
 }

@@ -95,41 +95,4 @@ BoxStepResult PolicyBoxRunner::run_box(Height height, Time duration,
   return step;
 }
 
-namespace {
-
-ProfileRunResult run_green_paging_with_policy_impl(PolicyBoxRunner& runner,
-                                                   GreenPager& pager,
-                                                   Time miss_cost) {
-  ProfileRunResult result;
-  while (!runner.finished()) {
-    const Height h = pager.next_height();
-    const Box box = canonical_box(h, miss_cost);
-    const BoxStepResult step = runner.run_box(box.height, box.duration);
-    // A canonical box (duration s*h) always fits a request, so an empty
-    // one on an unfinished runner is a stalled stream, not a full box.
-    if (step.requests_completed == 0 && !runner.finished())
-      throw_stalled_stream(runner.position());
-    result.charge(box, step);
-  }
-  return result;
-}
-
-}  // namespace
-
-ProfileRunResult run_green_paging_with_policy(const Trace& trace,
-                                              GreenPager& pager,
-                                              Time miss_cost, PolicyKind kind,
-                                              std::uint64_t seed) {
-  PolicyBoxRunner runner(trace, miss_cost, kind, seed);
-  return run_green_paging_with_policy_impl(runner, pager, miss_cost);
-}
-
-ProfileRunResult run_green_paging_with_policy(const TraceSource& source,
-                                              GreenPager& pager,
-                                              Time miss_cost, PolicyKind kind,
-                                              std::uint64_t seed) {
-  PolicyBoxRunner runner(source, miss_cost, kind, seed);
-  return run_green_paging_with_policy_impl(runner, pager, miss_cost);
-}
-
 }  // namespace ppg

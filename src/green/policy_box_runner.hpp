@@ -3,11 +3,15 @@
 // The paper fixes per-box LRU "without loss of generality" — the claim
 // being that any replacement policy inside compartmentalized boxes changes
 // costs by at most a constant factor (boxes start empty and are short, so
-// policy differences cannot compound). This runner exists to measure that
-// constant (ablation E12) and to let users experiment with in-box Belady /
-// CLOCK / ARC. The hot path stays in BoxRunner (specialized LRU); this
-// class trades speed for generality — though residency routes through the
-// policy's own index (touch_if_resident) instead of a second hash set.
+// policy differences cannot compound). In a canonical box (s*h ticks) the
+// constant is exactly 1: the box pays for at most h misses, so no policy
+// ever evicts and every policy replays a pager's boxes exactly as
+// run_green_paging() does (pinned for every PolicyKind by the
+// InBoxPolicyConservation tests). Only longer boxes evict, so this runner
+// exists to measure the policy spread there (ablation E12's 4x and 16x
+// boxes) and to let users experiment with in-box Belady / CLOCK / ARC.
+// Residency routes through the policy's own index (touch_if_resident)
+// instead of a second hash set.
 //
 // Requests are pulled from a TraceCursor in spans on every source, as in
 // BoxRunner's LRU loop: a stalled request stays buffered for the next box,
@@ -22,7 +26,6 @@
 #include <vector>
 
 #include "green/box.hpp"
-#include "green/green_algorithm.hpp"
 #include "paging/eviction_policy.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_source.hpp"
@@ -68,18 +71,5 @@ class PolicyBoxRunner {
   Height resident_count_ = 0;
   std::unique_ptr<EvictionPolicy> policy_;
 };
-
-/// Replays `trace` through canonical boxes emitted by `pager` with the
-/// given in-box policy; returns totals (mirrors run_green_paging).
-ProfileRunResult run_green_paging_with_policy(const Trace& trace,
-                                              GreenPager& pager,
-                                              Time miss_cost, PolicyKind kind,
-                                              std::uint64_t seed = 1);
-
-/// Streaming counterpart (kBelady requires a materialized source).
-ProfileRunResult run_green_paging_with_policy(const TraceSource& source,
-                                              GreenPager& pager,
-                                              Time miss_cost, PolicyKind kind,
-                                              std::uint64_t seed = 1);
 
 }  // namespace ppg

@@ -18,7 +18,7 @@ EngineConfig engine_config(const ServiceConfig& config) {
   ec.max_events = config.max_events;
   ec.proc_event_budget = config.tenant_event_budget;
   ec.proc_deadline = config.tenant_deadline;
-  ec.contain_proc_failures = config.contain_tenant_failures;
+  ec.contain_proc_failures = true;
   return ec;
 }
 
@@ -186,7 +186,6 @@ void PagingService::finalize(TenantId tenant, Time completed,
   record.misses = misses;
   record.state = TenantState::kDone;
   record.terminal = terminal;
-  record.departed = terminal == TenantTerminal::kDeparted;
   record.error = std::move(error);
   switch (terminal) {
     case TenantTerminal::kCompleted:
@@ -310,7 +309,7 @@ TenantOutcome PagingService::outcome(TenantId tenant) const {
   out.completed = record.completed;
   out.hits = record.hits;
   out.misses = record.misses;
-  out.departed = record.departed;
+  out.departed = record.terminal == TenantTerminal::kDeparted;
   out.terminal = record.terminal;
   out.error = record.error;
   return out;

@@ -17,13 +17,16 @@
 // run_parallel() over the same sources (pinned by
 // tests/test_paging_service.cpp).
 //
-// Fault isolation: with contain_tenant_failures (the default), a tenant
-// whose trace faults — or that breaches its per-tenant budget/deadline —
-// is quarantined at its next box boundary (TenantTerminal::kQuarantined,
-// structured cause in TenantOutcome::error) while every other tenant's
-// schedule and metrics stay byte-identical. Overload is handled by a
-// pluggable AdmissionPolicy, and metrics().health summarizes both
-// pressure signals. See DESIGN.md §12.
+// Fault isolation: the service always contains per-tenant faults
+// (EngineConfig::contain_proc_failures) — a multi-tenant front end must
+// not let one hostile trace take down its neighbours, unlike the batch
+// engine, which fails fast. A tenant whose trace faults — or that
+// breaches its per-tenant budget/deadline — is quarantined at its next box
+// boundary (TenantTerminal::kQuarantined, structured cause in
+// TenantOutcome::error) while every other tenant's schedule and metrics
+// stay byte-identical. Overload is handled by a pluggable AdmissionPolicy,
+// and metrics().health summarizes both pressure signals. See DESIGN.md
+// §12.
 //
 // Memory: tenants stream through TraceCursor-backed runners that are
 // released on completion, so live memory is O(active tenants x box height)
@@ -106,12 +109,6 @@ struct ServiceConfig {
   /// kTenantDeadlineExceeded); every other tenant is unaffected.
   std::uint64_t tenant_event_budget = 0;
   Time tenant_deadline = 0;
-  /// Contain per-tenant runner/cursor faults
-  /// (EngineConfig::contain_proc_failures): a faulty tenant is quarantined
-  /// at its next box boundary instead of failing the whole run. Defaults ON
-  /// here — a multi-tenant front end must not let one hostile trace take
-  /// down its neighbours — unlike the batch engine, which fails fast.
-  bool contain_tenant_failures = true;
   /// metrics().health turns kDegraded when the admission queue is at least
   /// this full (as a fraction of admission_queue_limit)...
   double degraded_queue_fraction = 0.5;
@@ -128,7 +125,7 @@ struct TenantOutcome {
   Time completed = 0;  ///< Completion (or forced-departure) time.
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  bool departed = false;  ///< Legacy: terminal == kDeparted.
+  bool departed = false;  ///< terminal == kDeparted, derived by outcome().
   TenantTerminal terminal = TenantTerminal::kCompleted;
   /// Structured quarantine cause; code == kOk unless terminal is
   /// kQuarantined (then kCorruptTrace / kTenantBudgetExceeded / ...).
@@ -232,7 +229,6 @@ class PagingService {
     std::uint64_t misses = 0;
     ProcId proc = kInvalidProc;  ///< Engine slot once admitted.
     TenantState state = TenantState::kQueued;
-    bool departed = false;
     bool depart_requested = false;
     TenantTerminal terminal = TenantTerminal::kCompleted;
     Error error;  ///< Quarantine cause; kOk otherwise.

@@ -203,6 +203,20 @@ void throw_stalled_stream(std::uint64_t position) {
               "trace stream stalled before its declared end", position);
 }
 
+void screen_span(const PageId* pages, std::size_t count,
+                 std::uint64_t first_position) {
+  // One pass, branch never taken on clean traces. File traces are also
+  // screened by trace_io; this screen covers every source, generated and
+  // caller-materialized ones included.
+  for (std::size_t i = 0; i < count; ++i) {
+    if (pages[i] == kInvalidPage) {
+      throw_error(ErrorCode::kCorruptTrace,
+                  "hostile page id (reserved sentinel) in trace stream",
+                  first_position + i);
+    }
+  }
+}
+
 Trace materialize(TraceCursor& cursor, std::size_t size_hint) {
   std::vector<PageId> reqs;
   reqs.reserve(size_hint);

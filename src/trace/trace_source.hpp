@@ -68,6 +68,12 @@ inline constexpr std::size_t kDrainSpan = 1024;
 /// Throws kCorruptTrace for a stream that stalled at `position`.
 [[noreturn]] void throw_stalled_stream(std::uint64_t position);
 
+/// Throws kCorruptTrace at the position of the first kInvalidPage among
+/// `count` pages whose first sits at `first_position`: the sentinel is
+/// reserved by the cache layer and must never enter a cache.
+void screen_span(const PageId* pages, std::size_t count,
+                 std::uint64_t first_position);
+
 /// Drains `cursor` span by span, calling `consume(const PageId* pages,
 /// std::size_t count)` once per span. A stalled stream (next_span returns
 /// 0 before done()) throws kCorruptTrace at the stall position.

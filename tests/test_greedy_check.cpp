@@ -3,6 +3,7 @@
 #include "green/greedy_check.hpp"
 #include "green/green_opt.hpp"
 #include "trace/generators.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace ppg {
@@ -86,6 +87,21 @@ TEST(GreedyCheck, FlagsAGreenwashingPager) {
       check_greedily_green(t, *pager, kLadder, kS, 4);
   EXPECT_GT(r.max_ratio, 4.0);
   EXPECT_FALSE(r.is_greedily_competitive(2.0, /*slack=*/0));
+}
+
+TEST(GreedyCheck, HostilePageIsCorruptTrace) {
+  // Screened once over the whole trace before the previous-access table
+  // is built, as in run_green_paging.
+  Trace t = gen::cyclic(4, 40);
+  t.mutable_requests()[5] = kInvalidPage;
+  auto pager = make_det_green(kLadder);
+  try {
+    check_greedily_green(t, *pager, kLadder, kS, 2);
+    ADD_FAILURE() << "served a hostile page";
+  } catch (const PpgException& e) {
+    EXPECT_EQ(e.error().code, ErrorCode::kCorruptTrace);
+    EXPECT_EQ(e.error().byte_offset, 5u);
+  }
 }
 
 TEST(GreedyCheck, RejectsOffLadderPager) {

@@ -4,8 +4,10 @@
 #include <map>
 #include <set>
 
+#include "green/box_runner.hpp"
 #include "green/green_algorithm.hpp"
 #include "trace/generators.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace ppg {
@@ -113,7 +115,8 @@ TEST(RunGreenPaging, CompletesTheTrace) {
   const Trace t = gen::cyclic(16, 2000);
   auto pager = make_det_green(kLadder);
   BoxProfile profile;
-  const ProfileRunResult r = run_green_paging(t, *pager, 8, &profile);
+  const ProfileRunResult r =
+      run_green_paging(t, *pager, kLadder, 8, &profile);
   EXPECT_EQ(r.hits + r.misses, t.size());
   EXPECT_GT(r.impact, 0u);
   EXPECT_EQ(r.boxes_used, profile.size());
@@ -127,8 +130,8 @@ TEST(RunGreenPaging, FixedMaxBeatsFixedMinOnBigWorkingSet) {
   const Trace t = gen::cyclic(48, 5000);
   auto big = make_fixed_green(kLadder, 64);
   auto small = make_fixed_green(kLadder, 4);
-  const ProfileRunResult rb = run_green_paging(t, *big, 8);
-  const ProfileRunResult rs = run_green_paging(t, *small, 8);
+  const ProfileRunResult rb = run_green_paging(t, *big, kLadder, 8);
+  const ProfileRunResult rs = run_green_paging(t, *small, kLadder, 8);
   EXPECT_LT(rb.misses, rs.misses / 2);
 }
 
@@ -138,38 +141,78 @@ TEST(RunGreenPaging, FixedMinIsGreenerOnSingleUseStream) {
   const Trace t = gen::single_use(500);
   auto big = make_fixed_green(kLadder, 64);
   auto small = make_fixed_green(kLadder, 4);
-  const ProfileRunResult rb = run_green_paging(t, *big, 8);
-  const ProfileRunResult rs = run_green_paging(t, *small, 8);
+  const ProfileRunResult rb = run_green_paging(t, *big, kLadder, 8);
+  const ProfileRunResult rs = run_green_paging(t, *small, kLadder, 8);
   EXPECT_LT(rs.impact, rb.impact);
 }
 
-// Section 4's evolving thresholds: run_green_paging_dynamic reboots the
-// pager at each epoch boundary.
+TEST(RunGreenPaging, HostilePageIsCorruptTrace) {
+  // The reserved sentinel never reaches the previous-access table: the
+  // whole trace is screened first, and the error names its position.
+  Trace t = gen::cyclic(4, 40);
+  t.mutable_requests()[5] = kInvalidPage;
+  auto pager = make_det_green(kLadder);
+  try {
+    run_green_paging(t, *pager, kLadder, 8);
+    ADD_FAILURE() << "served a hostile page";
+  } catch (const PpgException& e) {
+    EXPECT_EQ(e.error().code, ErrorCode::kCorruptTrace);
+    EXPECT_EQ(e.error().byte_offset, 5u);
+  }
+}
+
+// Section 4's evolving thresholds: run_green_paging reboots the pager at
+// each epoch boundary a box starts past.
 constexpr Time kDynS = 8;
 
+/// Forwards to `inner` and counts the reboots it receives.
+class CountingPager final : public GreenPager {
+ public:
+  explicit CountingPager(std::unique_ptr<GreenPager> inner)
+      : inner_(std::move(inner)) {}
+
+  Height next_height() override { return inner_->next_height(); }
+  void reboot(const HeightLadder& ladder) override {
+    ++reboots;
+    inner_->reboot(ladder);
+  }
+  const char* name() const override { return inner_->name(); }
+
+  std::size_t reboots = 0;
+
+ private:
+  std::unique_ptr<GreenPager> inner_;
+};
+
 TEST(DynamicGreen, SingleEpochMatchesStaticRunner) {
+  // One epoch never reboots, and the table replay agrees with BoxRunner's
+  // LRU replay of the profile it emitted, box for box. At s = 1 a hit and
+  // a miss cost the same, so only the counted misses can agree.
   Rng rng(1);
   const Trace t = gen::zipf(20, 1500, 0.9, rng);
   const HeightLadder ladder{2, 16};
-  auto pager_a = make_det_green(ladder);
-  auto pager_b = make_det_green(ladder);
-  const ProfileRunResult stat = run_green_paging(t, *pager_a, kDynS);
-  const DynamicGreenResult dyn =
-      run_green_paging_dynamic(t, *pager_b, ladder, kDynS);
-  EXPECT_EQ(dyn.run.impact, stat.impact);
-  EXPECT_EQ(dyn.run.time, stat.time);
-  EXPECT_EQ(dyn.reboots, 0u);
+  for (const Time s : {Time{1}, kDynS}) {
+    CountingPager pager(make_det_green(ladder));
+    BoxProfile profile;
+    const ProfileRunResult r = run_green_paging(t, pager, ladder, s, &profile);
+    const ProfileRunResult lru = run_profile(t, profile, s);
+    EXPECT_EQ(r.impact, lru.impact) << "s = " << s;
+    EXPECT_EQ(r.time, lru.time) << "s = " << s;
+    EXPECT_EQ(r.hits, lru.hits) << "s = " << s;
+    EXPECT_EQ(r.misses, lru.misses) << "s = " << s;
+    EXPECT_EQ(r.boxes_used, lru.boxes_used) << "s = " << s;
+    EXPECT_EQ(pager.reboots, 0u);
+  }
 }
 
 TEST(DynamicGreen, RebootsFireAtEpochBoundaries) {
   const Trace t = gen::single_use(600);
   const EpochSchedule schedule =
       EpochSchedule::doubling_min(2, 16, {200, 400});
-  auto pager = make_det_green(HeightLadder{2, 16});
-  const DynamicGreenResult r =
-      run_green_paging_dynamic(t, *pager, schedule, kDynS);
-  EXPECT_EQ(r.reboots, 2u);
-  EXPECT_EQ(r.run.hits + r.run.misses, t.size());
+  CountingPager pager(make_det_green(HeightLadder{2, 16}));
+  const ProfileRunResult r = run_green_paging(t, pager, schedule, kDynS);
+  EXPECT_EQ(pager.reboots, 2u);
+  EXPECT_EQ(r.hits + r.misses, t.size());
 }
 
 TEST(DynamicGreen, PagerHeightsConformPerEpoch) {
@@ -178,11 +221,10 @@ TEST(DynamicGreen, PagerHeightsConformPerEpoch) {
   const Trace t = gen::single_use(500);
   const EpochSchedule schedule =
       EpochSchedule::doubling_min(4, 32, {100, 200, 300});
-  auto pager = make_rand_green(HeightLadder{4, 32}, Rng(11));
-  const DynamicGreenResult r =
-      run_green_paging_dynamic(t, *pager, schedule, kDynS);
-  EXPECT_EQ(r.run.hits + r.run.misses, t.size());
-  EXPECT_GE(r.reboots, 3u);
+  CountingPager pager(make_rand_green(HeightLadder{4, 32}, Rng(11)));
+  const ProfileRunResult r = run_green_paging(t, pager, schedule, kDynS);
+  EXPECT_EQ(r.hits + r.misses, t.size());
+  EXPECT_GE(pager.reboots, 3u);
 }
 
 }  // namespace

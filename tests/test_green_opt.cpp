@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "green/box_runner.hpp"
 #include "green/green_algorithm.hpp"
 #include "green/green_opt.hpp"
 #include "test_helpers.hpp"
@@ -111,7 +112,7 @@ TEST_P(GreenOptIsLowerBound, PagerImpactAtLeastOpt) {
   for (const Trace& t : traces) {
     const Impact opt = green_opt(t, ladder, 5).impact;
     auto pager = make_green_pager(GetParam(), ladder, Rng(7));
-    const ProfileRunResult r = run_green_paging(t, *pager, 5);
+    const ProfileRunResult r = run_green_paging(t, *pager, ladder, 5);
     EXPECT_GE(r.impact, opt) << green_kind_name(GetParam());
   }
 }
@@ -143,7 +144,7 @@ TEST(GreenOpt, PrefersBigBoxForSmallHotCycle) {
   EXPECT_GT(tall_impact, r.impact / 2);
   // And it clearly beats the always-minimal strategy.
   auto min_pager = make_fixed_green(ladder, 2);
-  const ProfileRunResult min_run = run_green_paging(t, *min_pager, 50);
+  const ProfileRunResult min_run = run_green_paging(t, *min_pager, ladder, 50);
   EXPECT_LT(r.impact, min_run.impact / 2);
 }
 
@@ -192,9 +193,8 @@ TEST_P(DynamicOptIsLowerBound, PagersNeverBeatDynamicDp) {
     const GreenOptResult opt = green_opt(t, schedule, kDynS);
     auto pager =
         make_green_pager(GetParam(), schedule.epoch(0).ladder, Rng(9));
-    const DynamicGreenResult r =
-        run_green_paging_dynamic(t, *pager, schedule, kDynS);
-    EXPECT_GE(r.run.impact, opt.impact) << green_kind_name(GetParam());
+    const ProfileRunResult r = run_green_paging(t, *pager, schedule, kDynS);
+    EXPECT_GE(r.impact, opt.impact) << green_kind_name(GetParam());
     // The DP's profile replays to its own value.
     EXPECT_EQ(run_profile(t, opt.profile, kDynS).impact, opt.impact);
   }

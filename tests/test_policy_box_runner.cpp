@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "green/box_runner.hpp"
+#include "green/green_algorithm.hpp"
 #include "green/policy_box_runner.hpp"
 #include "test_helpers.hpp"
-#include "trace/fault_source.hpp"
 #include "trace/generators.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -42,18 +44,39 @@ TEST(PolicyBoxRunner, CompartmentalizationResets) {
   EXPECT_EQ(second.misses, 1u);  // fresh compartment misses again
 }
 
+// E12's key finding at canonical duration: a box of s*h ticks pays for at
+// most h misses, so no in-box policy ever evicts, and every policy replays
+// DET-GREEN's canonical boxes with exactly run_green_paging's totals.
 class InBoxPolicyConservation : public ::testing::TestWithParam<PolicyKind> {
 };
 
 TEST_P(InBoxPolicyConservation, CompletesAndConserves) {
+  constexpr Time kS = 8;
   Rng rng(3);
-  const Trace t = gen::sawtooth(3, 20, 400, 6, rng);
   const HeightLadder ladder{2, 16};
-  auto pager = make_det_green(ladder);
-  const ProfileRunResult r =
-      run_green_paging_with_policy(t, *pager, 6, GetParam(), 17);
-  EXPECT_EQ(r.hits + r.misses, t.size());
-  EXPECT_GT(r.impact, 0u);
+  const std::vector<Trace> traces{
+      gen::sawtooth(3, 20, 400, 6, rng),
+      gen::cyclic(12, 4000),
+      gen::zipf(40, 4000, 1.0, rng),
+      gen::single_use(2000),
+  };
+  for (const Trace& t : traces) {
+    auto reference_pager = make_det_green(ladder);
+    const ProfileRunResult want =
+        run_green_paging(t, *reference_pager, ladder, kS);
+    auto pager = make_det_green(ladder);
+    PolicyBoxRunner runner(t, kS, GetParam(), 17);
+    ProfileRunResult got;
+    while (!runner.finished()) {
+      const Box box = canonical_box(pager->next_height(), kS);
+      got.charge(box, runner.run_box(box.height, box.duration));
+    }
+    EXPECT_EQ(got.hits + got.misses, t.size());
+    EXPECT_EQ(got.time, want.time) << policy_kind_name(GetParam());
+    EXPECT_EQ(got.impact, want.impact) << policy_kind_name(GetParam());
+    EXPECT_EQ(got.hits, want.hits) << policy_kind_name(GetParam());
+    EXPECT_EQ(got.misses, want.misses) << policy_kind_name(GetParam());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, InBoxPolicyConservation,
@@ -73,69 +96,6 @@ TEST(PolicyBoxRunner, HostilePageIsCorruptTrace) {
       EXPECT_EQ(e.error().code, ErrorCode::kCorruptTrace);
       EXPECT_EQ(e.error().byte_offset, 5u);
     }
-  }
-}
-
-TEST(PolicyBoxRunner, StalledSourceIsCorruptTrace) {
-  // A stalled stream serves no request and never reports done(): the
-  // green-paging loop must fail at the stall instead of opening boxes
-  // forever.
-  const auto source = make_fault_injecting_source(
-      gen::cyclic_source(4, 40), TraceFaultSpec{TraceFaultClass::kStall, 5});
-  const HeightLadder ladder{2, 16};
-  for (const PolicyKind kind : all_policy_kinds()) {
-    if (kind == PolicyKind::kBelady) continue;  // needs a materialized trace
-    auto pager = make_det_green(ladder);
-    try {
-      run_green_paging_with_policy(*source, *pager, 2, kind, 3);
-      ADD_FAILURE() << "finished a stalled stream: " << policy_kind_name(kind);
-    } catch (const PpgException& e) {
-      EXPECT_EQ(e.error().code, ErrorCode::kCorruptTrace)
-          << policy_kind_name(kind);
-      EXPECT_EQ(e.error().byte_offset, 5u) << policy_kind_name(kind);
-    }
-  }
-}
-
-TEST(PolicyBoxRunner, InBoxBeladyNeverLosesToInBoxLru) {
-  // Clairvoyant eviction inside the same box stream can only reduce
-  // misses.
-  Rng rng(5);
-  const HeightLadder ladder{2, 16};
-  const std::vector<Trace> traces{
-      gen::cyclic(12, 4000),
-      gen::zipf(40, 4000, 1.0, rng),
-      gen::single_use(2000),
-  };
-  for (const Trace& t : traces) {
-    auto pager_a = make_det_green(ladder);
-    auto pager_b = make_det_green(ladder);
-    const ProfileRunResult lru =
-        run_green_paging_with_policy(t, *pager_a, 8, PolicyKind::kLru);
-    const ProfileRunResult belady =
-        run_green_paging_with_policy(t, *pager_b, 8, PolicyKind::kBelady);
-    EXPECT_LE(belady.misses, lru.misses);
-  }
-}
-
-TEST(PolicyBoxRunner, PolicySpreadIsBoundedInsideBoxes) {
-  // The "LRU WLOG" sanity at unit-test scale: on a hot cycle, every online
-  // in-box policy lands within a constant factor of in-box LRU's time.
-  const Trace t = gen::cyclic(12, 6000);
-  const HeightLadder ladder{4, 32};
-  auto base_pager = make_det_green(ladder);
-  const ProfileRunResult lru =
-      run_green_paging_with_policy(t, *base_pager, 8, PolicyKind::kLru);
-  for (const PolicyKind kind : all_policy_kinds()) {
-    auto pager = make_det_green(ladder);
-    const ProfileRunResult r =
-        run_green_paging_with_policy(t, *pager, 8, kind, 7);
-    EXPECT_LT(static_cast<double>(r.time),
-              4.0 * static_cast<double>(lru.time))
-        << policy_kind_name(kind);
-    EXPECT_GT(static_cast<double>(r.time),
-              0.25 * static_cast<double>(lru.time))
-        << policy_kind_name(kind);
   }
 }
 

@@ -99,8 +99,9 @@ BENCHMARK(BM_CacheSimLru)->Arg(256);
 
 /// Canonical boxes of height range(0), s = 8, over a 2^15-request Zipf
 /// trace until it ends; on its stack distances (attached once, outside the
-/// timed loop) when `distances`, else through the LRU loop. items =
-/// requests.
+/// timed loop) when `distances`, else through the membership loop (a
+/// canonical box opens empty and lasts s*h, so it cannot fill). One runner
+/// serves every box, so its state stays hot. items = requests.
 void box_runner_canonical(benchmark::State& state, bool distances) {
   const auto height = static_cast<Height>(state.range(0));
   const Time s = 8;
@@ -128,6 +129,59 @@ void BM_BoxRunnerDistances(benchmark::State& state) {
   box_runner_canonical(state, true);
 }
 BENCHMARK(BM_BoxRunnerDistances)->Arg(8)->Arg(64)->Arg(512);
+
+/// The membership loop on cold runner state: 800 streamed runners, about
+/// service_churn's peak tenant count (service.peak_active is 798), one per
+/// tenant of its mix (cycles over 8-32 pages, Zipf over 32-96, sawtooth
+/// 4/32, single use), sharing one membership index as an engine's
+/// runners do. They take fresh height-16 boxes lasting s*h (s = 8) round-robin, so
+/// each box finds its runner's span buffer and members evicted by the
+/// other runners'. A finished runner restarts on its source. items =
+/// requests; time_per_request is their inverse.
+void BM_BoxRunnerInterleaved(benchmark::State& state) {
+  constexpr std::size_t kRunners = 800;
+  constexpr std::size_t kRequests = 1 << 14;
+  constexpr Height kHeight = 16;
+  constexpr Time s = 8;
+  Rng rng(3);
+  std::vector<std::shared_ptr<const TraceSource>> sources;
+  for (std::size_t i = 0; i < kRunners; ++i) {
+    switch (i % 4) {
+      case 0:
+        sources.push_back(
+            gen::cyclic_source(8 + rng.next_below(25), kRequests));
+        break;
+      case 1:
+        sources.push_back(gen::zipf_source(32 + rng.next_below(65), kRequests,
+                                           0.9, rng.fork()));
+        break;
+      case 2:
+        sources.push_back(gen::sawtooth_source(4, 32, kRequests / 4, 4,
+                                               rng.fork()));
+        break;
+      default:
+        sources.push_back(gen::single_use_source(kRequests));
+        break;
+    }
+  }
+  LruFlatIndex index(1);
+  std::vector<std::unique_ptr<BoxRunner>> runners;
+  for (const auto& source : sources)
+    runners.push_back(std::make_unique<BoxRunner>(*source, s, index));
+  std::uint64_t requests = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kRunners; ++i) {
+      if (runners[i]->finished())
+        runners[i] = std::make_unique<BoxRunner>(*sources[i], s, index);
+      requests += runners[i]->run_box(kHeight, s * kHeight).requests_completed;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(requests));
+  state.counters["time_per_request"] = benchmark::Counter(
+      static_cast<double>(requests),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_BoxRunnerInterleaved);
 
 void BM_StackDistances(benchmark::State& state) {
   Rng rng(3);

@@ -25,14 +25,14 @@
 #    policy runner with its canonical-box conservation test
 #    (PolicyBoxRunner, InBoxPolicyConservation) again under
 #    ASan/UBSan (the event queue's buckets, the Zipf guide table, the LRU
-#    set's small-capacity array with its sentinel scan and in-place
-#    shifts, the LRU index's hashed probe start and backward-shift
-#    deletion, the previous-access table's probe and growth, the live-
-#    marker shifts and masks on `pos & 63` and their group-index math, the
-#    distance loop's raw pointer, the canonical-box scan's signed
-#    positions (shared by the rung scans, the DP and the pager replays,
-#    which greedy checks run on prefixes of one previous-access table) and
-#    the skyline's range erase are exercised there), then
+#    index's per-reset probe range, epoch wrap, hashed probe start and
+#    backward-shift deletion (LruFlatIndex, also the box runner's shared
+#    membership index), the previous-access table's probe and growth, the
+#    live-marker shifts and masks on `pos & 63` and their group-index
+#    math, the distance loop's raw pointer, the canonical-box scan's
+#    signed positions (shared by the rung scans, the DP and the pager
+#    replays, which greedy checks run on prefixes of one previous-access
+#    table) and the skyline's range erase are exercised there), then
 #    parallel_for_index and the sweep executor raced under
 #    ThreadSanitizer;
 #  - the failure-as-data drill (scripts/chaos.sh: corrupt-trace rows
@@ -58,6 +58,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SAN="${1:-address}"
+
+# Scratch files (the chaos gate's report, the perf snapshot) live in one
+# private directory, removed on exit, so concurrent runs cannot collide.
+TMP_DIR="$(mktemp -d)"
+trap 'rm -rf "${TMP_DIR}"' EXIT
 
 cmake -B build -S . -DPPG_WERROR=ON >/dev/null
 cmake --build build -j "$(nproc)"
@@ -92,7 +97,7 @@ if [[ "${SAN}" != "none" ]]; then
   cmake --build "build-${SAN}" -j "$(nproc)"
   (cd "build-${SAN}" &&
    ctest --output-on-failure -j "$(nproc)" --no-tests=error \
-         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|AtomicFile|EngineStepper|PagingService|DetParGolden|RandParGolden|Generators|LruSet|BoxRunner|GreenOpt|DynamicGreen|DynamicOpt|EpochSchedule|RunProfile|RunGreenPaging|GreedyCheck|PolicyBoxRunner|InBoxPolicyConservation|CacheSimEquivalence|LruPolicyTest|LruInclusion|StackDistance|PreviousAccesses|StreamingEquivalence|RunInstance|OfflinePacker|FixedHeightCandidates')
+         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|AtomicFile|EngineStepper|PagingService|DetParGolden|RandParGolden|Generators|LruSet|LruFlatIndex|BoxRunner|GreenOpt|DynamicGreen|DynamicOpt|EpochSchedule|RunProfile|RunGreenPaging|GreedyCheck|PolicyBoxRunner|InBoxPolicyConservation|CacheSimEquivalence|LruPolicyTest|LruInclusion|StackDistance|PreviousAccesses|StreamingEquivalence|RunInstance|OfflinePacker|FixedHeightCandidates')
 
   # Fault-isolation gate under ASan: injected trace faults (fail,
   # hostile-page, torn-span, stall) must quarantine only their own tenant
@@ -146,8 +151,8 @@ echo "service soak gate OK (10^5 tenants under 256 MB)"
 # in its fault class's terminal state — and exits non-zero on any
 # divergence.
 ./build/examples-bin/service_chaos --tenants 100000 --faulty-permille 100 \
-    > /tmp/service_chaos_gate.txt
-tail -n 1 /tmp/service_chaos_gate.txt
+    > "${TMP_DIR}/service_chaos_gate.txt"
+tail -n 1 "${TMP_DIR}/service_chaos_gate.txt"
 echo "service chaos gate OK (10^5 tenants, faulty fraction isolated)"
 
 # Perf gate: first prove the gate itself can fail (synthetic injected
@@ -156,6 +161,6 @@ echo "service chaos gate OK (10^5 tenants, faulty fraction isolated)"
 # downgrades on known-noisy hosts; quick-mode repetitions are short, so CI
 # wrappers may choose to set it).
 scripts/bench_perf.sh --selftest
-scripts/bench_perf.sh --quick --out /tmp/bench_perf_ci.json
+scripts/bench_perf.sh --quick --out "${TMP_DIR}/bench_perf_ci.json"
 
 echo "tier-1 OK (sanitizer: ${SAN})"

@@ -180,6 +180,10 @@ struct EngineStepper::Impl {
   EngineState state;
   CheckedRun out;
 
+  /// The membership index lent to every runner (declared first, so it
+  /// outlives them): boxes run one at a time, so one index serves every
+  /// box that cannot fill, from the same few hot cache lines.
+  LruFlatIndex membership{1};
   // Per-processor lifetime state. Runners are released (reset) the moment
   // a processor finishes or departs, so live memory tracks the active set.
   std::vector<std::unique_ptr<BoxRunner>> runners;
@@ -233,7 +237,7 @@ struct EngineStepper::Impl {
     const ProcId proc = state.add(active);
     out.result.completion.push_back(0);
     runners.push_back(
-        std::make_unique<BoxRunner>(*source, config.miss_cost));
+        std::make_unique<BoxRunner>(*source, config.miss_cost, membership));
     pending_sources.push_back(std::move(source));
     departing.push_back(false);
     proc_hits.push_back(0);

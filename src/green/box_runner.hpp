@@ -13,7 +13,7 @@
 // replay on the previous-access table instead (canonical_box_advance in
 // green_opt.hpp).
 //
-// Two loops serve a box, chosen by the input alone:
+// Three loops serve a box, chosen by the input and by the box alone:
 //
 //   - Distance loop, for a source that carries its stack distances
 //     (TraceSource::stack_distances(), attached by with_stack_distances()).
@@ -22,25 +22,37 @@
 //     evicted before the compartment fills, and after that the inclusion
 //     property holds. The loop's whole state is the position and min(m, h),
 //     reset when a box opens fresh or changes height.
-//   - LRU loop, for every other source. Requests are pulled from a
-//     TraceCursor in bulk spans (TraceCursor::next_span into a small
-//     resident buffer, one virtual call per span), and the box cache is an
-//     LruSet over raw PageIds — one lookup per request (a linear scan of
-//     an inline array up to LruSet::kArrayCapacity pages, where most boxes
-//     are; an open-addressing probe above), O(height) memory regardless of
-//     trace length. A stalled box leaves the request in the span buffer
-//     unconsumed, so the next box resumes at the same logical position.
-//     Every refilled span is screened (screen_span) for the reserved
-//     kInvalidPage sentinel, which must never enter a cache (a trace
-//     holding it never carries distances, so it always takes this loop).
 //
-// In both loops a hit always fits (cost 1, remaining >= 1) and commits
+//   Every other source is pulled from a TraceCursor in bulk spans
+//   (TraceCursor::next_span into a small resident buffer, one virtual call
+//   per span). A stalled box leaves the request in the span buffer
+//   unconsumed, so the next box resumes at the same logical position. Every
+//   refilled span is screened (screen_span) for the reserved kInvalidPage
+//   sentinel, which must never enter a cache (a trace holding it never
+//   carries distances, so it never takes the distance loop). Whether the
+//   box can fill picks the loop: it can unless it opens (fresh, or a new
+//   height) and lasts at most s*h, since such a box affords at most h
+//   misses and so never evicts.
+//
+//   - Membership loop, for a box that cannot fill. Only membership
+//     matters, so each request is one probe of an LruFlatIndex (the hash
+//     index inside LruSet, without the list), and a hit reorders nothing.
+//     The index is reset per box by an epoch bump; an engine owns one and
+//     lends it to all its runners, which serve their boxes one at a time,
+//     so a small box probes the same few hot cache lines whichever runner
+//     it belongs to. The runner keeps only the pages it inserted, each with
+//     the stamp of its last touch, so a continuation right after the box
+//     (which can fill) rebuilds its LruSet in exact recency order.
+//   - LRU loop, for a box that can fill: an LruSet over raw PageIds, one
+//     lookup per request, O(height) memory regardless of trace length.
+//
+// In every loop a hit always fits (cost 1, remaining >= 1) and commits
 // directly; a miss checks the remaining budget before committing the fault.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "green/box.hpp"
@@ -54,8 +66,14 @@ namespace ppg {
 class BoxRunner {
  public:
   /// Runs over `source`: on its stack distances when it carries them,
-  /// otherwise over a fresh cursor (O(height) memory, any trace length).
+  /// otherwise over a fresh cursor (O(height) memory, any trace length),
+  /// with a membership index of its own.
   BoxRunner(const TraceSource& source, Time miss_cost);
+
+  /// As above, borrowing the membership index `members`, which must
+  /// outlive the runner. Runners that share it must not run boxes
+  /// concurrently.
+  BoxRunner(const TraceSource& source, Time miss_cost, LruFlatIndex& members);
 
   /// Runs over a materialized trace without copying it; the trace must
   /// outlive the runner (so a temporary is rejected at compile time).
@@ -82,32 +100,67 @@ class BoxRunner {
   std::uint64_t total_misses() const { return total_misses_; }
 
  private:
+  /// A page a membership box inserted, with the clock value of its last
+  /// touch.
+  struct Member {
+    PageId page;
+    std::uint64_t touch;
+  };
+
+  BoxRunner(const TraceSource& source, Time miss_cost, LruFlatIndex* members);
+
   /// Distance loop: serves requests until the trace ends, the box budget
   /// runs out, or a miss no longer fits.
   void serve_distances(BoxStepResult& step, Time& remaining);
 
-  /// LRU loop: refills and screens the span buffer and drains it through
-  /// advance_span until the box budget runs out or a miss no longer fits.
+  /// Readies the LruSet for a box that can fill: empties it when the box
+  /// opens, and moves a membership box's pages into it when the box
+  /// continues one.
+  void open_lru(bool opens);
+
+  /// Refills and screens the drained span buffer; false when the source
+  /// is exhausted.
+  bool refill();
+
+  /// Membership loop: serves requests until the trace ends, the box budget
+  /// runs out, or a miss no longer fits (a stall, which leaves the request
+  /// buffered for the next box).
+  void serve_members(BoxStepResult& step, Time& remaining);
+
+  /// LRU loop: drains span after span through advance_lru until the box
+  /// budget runs out or a miss no longer fits.
   void serve_lru(BoxStepResult& step, Time& remaining);
 
-  /// Hot loop: serves requests from the resident span buffer until the
-  /// buffer drains, the box budget runs out, or a miss no longer fits.
-  /// Returns false on a stall (the request stays buffered for the next
-  /// box), true otherwise.
-  bool advance_span(BoxStepResult& step, Time& remaining);
+  /// Serves requests from the resident span buffer until the buffer
+  /// drains, the box budget runs out, or a miss no longer fits. Returns
+  /// false on a stall (the request stays buffered for the next box), true
+  /// otherwise.
+  bool advance_lru(BoxStepResult& step, Time& remaining);
 
-  // Distance loop state; distances_ is null on the LRU loop.
+  // Distance loop state; distances_ is null on the other loops.
   std::shared_ptr<const std::vector<std::uint32_t>> distances_;
   std::size_t next_ = 0;  ///< Next request to serve.
   Height filled_ = 0;     ///< min(misses since the compartment opened, h).
 
-  // LRU loop state; the cursor is null and the cache empty on the distance
-  // loop.
+  // Cursor state; the cursor, the index and the LruSet are null on the
+  // distance loop.
   std::unique_ptr<TraceCursor> cursor_;
-  std::optional<LruSet> cache_;
   std::vector<PageId> span_;    ///< Bulk-pull buffer (kStreamSpan pages).
   std::size_t span_pos_ = 0;    ///< Next unprocessed entry in span_.
   std::size_t span_len_ = 0;    ///< Valid prefix of span_.
+  // Membership loop: the index probed (lent, or owned_index_), mapping
+  // each page of the current box to its entry in members_, which holds
+  // the box's pages in insertion order while on_members_, in its first
+  // member_count_ entries (room for the tallest box).
+  LruFlatIndex* index_ = nullptr;
+  std::unique_ptr<LruFlatIndex> owned_index_;
+  std::unique_ptr<Member[]> members_;
+  Height members_capacity_ = 0;
+  std::uint32_t member_count_ = 0;
+  std::uint64_t clock_ = 0;  ///< Requests the membership loop has served.
+  bool on_members_ = false;  ///< The compartment lives in members_.
+  // LRU loop: built at the first box that can fill.
+  std::unique_ptr<LruSet> cache_;
 
   Time miss_cost_;
   std::uint64_t total_hits_ = 0;

@@ -14,8 +14,8 @@
 // instead of a second hash set.
 //
 // Requests are pulled from a TraceCursor in spans on every source, as in
-// BoxRunner's LRU loop: a stalled request stays buffered for the next box,
-// and every refill passes the same kInvalidPage screen (screen_span). So
+// BoxRunner's cursor loops: a stalled request stays buffered for the next
+// box, and every refill passes the same kInvalidPage screen (screen_span). So
 // any online policy also runs over lazy (generator / file) sources in
 // O(height) memory. The exception is kBelady: it is clairvoyant — its
 // next-use table requires the whole trace up front — so it takes that

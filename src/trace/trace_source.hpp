@@ -212,10 +212,11 @@ class MultiTraceSource {
 
 /// `source` decorated with its stack distances (packed_stack_distances in
 /// trace/stack_distance.hpp), or `source` itself when it is lazy, already
-/// carries them, holds the reserved kInvalidPage (the LRU loop reports it
-/// as a corrupt trace) or is too long for 32-bit distances. The decorator
-/// forwards materialized() and cursor(), so every consumer but the two
-/// that read stack_distances() sees the undecorated source.
+/// carries them, holds the reserved kInvalidPage (the box runner's span
+/// screen reports it as a corrupt trace) or is too long for 32-bit
+/// distances. The decorator forwards materialized() and cursor(), so every
+/// consumer but the two that read stack_distances() sees the undecorated
+/// source.
 std::shared_ptr<const TraceSource> with_stack_distances(
     std::shared_ptr<const TraceSource> source);
 

@@ -1,38 +1,26 @@
 // LruSet: a fixed-capacity set of pages with least-recently-used eviction.
 //
-// This is the hot data structure of every simulator in the library: each
-// compartmentalized box runs one LruSet, and the box runner touches it once
-// per request. It has two representations, chosen by capacity whenever the
-// capacity is set (construction and reset()); both are exact LRU, so every
-// hit, miss and victim is the same whichever one serves a set.
-//
-//   - Array, for capacity <= kArrayCapacity: the pages sit in one inline
-//     array in recency order, least recent first. A lookup is an
-//     early-exit linear scan from the most recent end; a hit closes the
-//     page's gap and appends it, an insert appends (dropping the first
-//     entry when full). Nothing is allocated. Most boxes are this small
-//     (DET-PAR's base height is 16 on the service path), open empty and
-//     serve a few dozen requests, so they rarely fill: most inserts are a
-//     plain append, and a scan over a few cache lines beats hashing.
-//   - List, above it: an intrusive doubly-linked list over a slot vector
-//     (recency order) with an open-addressing page->slot index
-//     (LruFlatIndex), so all operations are O(1) expected and both the
-//     recency links and the index probes walk flat arrays rather than
-//     pointers. PageIds are arbitrary 64-bit values; the index's
-//     multiplicative hash keeps a find to about one occupied cell even on
-//     the structured ids the workloads emit (proc << 48 | local, polluter
-//     locals counting up from 2^32). The index and the slot vector are
-//     allocated only once the capacity first exceeds the array's.
+// It is the only LRU structure in the library. The box runner's boxes
+// that can fill run on it (a box that opens empty and lasts at most s*h
+// never evicts, so the runner serves it by membership alone), and so do
+// GLOBAL-LRU's shared cache, the LRU and MRU policies and the green-OPT
+// brute-force oracle. It combines an intrusive doubly-linked list over a
+// slot vector (recency order) with an open-addressing page->slot index
+// (LruFlatIndex), so all operations are O(1) expected and both the recency
+// links and the index probes walk flat arrays rather than pointers. PageIds
+// are arbitrary 64-bit values; the index's multiplicative hash keeps a find
+// to about one occupied cell even on the structured ids the workloads emit
+// (proc << 48 | local, polluter locals counting up from 2^32).
 //
 // The hot path is the fused pair try_touch()/insert_absent(): a single
-// lookup classifies hit vs miss, and the miss path never repeats it.
+// index lookup classifies hit vs miss, and the miss path never repeats it.
 // The access() entry points are built on the fused pair for callers that
 // don't need to peek the cost before committing.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -44,51 +32,55 @@ namespace ppg {
 inline constexpr std::uint32_t kLruNilSlot = UINT32_MAX;
 
 /// Open-addressing page->slot index for arbitrary (sparse) PageIds: one
-/// multiplicative hash, then a linear probe over a flat power-of-two table
-/// at load factor <= 1/2. No per-node allocation, no bucket pointers — the
-/// probe walks contiguous memory. Deletion backward-shifts displaced entries
-/// instead of leaving tombstones, so probe lengths stay short however many
-/// evictions a long box run performs. clear() is O(1): every cell carries
-/// the epoch it was written in, and bumping the epoch empties the table —
-/// critical because compartmentalized boxes reset the cache far more often
-/// than they fill it. The epoch is 64-bit so it never wraps: a 32-bit one
-/// would wrap after 2^32 clears (one per fresh box), and every never-used
-/// cell (stamp 0) would then read as occupied.
+/// multiplicative hash, then a linear probe over a power-of-two range of
+/// 16-byte cells (page, slot, epoch), so a probe reads one cache line. No
+/// per-node allocation, no bucket pointers. Deletion backward-shifts
+/// displaced entries instead of leaving tombstones, so probe lengths stay
+/// short however many evictions a long box run performs. clear() is O(1):
+/// every cell carries the epoch it was written in, and bumping the epoch
+/// empties the index, which matters because compartmentalized boxes reset
+/// the cache far more often than they fill it. The epoch is 32-bit to keep
+/// a cell at 16 bytes; when it wraps (after 2^32 clears), every cell is
+/// emptied once, since a never-used cell (epoch 0) would read as occupied.
+///
+/// reset(capacity) sizes the probe range for at most `capacity` pages:
+/// 8 cells per page up to 512 cells (8 KiB), then 2 (load <= 1/8 for
+/// small sets, <= 1/2 beyond). The cells grow to the largest range and never shrink,
+/// so one index can serve sets of many sizes in turn: the box runner
+/// shares one among an engine's runners, and a small box probes only the
+/// first few cells, which stay hot whichever runner it belongs to.
 class LruFlatIndex {
  public:
-  /// An index with no table; on_reset() builds one. Nothing may be looked
-  /// up before that.
-  LruFlatIndex() = default;
-  explicit LruFlatIndex(Height capacity) { rebuild(capacity); }
+  /// An empty index for at most `capacity` pages whose clear counter
+  /// starts at `epoch` (tests start it next to its wrap).
+  explicit LruFlatIndex(Height capacity, std::uint32_t epoch = 1)
+      : epoch_(epoch) {
+    size_range(capacity);
+  }
 
   std::uint32_t find(PageId page) const {
-    std::size_t i = probe_start(page);
-    while (occupied(i)) {
-      if (pages_[i] == page) return slots_[i];
-      i = (i + 1) & mask_;
-    }
-    return kLruNilSlot;
+    const Cell& cell = probe(page);
+    return occupied(cell) ? cell.slot : kLruNilSlot;
   }
 
   void set(PageId page, std::uint32_t slot) {
-    std::size_t i = probe_start(page);
-    while (occupied(i)) {
-      if (pages_[i] == page) {
-        slots_[i] = slot;
-        return;
-      }
-      i = (i + 1) & mask_;
-    }
-    pages_[i] = page;
-    slots_[i] = slot;
-    epochs_[i] = epoch_;
+    probe(page) = Cell{page, slot, epoch_};
+  }
+
+  /// find() and, when `page` is absent, set(page, slot), with one probe:
+  /// returns the slot of a present page, kLruNilSlot after an insert.
+  std::uint32_t find_or_set(PageId page, std::uint32_t slot) {
+    Cell& cell = probe(page);
+    if (occupied(cell)) return cell.slot;
+    cell = Cell{page, slot, epoch_};
+    return kLruNilSlot;
   }
 
   void erase(PageId page) {
     std::size_t i = probe_start(page);
     for (;;) {
-      if (!occupied(i)) return;
-      if (pages_[i] == page) break;
+      if (!occupied(cells_[i])) return;
+      if (cells_[i].page == page) break;
       i = (i + 1) & mask_;
     }
     // Backward-shift deletion: pull every entry whose probe path crossed
@@ -96,35 +88,45 @@ class LruFlatIndex {
     std::size_t j = i;
     for (;;) {
       j = (j + 1) & mask_;
-      if (!occupied(j)) break;
-      const std::size_t home = probe_start(pages_[j]);
+      if (!occupied(cells_[j])) break;
+      const std::size_t home = probe_start(cells_[j].page);
       if (((j - home) & mask_) >= ((j - i) & mask_)) {
-        pages_[i] = pages_[j];
-        slots_[i] = slots_[j];
+        cells_[i] = cells_[j];
         i = j;
       }
     }
-    epochs_[i] = epoch_ - 1;  // any value != epoch_ marks the cell empty
+    cells_[i].epoch = epoch_ - 1;  // any value != epoch_ marks it empty
   }
 
-  void clear() { ++epoch_; }
+  void clear() {
+    if (++epoch_ != 0) return;
+    for (Cell& cell : cells_) cell.epoch = 0;
+    epoch_ = 1;
+  }
+
+  /// clear() plus a new capacity: sizes the probe range for it.
+  void reset(Height capacity) {
+    if (capacity != capacity_) size_range(capacity);
+    clear();
+  }
 
   /// Cells past its home cell that find(page) walks before it stops: the
   /// displacement of a present page, the run length ahead of an absent
   /// one. A read-only diagnostic for the probe-length tests.
   std::size_t probe_distance(PageId page) const {
     const std::size_t home = probe_start(page);
-    std::size_t i = home;
-    while (occupied(i) && pages_[i] != page) i = (i + 1) & mask_;
-    return (i - home) & mask_;
-  }
-
-  void on_reset(Height capacity) {
-    if (static_cast<std::size_t>(capacity) * 2 > mask_ + 1) rebuild(capacity);
+    return (static_cast<std::size_t>(&probe(page) - cells_.data()) - home) &
+           mask_;
   }
 
  private:
-  bool occupied(std::size_t i) const { return epochs_[i] == epoch_; }
+  struct Cell {
+    PageId page = 0;
+    std::uint32_t slot = 0;
+    std::uint32_t epoch = 0;  ///< Occupied iff equal to the index's.
+  };
+
+  bool occupied(const Cell& cell) const { return cell.epoch == epoch_; }
 
   std::size_t probe_start(PageId page) const {
     // Fibonacci hashing: the top bits of page * 2^64/phi depend on every
@@ -135,64 +137,59 @@ class LruFlatIndex {
     return static_cast<std::size_t>((page * 0x9e3779b97f4a7c15ULL) >> shift_);
   }
 
-  void rebuild(Height capacity) {
-    std::size_t size = 8;
-    while (size < static_cast<std::size_t>(capacity) * 2) size <<= 1;
-    pages_.assign(size, 0);
-    slots_.assign(size, 0);
-    epochs_.assign(size, 0);
-    mask_ = size - 1;
-    shift_ = 64 - ilog2_floor(size);
-    epoch_ = 1;  // entries start stale (epochs_ filled with 0)
+  /// The cell holding `page`, or else the empty cell where it goes.
+  const Cell& probe(PageId page) const {
+    std::size_t i = probe_start(page);
+    while (occupied(cells_[i]) && cells_[i].page != page) i = (i + 1) & mask_;
+    return cells_[i];
+  }
+  Cell& probe(PageId page) {
+    return const_cast<Cell&>(std::as_const(*this).probe(page));
   }
 
-  std::vector<PageId> pages_;
-  std::vector<std::uint32_t> slots_;
-  std::vector<std::uint64_t> epochs_;
+  /// Call only on an empty index: a live entry would leave its range.
+  void size_range(Height capacity) {
+    constexpr std::uint64_t kSparseCells = 512;
+    const std::uint64_t pages = std::max<Height>(capacity, 1);
+    const std::uint32_t bits =
+        ilog2_ceil(std::max(2 * pages, std::min(8 * pages, kSparseCells)));
+    const std::size_t range = std::size_t{1} << bits;
+    if (range > cells_.size()) cells_.assign(range, Cell{});
+    mask_ = range - 1;
+    shift_ = 64 - bits;
+    capacity_ = capacity;
+  }
+
+  std::vector<Cell> cells_;
   std::size_t mask_ = 0;
-  std::uint32_t shift_ = 64;  ///< 64 - log2(table size).
-  std::uint64_t epoch_ = 1;
+  std::uint32_t shift_ = 64;  ///< 64 - log2(probe range).
+  std::uint32_t epoch_;
+  Height capacity_ = 0;  ///< The capacity the probe range is sized for.
 };
 
 class LruSet {
  public:
-  /// Largest capacity served by the array representation, chosen by
-  /// measurement (DESIGN.md §6): at 32 the array still beats the hash
-  /// index, at 64 it ran boxes at two thirds of the index's speed.
-  static constexpr Height kArrayCapacity = 32;
-
   /// Creates an empty set holding at most `capacity` pages (capacity >= 1).
-  explicit LruSet(Height capacity) : capacity_(capacity) {
+  explicit LruSet(Height capacity) : capacity_(capacity), index_(capacity) {
     PPG_CHECK(capacity >= 1);
-    if (!on_array()) grow_list(capacity);
+    slots_.reserve(capacity);
   }
 
   Height capacity() const { return capacity_; }
   Height size() const {
-    if (on_array()) return array_size_;
     return static_cast<Height>(slots_.size() - free_.size());
   }
   bool full() const { return size() == capacity_; }
   bool empty() const { return size() == 0; }
 
   bool contains(PageId page) const {
-    if (on_array()) {
-      const auto end = array_.begin() + array_size_ + 1;
-      return std::find(array_.begin() + 1, end, page) != end;
-    }
     return index_.find(page) != kLruNilSlot;
   }
 
-  /// Fused hot-path probe: one lookup. On a hit the page moves to the MRU
-  /// position and the call returns true; on a miss the set is left
+  /// Fused hot-path probe: one index lookup. On a hit the page moves to the
+  /// MRU position and the call returns true; on a miss the set is left
   /// untouched (call insert_absent to commit the fault).
   bool try_touch(PageId page) {
-    if (on_array()) {
-      const Height i = array_find(page);
-      if (i == 0) return false;
-      move_to_back(i, page);
-      return true;
-    }
     const std::uint32_t slot = index_.find(page);
     if (slot == kLruNilSlot) return false;
     touch(slot);
@@ -204,15 +201,6 @@ class LruSet {
   /// kInvalidPage otherwise.
   PageId insert_absent(PageId page) {
     PPG_DCHECK(!contains(page));
-    if (on_array()) {
-      if (array_size_ < capacity_) {
-        array_[++array_size_] = page;
-        return kInvalidPage;
-      }
-      const PageId evicted = array_[1];
-      move_to_back(1, page);
-      return evicted;
-    }
     if (full()) {
       const std::uint32_t victim = lru_;
       const PageId evicted = slots_[victim].page;
@@ -258,14 +246,6 @@ class LruSet {
 
   /// Removes a specific page; returns false if it was not present.
   bool erase(PageId page) {
-    if (on_array()) {
-      const Height i = array_find(page);
-      if (i == 0) return false;
-      std::copy(array_.begin() + i + 1, array_.begin() + array_size_ + 1,
-                array_.begin() + i);
-      --array_size_;
-      return true;
-    }
     const std::uint32_t slot = index_.find(page);
     if (slot == kLruNilSlot) return false;
     index_.erase(page);
@@ -274,11 +254,9 @@ class LruSet {
     return true;
   }
 
-  /// Removes every page (compartmentalized box reset). The array empties
-  /// by its count; the index clears in O(1) by an epoch bump.
+  /// Removes every page (compartmentalized box reset); the index clears
+  /// in O(1) by an epoch bump.
   void clear() {
-    array_size_ = 0;
-    if (on_array()) return;
     index_.clear();
     slots_.clear();
     free_.clear();
@@ -286,37 +264,29 @@ class LruSet {
     lru_ = kLruNilSlot;
   }
 
-  /// clear() plus a capacity change, which also picks the representation.
-  /// The index is rebuilt only when the new capacity outgrows its table —
-  /// the box runner resizes compartments once per height switch and must
-  /// not pay an index reallocation each time. The list state a set leaves
-  /// behind when it drops onto the array is cleared when it next grows
-  /// past it.
+  /// clear() plus a capacity change. The index's cells grow only when the
+  /// new capacity outgrows them — the box runner resizes compartments once
+  /// per height switch and must not pay an index reallocation each time.
   void reset(Height capacity) {
     PPG_CHECK(capacity >= 1);
-    capacity_ = capacity;
     clear();
-    if (!on_array()) grow_list(capacity);
+    capacity_ = capacity;
+    slots_.reserve(capacity);
+    index_.reset(capacity);
   }
 
   /// Page that would be evicted next, or kInvalidPage when empty.
   PageId lru_page() const {
-    if (on_array()) return array_size_ == 0 ? kInvalidPage : array_[1];
     return lru_ == kLruNilSlot ? kInvalidPage : slots_[lru_].page;
   }
 
   /// Most recently used page, or kInvalidPage when empty.
   PageId mru_page() const {
-    if (on_array())
-      return array_size_ == 0 ? kInvalidPage : array_[array_size_];
     return mru_ == kLruNilSlot ? kInvalidPage : slots_[mru_].page;
   }
 
   /// Pages in most-recent-first order (for tests and diagnostics).
   std::vector<PageId> pages_mru_order() const {
-    if (on_array())
-      return std::vector<PageId>(array_.rend() - array_size_ - 1,
-                                 array_.rend() - 1);
     std::vector<PageId> out;
     out.reserve(size());
     for (std::uint32_t cur = mru_; cur != kLruNilSlot; cur = slots_[cur].next)
@@ -330,33 +300,6 @@ class LruSet {
     std::uint32_t prev;  // toward MRU
     std::uint32_t next;  // toward LRU
   };
-
-  bool on_array() const { return capacity_ <= kArrayCapacity; }
-
-  /// Array position of `page`, or 0 when absent. Scans from the MRU end,
-  /// so a recently used page is found after few compares; the page is
-  /// first written to the spare slot 0 as a sentinel, so the scan needs no
-  /// bound check.
-  Height array_find(PageId page) {
-    array_[0] = page;
-    Height i = array_size_;
-    while (array_[i] != page) --i;
-    return i;
-  }
-
-  /// Removes the array entry at `i` (>= 1), closes the gap, and writes
-  /// `page` as the MRU entry; the count is unchanged.
-  void move_to_back(Height i, PageId page) {
-    std::copy(array_.begin() + i + 1, array_.begin() + array_size_ + 1,
-              array_.begin() + i);
-    array_[array_size_] = page;
-  }
-
-  /// Sizes the list representation for `capacity` (> kArrayCapacity).
-  void grow_list(Height capacity) {
-    slots_.reserve(capacity);
-    index_.on_reset(capacity);
-  }
 
   void link_front(std::uint32_t slot) {
     slots_[slot].prev = kLruNilSlot;
@@ -385,12 +328,6 @@ class LruSet {
   }
 
   Height capacity_;
-  // Array representation: pages in [1, array_size_], least recent first;
-  // slot 0 is array_find's sentinel.
-  Height array_size_ = 0;
-  std::array<PageId, kArrayCapacity + 1> array_{};
-  // List representation: empty until the capacity first exceeds the
-  // array's.
   LruFlatIndex index_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;

@@ -104,14 +104,14 @@ std::shared_ptr<const TraceSource> distance_source(const Trace& trace) {
   return source;
 }
 
-// The distance loop against the LRU loop on seeded random traces whose
+// The distance loop against the cursor loops on seeded random traces whose
 // small page universes force evictions, through random box sequences:
 // fresh and continuation boxes, height changes, durations up to 3*s*h (so
-// stalls happen), s in 1..8, and a restart on fresh runners part-way.
-// Heights run to twice LruSet's array threshold, so the LRU loop's cache
-// serves boxes on both of its representations and switches between them.
+// stalls happen, and boxes on both sides of s*h take the membership and
+// the LRU loop in turn), s in 1..8, and a restart on fresh runners
+// part-way.
 TEST(BoxRunner, DistanceLoopMatchesLruLoopOnRandomBoxes) {
-  constexpr Height kMaxHeight = 2 * LruSet::kArrayCapacity;
+  constexpr Height kMaxHeight = 64;
   Rng rng(0xb0c5);
   std::uint64_t boxes = 0;
   for (int round = 0; round < 4000; ++round) {
@@ -155,6 +155,124 @@ TEST(BoxRunner, DistanceLoopMatchesLruLoopOnRandomBoxes) {
     EXPECT_EQ(dist.total_misses(), lru.total_misses());
   }
   EXPECT_GT(boxes, 40000u) << boxes;
+}
+
+/// The box semantics spelled out on an LruSet over a materialized trace:
+/// the oracle for the cursor loops.
+class LruReference {
+ public:
+  LruReference(const Trace& trace, Time miss_cost)
+      : trace_(trace), miss_cost_(miss_cost) {}
+
+  BoxStepResult run_box(Height height, Time duration, bool fresh) {
+    if (fresh || height != height_) cache_.reset(height);
+    height_ = height;
+    BoxStepResult step;
+    Time left = duration;
+    while (pos_ < trace_.size() && left > 0) {
+      const PageId page = trace_[pos_];
+      if (cache_.try_touch(page)) {
+        ++step.hits;
+        --left;
+      } else {
+        if (miss_cost_ > left) break;
+        cache_.insert_absent(page);
+        ++step.misses;
+        left -= miss_cost_;
+      }
+      ++pos_;
+      ++step.requests_completed;
+    }
+    step.busy_time = duration - left;
+    step.stall_time = left;
+    step.finished = pos_ == trace_.size();
+    return step;
+  }
+  std::size_t position() const { return pos_; }
+
+ private:
+  const Trace& trace_;
+  Time miss_cost_;
+  std::size_t pos_ = 0;
+  LruSet cache_{1};
+  Height height_ = 0;
+};
+
+// The membership loop against an LruSet reference. Each round streams
+// three generator sources through runners that share one membership index,
+// as an engine's do, and interleaves their boxes at random. The boxes mix
+// fresh boxes that cannot fill (duration <= s*h) and that can, and
+// continuations, many right after a box that cannot fill (whose LruSet is
+// rebuilt from the members' touch stamps). Heights change at random, and
+// durations that are not multiples of s leave misses that do not fit, so
+// boxes stall. Spans of 256 requests cross box boundaries throughout.
+TEST(BoxRunner, MembershipLoopMatchesLruReference) {
+  constexpr std::size_t kRunners = 3;
+  Rng rng(0x5e7);
+  std::uint64_t members_boxes = 0;
+  std::uint64_t handoffs = 0;
+  std::uint64_t stalls = 0;
+  for (int round = 0; round < 500; ++round) {
+    const Time s = rng.next_in(1, 8);
+    LruFlatIndex index(1);
+    std::vector<Trace> traces;
+    std::vector<std::unique_ptr<BoxRunner>> runners;
+    std::vector<LruReference> references;
+    std::vector<Height> heights;
+    std::vector<bool> on_members;
+    traces.reserve(kRunners);
+    for (std::size_t r = 0; r < kRunners; ++r) {
+      const std::uint64_t universe = rng.next_in(1, 120);
+      const std::size_t n = rng.next_in(0, 3000);
+      const auto source =
+          rng.next_bool(0.5)
+              ? gen::zipf_source(universe, n, 0.8, Rng(rng()))
+              : gen::uniform_random_source(universe, n, Rng(rng()));
+      traces.push_back(materialize(*source));
+      runners.push_back(std::make_unique<BoxRunner>(*source, s, index));
+      ASSERT_EQ(source->stack_distances(), nullptr);
+      heights.push_back(static_cast<Height>(rng.next_in(1, 48)));
+      on_members.push_back(false);
+    }
+    for (const Trace& trace : traces) references.emplace_back(trace, s);
+    for (int box = 0; box < 600; ++box) {
+      const std::size_t r = rng.next_below(kRunners);
+      if (runners[r]->finished()) continue;
+      const Height previous = heights[r];
+      Height& height = heights[r];
+      bool fresh = true;
+      if (rng.next_bool(0.25)) {
+        height = static_cast<Height>(rng.next_in(1, 48));
+        fresh = rng.next_bool(0.5);
+      } else {
+        fresh = rng.next_bool(on_members[r] ? 0.3 : 0.6);
+      }
+      const bool opens = fresh || height != previous;
+      const Time canonical = s * height;
+      const Time duration = rng.next_bool(0.6)
+                                ? rng.next_in(1, canonical)
+                                : rng.next_in(canonical + 1, 3 * canonical);
+      const BoxStepResult want = references[r].run_box(height, duration, fresh);
+      const BoxStepResult got = runners[r]->run_box(height, duration, fresh);
+      const std::string where = "round " + std::to_string(round) + " box " +
+                                std::to_string(box) + " runner " +
+                                std::to_string(r);
+      ASSERT_EQ(got.requests_completed, want.requests_completed) << where;
+      ASSERT_EQ(got.hits, want.hits) << where;
+      ASSERT_EQ(got.misses, want.misses) << where;
+      ASSERT_EQ(got.busy_time, want.busy_time) << where;
+      ASSERT_EQ(got.stall_time, want.stall_time) << where;
+      ASSERT_EQ(got.finished, want.finished) << where;
+      ASSERT_EQ(runners[r]->position(), references[r].position()) << where;
+      if (!opens && on_members[r]) ++handoffs;
+      on_members[r] = opens && duration <= canonical;
+      members_boxes += on_members[r];
+      if (!got.finished && got.stall_time > 0) ++stalls;  // a miss did not fit
+    }
+  }
+  EXPECT_GT(members_boxes, 15000u) << members_boxes;
+  EXPECT_GT(handoffs, 8000u) << handoffs;
+  EXPECT_GT(stalls, 20000u) << stalls;
 }
 
 TEST(RunProfile, AccountsImpactExactly) {

@@ -237,7 +237,7 @@ TEST(StreamingEquivalence, StackDistancesPassLazySourcesThrough) {
     EXPECT_EQ(view.source(i).stack_distances(), nullptr);
   }
 
-  // A resident trace holding the reserved sentinel keeps its LRU loop (and
+  // A resident trace holding the reserved sentinel keeps its cursor (and
   // with it the corrupt-trace screen); so does a source already carrying
   // distances.
   Trace hostile = gen::cyclic(4, 20);

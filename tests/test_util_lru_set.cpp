@@ -109,13 +109,13 @@ TEST(LruSet, CapacityOneAlwaysReplaces) {
 
 // Cross-check against a straightforward reference implementation on random
 // operation streams (access, the fused try_touch/insert_absent pair, and
-// erase), for a sweep of capacities on both sides of the array/list
-// threshold. The sparse cases draw structured ids (proc << 48 | local),
-// whose raw low bits collide under a power-of-two mask unless the index
-// mixes them, and sprinkle clears and growing resets that force the index
-// to rebuild mid-stream. The crossing cases reset back and forth across
-// the threshold, so each representation is re-entered with the other's
-// leftovers behind it.
+// erase), for a sweep of capacities from 1 to 33. The sparse cases draw
+// structured ids (proc << 48 | local), whose raw low bits collide under a
+// power-of-two mask unless the index mixes them, and sprinkle clears and
+// growing resets that force the index to rebuild mid-stream. The crossing
+// cases reset back and forth between capacities of at most 32 and above
+// it, so the set is re-entered, on a grown index or a kept one, with a
+// differently sized set's leftovers behind it.
 enum class ReferenceMode { kPlain, kSparse, kCrossing };
 
 struct ReferenceCase {
@@ -135,7 +135,7 @@ class LruSetReference : public ::testing::TestWithParam<ReferenceCase> {};
 
 TEST_P(LruSetReference, MatchesNaiveModel) {
   const auto [initial_capacity, mode] = GetParam();
-  constexpr Height kThreshold = LruSet::kArrayCapacity;
+  constexpr Height kThreshold = 32;
   Height capacity = initial_capacity;
   const PageId tag = mode == ReferenceMode::kSparse ? PageId{3} << 48 : 0;
   LruSet set(capacity);
@@ -191,7 +191,7 @@ TEST_P(LruSetReference, MatchesNaiveModel) {
                          (2 * initial_capacity);
     } else {
       if (i % 257 != 256) continue;
-      // Alternate sides of the threshold: small -> large -> small ...
+      // Alternate sides of 32: small -> large -> small ...
       capacity = capacity > kThreshold
                      ? static_cast<Height>(rng.next_in(1, kThreshold))
                      : static_cast<Height>(
@@ -222,8 +222,8 @@ INSTANTIATE_TEST_SUITE_P(
         ReferenceCase{16, ReferenceMode::kSparse},
         ReferenceCase{32, ReferenceMode::kSparse},
         ReferenceCase{33, ReferenceMode::kSparse},
-        ReferenceCase{LruSet::kArrayCapacity, ReferenceMode::kCrossing},
-        ReferenceCase{LruSet::kArrayCapacity + 1, ReferenceMode::kCrossing}));
+        ReferenceCase{32, ReferenceMode::kCrossing},
+        ReferenceCase{33, ReferenceMode::kCrossing}));
 
 // Mean successful-probe length (cells a find inspects, 1 = home cell) of
 // the keys live in an index kept at load 1/2: filled with `capacity` keys,
@@ -361,6 +361,39 @@ TEST(LruSet, ClearIsEpochBased) {
   EXPECT_TRUE(set.contains(7));
   EXPECT_FALSE(set.contains(0));
   EXPECT_EQ(set.size(), 1u);
+}
+
+// Bumping the epoch past 2^32 - 1 must not make never-used cells (epoch 0)
+// read as occupied: page 0 would then be found in every one of them.
+TEST(LruFlatIndex, EpochWrapEmptiesTheIndex) {
+  LruFlatIndex index(4, UINT32_MAX - 1);
+  index.clear();  // epoch 2^32 - 1
+  EXPECT_EQ(index.find(7), kLruNilSlot);
+  index.set(7, 3);
+  EXPECT_EQ(index.find(7), 3u);
+  index.clear();  // wraps
+  EXPECT_EQ(index.find(7), kLruNilSlot);
+  EXPECT_EQ(index.find(0), kLruNilSlot);
+  index.set(0, 5);
+  EXPECT_EQ(index.find(0), 5u);
+}
+
+// One index serving sets of many sizes in turn, as the box runner's shared
+// membership index does: reset() narrows and widens the probe range, and
+// find_or_set inserts only an absent page.
+TEST(LruFlatIndex, FindOrSetAcrossResets) {
+  LruFlatIndex index(1);
+  for (const Height capacity : {1u, 300u, 16u, 4096u, 2u, 64u}) {
+    index.reset(capacity);
+    for (std::uint32_t i = 0; i < capacity; ++i)
+      ASSERT_EQ(index.find_or_set(make_page(1, i), i), kLruNilSlot) << i;
+    for (std::uint32_t i = 0; i < capacity; ++i) {
+      ASSERT_EQ(index.find_or_set(make_page(1, i), 0), i) << i;
+      ASSERT_EQ(index.find(make_page(1, i)), i) << i;
+    }
+    EXPECT_EQ(index.find(make_page(2, 0)), kLruNilSlot);
+    EXPECT_EQ(index.find(make_page(1, capacity)), kLruNilSlot);
+  }
 }
 
 }  // namespace

@@ -17,17 +17,19 @@
 #    oracle, the LRU policy and its cache-sim equivalence and inclusion
 #    suites), the stack-distance passes (StackDistance*,
 #    PreviousAccesses), the stack-distance view (StreamingEquivalence,
-#    RunInstance), the offline packer (OfflinePacker,
-#    FixedHeightCandidates), the green-OPT DP over epoch schedules
-#    (GreenOpt*, EpochSchedule, DynamicOpt*), the green pagers' and the
-#    greedy check's replays on the previous-access table (RunGreenPaging,
-#    DynamicGreen, GreedyCheck), the profile replay (RunProfile) and the
-#    policy runner with its canonical-box conservation test
-#    (PolicyBoxRunner, InBoxPolicyConservation) again under
-#    ASan/UBSan (the event queue's buckets, the Zipf guide table, the LRU
-#    index's per-reset probe range, epoch wrap, hashed probe start and
-#    backward-shift deletion (LruFlatIndex, also the box runner's shared
-#    membership index), the previous-access table's probe and growth, the
+#    RunInstance), the OPT bounds (OptBounds) and Belady's policy
+#    (BeladyPolicyTest), both on the previous-access table, the offline
+#    packer (OfflinePacker, FixedHeightCandidates), the green-OPT DP over
+#    epoch schedules (GreenOpt*, EpochSchedule, DynamicOpt*), the green
+#    pagers' and the greedy check's replays on the previous-access table
+#    (RunGreenPaging, DynamicGreen, GreedyCheck), the profile replay
+#    (RunProfile) and the policy runner with its canonical-box
+#    conservation test (PolicyBoxRunner, InBoxPolicyConservation) again
+#    under ASan/UBSan (the event queue's buckets, the Zipf guide table,
+#    the LRU index's per-reset probe range, epoch wrap, hashed probe start
+#    and backward-shift deletion (LruFlatIndex, also the box runner's shared
+#    membership index), the previous-access table's probe, growth and
+#    sentinel throw (the kInvalidPage screen of every whole-trace pass), the
 #    live-marker shifts and masks on `pos & 63` and their group-index
 #    math, the distance loop's raw pointer, the canonical-box scan's
 #    signed positions (shared by the rung scans, the DP and the pager
@@ -97,7 +99,7 @@ if [[ "${SAN}" != "none" ]]; then
   cmake --build "build-${SAN}" -j "$(nproc)"
   (cd "build-${SAN}" &&
    ctest --output-on-failure -j "$(nproc)" --no-tests=error \
-         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|AtomicFile|EngineStepper|PagingService|DetParGolden|RandParGolden|Generators|LruSet|LruFlatIndex|BoxRunner|GreenOpt|DynamicGreen|DynamicOpt|EpochSchedule|RunProfile|RunGreenPaging|GreedyCheck|PolicyBoxRunner|InBoxPolicyConservation|CacheSimEquivalence|LruPolicyTest|LruInclusion|StackDistance|PreviousAccesses|StreamingEquivalence|RunInstance|OfflinePacker|FixedHeightCandidates')
+         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|AtomicFile|EngineStepper|PagingService|DetParGolden|RandParGolden|Generators|LruSet|LruFlatIndex|BoxRunner|GreenOpt|DynamicGreen|DynamicOpt|EpochSchedule|RunProfile|RunGreenPaging|GreedyCheck|PolicyBoxRunner|InBoxPolicyConservation|CacheSimEquivalence|LruPolicyTest|LruInclusion|StackDistance|PreviousAccesses|StreamingEquivalence|RunInstance|OptBounds|BeladyPolicyTest|OfflinePacker|FixedHeightCandidates')
 
   # Fault-isolation gate under ASan: injected trace faults (fail,
   # hostile-page, torn-span, stall) must quarantine only their own tenant

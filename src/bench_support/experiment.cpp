@@ -33,20 +33,21 @@ std::string cell_spec(SchedulerKind kind, const ExperimentConfig& config) {
 InstanceOutcome run_instance(const MultiTraceSource& instance,
                              const std::vector<SchedulerKind>& kinds,
                              const ExperimentConfig& config) {
-  // One distance pass per resident trace, shared by the bounds and every
-  // box-scheduler run; the distances die with this call.
-  const MultiTraceSource sources = instance.with_stack_distances();
   InstanceOutcome out;
   OptBoundsConfig ob;
   ob.cache_size = config.cache_size;
   ob.miss_cost = config.miss_cost;
+  // One distance pass per resident trace, shared by the bounds and every
+  // box-scheduler run; the distances die with this call.
+  MultiTraceSource sources;
   try {
+    sources = instance.with_stack_distances();
     out.bounds = compute_opt_bounds(sources, ob);
   } catch (const PpgException& e) {
-    // A trace so hostile the bounds pass cannot even read it (e.g. an
-    // injected corrupt-trace fault). The cell is still data, not a crash:
-    // every scheduler outcome carries the structured failure, mirroring
-    // what run_parallel_checked would have reported.
+    // A trace so hostile the distance or bounds pass cannot read it (a
+    // reserved kInvalidPage, an injected corrupt-trace fault). The cell is
+    // still data, not a crash: every scheduler outcome carries the
+    // structured failure, processor included.
     for (const SchedulerKind kind : kinds) {
       SchedulerOutcome so;
       so.name = scheduler_kind_name(kind);

@@ -70,7 +70,8 @@ struct InstanceOutcome {
 /// instance and computes ratios against the OPT lower bound. Resident
 /// traces get their stack distances attached for the length of the call
 /// (MultiTraceSource::with_stack_distances), so the bounds and the box
-/// runners share one distance pass per trace.
+/// runners share one distance pass per trace. A trace that pass or the
+/// bounds reject fails every cell with that error, its processor set.
 InstanceOutcome run_instance(const MultiTraceSource& instance,
                              const std::vector<SchedulerKind>& kinds,
                              const ExperimentConfig& config);

@@ -28,8 +28,8 @@
 //   per span). A stalled box leaves the request in the span buffer
 //   unconsumed, so the next box resumes at the same logical position. Every
 //   refilled span is screened (screen_span) for the reserved kInvalidPage
-//   sentinel, which must never enter a cache (a trace holding it never
-//   carries distances, so it never takes the distance loop). Whether the
+//   sentinel, which must never enter a cache (a trace holding it cannot
+//   carry distances: with_stack_distances rejects it). Whether the
 //   box can fill picks the loop: it can unless it opens (fresh, or a new
 //   height) and lasts at most s*h, since such a box affords at most h
 //   misses and so never evicts.

@@ -6,7 +6,6 @@
 
 #include "green/green_opt.hpp"
 #include "trace/stack_distance.hpp"
-#include "trace/trace_source.hpp"
 #include "util/assert.hpp"
 
 namespace ppg {
@@ -37,7 +36,6 @@ GreedyCheckResult check_greedily_green(const Trace& trace, GreenPager& pager,
 
   // One previous-access table serves the replay and every checkpoint: a
   // prefix's table is the same-length prefix of the whole trace's.
-  screen_span(trace.requests().data(), trace.size(), 0);
   const std::vector<std::size_t> previous = previous_accesses(trace);
   const EpochSchedule schedule(ladder);
   ProfileRunResult run;

@@ -6,7 +6,6 @@
 #include "green/green_algorithm.hpp"
 #include "green/green_opt.hpp"
 #include "trace/stack_distance.hpp"
-#include "trace/trace_source.hpp"
 #include "util/assert.hpp"
 #include "util/discrete_distribution.hpp"
 
@@ -153,7 +152,6 @@ ProfileRunResult run_green_paging(const Trace& trace, GreenPager& pager,
                                   const EpochSchedule& schedule,
                                   Time miss_cost, BoxProfile* profile_out) {
   PPG_CHECK(miss_cost >= 1);
-  screen_span(trace.requests().data(), trace.size(), 0);
   const std::vector<std::size_t> previous = previous_accesses(trace);
   ProfileRunResult result;
   std::size_t epoch = 0;

@@ -39,7 +39,8 @@ struct BoxAdvance {
 /// (previous_accesses() of the trace) and serves requests while they fit.
 /// Its s*h ticks pay for at most h misses, so it touches at most h distinct
 /// pages and LRU never evicts inside it: request i hits iff previous[i] >= b.
-/// The one canonical-box hit test of the DP and of the offline packer.
+/// The one canonical-box hit test: of the DP, of the offline packer's rung
+/// scans, of the green pagers' replays and of the greedy check.
 inline BoxAdvance canonical_box_advance(std::span<const std::size_t> previous,
                                         std::size_t b, Height h,
                                         Time miss_cost) {
@@ -70,7 +71,8 @@ struct GreenOptResult {
 /// Exact minimum-impact profile with canonical boxes whose every height
 /// lies on the ladder of its starting position. The final box is charged
 /// only for the ticks actually used (matching the accounting of
-/// run_green_paging / run_profile, so ratios are >= 1).
+/// run_green_paging / run_profile, so ratios are >= 1). Throws
+/// kCorruptTrace at the first kInvalidPage in `trace`.
 GreenOptResult green_opt(const Trace& trace, const EpochSchedule& schedule,
                          Time miss_cost);
 

@@ -18,8 +18,9 @@
 // box, and every refill passes the same kInvalidPage screen (screen_span). So
 // any online policy also runs over lazy (generator / file) sources in
 // O(height) memory. The exception is kBelady: it is clairvoyant — its
-// next-use table requires the whole trace up front — so it takes that
-// table from source.materialized() and rejects lazy sources.
+// next-use table requires the whole trace up front — so it builds that
+// table from source.materialized(), rejects lazy sources, and is screened
+// for kInvalidPage by the previous-access table when it is built.
 #pragma once
 
 #include <memory>

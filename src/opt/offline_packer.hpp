@@ -98,7 +98,8 @@ BoxProfile fixed_height_profile(const std::vector<std::size_t>& previous,
 /// and its (achievable) makespan. The scans and the DP need random access,
 /// so lazy sources are materialized one processor at a time; each
 /// processor's previous-access positions (8 B per request) are held from
-/// its scan until its chosen box list is built.
+/// its scan until its chosen box list is built. Throws kCorruptTrace at the
+/// first kInvalidPage in a trace, from its previous_accesses() table.
 OfflinePackResult pack_offline(const MultiTraceSource& sources,
                                const OfflinePackConfig& config);
 

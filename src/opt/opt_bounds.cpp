@@ -6,10 +6,9 @@
 #include <utility>
 #include <vector>
 
-#include "green/green_opt.hpp"
 #include "trace/stack_distance.hpp"
 #include "util/assert.hpp"
-#include "util/math_util.hpp"
+#include "util/error.hpp"
 
 namespace ppg {
 
@@ -127,40 +126,37 @@ OptBounds compute_opt_bounds(const MultiTraceSource& sources,
   PPG_CHECK(config.cache_size >= 1);
   OptBounds bounds;
   Impact impact_sum = 0;
-  const Height h_max = std::max<Height>(
-      1, static_cast<Height>(pow2_floor(config.cache_size)));
-  const HeightLadder full_ladder{1, h_max};
 
   for (ProcId i = 0; i < sources.num_procs(); ++i) {
     const TraceSource& source = sources.source(i);
-    Trace storage;
-    const Trace& t = materialized_view(source, storage);
-    bounds.lb_max_length =
-        std::max<Time>(bounds.lb_max_length, t.size());
-    const bool exact = t.size() <= config.exact_impact_max_requests;
-    if (exact)
-      impact_sum += green_opt(t, full_ladder, config.miss_cost).impact;
-
-    Time single = 0;
-    if (const auto attached = source.stack_distances()) {
-      // The attached distances count the distinct pages, so the previous-
-      // access pass runs only when Belady has to evict, and no distance
-      // pass runs here.
-      const auto distinct = static_cast<std::uint64_t>(
-          std::count(attached->begin(), attached->end(), kColdDistance));
-      single = distinct <= config.cache_size
-                   ? busy_time(t.size(), distinct, config.miss_cost)
-                   : busy_time(previous_accesses(t), config.cache_size,
-                               config.miss_cost);
-      if (!exact) impact_sum += stack_impact(*attached, config.miss_cost);
-    } else {
-      const std::vector<std::size_t> previous = previous_accesses(t);
-      single = busy_time(previous, config.cache_size, config.miss_cost);
-      if (!exact)
+    try {
+      Trace storage;
+      const Trace& t = materialized_view(source, storage);
+      bounds.lb_max_length = std::max<Time>(bounds.lb_max_length, t.size());
+      Time single = 0;
+      if (const auto attached = source.stack_distances()) {
+        // The attached distances count the distinct pages, so the
+        // previous-access pass runs only when Belady has to evict, and no
+        // distance pass runs here.
+        const auto distinct = static_cast<std::uint64_t>(
+            std::count(attached->begin(), attached->end(), kColdDistance));
+        single = distinct <= config.cache_size
+                     ? busy_time(t.size(), distinct, config.miss_cost)
+                     : busy_time(previous_accesses(t), config.cache_size,
+                                 config.miss_cost);
+        impact_sum += stack_impact(*attached, config.miss_cost);
+      } else {
+        const std::vector<std::size_t> previous = previous_accesses(t);
+        single = busy_time(previous, config.cache_size, config.miss_cost);
         impact_sum +=
             stack_impact(stack_distances(previous), config.miss_cost);
+      }
+      bounds.lb_max_single = std::max(bounds.lb_max_single, single);
+    } catch (const PpgException& e) {
+      Error error = e.error();
+      error.proc = i;
+      throw PpgException(std::move(error));
     }
-    bounds.lb_max_single = std::max(bounds.lb_max_single, single);
   }
   bounds.lb_impact = impact_sum / config.cache_size;
   return bounds;

@@ -14,14 +14,13 @@
 //                                 servicing R^i under ANY compartmentalized
 //                                 profile costs at least I_LB(R^i).
 //
-// For I_LB two interchangeable estimators are provided:
-//   * impact_lb_stack — O(n log n): a request either misses (impact >= s,
-//     one page held for s ticks) or hits inside its box, which requires the
-//     box height to exceed its stack distance d (impact >= d+1 for that
-//     tick). Hence I >= sum_r min(s, d_r + 1), with cold requests counting
-//     as misses. Valid for every compartmentalized box profile.
-//   * green_opt(...).impact — the exact DP of green_opt.hpp (tight, but
-//     costs O(n * s * k); used when traces are small).
+// I_LB is impact_lb_stack, O(n): a request either misses (impact >= s, one
+// page held for s ticks) or hits inside its box, which requires the box
+// height to exceed its stack distance d (impact >= d+1 for that tick).
+// Hence I >= sum_r min(s, d_r + 1), with cold requests counting as misses.
+// Valid for every compartmentalized box profile. The exact green-OPT DP of
+// green_opt.hpp is tighter but costs O(n * s * k) per trace, so it is not
+// an estimator here; tests check that it dominates this one.
 //
 // Both per-trace terms come from one previous_accesses() pass over a flat
 // table (trace/stack_distance.hpp). The stack distances are the live-marker
@@ -31,6 +30,8 @@
 // cache simulator: with at most k distinct pages its faults are the
 // distinct count, and otherwise it is one scan with a flat max-heap of
 // (next use, position), next uses read off the same previous-access array.
+// The table rejects a reserved kInvalidPage: compute_opt_bounds throws
+// kCorruptTrace at its position, with the processor set.
 #pragma once
 
 #include <cstdint>
@@ -62,10 +63,6 @@ struct OptBounds {
 struct OptBoundsConfig {
   Height cache_size = 0;
   Time miss_cost = 2;
-  /// Use the exact green-OPT DP for the impact term on traces no longer
-  /// than this; the stack-distance estimator otherwise. 0 = always use the
-  /// estimator.
-  std::size_t exact_impact_max_requests = 0;
 };
 
 /// The Belady term is clairvoyant, so each lazy source is materialized one

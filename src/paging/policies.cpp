@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "paging/eviction_policy.hpp"
+#include "trace/stack_distance.hpp"
 #include "util/assert.hpp"
 #include "util/lru_set.hpp"
 
@@ -221,21 +222,16 @@ class LfuPolicy final : public EvictionPolicy {
 
 // Belady's offline OPT: evict the resident page whose next use is farthest
 // in the future. next_use_[i] = index of the next request for trace[i]'s
-// page after i (kNever if none). A lazy max-heap of (next_use, page) entries
-// is validated against next_of_ on pop.
+// page after i (kNever if none), inverted from previous_accesses(), which
+// also rejects a trace holding kInvalidPage. A lazy max-heap of
+// (next_use, page) entries is validated against next_of_ on pop.
 class BeladyPolicy final : public EvictionPolicy {
  public:
   void prepare(const Trace& trace) override {
-    const std::size_t n = trace.size();
-    next_use_.assign(n, kNever);
-    std::unordered_map<PageId, std::size_t> last;
-    last.reserve(n);
-    for (std::size_t i = n; i-- > 0;) {
-      const PageId page = trace[i];
-      if (auto it = last.find(page); it != last.end())
-        next_use_[i] = it->second;
-      last[page] = i;
-    }
+    const std::vector<std::size_t> previous = previous_accesses(trace);
+    next_use_.assign(previous.size(), kNever);
+    for (std::size_t i = 0; i < previous.size(); ++i)
+      if (previous[i] != kNoPrevious) next_use_[previous[i]] = i;
   }
 
   void advance(std::size_t request_index) override { pos_ = request_index; }

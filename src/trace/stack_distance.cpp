@@ -44,30 +44,31 @@ class Fenwick {
 /// Position of each page's latest access: open addressing on the PageId
 /// with Fibonacci hashing (as LruFlatIndex), kInvalidPage as the empty
 /// key, doubled whenever the distinct pages would fill more than half the
-/// cells, so it holds O(distinct pages) whatever the trace length. A real
-/// kInvalidPage request is kept outside the table.
+/// cells, so it holds O(distinct pages) whatever the trace length. The
+/// empty key is also the screen of every whole-trace pass: a request for
+/// it is a corrupt trace.
 class LastAccessTable {
  public:
   LastAccessTable() { resize(kInitialCells); }
 
   /// Records an access to `page` at `pos` and returns the position of the
-  /// previous access to it, kNoPrevious if there is none.
+  /// previous access to it, kNoPrevious if there is none. Throws
+  /// kCorruptTrace at `pos` for kInvalidPage.
   std::size_t exchange(PageId page, std::size_t pos) {
-    if (page == kInvalidPage) return std::exchange(invalid_last_, pos);
     std::size_t i = home(page);
     for (;;) {
       Cell& cell = cells_[i];
-      if (cell.page == page) return std::exchange(cell.last, pos);
       if (cell.page == kInvalidPage) break;
+      if (cell.page == page) return std::exchange(cell.last, pos);
       i = (i + 1) & mask_;
     }
+    // The sentinel's probe ends at an empty cell, so it is screened only
+    // here, on a page's first access, and a hit pays nothing for it.
+    if (page == kInvalidPage) throw_hostile_page(pos);
     cells_[i] = Cell{page, pos};
     if (2 * ++distinct_ > cells_.size()) resize(2 * cells_.size());
     return kNoPrevious;
   }
-
-  /// True once a kInvalidPage request has been recorded.
-  bool saw_invalid_page() const { return invalid_last_ != kNoPrevious; }
 
  private:
   static constexpr std::size_t kInitialCells = 64;
@@ -98,7 +99,6 @@ class LastAccessTable {
   std::size_t mask_ = 0;
   std::uint32_t shift_ = 64;
   std::size_t distinct_ = 0;
-  std::size_t invalid_last_ = kNoPrevious;
 };
 
 /// Live markers in one 64-position word (SWAR: the build targets baseline
@@ -181,16 +181,13 @@ std::vector<D> live_marker_distances(std::size_t n, PreviousOf previous_of) {
 }
 
 /// The fused pass: previous accesses from the flat table, distances from
-/// the live markers, in one loop. Reports through `saw_invalid_page`
-/// whether the trace holds kInvalidPage.
+/// the live markers, in one loop.
 template <typename D>
-std::vector<D> trace_distances(const Trace& trace, bool* saw_invalid_page) {
+std::vector<D> trace_distances(const Trace& trace) {
   LastAccessTable last;
-  std::vector<D> out = live_marker_distances<D>(
+  return live_marker_distances<D>(
       trace.size(),
       [&](std::size_t i) { return last.exchange(trace[i], i); });
-  if (saw_invalid_page != nullptr) *saw_invalid_page = last.saw_invalid_page();
-  return out;
 }
 
 }  // namespace
@@ -256,7 +253,7 @@ std::vector<std::size_t> previous_accesses(const Trace& trace) {
 }
 
 std::vector<std::uint64_t> stack_distances(const Trace& trace) {
-  return trace_distances<std::uint64_t>(trace, nullptr);
+  return trace_distances<std::uint64_t>(trace);
 }
 
 std::vector<std::uint64_t> stack_distances(
@@ -265,10 +262,9 @@ std::vector<std::uint64_t> stack_distances(
       previous.size(), [&](std::size_t i) { return previous[i]; });
 }
 
-std::vector<std::uint32_t> packed_stack_distances(const Trace& trace,
-                                                  bool* saw_invalid_page) {
+std::vector<std::uint32_t> packed_stack_distances(const Trace& trace) {
   PPG_CHECK(trace.size() < kColdDistance);
-  return trace_distances<std::uint32_t>(trace, saw_invalid_page);
+  return trace_distances<std::uint32_t>(trace);
 }
 
 std::vector<std::uint64_t> stack_distances_naive(const Trace& trace) {

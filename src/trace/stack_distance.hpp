@@ -12,7 +12,11 @@
 // packed_stack_distances) are one loop over the trace:
 //   - The previous access of each request comes from a flat open-addressing
 //     table keyed by PageId (Fibonacci hashing, load <= 1/2, grown with the
-//     number of distinct pages), not a node-per-page hash map.
+//     number of distinct pages), not a node-per-page hash map. Its empty
+//     key is the reserved kInvalidPage, and a request for it throws
+//     kCorruptTrace at its position: the table is the sentinel screen of
+//     every pass here that reads a Trace, and so of every whole-trace
+//     consumer built on them.
 //   - The distance of request i with previous access p is the number of
 //     pages whose latest access lies in (p, i). One bit per position marks
 //     each page's latest access; a reuse clears the bit at p and sets the
@@ -71,6 +75,7 @@ inline constexpr std::size_t kNoPrevious = SIZE_MAX;
 /// (kNoPrevious for a first access), from one O(n) pass over a flat
 /// table. A cache that starts empty at position b can hit request i >= b
 /// only if previous[i] >= b: a page last touched before b is not resident.
+/// Throws kCorruptTrace at the first kInvalidPage.
 std::vector<std::size_t> previous_accesses(const Trace& trace);
 
 /// Per-request stack distances, one pass finding previous accesses and
@@ -86,12 +91,8 @@ std::vector<std::uint64_t> stack_distances(
 /// stack_distances() in 32 bits, kColdDistance for a first access: the
 /// form a source carries once with_stack_distances() attached it (see
 /// trace_source.hpp). A finite distance is below the trace length, so this
-/// requires trace.size() < kColdDistance and then loses nothing. When
-/// `saw_invalid_page` is given, it is set to whether the trace holds the
-/// reserved kInvalidPage (its distances are exact either way), so a caller
-/// that must not decorate such a trace needs no second scan.
-std::vector<std::uint32_t> packed_stack_distances(
-    const Trace& trace, bool* saw_invalid_page = nullptr);
+/// requires trace.size() < kColdDistance and then loses nothing.
+std::vector<std::uint32_t> packed_stack_distances(const Trace& trace);
 
 /// Reference O(n * m) implementation (explicit LRU stack) for testing.
 std::vector<std::uint64_t> stack_distances_naive(const Trace& trace);

@@ -203,18 +203,19 @@ void throw_stalled_stream(std::uint64_t position) {
               "trace stream stalled before its declared end", position);
 }
 
+void throw_hostile_page(std::uint64_t position) {
+  throw_error(ErrorCode::kCorruptTrace,
+              "hostile page id (reserved sentinel) in trace stream",
+              position);
+}
+
 void screen_span(const PageId* pages, std::size_t count,
                  std::uint64_t first_position) {
   // One pass, branch never taken on clean traces. File traces are also
-  // screened by trace_io; this screen covers every source, generated and
-  // caller-materialized ones included.
-  for (std::size_t i = 0; i < count; ++i) {
-    if (pages[i] == kInvalidPage) {
-      throw_error(ErrorCode::kCorruptTrace,
-                  "hostile page id (reserved sentinel) in trace stream",
-                  first_position + i);
-    }
-  }
+  // screened by trace_io; this screen covers every source read through a
+  // cursor, generated and caller-materialized ones included.
+  for (std::size_t i = 0; i < count; ++i)
+    if (pages[i] == kInvalidPage) throw_hostile_page(first_position + i);
 }
 
 Trace materialize(TraceCursor& cursor, std::size_t size_hint) {
@@ -263,8 +264,15 @@ MultiTrace MultiTraceSource::materialize() const {
 MultiTraceSource MultiTraceSource::with_stack_distances() const {
   MultiTraceSource out;
   out.sources_.reserve(sources_.size());
-  for (const auto& source : sources_)
-    out.sources_.push_back(ppg::with_stack_distances(source));
+  for (ProcId i = 0; i < num_procs(); ++i) {
+    try {
+      out.sources_.push_back(ppg::with_stack_distances(sources_[i]));
+    } catch (const PpgException& e) {
+      Error error = e.error();
+      error.proc = i;
+      throw PpgException(std::move(error));
+    }
+  }
   return out;
 }
 
@@ -275,10 +283,7 @@ std::shared_ptr<const TraceSource> with_stack_distances(
   if (trace == nullptr || source->stack_distances() != nullptr ||
       trace->size() >= kColdDistance)
     return source;
-  bool holds_invalid_page = false;
-  std::vector<std::uint32_t> distances =
-      packed_stack_distances(*trace, &holds_invalid_page);
-  if (holds_invalid_page) return source;
+  std::vector<std::uint32_t> distances = packed_stack_distances(*trace);
   return std::make_shared<StackDistanceSource>(std::move(source),
                                                std::move(distances));
 }

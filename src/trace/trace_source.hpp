@@ -32,7 +32,7 @@
 namespace ppg {
 
 /// Empty; kept only for the overrides in perfbench/src/layers.cpp (ROADMAP
-/// item 5's benchmark change deletes it with the stubs below).
+/// item 4's benchmark change deletes it with the stubs below).
 struct CursorCheckpoint {};
 
 /// One independent, forward-only pass over a request sequence.
@@ -52,13 +52,13 @@ class TraceCursor {
   /// cost down to one LRU probe.
   virtual std::size_t next_span(PageId* out, std::size_t max) = 0;
 
-  // kInternal stub kept only for perfbench/src/layers.cpp (ROADMAP item 5).
+  // kInternal stub kept only for perfbench/src/layers.cpp (ROADMAP item 4).
   virtual PageId peek();
-  // kInternal stub kept only for perfbench/src/layers.cpp (ROADMAP item 5).
+  // kInternal stub kept only for perfbench/src/layers.cpp (ROADMAP item 4).
   virtual void advance();
-  // kInternal stub kept only for perfbench/src/layers.cpp (ROADMAP item 5).
+  // kInternal stub kept only for perfbench/src/layers.cpp (ROADMAP item 4).
   virtual CursorCheckpoint checkpoint() const;
-  // kInternal stub kept only for perfbench/src/layers.cpp (ROADMAP item 5).
+  // kInternal stub kept only for perfbench/src/layers.cpp (ROADMAP item 4).
   virtual void rewind(const CursorCheckpoint& cp);
 };
 
@@ -68,9 +68,13 @@ inline constexpr std::size_t kDrainSpan = 1024;
 /// Throws kCorruptTrace for a stream that stalled at `position`.
 [[noreturn]] void throw_stalled_stream(std::uint64_t position);
 
-/// Throws kCorruptTrace at the position of the first kInvalidPage among
-/// `count` pages whose first sits at `first_position`: the sentinel is
-/// reserved by the cache layer and must never enter a cache.
+/// Throws kCorruptTrace at `position` for the reserved kInvalidPage.
+[[noreturn]] void throw_hostile_page(std::uint64_t position);
+
+/// throw_hostile_page at the first kInvalidPage among `count` pages whose
+/// first sits at `first_position`: the sentinel must never enter a cache.
+/// The screen of the cursor path; whole-trace passes get theirs from the
+/// previous-access table (previous_accesses in trace/stack_distance.hpp).
 void screen_span(const PageId* pages, std::size_t count,
                  std::uint64_t first_position);
 
@@ -203,7 +207,8 @@ class MultiTraceSource {
   /// with_stack_distances applied to each): one distance pass per resident
   /// trace, 4 B per request held for as long as the copy lives. Meant for
   /// the span of one multi-run call (see bench_support/experiment.cpp);
-  /// never cache it on a MultiTrace.
+  /// never cache it on a MultiTrace. Rethrows processor i's error (a
+  /// kInvalidPage in its trace) with its proc set to i.
   MultiTraceSource with_stack_distances() const;
 
  private:
@@ -212,11 +217,10 @@ class MultiTraceSource {
 
 /// `source` decorated with its stack distances (packed_stack_distances in
 /// trace/stack_distance.hpp), or `source` itself when it is lazy, already
-/// carries them, holds the reserved kInvalidPage (the box runner's span
-/// screen reports it as a corrupt trace) or is too long for 32-bit
-/// distances. The decorator forwards materialized() and cursor(), so every
-/// consumer but the two that read stack_distances() sees the undecorated
-/// source.
+/// carries them or is too long for 32-bit distances. Throws kCorruptTrace
+/// at the first kInvalidPage of a resident trace, as that pass does. The
+/// decorator forwards materialized() and cursor(), so every consumer but
+/// the two that read stack_distances() sees the undecorated source.
 std::shared_ptr<const TraceSource> with_stack_distances(
     std::shared_ptr<const TraceSource> source);
 

@@ -90,8 +90,8 @@ TEST(GreedyCheck, FlagsAGreenwashingPager) {
 }
 
 TEST(GreedyCheck, HostilePageIsCorruptTrace) {
-  // Screened once over the whole trace before the previous-access table
-  // is built, as in run_green_paging.
+  // Rejected by the previous-access table the replay runs on, as in
+  // run_green_paging.
   Trace t = gen::cyclic(4, 40);
   t.mutable_requests()[5] = kInvalidPage;
   auto pager = make_det_green(kLadder);

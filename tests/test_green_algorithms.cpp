@@ -147,8 +147,8 @@ TEST(RunGreenPaging, FixedMinIsGreenerOnSingleUseStream) {
 }
 
 TEST(RunGreenPaging, HostilePageIsCorruptTrace) {
-  // The reserved sentinel never reaches the previous-access table: the
-  // whole trace is screened first, and the error names its position.
+  // The previous-access table the replay runs on rejects the reserved
+  // sentinel, and the error names its position.
   Trace t = gen::cyclic(4, 40);
   t.mutable_requests()[5] = kInvalidPage;
   auto pager = make_det_green(kLadder);

@@ -31,6 +31,13 @@ TEST(GreenOpt, SingleRequestUsesMinHeight) {
   EXPECT_EQ(r.profile[0].height, 2u);
 }
 
+TEST(GreenOpt, HostilePageIsCorruptTrace) {
+  Trace t = gen::cyclic(4, 40);
+  t.mutable_requests()[5] = kInvalidPage;
+  test::expect_corrupt_trace_at([&] { green_opt(t, HeightLadder{1, 4}, 4); },
+                                5);
+}
+
 TEST(GreenOpt, ProfileConformsAndReplays) {
   Rng rng(1);
   const Trace t = gen::zipf(24, 800, 0.9, rng);

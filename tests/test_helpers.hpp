@@ -11,6 +11,7 @@
 
 #include "core/scheduler.hpp"
 #include "trace/trace.hpp"
+#include "util/error.hpp"
 
 namespace ppg::test {
 
@@ -65,6 +66,21 @@ inline Trace make_trace(std::initializer_list<int> pages) {
   std::vector<PageId> reqs;
   for (int p : pages) reqs.push_back(static_cast<PageId>(p));
   return Trace(std::move(reqs));
+}
+
+/// Requires `call()` to throw kCorruptTrace at stream position `position`;
+/// returns the error, for checks on its other fields.
+template <typename Call>
+Error expect_corrupt_trace_at(Call&& call, std::uint64_t position) {
+  try {
+    call();
+    ADD_FAILURE() << "accepted a corrupt trace";
+  } catch (const PpgException& e) {
+    EXPECT_EQ(e.error().code, ErrorCode::kCorruptTrace);
+    EXPECT_EQ(e.error().byte_offset, position);
+    return e.error();
+  }
+  return Error{};
 }
 
 }  // namespace ppg::test

@@ -13,6 +13,7 @@
 #include "green/box_runner.hpp"
 #include "opt/offline_packer.hpp"
 #include "opt/opt_bounds.hpp"
+#include "test_helpers.hpp"
 #include "trace/generators.hpp"
 #include "trace/stack_distance.hpp"
 #include "trace/workload.hpp"
@@ -126,6 +127,15 @@ TEST(OfflinePacker, FallbackProfileAlsoLegal) {
   const OfflinePackResult exact = pack_offline(mt, config_for(16, 4));
   expect_exact_peak(exact, 16);
   EXPECT_GE(r.total_impact, exact.total_impact);
+}
+
+TEST(OfflinePacker, HostilePageIsCorruptTrace) {
+  MultiTrace mt;
+  Trace t = gen::cyclic(4, 40);
+  t.mutable_requests()[5] = kInvalidPage;
+  mt.add(std::move(t));
+  test::expect_corrupt_trace_at([&] { pack_offline(mt, config_for(16, 4)); },
+                                5);
 }
 
 TEST(OfflinePacker, EmptyTracesCompleteAtZero) {

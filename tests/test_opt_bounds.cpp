@@ -6,6 +6,7 @@
 
 #include "core/parallel_engine.hpp"
 #include "core/scheduler_factory.hpp"
+#include "green/green_opt.hpp"
 #include "opt/opt_bounds.hpp"
 #include "paging/cache_sim.hpp"
 #include "test_helpers.hpp"
@@ -148,16 +149,25 @@ TEST(OptBounds, ComputedOnWorkload) {
 TEST(OptBounds, ExactImpactAtLeastStackEstimate) {
   // The DP impact bound dominates the stack-distance estimate (both are
   // valid lower bounds; the DP is tight).
+  const Trace t = gen::cyclic(12, 400);
+  EXPECT_GE(green_opt(t, HeightLadder{1, 16}, 6).impact, impact_lb_stack(t, 6));
+}
+
+TEST(OptBounds, HostilePageIsCorruptTrace) {
+  // The previous-access table rejects the reserved sentinel, and the error
+  // names the processor whose trace held it.
   MultiTrace mt;
-  mt.add(gen::cyclic(12, 400));
-  OptBoundsConfig fast;
-  fast.cache_size = 16;
-  fast.miss_cost = 6;
-  OptBoundsConfig exact = fast;
-  exact.exact_impact_max_requests = 100000;
-  const OptBounds fb = compute_opt_bounds(mt, fast);
-  const OptBounds eb = compute_opt_bounds(mt, exact);
-  EXPECT_GE(eb.lb_impact, fb.lb_impact);
+  mt.add(gen::cyclic(4, 40));
+  Trace hostile = gen::cyclic(4, 40);
+  hostile.mutable_requests()[5] = kInvalidPage;
+  mt.add(std::move(hostile));
+  mt.add(gen::cyclic(4, 40));
+  OptBoundsConfig config;
+  config.cache_size = 16;
+  config.miss_cost = 4;
+  const Error error =
+      test::expect_corrupt_trace_at([&] { compute_opt_bounds(mt, config); }, 5);
+  EXPECT_EQ(error.proc, 1u);
 }
 
 // The load-bearing property of the whole benchmark harness: the bound must

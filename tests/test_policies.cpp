@@ -40,6 +40,15 @@ TEST(BeladyPolicyTest, NoFaultsWhenEverythingFits) {
   EXPECT_EQ(r.misses, 4u);  // cold only
 }
 
+TEST(BeladyPolicyTest, HostilePageIsCorruptTrace) {
+  // The next-use table is inverted from the previous-access table, which
+  // rejects the reserved sentinel before any request is served.
+  Trace t = gen::cyclic(4, 40);
+  t.mutable_requests()[5] = kInvalidPage;
+  test::expect_corrupt_trace_at(
+      [&] { simulate_policy(PolicyKind::kBelady, t, 4, 2); }, 5);
+}
+
 TEST(ClockPolicyTest, ApproximatesLruOnSimpleTrace) {
   // With no re-references, CLOCK behaves exactly like FIFO.
   const Trace t = test::make_trace({1, 2, 3, 4, 5, 6});

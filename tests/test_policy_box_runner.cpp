@@ -84,12 +84,13 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, InBoxPolicyConservation,
 
 TEST(PolicyBoxRunner, HostilePageIsCorruptTrace) {
   // The reserved sentinel is rejected at the span screen, as in BoxRunner,
-  // before any policy's bookkeeping sees it.
+  // before any policy's bookkeeping sees it; Belady's runner rejects it
+  // when it is built, from the previous-access table of its next uses.
   Trace t = gen::cyclic(4, 40);
   t.mutable_requests()[5] = kInvalidPage;
   for (const PolicyKind kind : all_policy_kinds()) {
-    PolicyBoxRunner runner(t, 2, kind);
     try {
+      PolicyBoxRunner runner(t, 2, kind);
       while (!runner.finished()) runner.run_box(4, 100);
       ADD_FAILURE() << "served a hostile page";
     } catch (const PpgException& e) {

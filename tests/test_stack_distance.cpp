@@ -7,6 +7,7 @@
 #include "test_helpers.hpp"
 #include "trace/generators.hpp"
 #include "trace/stack_distance.hpp"
+#include "trace/trace_source.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/rng.hpp"
 
@@ -107,15 +108,12 @@ std::vector<std::uint32_t> packed(const std::vector<std::uint64_t>& distances) {
 }
 
 /// Requires every batch pass over `t` to agree with `expected`: both
-/// stack_distances overloads and packed_stack_distances, which must also
-/// report that `t` holds no kInvalidPage.
+/// stack_distances overloads and packed_stack_distances.
 void expect_batch_distances(const Trace& t,
                             const std::vector<std::uint64_t>& expected) {
   EXPECT_EQ(stack_distances(t), expected);
   EXPECT_EQ(stack_distances(previous_accesses(t)), expected);
-  bool saw_invalid_page = true;
-  EXPECT_EQ(packed_stack_distances(t, &saw_invalid_page), packed(expected));
-  EXPECT_FALSE(saw_invalid_page);
+  EXPECT_EQ(packed_stack_distances(t), packed(expected));
 }
 
 // Windows that cross 64-position words, 256-position groups and 4096-
@@ -175,18 +173,23 @@ TEST(StackDistanceLongWindows, ShortAndLongWindowsMixed) {
   expect_batch_distances(head, stack_distances_naive(head));
 }
 
-TEST(PreviousAccesses, InvalidPageIsAnOrdinaryPage) {
-  // kInvalidPage is the table's empty key; a real request for it must
-  // still chain to its own previous access and to nothing else.
-  const Trace t(std::vector<PageId>{kInvalidPage, 1, kInvalidPage, 0, 1,
-                                    kInvalidPage, 0, kInvalidPage - 1});
-  EXPECT_EQ(previous_accesses(t), previous_naive(t));
-  EXPECT_EQ(stack_distances(t), stack_distances_naive(t));
-  EXPECT_EQ(stack_distances(previous_accesses(t)), stack_distances_naive(t));
-  bool saw_invalid_page = false;
-  EXPECT_EQ(packed_stack_distances(t, &saw_invalid_page),
-            packed(stack_distances_naive(t)));
-  EXPECT_TRUE(saw_invalid_page);
+TEST(PreviousAccesses, InvalidPageIsCorruptTrace) {
+  // kInvalidPage is the table's empty key, and a request for it is a
+  // corrupt trace: every pass that reads a Trace throws at the first one.
+  const Trace t(std::vector<PageId>{0, kInvalidPage - 1, 1,
+                                    kInvalidPage - 1, 0, kInvalidPage, 0,
+                                    kInvalidPage - 1, 1, kInvalidPage});
+  test::expect_corrupt_trace_at([&] { previous_accesses(t); }, 5);
+  test::expect_corrupt_trace_at([&] { stack_distances(t); }, 5);
+  test::expect_corrupt_trace_at([&] { packed_stack_distances(t); }, 5);
+  test::expect_corrupt_trace_at(
+      [&] { with_stack_distances(VectorTraceSource::view(t)); }, 5);
+
+  // The page just below the sentinel is an ordinary page, chained to its
+  // own previous access.
+  const Trace prefix(std::vector<PageId>(t.begin(), t.begin() + 5));
+  EXPECT_EQ(previous_accesses(prefix), previous_naive(prefix));
+  expect_batch_distances(prefix, stack_distances_naive(prefix));
 }
 
 TEST(PreviousAccesses, PageZero) {

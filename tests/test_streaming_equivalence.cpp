@@ -208,20 +208,16 @@ TEST(StreamingEquivalence, OptBoundsMatchOnStackDistanceView) {
     const MultiTraceSource plain = traces;
     const MultiTraceSource view = plain.with_stack_distances();
     // Caches below and above the distinct counts: Belady with and without
-    // evictions. At k = 16 the exact green-OPT impact term replaces the
-    // stack-distance one as well.
-    const std::pair<Height, std::size_t> cases[] = {
-        {2, 0}, {16, 0}, {16, 500}, {4096, 0}};
-    for (const auto& [cache, exact_max] : cases) {
+    // evictions.
+    for (const Height cache : {2u, 16u, 4096u}) {
       OptBoundsConfig bc;
       bc.cache_size = cache;
       bc.miss_cost = 4;
-      bc.exact_impact_max_requests = exact_max;
       const OptBounds a = compute_opt_bounds(plain, bc);
       const OptBounds b = compute_opt_bounds(view, bc);
       EXPECT_EQ(a.lb_max_length, b.lb_max_length) << cache;
       EXPECT_EQ(a.lb_max_single, b.lb_max_single) << cache;
-      EXPECT_EQ(a.lb_impact, b.lb_impact) << cache << "/" << exact_max;
+      EXPECT_EQ(a.lb_impact, b.lb_impact) << cache;
     }
   }
 }
@@ -237,13 +233,12 @@ TEST(StreamingEquivalence, StackDistancesPassLazySourcesThrough) {
     EXPECT_EQ(view.source(i).stack_distances(), nullptr);
   }
 
-  // A resident trace holding the reserved sentinel keeps its cursor (and
-  // with it the corrupt-trace screen); so does a source already carrying
-  // distances.
+  // A resident trace holding the reserved sentinel is rejected by the
+  // distance pass; a source already carrying distances is kept.
   Trace hostile = gen::cyclic(4, 20);
   hostile.mutable_requests()[7] = kInvalidPage;
-  const auto plain = VectorTraceSource::view(hostile);
-  EXPECT_EQ(with_stack_distances(plain), plain);
+  test::expect_corrupt_trace_at(
+      [&] { with_stack_distances(VectorTraceSource::view(hostile)); }, 7);
   const Trace clean = gen::cyclic(4, 20);
   const auto attached = with_stack_distances(VectorTraceSource::view(clean));
   ASSERT_NE(attached->stack_distances(), nullptr);

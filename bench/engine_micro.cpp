@@ -4,8 +4,9 @@
 // box runner, the sequential cache simulator, the stack-distance and
 // previous-access passes, the green-OPT DP, the offline packer, GLOBAL-LRU,
 // the OPT bounds and a whole run_instance on a sweep cell, the schedulers'
-// next_box alone (a p-sweep), the trace generators' next_span alone, and
-// the full parallel engine. These keep the harness honest about simulator
+// next_box alone (a p-sweep, and DET-PAR in the online service's shape),
+// the trace generators' next_span alone (and the Zipf tenants' cursors),
+// and the full parallel engine. These keep the harness honest about simulator
 // cost and catch performance regressions — scripts/bench_perf.sh snapshots
 // them into BENCH_PERF.json.
 #include <benchmark/benchmark.h>
@@ -474,6 +475,36 @@ BENCHMARK_CAPTURE(BM_TraceSpan, sawtooth,
 BENCHMARK_CAPTURE(BM_TraceSpan, single_use,
                   gen::single_use_source(kTraceSpanRequests));
 
+/// The Zipf tenants' generation cost as the online service pays it: one
+/// cursor per tenant, built (with its sampler's guide table) and drained in
+/// 256-page spans, over CDFs of 32-96 pages at theta = 0.9 and 128-384
+/// requests each, as in perfbench's service_churn. Items = requests, so
+/// the time per item includes each cursor's set-up.
+void BM_ZipfDraw(benchmark::State& state) {
+  Rng rng(9);
+  std::vector<std::shared_ptr<const TraceSource>> tenants;
+  std::uint64_t requests = 0;
+  for (int i = 0; i < 256; ++i) {
+    const std::size_t n = 128 + rng.next_below(257);
+    tenants.push_back(
+        gen::zipf_source(32 + rng.next_below(65), n, 0.9, rng.fork()));
+    requests += n;
+  }
+  std::vector<PageId> span(256);
+  for (auto _ : state) {
+    for (const auto& tenant : tenants) {
+      auto cursor = tenant->cursor();
+      while (cursor->next_span(span.data(), span.size()) != 0) {
+        benchmark::DoNotOptimize(span.data());
+        benchmark::ClobberMemory();
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(requests));
+}
+BENCHMARK(BM_ZipfDraw);
+
 /// The first p processors, all active for the whole run.
 class AllActiveView final : public EngineView {
  public:
@@ -530,6 +561,115 @@ BENCHMARK_CAPTURE(BM_SchedulerNextBox, DetPar, SchedulerKind::kDetPar)
     ->Arg(64)->Arg(512)->Arg(4096);
 BENCHMARK_CAPTURE(BM_SchedulerNextBox, RandPar, SchedulerKind::kRandPar)
     ->Arg(64)->Arg(512)->Arg(4096);
+
+/// An active list the benchmark edits in place, as the engine's view does.
+class ListView final : public EngineView {
+ public:
+  ListView(ProcId num_procs, std::vector<ProcId> ids)
+      : num_procs_(num_procs), ids_(std::move(ids)) {}
+  /// One departure (the id at `index`) and one arrival (`id`, above all).
+  void replace(std::size_t index, ProcId id) {
+    ids_.erase(ids_.begin() + static_cast<std::ptrdiff_t>(index));
+    ids_.push_back(id);
+  }
+  ProcId num_procs() const override { return num_procs_; }
+  ProcId active_count() const override {
+    return static_cast<ProcId>(ids_.size());
+  }
+  bool is_active(ProcId proc) const override {
+    return std::binary_search(ids_.begin(), ids_.end(), proc);
+  }
+  const std::vector<ProcId>& active_ids() const override { return ids_; }
+
+ private:
+  ProcId num_procs_;
+  std::vector<ProcId> ids_;
+};
+
+/// DET-PAR's next_box in the online service's shape (k = 4096, s = 8, as
+/// in perfbench's service_churn): r0 active processors on sparse ids, and
+/// every 10th call an arrival that replaces an older processor, so a
+/// phase lasts about 9 boxes and every one starts with an O(r0) re-phase.
+/// Ids grow by 2 per arrival (every other tenant is turned away), and the
+/// departing processor is one of the oldest eighth, which keeps the id span
+/// near twice r0, as on service_churn. The calls come in the engine's pull
+/// order, recorded once in set-up; the timed loop replays them and the
+/// list edits. Items = boxes; the counter span_per_r0 is the mean id span
+/// over r0 at the arrivals.
+void BM_SchedulerNextBoxService(benchmark::State& state) {
+  constexpr std::size_t kCallsPerArrival = 10;
+  const auto r0 = static_cast<std::size_t>(state.range(0));
+  const std::size_t num_calls = std::size_t{1} << 16;
+  struct Call {
+    ProcId proc;
+    Time now;
+    std::size_t departs;  ///< List index of the departing id, or kNoArrival.
+  };
+  constexpr std::size_t kNoArrival = ~std::size_t{0};
+
+  std::vector<ProcId> initial(r0);
+  for (std::size_t i = 0; i < r0; ++i) initial[i] = static_cast<ProcId>(2 * i);
+  const auto num_procs =
+      static_cast<ProcId>(2 * (r0 + num_calls / kCallsPerArrival + 1));
+  const SchedulerContext ctx{num_procs, 4096, 8};
+  std::vector<Call> calls;
+  calls.reserve(num_calls);
+  double span_sum = 0;
+  std::size_t arrivals = 0;
+  {
+    ListView view(num_procs, initial);
+    auto scheduler = make_scheduler(SchedulerKind::kDetPar);
+    scheduler->start(ctx, view);
+    Rng rng(21);
+    std::priority_queue<std::pair<Time, ProcId>,
+                        std::vector<std::pair<Time, ProcId>>, std::greater<>>
+        pending;
+    for (const ProcId proc : initial) pending.emplace(0, proc);
+    auto next_id = static_cast<ProcId>(2 * r0);
+    Time now = 0;
+    while (calls.size() < num_calls) {
+      if (calls.size() % kCallsPerArrival == kCallsPerArrival - 1) {
+        const std::size_t departs = rng.next_below(r0 / 8 + 1);
+        view.replace(departs, next_id);
+        const std::vector<ProcId>& ids = view.active_ids();
+        span_sum += static_cast<double>(ids.back() - ids.front() + 1);
+        ++arrivals;
+        calls.push_back(Call{next_id, now, departs});
+        scheduler->notify_arrived(next_id, now, view);
+        pending.emplace(now, next_id);
+        next_id += 2;
+        continue;
+      }
+      const auto [start, proc] = pending.top();
+      pending.pop();
+      if (!view.is_active(proc)) continue;
+      now = start;
+      calls.push_back(Call{proc, now, kNoArrival});
+      pending.emplace(scheduler->next_box(proc, now, view).end, proc);
+    }
+  }
+
+  std::int64_t boxes = 0;
+  for (auto _ : state) {
+    ListView view(num_procs, initial);
+    auto scheduler = make_scheduler(SchedulerKind::kDetPar);
+    scheduler->start(ctx, view);
+    for (const Call& call : calls) {
+      if (call.departs != kNoArrival) {
+        view.replace(call.departs, call.proc);
+        scheduler->notify_arrived(call.proc, call.now, view);
+      } else {
+        benchmark::DoNotOptimize(
+            scheduler->next_box(call.proc, call.now, view));
+        ++boxes;
+      }
+    }
+  }
+  state.SetItemsProcessed(boxes);
+  state.counters["span_per_r0"] =
+      span_sum / static_cast<double>(arrivals) / static_cast<double>(r0);
+}
+BENCHMARK(BM_SchedulerNextBoxService)->Arg(100)->Arg(400)->Arg(800);
 
 }  // namespace
 

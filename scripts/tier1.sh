@@ -12,7 +12,10 @@
 #    cppcheck when available) plus a hard check that both emitted JSON
 #    reports are empty;
 #  - the robustness tests (fault injection, trace corruption, replay), the
-#    engine stepper, the scheduler goldens, the generators, the LRU set
+#    engine stepper, the scheduler goldens, DET-PAR's strip windows and
+#    phase position table (DetParStrip, DetParPosition) with the
+#    multiply-high Divisor they divide by, GLOBAL-LRU with its lanes'
+#    kInvalidPage screen (GlobalLru), the generators, the LRU set
 #    and every other LruSet user (box runner, the green-OPT brute-force
 #    oracle, the LRU policy and its cache-sim equivalence and inclusion
 #    suites), the stack-distance passes (StackDistance*,
@@ -99,7 +102,7 @@ if [[ "${SAN}" != "none" ]]; then
   cmake --build "build-${SAN}" -j "$(nproc)"
   (cd "build-${SAN}" &&
    ctest --output-on-failure -j "$(nproc)" --no-tests=error \
-         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|AtomicFile|EngineStepper|PagingService|DetParGolden|RandParGolden|Generators|LruSet|LruFlatIndex|BoxRunner|GreenOpt|DynamicGreen|DynamicOpt|EpochSchedule|RunProfile|RunGreenPaging|GreedyCheck|PolicyBoxRunner|InBoxPolicyConservation|CacheSimEquivalence|LruPolicyTest|LruInclusion|StackDistance|PreviousAccesses|StreamingEquivalence|RunInstance|OptBounds|BeladyPolicyTest|OfflinePacker|FixedHeightCandidates')
+         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|AtomicFile|EngineStepper|PagingService|DetParGolden|DetParStrip|DetParPosition|Divisor|GlobalLru|RandParGolden|Generators|LruSet|LruFlatIndex|BoxRunner|GreenOpt|DynamicGreen|DynamicOpt|EpochSchedule|RunProfile|RunGreenPaging|GreedyCheck|PolicyBoxRunner|InBoxPolicyConservation|CacheSimEquivalence|LruPolicyTest|LruInclusion|StackDistance|PreviousAccesses|StreamingEquivalence|RunInstance|OptBounds|BeladyPolicyTest|OfflinePacker|FixedHeightCandidates')
 
   # Fault-isolation gate under ASan: injected trace faults (fail,
   # hostile-page, torn-span, stall) must quarantine only their own tenant

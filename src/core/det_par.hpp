@@ -1,11 +1,16 @@
 // DET-PAR (paper Section 3.3): the deterministic well-rounded
-// O(log p)-competitive parallel-paging scheduler.
+// O(log p)-competitive parallel-paging scheduler. A phase start costs
+// O(r0 + id span): it copies the r0 active ids and fills a position table
+// over the span from the lowest to the highest of them. A box request
+// then costs O(1) to find the processor's position and O(rungs)
+// multiplies for the strip windows, with no division and no search.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 
 #include "core/scheduler.hpp"
+#include "util/math_util.hpp"
 
 namespace ppg {
 
@@ -30,8 +35,19 @@ struct StripWindow {
 /// c1 = cycle + 1 and d = (idx - base(c1)) mod r0, the next cycle is
 /// c1 + d / slots. Exact because base advances by `slots` per cycle and
 /// j*slots <= d < r0 never wraps; this also covers slots >= r0 (every
-/// position every cycle).
-StripWindow strip_window(std::size_t r0, std::size_t slots,
-                         std::size_t offset, Time cycle, std::size_t idx);
+/// position every cycle). `r0` and `slots` are the divisors DET-PAR fixes
+/// at phase start, and `step` is slots mod r0, so a call divides by
+/// multiplies only (Divisor, util/math_util.hpp).
+StripWindow strip_window(const Divisor& r0, const Divisor& slots,
+                         std::size_t step, std::size_t offset, Time cycle,
+                         std::size_t idx);
+
+/// strip_window with the divisors built for this one call.
+inline StripWindow strip_window(std::size_t r0, std::size_t slots,
+                                std::size_t offset, Time cycle,
+                                std::size_t idx) {
+  return strip_window(Divisor(r0), Divisor(slots), slots % r0, offset, cycle,
+                      idx);
+}
 
 }  // namespace ppg

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/error.hpp"
 #include "util/lru_set.hpp"
 #include "util/math_util.hpp"
 
@@ -17,7 +19,8 @@ namespace {
 constexpr std::size_t kLaneSpan = 64;
 
 /// Every processor's unserved requests, buffered kLaneSpan at a time by
-/// next_span, so serving a request is a pointer bump.
+/// next_span, so serving a request is a pointer bump. Every refill passes
+/// the kInvalidPage screen (screen_span); its kCorruptTrace names the lane.
 class Lanes {
  public:
   explicit Lanes(const MultiTraceSource& sources)
@@ -36,7 +39,16 @@ class Lanes {
     if (w.next != w.end) return false;
     PageId* buffer = buffers_.data() + kLaneSpan * proc;
     w.next = buffer;
-    w.end = buffer + cursors_[proc]->next_span(buffer, kLaneSpan);
+    TraceCursor& cursor = *cursors_[proc];
+    const std::size_t count = cursor.next_span(buffer, kLaneSpan);
+    try {
+      screen_span(buffer, count, cursor.position() - count);
+    } catch (const PpgException& e) {
+      Error error = e.error();
+      error.proc = proc;
+      throw PpgException(std::move(error));
+    }
+    w.end = buffer + count;
     return w.next == w.end;
   }
 

@@ -42,9 +42,10 @@ class EngineView {
   /// The view keeps this list current as processors arrive and leave, so
   /// reading it is O(1) and copying it O(active) — never O(processors
   /// ever admitted) — with no allocation on the view's side. Schedulers
-  /// snapshot it at every chunk/phase start and rank a processor by
-  /// binary search in the snapshot. The reference is invalidated by the
-  /// next activation or deactivation.
+  /// snapshot it at every chunk/phase start and rank a processor in the
+  /// snapshot (RAND-PAR by binary search, DET-PAR through a position
+  /// table over the snapshot's id span). The reference is invalidated by
+  /// the next activation or deactivation.
   virtual const std::vector<ProcId>& active_ids() const = 0;
 
   /// Visits active_ids() in order (ascending id), without allocating.

@@ -1,6 +1,7 @@
 #include "trace/generators.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <unordered_map>
@@ -354,11 +355,17 @@ ZipfSampler::ZipfSampler(std::shared_ptr<const std::vector<double>> cdf)
   PPG_CHECK(cdf_->back() == 1.0);
   PPG_CHECK(cdf_->size() <= std::numeric_limits<std::uint32_t>::max());
   const std::vector<double>& values = *cdf_;
-  guide_.resize(values.size());
-  std::size_t r = 0;
-  for (std::size_t b = 0; b < guide_.size(); ++b) {
-    while (r + 1 < values.size() && bucket(values[r]) < b) ++r;
-    guide_[b] = static_cast<std::uint32_t>(r);
+  const std::size_t num_buckets = std::bit_ceil(4 * values.size());
+  buckets_ = static_cast<double>(num_buckets);
+  guide_.resize(num_buckets);
+  // Rank r is the guide of every bucket up to its own CDF value's bucket
+  // not claimed by an earlier rank; the last value, 1, lies in bucket B,
+  // so the ranks claim every bucket.
+  std::size_t b = 0;
+  for (std::size_t r = 0; r < values.size(); ++r) {
+    const auto last = std::min(
+        num_buckets - 1, static_cast<std::size_t>(values[r] * buckets_));
+    for (; b <= last; ++b) guide_[b] = static_cast<std::uint32_t>(r);
   }
 }
 

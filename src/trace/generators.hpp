@@ -57,12 +57,15 @@ std::shared_ptr<const std::vector<double>> make_zipf_cdf(
 
 /// Inverse-transform sampler over a CDF whose last entry is 1: draw(u),
 /// for u in [0, 1), returns the first rank r with cdf[r] >= u, exactly the
-/// rank std::lower_bound finds, through an n-entry guide table in O(1)
-/// expected steps instead of O(log n). bucket(u) = min(n-1, floor(u*n)) is
-/// monotone in u, and guide[b] is the first rank whose CDF value lies in
-/// bucket b or later; every rank before guide[bucket(u)] therefore has a
-/// CDF value in a lower bucket, hence below u, and the forward scan from
-/// there stops at the lower_bound rank. Building the guide is O(n).
+/// rank std::lower_bound finds, through a guide table in O(1) expected
+/// steps instead of O(log n). The guide has B = bit_ceil(4n) buckets, and
+/// bucket(u) = floor(u*B) is exact because B is a power of two (so u < 1
+/// never reaches B). guide[b] is the first rank whose CDF value lies in
+/// bucket b or later. The bucket map is monotone in u, so every rank before
+/// guide[bucket(u)] has a CDF value in a lower bucket, hence below u, and
+/// the forward scan from there stops at the lower_bound rank. Building the
+/// guide is one O(n + B) merge of the CDF against the bucket edges; it
+/// holds 4-8 entries of 4 bytes per page.
 class ZipfSampler {
  public:
   explicit ZipfSampler(std::shared_ptr<const std::vector<double>> cdf);
@@ -70,19 +73,14 @@ class ZipfSampler {
   std::uint64_t draw(double u) const {
     PPG_DCHECK(u >= 0.0 && u < 1.0);
     const double* cdf = cdf_->data();
-    std::size_t r = guide_[bucket(u)];
+    std::size_t r = guide_[static_cast<std::size_t>(u * buckets_)];
     while (cdf[r] < u) ++r;
     return r;
   }
 
  private:
-  std::size_t bucket(double u) const {
-    return std::min(guide_.size() - 1,
-                    static_cast<std::size_t>(
-                        u * static_cast<double>(guide_.size())));
-  }
-
   std::shared_ptr<const std::vector<double>> cdf_;
+  double buckets_;  ///< B, the guide's size, a power of two.
   std::vector<std::uint32_t> guide_;
 };
 

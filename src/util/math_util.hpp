@@ -47,4 +47,54 @@ constexpr std::uint64_t shl_clamped(std::uint64_t h, std::uint32_t i,
   return h << i;
 }
 
+/// Exact n / d and n % d by a divisor d >= 1 fixed up front, with
+/// multiplies in place of the hardware division (Lemire, Kaser and Kurz,
+/// "Faster Remainder by Direct Computation", 2019). With m = ceil(2^64/d),
+/// n / d is the high word of m*n and n % d the high word of
+/// (m*n mod 2^64) * d, both exact whenever n and d are below 2^32.
+/// Larger numerators (and divisors) take the hardware division. d = 1 has
+/// no 64-bit m: it keeps m = 0, which gives remainder 0, and the quotient
+/// adds n back through a mask, so no branch tests the divisor.
+class Divisor {
+ public:
+  explicit Divisor(std::uint64_t d) : d_(d) {
+    PPG_CHECK(d >= 1);
+    if (d == 1) {
+      one_mask_ = ~std::uint64_t{0};
+    } else if (d <= kFastMax) {
+      m_ = ~std::uint64_t{0} / d + 1;
+    } else {
+      fast_max_ = 0;  // only n = 0 (m = 0: quotient and remainder 0)
+    }
+  }
+
+  std::uint64_t divisor() const { return d_; }
+
+  friend std::uint64_t operator/(std::uint64_t n, const Divisor& d) {
+    if (n > d.fast_max_) [[unlikely]]
+      return n / d.d_;
+    return mul_high(d.m_, n) + (n & d.one_mask_);
+  }
+
+  friend std::uint64_t operator%(std::uint64_t n, const Divisor& d) {
+    if (n > d.fast_max_) [[unlikely]]
+      return n % d.d_;
+    return mul_high(d.m_ * n, d.d_);
+  }
+
+ private:
+  static constexpr std::uint64_t kFastMax = 0xFFFF'FFFF;
+
+  static std::uint64_t mul_high(std::uint64_t a, std::uint64_t b) {
+    using u128 = unsigned __int128;
+    return static_cast<std::uint64_t>(
+        (static_cast<u128>(a) * static_cast<u128>(b)) >> 64);
+  }
+
+  std::uint64_t d_;
+  std::uint64_t m_ = 0;
+  std::uint64_t one_mask_ = 0;
+  std::uint64_t fast_max_ = kFastMax;
+};
+
 }  // namespace ppg

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/det_par.hpp"
@@ -212,6 +215,97 @@ TEST(DetParStrip, ClosedFormNextCycleMatchesHorizonScanRandomized) {
     const std::size_t idx = rng.next_below(r0);
     expect_matches_reference(r0, slots, offset, cycle, idx);
   }
+}
+
+// --- O(1) phase positions ------------------------------------------------
+// DET-PAR ranks a processor through a position table over the phase's id
+// span. Its boxes depend on ids only through their rank in the phase-start
+// list, so a run on gapped ids must match, box for box, the same run on the
+// dense ids 0..r0-1, across re-phases that shrink and grow the span.
+
+class ListView final : public EngineView {
+ public:
+  explicit ListView(ProcId num_procs) : num_procs_(num_procs) {}
+  void set(std::vector<ProcId> ids) { ids_ = std::move(ids); }
+  ProcId num_procs() const override { return num_procs_; }
+  ProcId active_count() const override {
+    return static_cast<ProcId>(ids_.size());
+  }
+  bool is_active(ProcId proc) const override {
+    return std::binary_search(ids_.begin(), ids_.end(), proc);
+  }
+  const std::vector<ProcId>& active_ids() const override { return ids_; }
+
+ private:
+  ProcId num_procs_;
+  std::vector<ProcId> ids_;
+};
+
+const SchedulerContext kPositionContext{1001, 64, 4};
+
+TEST(DetParPosition, GappedIdsServeLikeDenseIdsAcrossRephases) {
+  // Each step is the active list for a stretch of calls. The id spans run
+  // 398, then 2 after half leave (a halving re-phase), 999 after arrivals
+  // (an arrival re-phase), 2 again, then 3 and 997 after more arrivals.
+  const std::vector<std::vector<ProcId>> steps = {
+      {3, 9, 10, 400}, {9, 10}, {2, 9, 10, 1000}, {9, 10}, {9, 10, 11},
+      {0, 9, 10, 11, 996}};
+  ListView gapped(kPositionContext.num_procs);
+  ListView dense(kPositionContext.num_procs);
+  auto on_gapped = make_det_par();
+  auto on_dense = make_det_par();
+  const auto set_both = [&](const std::vector<ProcId>& ids) {
+    std::vector<ProcId> ranks(ids.size());
+    std::iota(ranks.begin(), ranks.end(), ProcId{0});
+    gapped.set(ids);
+    dense.set(ranks);
+  };
+  set_both(steps.front());
+  on_gapped->start(kPositionContext, gapped);
+  on_dense->start(kPositionContext, dense);
+
+  Time now = 0;
+  std::size_t boxes = 0;
+  for (std::size_t step = 0; step < steps.size(); ++step) {
+    const std::vector<ProcId>& ids = steps[step];
+    set_both(ids);
+    if (step > 0 && ids.size() >= steps[step - 1].size()) {
+      // Growth is an arrival: the newest id announces itself.
+      on_gapped->notify_arrived(ids.back(), now, gapped);
+      on_dense->notify_arrived(static_cast<ProcId>(ids.size() - 1), now,
+                               dense);
+    }
+    for (int round = 0; round < 40; ++round, now += 7) {
+      for (std::size_t rank = 0; rank < ids.size(); ++rank) {
+        const BoxAssignment got = on_gapped->next_box(ids[rank], now, gapped);
+        const BoxAssignment want =
+            on_dense->next_box(static_cast<ProcId>(rank), now, dense);
+        ASSERT_EQ(got.height, want.height) << "step " << step << " now "
+                                           << now << " id " << ids[rank];
+        ASSERT_EQ(got.start, want.start) << "step " << step << " now " << now
+                                         << " id " << ids[rank];
+        ASSERT_EQ(got.end, want.end) << "step " << step << " now " << now
+                                     << " id " << ids[rank];
+        ++boxes;
+      }
+    }
+  }
+  EXPECT_EQ(boxes, 40u * (4 + 2 + 4 + 2 + 3 + 5));
+}
+
+TEST(DetParPositionDeathTest, ProcessorOutsideThePhaseListAborts) {
+  ListView view(kPositionContext.num_procs);
+  view.set({3, 9, 10, 400});
+  const auto box_for = [&](ProcId proc) {
+    auto scheduler = make_det_par();
+    scheduler->start(kPositionContext, view);
+    scheduler->next_box(proc, 0, view);
+  };
+  box_for(400);  // a member is served
+  // Inside the span but not a member, below the first id, above the last.
+  EXPECT_DEATH(box_for(5), "processor missing from phase list");
+  EXPECT_DEATH(box_for(1), "processor missing from phase list");
+  EXPECT_DEATH(box_for(401), "processor missing from phase list");
 }
 
 // --- Golden box streams --------------------------------------------------

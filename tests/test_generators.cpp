@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <unordered_map>
 #include <unordered_set>
@@ -99,9 +100,10 @@ TEST(Generators, ZipfThetaZeroIsRoughlyUniform) {
 // The guide-table draw must return std::lower_bound's rank for every u in
 // [0, 1), not just on average. The probes are the adversarial ones: every
 // CDF value and its floating-point neighbours, every guide bucket edge
-// b/n and its neighbours, and random 53-bit draws, over CDFs from one
-// page to 2*10^4 and from uniform to theta = 60 (whose tail rounds to
-// runs of equal CDF values).
+// b/B (B = bit_ceil(4n) buckets) and its neighbours, every b/n and its
+// neighbours, and random 53-bit draws, over CDFs from one page to 2*10^4
+// and from uniform to theta = 60 (whose tail rounds to runs of equal CDF
+// values).
 TEST(Generators, ZipfGuidedDrawMatchesLowerBound) {
   Rng rng(97);
   std::uint64_t probes = 0;
@@ -130,13 +132,16 @@ TEST(Generators, ZipfGuidedDrawMatchesLowerBound) {
       for (const double value : *cdf) check_around(value);
       for (std::uint64_t b = 0; b <= n; ++b)
         check_around(static_cast<double>(b) / static_cast<double>(n));
+      const std::uint64_t buckets = std::bit_ceil(4 * n);
+      for (std::uint64_t b = 0; b <= buckets; ++b)
+        check_around(static_cast<double>(b) / static_cast<double>(buckets));
       for (int i = 0; i < 2000; ++i) check(rng.next_double());
       check(0.0);
       check(std::nextafter(1.0, 0.0));
     }
   }
   EXPECT_EQ(mismatches, 0u) << "of " << probes << " probes";
-  EXPECT_GT(probes, 600000u);
+  EXPECT_GT(probes, 2000000u);
 }
 
 TEST(Generators, PhasedWorkingSetUsesFreshSets) {

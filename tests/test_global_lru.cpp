@@ -89,6 +89,29 @@ TEST(GlobalLru, EmptyTraceCompletesImmediately) {
   EXPECT_EQ(r.completion[1], 2u);
 }
 
+TEST(GlobalLru, HostilePageIsCorruptTrace) {
+  // Every lane refill passes the kInvalidPage screen, and the error names
+  // the lane's processor: in the first span of processor 0, and past the
+  // first refill of processor 1.
+  MultiTrace first;
+  Trace hostile = gen::cyclic(4, 40);
+  hostile.mutable_requests()[5] = kInvalidPage;
+  first.add(std::move(hostile));
+  first.add(gen::cyclic(4, 40));
+  const Error error = test::expect_corrupt_trace_at(
+      [&] { run_global_lru(first, config_for(4, 2)); }, 5);
+  EXPECT_EQ(error.proc, 0u);
+
+  MultiTrace second;
+  second.add(gen::cyclic(4, 100));
+  Trace late = gen::cyclic(4, 100);
+  late.mutable_requests()[70] = kInvalidPage;
+  second.add(std::move(late));
+  const Error late_error = test::expect_corrupt_trace_at(
+      [&] { run_global_lru(second, config_for(4, 2)); }, 70);
+  EXPECT_EQ(late_error.proc, 1u);
+}
+
 TEST(GlobalLru, ZeroProcessorsIsRejected) {
   const MultiTrace no_procs;
   EXPECT_DEATH(run_global_lru(no_procs, config_for(4, 2)), "p >= 1");

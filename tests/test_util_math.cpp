@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
+
 #include "util/math_util.hpp"
+#include "util/rng.hpp"
 
 namespace ppg {
 namespace {
@@ -61,6 +65,56 @@ TEST(MathUtil, ShlClamped) {
   EXPECT_EQ(shl_clamped(1, 3, 100), 8u);
   EXPECT_EQ(shl_clamped(1, 7, 100), 100u);  // 128 > 100 clamps
   EXPECT_EQ(shl_clamped(5, 70, 1000), 1000u);  // shift overflow clamps
+}
+
+// --- Divisor ---------------------------------------------------------------
+// Each check compares against the hardware / and %, on both sides of the
+// multiply-high path's 2^32 limit.
+
+void expect_divides_like_hardware(std::uint64_t d, std::uint64_t n) {
+  const Divisor divisor(d);
+  ASSERT_EQ(n / divisor, n / d) << "n=" << n << " d=" << d;
+  ASSERT_EQ(n % divisor, n % d) << "n=" << n << " d=" << d;
+}
+
+constexpr std::uint64_t kTwo32 = std::uint64_t{1} << 32;
+
+TEST(Divisor, MatchesHardwareAtEdges) {
+  for (const std::uint64_t d :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        std::uint64_t{7}, std::uint64_t{798}, kTwo32 - 1}) {
+    EXPECT_EQ(Divisor(d).divisor(), d);
+    for (const std::uint64_t n :
+         {std::uint64_t{0}, d - 1, d, d + 1, kTwo32 - 2, kTwo32 - 1, kTwo32,
+          kTwo32 + 1, std::uint64_t{1} << 40, UINT64_MAX})
+      expect_divides_like_hardware(d, n);
+  }
+}
+
+TEST(Divisor, MatchesHardwareBeyondTheFastPath) {
+  // Divisors of 2^32 and above always take the hardware division, except
+  // for the numerator 0.
+  for (const std::uint64_t d : {kTwo32, kTwo32 + 1, UINT64_MAX})
+    for (const std::uint64_t n : {std::uint64_t{0}, std::uint64_t{1},
+                                  kTwo32 - 1, kTwo32, d - 1, d, UINT64_MAX})
+      expect_divides_like_hardware(d, n);
+}
+
+TEST(Divisor, MatchesHardwareRandomized) {
+  Rng rng(33);
+  for (int trial = 0; trial < 200000; ++trial) {
+    // Divisors log-uniform below 2^32, numerators mostly below 2^32 (the
+    // multiply-high path) and sometimes above it.
+    const std::uint64_t d = 1 + rng.next_below(std::uint64_t{1}
+                                               << rng.next_in(1, 32));
+    const std::uint64_t n =
+        rng.next_bool(0.9) ? rng.next_below(kTwo32) : rng();
+    expect_divides_like_hardware(d, n);
+  }
+}
+
+TEST(DivisorDeathTest, ZeroDivisorIsRejected) {
+  EXPECT_DEATH(Divisor(0), "d >= 1");
 }
 
 class Pow2Roundtrip : public ::testing::TestWithParam<std::uint64_t> {};
